@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -362,3 +363,35 @@ class TestCli:
         proc = run_cli("selftest")
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
+
+
+# SHA-256 of the CSV that each small seeded config writes.  The digests pin
+# the exact numbers of the sampling, estimation and scoring pipeline: a change
+# that reorders random draws or arithmetic shows up here as a changed digest.
+GOLDEN_CSV_SHA256 = {
+    ("qst", "qst-rank1-8d", "adaptive"):
+        "7aff86510c195f4ae50703fa9b7eb7e913a9ae065422160237aba53a866b9f93",
+    ("qst", "qst-rank1-8d", "static"):
+        "146d871b5db9453d7a5b6be2834fff29673074a634ffe760bd0c4bb21277c62c",
+    ("qdt", "qdt-three-valued", "adaptive"):
+        "319cafbeb975311034594fcb11583889ff7f09a5506b5e369f957033c582a4d1",
+    ("qdt", "qdt-three-valued", "static"):
+        "6503c56fb532aa46680816647d403e63e7c1ff41cb93d8afdfce4346662bcd7a",
+    ("aapt", "aapt-hadamard", "adaptive"):
+        "1368afe4877d210d988a43c27edace9ccb5432ca6f192d46300985370d95112f",
+    ("aapt", "aapt-hadamard", "static"):
+        "b6dfb47f454ba9b87c72db12b6d84547f5a167c4a6169b98747cc0a511186f1d",
+    ("aapt", "aapt-damping-third", "adaptive"):
+        "bfcaf421786f2965f2bd97fe97efdf112cb133e9828fa2f48228737bc6401315",
+    ("aapt", "aapt-damping-third", "static"):
+        "addb981b0819bbc6074a887a81798f5e4b4123e9a99f605f3c1138e7770e9d47",
+}
+
+
+@pytest.mark.parametrize("task,target,method", sorted(GOLDEN_CSV_SHA256))
+def test_golden_csv_digest(task, target, method, tmp_path):
+    cfg = ExperimentConfig(task, method, target, (300, 1000, 3000), 3, seed=11)
+    path = write_csv(run_scaling(cfg), str(tmp_path / "out.csv"))
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[(task, target, method)]
