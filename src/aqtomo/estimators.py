@@ -31,14 +31,21 @@ from .linalg import (
     partial_trace_1,
     project_psd,
 )
-from .measurement import cube_povm, random_pure_probes
+from .measurement import (
+    Frequencies,
+    cube_povm,
+    eigenbasis_projectors,
+    frequencies,
+    pure_probe_states,
+    random_unit_vectors,
+    unit_rows,
+)
 from .quantum_objects import (
     BipartitePureState,
     DegenerateInputError,
     DensityMatrix,
     Povm,
     ProcessMatrix,
-    pure_state,
 )
 
 log = logging.getLogger(__name__)
@@ -142,7 +149,7 @@ class DesignMatrix:
 
 def operator_design(operators, basis: HermitianBasis) -> DesignMatrix:
     """Rows Tr(O_r B_k) for measurement operators or probe states O_r."""
-    ops = np.stack([np.asarray(o, complex) for o in operators])
+    ops = np.asarray(operators, dtype=complex)
     mat = np.einsum("aij,bji->ab", ops, basis.operators).real
     return DesignMatrix(mat)
 
@@ -163,13 +170,16 @@ class LrePlan:
 
     Building the pseudo-inverse once and reusing it across repeated trials is
     what keeps the Monte-Carlo harness cheap; ``solve`` is then a matvec.
+    Its input is one ``(S, K)`` frequency table per battery draw, so every
+    setting must have the same number of outcomes.
     """
 
     def __init__(self, povms, basis: HermitianBasis, constrain_trace: bool):
         self.povms = tuple(povms)
         self.basis = basis
         self.constrain_trace = constrain_trace
-        self.sizes = [len(p) for p in self.povms]
+        if len({len(p) for p in self.povms}) != 1:
+            raise DimensionError("battery settings must share one outcome count")
         design = povm_design(self.povms, basis)
         needed = basis.size - 1 if constrain_trace else basis.size
         design.require_rank(needed)
@@ -180,24 +190,22 @@ class LrePlan:
         else:
             self._pinv = np.linalg.pinv(self.design)
 
-    def _stack(self, records) -> tuple[np.ndarray, np.ndarray]:
-        if len(records) != len(self.povms):
-            raise DimensionError("one record per POVM setting is required")
-        freqs, mask = [], []
-        for rec, n in zip(records, self.sizes):
-            if rec.counts.shape[0] != n:
-                raise DimensionError("record outcome count mismatch")
-            freqs.append(rec.frequencies)
-            mask.append(np.full(n, rec.shots > 0))
-        return np.concatenate(freqs), np.concatenate(mask)
+    def solve(self, freqs, trace_value: float = 1.0) -> np.ndarray:
+        """Least-squares Hermitian reconstruction from one row per setting.
 
-    def solve(self, records, trace_value: float = 1.0) -> np.ndarray:
-        """Least-squares Hermitian reconstruction from one record per setting.
-
-        Settings with zero shots contribute no rows; if dropping them breaks
-        informational completeness an error is raised rather than regularizing.
+        ``freqs`` is the :class:`Frequencies` of one battery draw, or one
+        record per setting.  Settings with zero shots contribute no rows; if
+        dropping them breaks informational completeness an error is raised
+        rather than regularizing.
         """
-        y, mask = self._stack(records)
+        if not isinstance(freqs, Frequencies):
+            if len(freqs) != len(self.povms):
+                raise DimensionError("one record per POVM setting is required")
+            freqs = Frequencies.from_records(freqs)
+        if freqs.values.shape != (len(self.povms), len(self.povms[0])):
+            raise DimensionError("frequencies do not match the battery's settings")
+        y = freqs.values.ravel()
+        mask = np.repeat(freqs.mask, freqs.values.shape[1])
         full = bool(mask.all())
         if self.constrain_trace:
             phi0 = trace_value / np.sqrt(self.basis.d)
@@ -298,8 +306,7 @@ def project_eigenvalues_simplex(w: np.ndarray) -> np.ndarray:
 
 def eigenbasis_povm(u: np.ndarray, name: str = "eigenbasis") -> Povm:
     """Rank-1 projective POVM onto the columns of a unitary."""
-    cols = [np.outer(u[:, i], u[:, i].conj()) for i in range(u.shape[1])]
-    return Povm(tuple(cols), name=name)
+    return Povm(tuple(eigenbasis_projectors(u)), name=name)
 
 
 def _split_shots(total: int, parts: int) -> list:
@@ -318,10 +325,16 @@ def _default_battery(dim: int):
     return cube_povm(n_qubits)
 
 
-def _step1_records(sampler, povms, shots: int, rng):
-    return [
-        sampler(povm, s, rng) for povm, s in zip(povms, _split_shots(shots, len(povms)))
-    ]
+def _battery_frequencies(sampler, plan: LrePlan, shots: int, gen) -> Frequencies:
+    """Split ``shots`` over the plan's settings and draw them all at once."""
+    split = _split_shots(shots, len(plan.povms))
+    return frequencies(sampler.counts(plan.povms, split, gen))
+
+
+def _eigenbasis_frequencies(sampler, u: np.ndarray, shots: int, gen) -> np.ndarray:
+    """Outcome frequencies of ``shots`` measurements in the columns of ``u``."""
+    counts = sampler.counts([eigenbasis_projectors(u)], [shots], gen)
+    return frequencies(counts).values[0]
 
 
 def _check_alpha(n_total: int, alpha: float) -> int:
@@ -357,12 +370,10 @@ def adaptive_qst(
         povms = _default_battery(d)
     if plan is None:
         plan = LrePlan(povms, basis or HermitianBasis(d), constrain_trace=True)
-    records = _step1_records(sampler, povms, n0, gen)
-    rho_tilde = plan.solve(records)
+    rho_tilde = plan.solve(_battery_frequencies(sampler, plan, n0, gen))
     u = hermitian_eig(rho_tilde).eigenvectors
-    step2 = eigenbasis_povm(u)
-    rec2 = sampler(step2, n_total - n0, gen)
-    rho_hat = DensityMatrix(eig_reconstruct(rec2.frequencies, u))
+    lam = _eigenbasis_frequencies(sampler, u, n_total - n0, gen)
+    rho_hat = DensityMatrix(eig_reconstruct(lam, u))
     return TomographyEstimate(
         value=rho_hat,
         raw=rho_tilde,
@@ -394,11 +405,9 @@ def adaptive_qpst(
         povms = _default_battery(dim)
     if plan is None:
         plan = LrePlan(povms, basis or HermitianBasis(dim), constrain_trace=False)
-    records = _step1_records(sampler, povms, n0, gen)
-    sigma_tilde = plan.solve(records)
+    sigma_tilde = plan.solve(_battery_frequencies(sampler, plan, n0, gen))
     u = hermitian_eig(sigma_tilde).eigenvectors
-    rec2 = sampler(eigenbasis_povm(u), n_total - n0, gen)
-    lam = rec2.frequencies
+    lam = _eigenbasis_frequencies(sampler, u, n_total - n0, gen)
     if lam.sum() <= 0.0:
         raise EstimationError("every adaptive-step outcome fell in the null bin")
     sigma_hat = DensityMatrix(eig_reconstruct(lam, u), sub_unit=True)
@@ -426,8 +435,7 @@ def static_qst(
         povms = _default_battery(d)
     if plan is None:
         plan = LrePlan(povms, basis or HermitianBasis(d), constrain_trace=True)
-    records = _step1_records(sampler, povms, n_total, gen)
-    rho_tilde = plan.solve(records)
+    rho_tilde = plan.solve(_battery_frequencies(sampler, plan, n_total, gen))
     rho_hat = physical_projection_fast(rho_tilde)
     return TomographyEstimate(
         value=rho_hat, raw=rho_tilde, shots_used=n_total, method_tag="static_qst"
@@ -439,27 +447,34 @@ def static_qst(
 # ---------------------------------------------------------------------------
 
 
-def qdt_stage1(records, probes, basis: HermitianBasis | None = None) -> list:
+def qdt_stage1(freqs, probes, basis: HermitianBasis | None = None) -> list:
     """Static detector estimate from probe-state frequencies.
 
-    Per-element least squares, per-element PSD projection, then a symmetric
-    joint renormalization ``P_i -> S^-1/2 P_i S^-1/2`` with ``S`` the sum of
-    the projected elements, restoring completeness exactly.
+    ``freqs`` is the :class:`Frequencies` of one draw per probe (or one
+    record per probe); ``probes`` the probe density matrices as an
+    ``(m, d, d)`` stack (or DensityMatrix objects).  Per-element least
+    squares, per-element PSD projection, then a symmetric joint
+    renormalization ``P_i -> S^-1/2 P_i S^-1/2`` with ``S`` the sum of the
+    projected elements, restoring completeness exactly.
     """
-    if len(records) != len(probes):
+    if not isinstance(freqs, Frequencies):
+        freqs = Frequencies.from_records(freqs)
+    if not isinstance(probes, np.ndarray):
+        probes = np.stack([p.mat for p in probes])
+    if len(freqs.mask) != len(probes):
         raise DimensionError("one record per probe state is required")
-    d = probes[0].dim
+    d = probes.shape[-1]
     basis = basis or HermitianBasis(d)
-    design = operator_design([p.mat for p in probes], basis).matrix
-    mask = np.array([rec.shots > 0 for rec in records])
-    design = design[mask]
+    design = operator_design(probes, basis).matrix[freqs.mask]
     if np.linalg.matrix_rank(design) < basis.size:
         raise InformationIncompleteError(
             "probe battery is not informationally complete"
         )
-    freqs = np.stack([rec.frequencies for rec, keep in zip(records, mask) if keep])
-    thetas = np.linalg.pinv(design) @ freqs  # (d^2, n_elements)
-    projected = [project_psd(basis.assemble(thetas[:, i])) for i in range(freqs.shape[1])]
+    values = freqs.values[freqs.mask]
+    thetas = np.linalg.pinv(design) @ values  # (d^2, n_elements)
+    projected = [
+        project_psd(basis.assemble(thetas[:, i])) for i in range(values.shape[1])
+    ]
     total = sum(projected)
     corr = inv_sqrt(total, clamp=INV_SQRT_CLAMP_PER_DIM * d)
     return [hermitian_part(corr @ p @ corr, check=False) for p in projected]
@@ -478,36 +493,33 @@ def adaptive_qdt(
 ) -> TomographyEstimate:
     """Two-step adaptive detector tomography with per-element O(1/N) infidelity.
 
-    Step 1 runs :func:`qdt_stage1` on random pure probes; step 2 probes each
-    estimated eigenvector (n * d adaptive probe states, equal budgets) and
-    adopts the observed click frequency of its own element as the eigenvalue
-    estimate.  A final symmetric correction by the inverse square root of the
-    element sum restores completeness; clamping of that inverse is logged,
-    never fatal.
+    Step 1 runs :func:`qdt_stage1` on random pure probes (``probes``, if
+    given, holds their state vectors as ``(m, d)`` unit rows); step 2 probes
+    each estimated eigenvector (n * d adaptive probe states, equal budgets,
+    drawn at once) and adopts the observed click frequency of its own element
+    as the eigenvalue estimate.  A final symmetric correction by the inverse
+    square root of the element sum restores completeness; clamping of that
+    inverse is logged, never fatal.  The ``(N - n0) mod (n * d)`` shots that
+    do not divide evenly over the adaptive probes are left unused.
     """
     n0 = _check_alpha(n_total, alpha)
     basis = basis or HermitianBasis(d)
     gen = linalg.as_generator(rng)
-    if probes is None:
-        probes = _complete_probe_battery(n_probes or max(24, d * d), d, basis, gen)
-    shots = _split_shots(n0, len(probes))
-    records = [detector_sampler(p, s, gen) for p, s in zip(probes, shots)]
-    for rec in records:
-        if rec.counts.shape[0] != n_elements:
-            raise DimensionError("detector record has the wrong outcome count")
-    stage1 = qdt_stage1(records, probes, basis)
+    states = _probe_states(probes, n_probes, d, basis, gen)
+    freqs = _probe_frequencies(detector_sampler, states, n0, n_elements, gen)
+    stage1 = qdt_stage1(freqs, states, basis)
 
     per_probe = (n_total - n0) // (n_elements * d)
     if per_probe < 1:
         raise EstimationError("step-2 budget is below one shot per adaptive probe")
-    corrected = []
-    for i, p_bar in enumerate(stage1):
-        u = hermitian_eig(p_bar).eigenvectors
-        lam = np.empty(d)
-        for j in range(d):
-            rec = detector_sampler(pure_state(u[:, j]), per_probe, gen)
-            lam[j] = rec.frequencies[i]
-        corrected.append(eig_reconstruct(lam, u))
+    bases = [hermitian_eig(p_bar).eigenvectors for p_bar in stage1]
+    # probe (i, j) is eigenvector j of element i, in row i * d + j
+    adaptive = pure_probe_states(unit_rows(np.concatenate([u.T for u in bases])))
+    counts = detector_sampler.counts(adaptive, np.full(len(adaptive), per_probe), gen)
+    lam = frequencies(counts).values
+    corrected = [
+        eig_reconstruct(lam[i * d : (i + 1) * d, i], u) for i, u in enumerate(bases)
+    ]
 
     total = sum(corrected)
     clamp = INV_SQRT_CLAMP_PER_DIM * d
@@ -515,12 +527,17 @@ def adaptive_qdt(
         log.warning("adaptive QDT element sum nearly singular; clamped inverse used")
     corr = inv_sqrt(total, clamp=clamp)
     elements = tuple(hermitian_part(corr @ p @ corr, check=False) for p in corrected)
+    used = n0 + per_probe * len(adaptive)
     return TomographyEstimate(
         value=Povm(elements, name="adaptive-qdt"),
         raw=stage1,
-        shots_used=n_total,
+        shots_used=used,
         method_tag="adaptive_qdt",
-        extras={"probes": len(probes), "step2_per_probe": per_probe},
+        extras={
+            "probes": len(states),
+            "step2_per_probe": per_probe,
+            "unused_shots": n_total - used,
+        },
     )
 
 
@@ -534,34 +551,49 @@ def static_qdt(
     n_probes: int | None = None,
     basis: HermitianBasis | None = None,
 ) -> TomographyEstimate:
-    """Static detector baseline: the whole budget goes into stage 1."""
+    """Static detector baseline: the whole budget goes into stage 1.
+
+    ``probes``, if given, holds the pure probes' state vectors as ``(m, d)``
+    unit rows.
+    """
     basis = basis or HermitianBasis(d)
     gen = linalg.as_generator(rng)
-    if probes is None:
-        probes = _complete_probe_battery(n_probes or max(24, d * d), d, basis, gen)
-    shots = _split_shots(n_total, len(probes))
-    records = [detector_sampler(p, s, gen) for p, s in zip(probes, shots)]
-    for rec in records:
-        if rec.counts.shape[0] != n_elements:
-            raise DimensionError("detector record has the wrong outcome count")
-    elements = qdt_stage1(records, probes, basis)
+    states = _probe_states(probes, n_probes, d, basis, gen)
+    freqs = _probe_frequencies(detector_sampler, states, n_total, n_elements, gen)
+    elements = qdt_stage1(freqs, states, basis)
     return TomographyEstimate(
         value=Povm(tuple(elements), name="static-qdt"),
         raw=list(elements),
         shots_used=n_total,
         method_tag="static_qdt",
-        extras={"probes": len(probes)},
+        extras={"probes": len(states)},
     )
 
 
-def _complete_probe_battery(count, d, basis, gen, max_tries: int = 20):
+def _probe_states(probes, n_probes, d, basis, gen, max_tries: int = 20) -> np.ndarray:
+    """Stage-1 probe density matrices ``(m, d, d)``.
+
+    Given unit vectors are used as they are; otherwise random pure probes are
+    drawn until the battery is informationally complete.
+    """
+    if probes is not None:
+        return pure_probe_states(probes)
+    count = n_probes or max(24, d * d)
     for _ in range(max_tries):
-        probes = random_pure_probes(count, d, gen)
-        if operator_design([p.mat for p in probes], basis).rank == basis.size:
-            return probes
+        states = pure_probe_states(random_unit_vectors(count, d, gen))
+        if operator_design(states, basis).rank == basis.size:
+            return states
     raise InformationIncompleteError(
         f"could not draw {count} informationally complete probes in {max_tries} tries"
     )
+
+
+def _probe_frequencies(detector_sampler, states, shots: int, n_elements: int, gen):
+    """Split ``shots`` over the probe states and draw them all at once."""
+    counts = detector_sampler.counts(states, _split_shots(shots, len(states)), gen)
+    if counts.shape[1] - 1 != n_elements:
+        raise DimensionError("detector record has the wrong outcome count")
+    return frequencies(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -712,14 +744,14 @@ def nonadaptive_aapt(
         povms = _default_battery(dim)
     if plan is None:
         plan = LrePlan(povms, basis or HermitianBasis(dim), constrain_trace=tp_flag)
-    records = _step1_records(channel_sampler, povms, n_total, gen)
+    freqs = _battery_frequencies(channel_sampler, plan, n_total, gen)
     if tp_flag:
-        sigma_tilde = plan.solve(records)
+        sigma_tilde = plan.solve(freqs)
         sigma_hat = physical_projection_fast(sigma_tilde)
     else:
         if known_trace is None:
             raise ValueError("non-trace-preserving baseline needs known_trace")
-        sigma_tilde = plan.solve(records)
+        sigma_tilde = plan.solve(freqs)
         w, v = hermitian_eig(sigma_tilde)
         keep = w >= 0.0
         kept_sum = float(w[keep].sum())

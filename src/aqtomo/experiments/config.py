@@ -24,6 +24,14 @@ METHODS = ("adaptive", "static")
 
 _KEYS = ("task", "method", "target", "n_grid", "repetitions", "alpha", "seed", "tp_flag")
 
+# Random-stream layout under one seed: trial ``t`` at grid index ``i`` draws
+# from stream ``((i + 1) << TRIAL_STREAM_BITS) + t`` and built-in targets from
+# streams ``TARGET_STREAM_BASE + k``.  Trial streams are distinct only while
+# ``t < 2**TRIAL_STREAM_BITS`` and stay below the target streams only while
+# the grid has fewer than ``TARGET_STREAM_BASE >> TRIAL_STREAM_BITS`` points.
+TRIAL_STREAM_BITS = 20
+TARGET_STREAM_BASE = 1 << 48
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -41,6 +49,11 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if len(self.n_grid) >= TARGET_STREAM_BASE >> TRIAL_STREAM_BITS:
+            raise ValueError(
+                "n_grid has too many points: its trial streams would reach the "
+                "target streams"
+            )
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(n < 1 for n in grid):
             raise ValueError("n_grid must hold positive shot counts")
@@ -48,6 +61,11 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.repetitions >= 1 << TRIAL_STREAM_BITS:
+            raise ValueError(
+                f"repetitions must be below 2**{TRIAL_STREAM_BITS}, or trial "
+                "streams of neighbouring grid points would coincide"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not 0 <= int(self.seed) < 2**64:

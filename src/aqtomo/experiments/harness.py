@@ -40,7 +40,7 @@ from ..fidelity import (
     state_scenario,
 )
 from ..measurement import SeededRng, cube_povm, detector_sampler, state_sampler
-from .config import ExperimentConfig
+from .config import TRIAL_STREAM_BITS, ExperimentConfig
 from .targets import AaptTarget, QdtTarget, QstTarget, expected_task, resolve_target
 
 try:
@@ -145,7 +145,7 @@ class TrialMetrics(NamedTuple):
 
 
 def _trial_stream(n_index: int, trial: int) -> int:
-    return ((n_index + 1) << 20) + trial
+    return ((n_index + 1) << TRIAL_STREAM_BITS) + trial
 
 
 def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -154,7 +154,14 @@ def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _TaskContext:
+    """Per-config state built once and shared by every trial.
+
+    ``oracle`` hides the target; for state and process targets it is built
+    with the plan's battery, so the battery's Born table is computed here.
+    """
+
     target: object
+    oracle: object
     tp_flag: bool = True
     povms: tuple | None = None
     plan: LrePlan | None = None
@@ -173,9 +180,14 @@ def _context(config: ExperimentConfig) -> _TaskContext:
         d = target.dim
         povms = cube_povm(int(round(math.log2(d))))
         plan = LrePlan(povms, HermitianBasis(d), constrain_trace=True)
-        return _TaskContext(target, povms=povms, plan=plan, basis=HermitianBasis(d))
+        oracle = state_sampler(target.rho, battery=plan.povms)
+        return _TaskContext(
+            target, oracle, povms=povms, plan=plan, basis=HermitianBasis(d)
+        )
     if isinstance(target, QdtTarget):
-        return _TaskContext(target, basis=HermitianBasis(target.dim))
+        return _TaskContext(
+            target, detector_sampler(target.povm), basis=HermitianBasis(target.dim)
+        )
     assert isinstance(target, AaptTarget)
     tp = target.tp if config.tp_flag is None else config.tp_flag
     if config.tp_flag is not None and config.tp_flag != target.tp:
@@ -185,14 +197,15 @@ def _context(config: ExperimentConfig) -> _TaskContext:
     dim = target.dim**2
     povms = cube_povm(int(round(math.log2(dim))))
     plan = LrePlan(povms, HermitianBasis(dim), constrain_trace=tp)
+    oracle = state_sampler(target.sigma_out, battery=plan.povms)
     return _TaskContext(
-        target, tp_flag=tp, povms=povms, plan=plan, basis=HermitianBasis(dim)
+        target, oracle, tp_flag=tp, povms=povms, plan=plan, basis=HermitianBasis(dim)
     )
 
 
 def _qst_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
     target: QstTarget = ctx.target
-    sampler = state_sampler(target.rho)
+    sampler = ctx.oracle
     if config.method == "adaptive":
         est = adaptive_qst(
             sampler, target.dim, n, config.alpha, gen, povms=ctx.povms, plan=ctx.plan
@@ -212,7 +225,7 @@ def _qst_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
 
 def _qdt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
     target: QdtTarget = ctx.target
-    sampler = detector_sampler(target.povm)
+    sampler = ctx.oracle
     n_el, d = len(target.povm), target.dim
     if config.method == "adaptive":
         est = adaptive_qdt(sampler, n_el, d, n, config.alpha, gen, basis=ctx.basis)
@@ -244,8 +257,8 @@ def _qdt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
 
 def _aapt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
     target: AaptTarget = ctx.target
-    sigma_out = target.sigma_out
-    sampler = state_sampler(sigma_out)
+    sampler = ctx.oracle
+    sigma_out = sampler.rho
     if config.method == "adaptive":
         est = adaptive_aapt(
             sampler,

@@ -141,8 +141,3 @@ def read_result_csv(path: str) -> list:
 def read_result_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def rows_from_result(result: ScalingResult):
-    """(N, mean_infidelity) pairs, the shape expected by the slope fitter."""
-    return [(row.n, row.mean_infidelity) for row in result.rows]

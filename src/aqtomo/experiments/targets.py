@@ -26,9 +26,9 @@ from ..quantum_objects import (
     kraus_to_process,
     maximally_entangled_input,
 )
+from .config import TARGET_STREAM_BASE
 
 DEFAULT_TARGET_SEED = 20240901
-_TARGET_STREAM_BASE = 1 << 48  # disjoint from trial streams by construction
 _RANK_TOL = 1e-10
 
 
@@ -94,7 +94,7 @@ class AaptTarget:
 
 
 def _target_rng(seed: int, index: int) -> np.random.Generator:
-    return SeededRng(seed, stream_id=_TARGET_STREAM_BASE + index).generator()
+    return SeededRng(seed, stream_id=TARGET_STREAM_BASE + index).generator()
 
 
 def _qst_from_profile(name, eigenvalues, seed, stream) -> QstTarget:

@@ -3,8 +3,17 @@
 Randomness is driven by :class:`SeededRng`, a (seed, stream_id) pair mapped
 onto ``numpy``'s PCG64 through ``SeedSequence(seed, spawn_key=(stream_id,))``.
 Identical pairs reproduce identical count sequences across runs; concurrent
-trials get disjoint stream ids and never share randomness.  Multinomial
-sampling itself is numpy's sequential conditional-binomial routine.
+trials get disjoint stream ids and never share randomness.
+
+Sampling is batched.  A measurement oracle (:func:`state_sampler`,
+:func:`detector_sampler`) turns a stack of ``S`` settings into an
+``(S, K+1)`` outcome table (Born probabilities plus a null column holding the
+mass a sub-unit pseudo-state lacks) and draws every setting with one
+``Generator.multinomial(shots, table)`` call.  numpy draws the rows in order
+and draws nothing for a zero-shot row, so the counts, and the generator state
+after them, equal those of one draw per setting.  A fixed battery's table is
+computed once, when the oracle is built.  The per-POVM record form,
+:func:`measure_state`, is the one-setting case of the same routine.
 """
 
 from __future__ import annotations
@@ -12,11 +21,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import DimensionError, as_generator
-from .quantum_objects import DensityMatrix, Povm, born_probabilities, pure_state
+from .quantum_objects import (
+    COMPLETENESS_ATOL,
+    TRACE_ATOL,
+    DensityMatrix,
+    Povm,
+    born_probabilities,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -63,27 +79,76 @@ class MeasurementRecord:
         return self.counts / self.shots
 
 
+class Frequencies(NamedTuple):
+    """Outcome frequencies of ``S`` settings, the form estimators solve from.
+
+    ``values[s]`` holds the frequencies of setting ``s`` (null outcome
+    dropped); ``mask[s]`` is false for a setting that received no shots,
+    whose row is all zeros and carries no information.
+    """
+
+    values: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "Frequencies":
+        """Stack one record per setting (all with the same outcome count)."""
+        values = [rec.frequencies for rec in records]
+        if len({v.shape for v in values}) > 1:
+            raise DimensionError("records disagree on the number of outcomes")
+        return cls(np.stack(values), np.array([rec.shots > 0 for rec in records]))
+
+
+def frequencies(counts) -> Frequencies:
+    """Frequencies of an oracle's ``(S, K+1)`` counts (null column last).
+
+    Each row is divided by its total, which is the setting's shot count.
+    """
+    counts = np.asarray(counts)
+    shots = counts.sum(axis=1, keepdims=True)
+    values = np.zeros((counts.shape[0], counts.shape[1] - 1))
+    np.divide(counts[:, :-1], shots, out=values, where=shots > 0)
+    return Frequencies(values, shots[:, 0] > 0)
+
+
+def outcome_table(probs) -> np.ndarray:
+    """Multinomial table ``(..., K+1)`` of outcome probabilities ``(..., K)``.
+
+    Each row may sum to less than 1; the residual mass goes to an appended
+    null outcome.  Rows overshooting 1 by float noise (up to 1e-9) are
+    renormalized; larger violations are rejected.
+    """
+    p = np.asarray(probs, dtype=float)
+    if np.any(p < -1e-9):
+        raise ValueError(f"negative probability {p.min()}")
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=-1, keepdims=True)
+    if np.any(total > 1.0 + 1e-9):
+        raise ValueError(f"probabilities sum to {total.max()} > 1")
+    over = total > 1.0  # 1e-9-level float overshoot only
+    if np.any(over):
+        p = np.where(over, p / total, p)
+        total = np.where(over, 1.0, total)
+    return np.concatenate((p, np.maximum(1.0 - total, 0.0)), axis=-1)
+
+
+def draw_counts(table, shots, rng) -> np.ndarray:
+    """Multinomial counts for every row of an outcome table in one draw.
+
+    ``shots`` gives one count per row.  Rows are drawn in order and a
+    zero-shot row consumes no randomness, so the result and the generator
+    state afterwards equal those of one draw per row.
+    """
+    return as_generator(rng).multinomial(np.asarray(shots, dtype=np.int64), table)
+
+
 def sample_counts(probs, shots: int, rng) -> np.ndarray:
     """Multinomial counts over the declared outcomes of a probability vector.
 
     Probabilities may sum to less than 1; the residual mass goes to an
     implicit null outcome whose count is ``shots - counts.sum()``.
     """
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < -1e-9):
-        raise ValueError(f"negative probability {p.min()}")
-    p = np.clip(p, 0.0, None)
-    total = float(p.sum())
-    if total > 1.0 + 1e-9:
-        raise ValueError(f"probabilities sum to {total} > 1")
-    if total > 1.0:  # 1e-9-level float overshoot only
-        p = p / total
-        total = 1.0
-    if shots == 0:
-        return np.zeros(p.shape[0], dtype=np.int64)
-    gen = as_generator(rng)
-    full = np.append(p, max(1.0 - total, 0.0))
-    return gen.multinomial(shots, full)[: p.shape[0]].astype(np.int64)
+    return draw_counts(outcome_table(probs), shots, rng)[:-1].astype(np.int64)
 
 
 def _single_qubit_cube():
@@ -134,29 +199,133 @@ def measure_state(rho: DensityMatrix, povm: Povm, shots: int, rng) -> Measuremen
     )
 
 
-def random_pure_probes(count: int, d: int, rng) -> list:
-    """Haar-random pure probe states |psi><psi|.
+def unit_rows(vectors) -> np.ndarray:
+    """Rows of ``vectors`` divided by their norms (the arithmetic of ``pure_state``)."""
+    v = np.asarray(vectors, dtype=complex)
+    # per-row dot products of the real and imaginary parts, summed in the
+    # order np.linalg.norm uses for one vector
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return v / np.sqrt(sq[:, 0])
+
+
+def rank1_projectors(vectors) -> np.ndarray:
+    """Stacked ``|v><v|`` of the rows of ``vectors``, shape ``(m, d, d)``.
+
+    Equal bit for bit to the matrices of ``DensityMatrix(np.outer(v, v.conj()))``.
+    """
+    v = np.asarray(vectors, dtype=complex)
+    outer = v[:, :, None] * v.conj()[:, None, :]
+    return (outer + outer.conj().swapaxes(-1, -2)) / 2.0
+
+
+def pure_probe_states(unit_vectors) -> np.ndarray:
+    """Probe density matrices ``(m, d, d)`` of pure states given as unit rows.
+
+    A rank-1 projector is PSD by construction, so its one physical condition
+    left to check is unit trace, i.e. a unit-norm row.
+    """
+    states = rank1_projectors(unit_vectors)
+    traces = np.einsum("sii->s", states).real
+    if np.any(np.abs(traces - 1.0) > TRACE_ATOL):
+        raise ValueError("probe vectors must have unit norm")
+    return states
+
+
+def eigenbasis_projectors(u: np.ndarray) -> np.ndarray:
+    """Projective measurement ``(d, d, d)`` onto the columns of a unitary.
+
+    The projectors are PSD by construction; completeness, which holds when
+    ``u`` is unitary, is checked once for the whole stack.
+    """
+    elements = rank1_projectors(np.asarray(u).T)
+    d = elements.shape[-1]
+    if np.max(np.abs(elements.sum(axis=0) - np.eye(d))) > COMPLETENESS_ATOL:
+        raise ValueError("eigenbasis projectors do not sum to the identity")
+    return elements
+
+
+def random_unit_vectors(count: int, d: int, rng) -> np.ndarray:
+    """``(count, d)`` Haar-random unit vectors (rows).
 
     Normalized complex Gaussian vectors are Haar-uniform on the sphere, which
-    is all a rank-1 probe needs.
+    is all a rank-1 probe needs.  Each row draws its d real parts, then its d
+    imaginary parts.
     """
-    gen = as_generator(rng)
-    probes = []
-    for _ in range(count):
-        v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-        probes.append(pure_state(v))
-    return probes
+    z = as_generator(rng).standard_normal((count, 2, d))
+    return unit_rows(z[:, 0] + 1j * z[:, 1])
 
 
-def state_sampler(rho: DensityMatrix):
-    """Measurement oracle hiding ``rho``: callable (povm, shots, rng) -> record."""
+def random_pure_probes(count: int, d: int, rng) -> list:
+    """Haar-random pure probe states |psi><psi| as validated density matrices."""
+    states = pure_probe_states(random_unit_vectors(count, d, rng))
+    return [DensityMatrix(m) for m in states]
 
-    def sample(povm: Povm, shots: int, rng) -> MeasurementRecord:
-        if povm.dim != rho.dim:
+
+class StateOracle:
+    """Measurement oracle hiding a (pseudo-)state ``rho``.
+
+    Called as ``(povm, shots, rng)`` it returns one :class:`MeasurementRecord`.
+    :meth:`counts` measures ``S`` settings at once, each a POVM or a stack of
+    its ``K`` elements (all settings with one outcome count).  When the oracle
+    is built with a fixed ``battery`` (a sequence of settings), that battery's
+    outcome table is computed here, once, and reused whenever :meth:`counts`
+    is given the same object.
+    """
+
+    def __init__(self, rho: DensityMatrix, battery=None):
+        self.rho = rho
+        self.battery = battery
+        self._battery_table = None if battery is None else self.table(battery)
+
+    def table(self, settings) -> np.ndarray:
+        """``(S, K+1)`` outcome table of ``S`` settings."""
+        probs = [born_probabilities(self.rho, setting) for setting in settings]
+        return outcome_table(np.stack(probs))
+
+    def counts(self, settings, shots, rng) -> np.ndarray:
+        """``(S, K+1)`` counts, null column last, from one multinomial draw."""
+        if settings is self.battery:
+            return draw_counts(self._battery_table, shots, rng)
+        return draw_counts(self.table(settings), shots, rng)
+
+    def __call__(self, povm: Povm, shots: int, rng) -> MeasurementRecord:
+        if povm.dim != self.rho.dim:
             raise DimensionError("POVM dimension does not match the hidden state")
-        return measure_state(rho, povm, shots, rng)
+        return measure_state(self.rho, povm, shots, rng)
 
-    return sample
+
+class DetectorOracle:
+    """Probe oracle hiding a detector ``povm``.
+
+    Called as ``(probe, shots, rng)`` it returns one record; :meth:`counts`
+    measures ``S`` stacked probe density matrices ``(S, d, d)`` at once.
+    """
+
+    def __init__(self, povm: Povm):
+        self.povm = povm
+        self._elements = np.stack(povm.elements)
+
+    def table(self, probes) -> np.ndarray:
+        """``(S, K+1)`` outcome table of stacked probe states ``(S, d, d)``."""
+        return outcome_table(born_probabilities(probes, self._elements))
+
+    def counts(self, probes, shots, rng) -> np.ndarray:
+        """``(S, K+1)`` counts, null column last, from one multinomial draw."""
+        return draw_counts(self.table(probes), shots, rng)
+
+    def __call__(self, probe: DensityMatrix, shots: int, rng) -> MeasurementRecord:
+        return measure_state(probe, self.povm, shots, rng)
+
+
+def state_sampler(rho: DensityMatrix, battery=None) -> StateOracle:
+    """Measurement oracle hiding ``rho``: callable (povm, shots, rng) -> record."""
+    return StateOracle(rho, battery)
+
+
+def detector_sampler(povm: Povm) -> DetectorOracle:
+    """Probe oracle hiding a detector: callable (probe, shots, rng) -> record."""
+    return DetectorOracle(povm)
 
 
 @dataclass(frozen=True)
@@ -184,28 +353,37 @@ class ExactRecord:
         return self.shots - float(np.sum(self.probabilities))
 
 
-def exact_state_sampler(rho: DensityMatrix):
-    """Zero-noise oracle: ignores the shot budget and returns exact records."""
+class ExactStateOracle(StateOracle):
+    """Zero-noise state oracle: ignores the shot budget.
 
-    def sample(povm: Povm, shots: int, rng=None) -> ExactRecord:
-        return ExactRecord(born_probabilities(rho, povm), shots=max(shots, 1), povm_id=povm.name)
+    Its "counts" are the outcome table itself, so every setting's
+    frequencies are the Born probabilities, zero-shot settings included.
+    """
 
-    return sample
+    def counts(self, settings, shots=None, rng=None) -> np.ndarray:
+        return self.table(settings)
+
+    def __call__(self, povm: Povm, shots: int, rng=None) -> ExactRecord:
+        return ExactRecord(
+            born_probabilities(self.rho, povm), shots=max(shots, 1), povm_id=povm.name
+        )
 
 
-def exact_detector_sampler(povm: Povm):
+class ExactDetectorOracle(DetectorOracle):
     """Zero-noise probe oracle for detector tomography."""
 
-    def sample(probe: DensityMatrix, shots: int, rng=None) -> ExactRecord:
-        return ExactRecord(born_probabilities(probe, povm), shots=max(shots, 1))
+    def counts(self, probes, shots=None, rng=None) -> np.ndarray:
+        return self.table(probes)
 
-    return sample
+    def __call__(self, probe: DensityMatrix, shots: int, rng=None) -> ExactRecord:
+        return ExactRecord(born_probabilities(probe, self.povm), shots=max(shots, 1))
 
 
-def detector_sampler(povm: Povm):
-    """Probe oracle hiding a detector: callable (probe, shots, rng) -> record."""
+def exact_state_sampler(rho: DensityMatrix) -> ExactStateOracle:
+    """Zero-noise oracle: ignores the shot budget and returns exact records."""
+    return ExactStateOracle(rho)
 
-    def sample(probe: DensityMatrix, shots: int, rng) -> MeasurementRecord:
-        return measure_state(probe, povm, shots, rng)
 
-    return sample
+def exact_detector_sampler(povm: Povm) -> ExactDetectorOracle:
+    """Zero-noise probe oracle for detector tomography."""
+    return ExactDetectorOracle(povm)

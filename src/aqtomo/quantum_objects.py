@@ -292,13 +292,20 @@ def choi_state(ch: KrausChannel) -> DensityMatrix:
     return apply_extended_channel(ch, probe.density())
 
 
-def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
+def born_probabilities(rho, povm) -> np.ndarray:
     """Outcome probabilities p_i = Tr(P_i rho), clamped into [0, 1].
 
-    They sum to the trace of ``rho`` (below 1 for pseudo-states).
+    They sum to the trace of ``rho`` (below 1 for pseudo-states).  ``rho``
+    may also be a state matrix, or a stack of ``S`` states ``(S, d, d)``
+    giving an ``(S, K)`` table whose rows equal the one-state results bit for
+    bit; ``povm`` may also be a stack of elements ``(K, d, d)``.
     """
-    if rho.dim != povm.dim:
+    states = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    elems = np.stack(povm.elements) if isinstance(povm, Povm) else np.asarray(povm)
+    if states.shape[-1] != elems.shape[-1]:
         raise DimensionError("state and POVM dimensions differ")
-    elems = np.stack(povm.elements)
-    p = np.einsum("aij,ji->a", elems, rho.mat).real
+    if states.ndim == 2:
+        p = np.einsum("aij,ji->a", elems, states).real
+    else:  # one contraction per element keeps each trace in one-state order
+        p = np.stack([np.einsum("ij,sji->s", e, states) for e in elems], axis=-1).real
     return np.clip(p, 0.0, 1.0)

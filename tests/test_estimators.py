@@ -352,6 +352,15 @@ class TestQdt:
         total = sum(est.value.elements)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
 
+    def test_shots_used_counts_only_spent_shots(self):
+        # step 2 spreads N - n0 = 50005 shots over 3 * 4 probes: 4167 each,
+        # and the 1 left over is reported as unused
+        povm = three_valued_detector()
+        est = adaptive_qdt(detector_sampler(povm), 3, 4, 100_009, 0.5, SeededRng(75))
+        assert est.extras["step2_per_probe"] == 4167
+        assert est.extras["unused_shots"] == 1
+        assert est.shots_used == 50_004 + 4167 * 12 == 100_009 - 1
+
     def test_step2_budget_guard(self):
         povm = three_valued_detector()
         with pytest.raises(EstimationError):

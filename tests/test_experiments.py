@@ -81,6 +81,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig("qst", "bayes", "x", (100,), 1)
 
+    def test_repetitions_that_alias_trial_streams_rejected(self):
+        # trial t of grid index i draws from stream ((i + 1) << 20) + t, so
+        # trial 2**20 of index 0 would reuse trial 0 of index 1
+        ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 2**20 - 1)
+        with pytest.raises(ValueError, match="repetitions"):
+            ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 2**20)
+
+    def test_grid_reaching_target_streams_rejected(self):
+        # 2**28 grid points would put the last trial streams at 2**48, where
+        # the built-in targets draw; the length is checked before expansion
+        class LongGrid:
+            def __len__(self):
+                return 2**28
+
+            def __iter__(self):
+                raise AssertionError("grid expanded before its length was checked")
+
+        with pytest.raises(ValueError, match="too many points"):
+            ExperimentConfig("qst", "adaptive", "qst-rank1-8d", LongGrid(), 1)
+
 
 class TestTargets:
     def test_builtin_names(self):

@@ -1,15 +1,28 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqtomo.estimators import HermitianBasis, operator_design
+from aqtomo.estimators import (
+    HermitianBasis,
+    InformationIncompleteError,
+    LrePlan,
+    operator_design,
+)
 from aqtomo.measurement import (
     ExactRecord,
     SeededRng,
     cube_povm,
+    draw_counts,
     exact_state_sampler,
+    frequencies,
     measure_state,
+    outcome_table,
     random_pure_probes,
     sample_counts,
+    state_sampler,
 )
 from aqtomo.quantum_objects import DensityMatrix, born_probabilities, pure_state
 
@@ -146,3 +159,83 @@ class TestExactRecords:
         assert np.allclose(
             rec.frequencies, born_probabilities(rho, cube_povm(1)[2])
         )
+
+
+@lru_cache(maxsize=None)
+def _cube3_plan():
+    return LrePlan(cube_povm(3), HermitianBasis(8), constrain_trace=True)
+
+
+def _generator_state(gen):
+    return gen.bit_generator.state["state"]
+
+
+@st.composite
+def probability_tables(draw):
+    """(S, K) outcome probabilities, some rows sub-unit, plus a shot vector.
+
+    Budgets come from splitting a total over the settings as the protocols
+    do, so totals below S leave zero-shot settings.
+    """
+    settings = draw(st.integers(1, 12))
+    outcomes = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    table = gen.dirichlet(np.ones(outcomes), size=settings)
+    mass = np.where(gen.random(settings) < 0.5, 1.0, gen.uniform(0.05, 1.0, settings))
+    total = draw(st.integers(0, 4 * settings))
+    base = total // settings
+    shots = [base] * settings
+    shots[-1] += total - base * settings
+    return table * mass[:, None], shots
+
+
+class TestBatchedDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(probability_tables(), st.integers(0, 2**32 - 1))
+    def test_one_draw_equals_draws_per_setting(self, case, seed):
+        probs, shots = case
+        batched_gen = np.random.default_rng(seed)
+        serial_gen = np.random.default_rng(seed)
+        counts = draw_counts(outcome_table(probs), shots, batched_gen)
+        serial = [sample_counts(p, n, serial_gen) for p, n in zip(probs, shots)]
+        assert np.array_equal(counts[:, :-1], np.stack(serial))
+        assert np.array_equal(counts.sum(axis=1), shots)
+        assert _generator_state(batched_gen) == _generator_state(serial_gen)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 1.0),
+        st.integers(0, 120),
+    )
+    def test_oracle_battery_equals_records(self, seed, trace, total):
+        # a 3-qubit (pseudo-)state on the 27-setting cube: totals below 27
+        # leave zero-shot settings, trace < 1 fills the null outcome
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((8, 8)) + 1j * gen.standard_normal((8, 8))
+        m = a @ a.conj().T
+        rho = DensityMatrix(trace * m / np.trace(m).real, sub_unit=trace < 1.0)
+        povms = cube_povm(3)
+        base = total // 27
+        shots = [base] * 26 + [total - 26 * base]
+        oracle = state_sampler(rho, battery=povms)
+        batched_gen = np.random.default_rng(seed + 1)
+        serial_gen = np.random.default_rng(seed + 1)
+        counts = oracle.counts(povms, shots, batched_gen)
+        records = [oracle(p, n, serial_gen) for p, n in zip(povms, shots)]
+        assert np.array_equal(counts[:, :-1], np.stack([r.counts for r in records]))
+        assert np.array_equal(counts[:, -1], [r.null_count for r in records])
+        assert _generator_state(batched_gen) == _generator_state(serial_gen)
+        freqs = frequencies(counts)
+        assert np.array_equal(freqs.values, np.stack([r.frequencies for r in records]))
+        assert np.array_equal(freqs.mask, np.array(shots) > 0)
+        # the solver sees the same rows either way; zero-shot settings drop
+        # out and leave the cube rank deficient
+        plan = _cube3_plan()
+        if freqs.mask.all():
+            assert np.array_equal(plan.solve(freqs), plan.solve(records))
+        else:
+            for data in (freqs, records):
+                with pytest.raises(InformationIncompleteError):
+                    plan.solve(data)
