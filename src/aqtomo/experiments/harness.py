@@ -33,8 +33,7 @@ from ..estimators import (
 )
 from ..fidelity import (
     detector_scenario,
-    fidelity,
-    fidelity_dp,
+    fidelity_and_dp,
     process_scenario,
     pseudo_state_fidelity,
     state_scenario,
@@ -158,6 +157,8 @@ class _TaskContext:
 
     ``oracle`` hides the target; for state and process targets it is built
     with the plan's battery, so the battery's Born table is computed here.
+    The target's fixed scoring constants (its rank, per-element ranks, true
+    process matrix and known output trace) are computed here too.
     """
 
     target: object
@@ -166,6 +167,10 @@ class _TaskContext:
     povms: tuple | None = None
     plan: LrePlan | None = None
     basis: HermitianBasis | None = None
+    rank: int = 0
+    element_ranks: tuple = ()
+    x_true: np.ndarray | None = None
+    known_trace: float | None = None
 
 
 @lru_cache(maxsize=16)
@@ -182,11 +187,19 @@ def _context(config: ExperimentConfig) -> _TaskContext:
         plan = LrePlan(povms, HermitianBasis(d), constrain_trace=True)
         oracle = state_sampler(target.rho, battery=plan.povms)
         return _TaskContext(
-            target, oracle, povms=povms, plan=plan, basis=HermitianBasis(d)
+            target,
+            oracle,
+            povms=povms,
+            plan=plan,
+            basis=HermitianBasis(d),
+            rank=target.rank,
         )
     if isinstance(target, QdtTarget):
         return _TaskContext(
-            target, detector_sampler(target.povm), basis=HermitianBasis(target.dim)
+            target,
+            detector_sampler(target.povm),
+            basis=HermitianBasis(target.dim),
+            element_ranks=target.element_ranks,
         )
     assert isinstance(target, AaptTarget)
     tp = target.tp if config.tp_flag is None else config.tp_flag
@@ -199,7 +212,15 @@ def _context(config: ExperimentConfig) -> _TaskContext:
     plan = LrePlan(povms, HermitianBasis(dim), constrain_trace=tp)
     oracle = state_sampler(target.sigma_out, battery=plan.povms)
     return _TaskContext(
-        target, oracle, tp_flag=tp, povms=povms, plan=plan, basis=HermitianBasis(dim)
+        target,
+        oracle,
+        tp_flag=tp,
+        povms=povms,
+        plan=plan,
+        basis=HermitianBasis(dim),
+        rank=target.rank,
+        x_true=target.process.x,
+        known_trace=oracle.rho.trace,
     )
 
 
@@ -214,11 +235,11 @@ def _qst_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
         est = static_qst(sampler, target.dim, n, gen, povms=ctx.povms, plan=ctx.plan)
     rho_hat = est.value.mat
     rho = target.rho.mat
-    infid = 1.0 - fidelity(rho_hat, rho, state_scenario())
-    infid_dp = 1.0 - fidelity_dp(rho_hat, rho)
+    f, f_dp = fidelity_and_dp(rho_hat, rho, state_scenario())
+    infid, infid_dp = 1.0 - f, 1.0 - f_dp
     mse = float(np.linalg.norm(rho_hat - rho) ** 2)
     eigs = _sorted_eigenvalues(rho_hat)
-    tail = float(np.sum(eigs[target.rank :]))
+    tail = float(np.sum(eigs[ctx.rank :]))
     dev = max(abs(float(np.trace(rho_hat).real) - 1.0), max(0.0, -float(eigs[-1])))
     return TrialMetrics(infid, infid_dp, mse, tail, math.nan, None, dev)
 
@@ -234,10 +255,11 @@ def _qdt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
     scen = detector_scenario(d)
     per_el, per_el_dp, mse, tail, dev = [], [], 0.0, 0.0, 0.0
     for p_hat, p_true, rank in zip(
-        est.value.elements, target.povm.elements, target.element_ranks
+        est.value.elements, target.povm.elements, ctx.element_ranks
     ):
-        per_el.append(1.0 - fidelity(p_hat, p_true, scen))
-        per_el_dp.append(1.0 - fidelity_dp(p_hat, p_true))
+        f, f_dp = fidelity_and_dp(p_hat, p_true, scen)
+        per_el.append(1.0 - f)
+        per_el_dp.append(1.0 - f_dp)
         mse += float(np.linalg.norm(p_hat - p_true) ** 2)
         eigs = _sorted_eigenvalues(p_hat)
         tail += float(np.sum(eigs[rank:]))
@@ -279,16 +301,16 @@ def _aapt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
             ctx.tp_flag,
             target.input_state,
             gen,
-            known_trace=None if ctx.tp_flag else target.known_trace,
+            known_trace=None if ctx.tp_flag else ctx.known_trace,
             povms=ctx.povms,
             plan=ctx.plan,
         )
     x_hat = est.value.x
-    x_true = target.process.x
-    infid = 1.0 - fidelity(x_hat, x_true, process_scenario(target.dim))
-    infid_dp = 1.0 - fidelity_dp(x_hat, x_true)
+    x_true = ctx.x_true
+    f, f_dp = fidelity_and_dp(x_hat, x_true, process_scenario(target.dim))
+    infid, infid_dp = 1.0 - f, 1.0 - f_dp
     mse = float(np.linalg.norm(x_hat - x_true) ** 2)
-    tail = float(np.sum(_sorted_eigenvalues(x_hat)[target.rank :]))
+    tail = float(np.sum(_sorted_eigenvalues(x_hat)[ctx.rank :]))
     sigma_hat = est.extras["sigma_out"]
     sigma_infid = 1.0 - pseudo_state_fidelity(sigma_hat.mat, sigma_out.mat)
     q = partial_trace_1(x_hat, target.dim, target.dim)

@@ -122,8 +122,34 @@ def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
     the trace-mismatch penalty (see :class:`FidelityScenario`).
     """
     hat_s, s = _check_pair(hat_s, s)
-    mismatch = float(np.trace(s - hat_s).real) ** 2 / d**2
-    return fidelity_dp(hat_s, s) - mismatch
+    return fidelity_dp(hat_s, s) - _trace_mismatch(hat_s, s, d)
+
+
+def _trace_mismatch(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
+    return float(np.trace(s - hat_s).real) ** 2 / d**2
+
+
+def fidelity_and_dp(
+    hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario, clamp: bool = True
+) -> tuple[float, float]:
+    """``(F, F_dp)`` of one pair from a single Uhlmann overlap.
+
+    The first value is :func:`fidelity`, the second :func:`fidelity_dp`, each
+    computed with exactly the arithmetic of that function.
+    """
+    hat_s, s = _check_pair(hat_s, s)
+    if scenario.kind == "state":
+        if abs(np.trace(hat_s).real - 1.0) > 1e-6 or abs(np.trace(s).real - 1.0) > 1e-6:
+            raise ValueError("state-scenario fidelity needs unit traces")
+        d = hat_s.shape[0]
+    else:
+        d = scenario.dim
+    f = scenario.f_lower
+    f_dp = fidelity_dp(hat_s, s)
+    raw = (f_dp - _trace_mismatch(hat_s, s, d) - f) / (1.0 - f)
+    if clamp:
+        raw = min(max(raw, 0.0), 1.0)
+    return float(raw), f_dp
 
 
 def fidelity(
@@ -136,18 +162,7 @@ def fidelity(
     final clamp that absorbs 1e-10-level roundoff overshoot, which is useful
     when diagnosing near-boundary values.
     """
-    hat_s, s = _check_pair(hat_s, s)
-    if scenario.kind == "state":
-        if abs(np.trace(hat_s).real - 1.0) > 1e-6 or abs(np.trace(s).real - 1.0) > 1e-6:
-            raise ValueError("state-scenario fidelity needs unit traces")
-        d = hat_s.shape[0]
-    else:
-        d = scenario.dim
-    f = scenario.f_lower
-    raw = (fidelity_f1(hat_s, s, d) - f) / (1.0 - f)
-    if not clamp:
-        return float(raw)
-    return float(min(max(raw, 0.0), 1.0))
+    return fidelity_and_dp(hat_s, s, scenario, clamp)[0]
 
 
 def infidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> float:
