@@ -166,12 +166,27 @@ def povm_design(povms, basis: HermitianBasis) -> DesignMatrix:
 
 
 class LrePlan:
-    """Factorized least-squares solver for a fixed POVM battery.
+    """Least-squares solver for a fixed POVM battery, built once per battery.
 
-    Building the pseudo-inverse once and reusing it across repeated trials is
-    what keeps the Monte-Carlo harness cheap; ``solve`` is then a matvec.
-    Its input is one ``(S, K)`` frequency table per battery draw, so every
+    ``solve`` takes one ``(S, K)`` frequency table per battery draw, so every
     setting must have the same number of outcomes.
+
+    For the full Pauli-cube battery (the ``cube_povm(n)`` tuple itself, which
+    is what :func:`adaptive_qst` and the harness use) ``X^T X`` is diagonal
+    in the Pauli basis, and the least-squares solution has a closed form, the
+    linear-inversion (classical-shadow) estimator
+    ``3^-n sum_s sum_b f_s(b) (x)_k (3 |b_k><b_k| - I)``.  It is applied
+    qubit by qubit: the frequencies are contracted with Kronecker powers of
+    the single-qubit map ``(s, b) -> (3 Pi_{s,b} - I) / 3``, one power per
+    half of the qubits, so a solve is two matrix products and no design
+    matrix, rank check or pseudo-inverse is built.  Its identity coefficient
+    already is the unconstrained least-squares one; with ``constrain_trace``
+    the trace is re-pinned to ``trace_value``.  Setting ``s`` is the only
+    one that measures the weight-n Pauli ``sigma_s1 (x) ... (x) sigma_sn``,
+    so a zero-shot setting always raises :class:`InformationIncompleteError`.
+
+    Any other battery gets a dense plan: the pseudo-inverse of its design
+    matrix, built once, makes ``solve`` a matvec.
     """
 
     def __init__(self, povms, basis: HermitianBasis, constrain_trace: bool):
@@ -180,6 +195,10 @@ class LrePlan:
         self.constrain_trace = constrain_trace
         if len({len(p) for p in self.povms}) != 1:
             raise DimensionError("battery settings must share one outcome count")
+        self._cube_n = _cube_qubits(self.povms, basis.d)
+        if self._cube_n:
+            self._init_cube(self._cube_n)
+            return
         design = povm_design(self.povms, basis)
         needed = basis.size - 1 if constrain_trace else basis.size
         design.require_rank(needed)
@@ -189,6 +208,15 @@ class LrePlan:
             self._col0 = self.design[:, 0]
         else:
             self._pinv = np.linalg.pinv(self.design)
+
+    def _init_cube(self, n: int):
+        half = n // 2
+        self._left = np.ascontiguousarray(_cube_map(half).T)  # (4^h, 6^h)
+        self._right = _cube_map(n - half)  # (6^(n-h), 4^(n-h))
+        # frequency axes (s_1..s_n, b_1..b_n) -> (s_1, b_1, ..., s_n, b_n)
+        self._interleave = [a for k in range(n) for a in (k, n + k)]
+        # matrix axes (i_1, j_1, ..., i_n, j_n) -> (i_1..i_n, j_1..j_n)
+        self._rows_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
 
     def solve(self, freqs, trace_value: float = 1.0) -> np.ndarray:
         """Least-squares Hermitian reconstruction from one row per setting.
@@ -204,6 +232,8 @@ class LrePlan:
             freqs = Frequencies.from_records(freqs)
         if freqs.values.shape != (len(self.povms), len(self.povms[0])):
             raise DimensionError("frequencies do not match the battery's settings")
+        if self._cube_n:
+            return self._solve_cube(freqs, trace_value)
         y = freqs.values.ravel()
         mask = np.repeat(freqs.mask, freqs.values.shape[1])
         full = bool(mask.all())
@@ -221,6 +251,43 @@ class LrePlan:
             else:
                 phi = _masked_lstsq(self.design, y, mask)
         return self.basis.assemble(phi)
+
+    def _solve_cube(self, freqs: Frequencies, trace_value: float) -> np.ndarray:
+        if not freqs.mask.all():
+            raise InformationIncompleteError(
+                "a zero-shot Pauli-cube setting leaves its weight-n Pauli unmeasured"
+            )
+        n, d = self._cube_n, self.basis.d
+        f = freqs.values.reshape((3,) * n + (2,) * n).transpose(self._interleave)
+        r = self._left @ f.reshape(self._left.shape[1], -1) @ self._right
+        rho = r.reshape((2, 2) * n).transpose(self._rows_cols).reshape(d, d)
+        if self.constrain_trace:
+            rho.flat[:: d + 1] += (trace_value - np.trace(rho).real) / d
+        return rho
+
+
+def _cube_qubits(povms: tuple, d: int) -> int:
+    """``n`` when ``povms`` is the ``cube_povm(n)`` battery itself, else 0."""
+    n = d.bit_length() - 1
+    if d == 2**n and n >= 1 and len(povms) == 3**n and povms is cube_povm(n):
+        return n
+    return 0
+
+
+def _cube_map(n_qubits: int) -> np.ndarray:
+    """Kronecker power ``(6^n, 4^n)`` of the map ``(s, b) -> (3 Pi_{s,b} - I) / 3``.
+
+    Rows run over the (setting, outcome) pairs of each qubit, columns over
+    the (row, column) entries of its 2 x 2 block, qubit 1 most significant,
+    which is the ordering of :func:`cube_povm`.
+    """
+    single = np.stack(
+        [(3.0 * e - np.eye(2)) / 3.0 for p in cube_povm(1) for e in p.elements]
+    ).reshape(6, 4)
+    out = np.ones((1, 1), dtype=complex)
+    for _ in range(n_qubits):
+        out = np.kron(out, single)
+    return out
 
 
 def _masked_lstsq(design: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:

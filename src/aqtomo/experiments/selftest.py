@@ -9,9 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from ..estimators import physical_projection_fast, qpt_stage2_tp
+from ..estimators import (
+    HermitianBasis,
+    LrePlan,
+    physical_projection_fast,
+    qpt_stage2_tp,
+)
 from ..fidelity import fidelity, fidelity_dp, detector_scenario, fuchs_check
-from ..measurement import SeededRng, cube_povm, sample_counts
+from ..measurement import (
+    SeededRng,
+    cube_povm,
+    exact_state_sampler,
+    frequencies,
+    sample_counts,
+)
 from ..quantum_objects import (
     DensityMatrix,
     KrausChannel,
@@ -67,6 +78,15 @@ def _checks():
         np.allclose(sum(p.elements), np.eye(4), atol=1e-12) for p in povms
     )
     yield "cube completeness", complete and len(povms) == 9
+
+    rho = _random_density(gen, 4)
+    pseudo = DensityMatrix(0.6 * rho.mat, sub_unit=True)
+    recovered = True
+    for state, constrain in ((rho, True), (pseudo, False)):
+        freqs = frequencies(exact_state_sampler(state).counts(povms))
+        est = LrePlan(povms, HermitianBasis(4), constrain).solve(freqs)
+        recovered &= bool(np.allclose(est, state.mat, atol=1e-12))
+    yield "cube inversion recovers a noiseless state", recovered
 
     c1 = sample_counts([0.25, 0.25, 0.5], 10_000, SeededRng(9, 3))
     c2 = sample_counts([0.25, 0.25, 0.5], 10_000, SeededRng(9, 3))

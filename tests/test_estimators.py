@@ -1,7 +1,11 @@
 import itertools
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqtomo.estimators import (
     EstimationError,
@@ -19,6 +23,7 @@ from aqtomo.estimators import (
     lre_mse_bound,
     nonadaptive_aapt,
     physical_projection_fast,
+    povm_design,
     project_eigenvalues_simplex,
     qdt_stage1,
     qpt_stage2_ntp,
@@ -33,6 +38,7 @@ from aqtomo.measurement import (
     detector_sampler,
     exact_detector_sampler,
     exact_state_sampler,
+    frequencies,
     state_sampler,
 )
 from aqtomo.quantum_objects import (
@@ -46,6 +52,8 @@ from aqtomo.quantum_objects import (
     maximally_entangled_input,
 )
 
+from aqtomo.experiments.harness import gm_bound
+from aqtomo.fidelity import fidelity, state_scenario
 from test_quantum_objects import lossy_dephasing, random_channel, random_density
 
 
@@ -144,6 +152,83 @@ class TestLre:
         records = [sampler(p, 1, None) for p in povms[:-1]]
         with pytest.raises(DimensionError):
             lre_estimate(records, povms)
+
+
+
+@lru_cache(maxsize=None)
+def dense_cube_design(n_qubits):
+    """Dense design matrix of the full Pauli cube (the least-squares oracle)."""
+    return povm_design(cube_povm(n_qubits), HermitianBasis(2**n_qubits)).matrix
+
+
+def random_pseudo_state(gen, d, trace):
+    a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    m = a @ a.conj().T
+    return DensityMatrix(trace * m / np.trace(m).real, sub_unit=trace < 1.0)
+
+
+class TestCubeInversion:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.booleans(),
+        st.floats(0.1, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_equals_dense_lstsq(self, n, constrain, trace, seed):
+        d = 2**n
+        gen = np.random.default_rng(seed)
+        povms = cube_povm(n)
+        shots = gen.integers(1, 200, size=len(povms))  # unequal per setting
+        counts = state_sampler(random_pseudo_state(gen, d, trace)).counts(
+            povms, shots, gen
+        )
+        freqs = frequencies(counts)
+        got = LrePlan(povms, HermitianBasis(d), constrain).solve(freqs, trace)
+
+        x, y = dense_cube_design(n), freqs.values.ravel()
+        if constrain:  # identity coefficient pinned, the rest fitted
+            phi0 = trace / np.sqrt(d)
+            rest = np.linalg.lstsq(x[:, 1:], y - x[:, 0] * phi0, rcond=None)[0]
+            phi = np.concatenate(([phi0], rest))
+        else:
+            phi = np.linalg.lstsq(x, y, rcond=None)[0]
+        want = HermitianBasis(d).assemble(phi)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_zero_shot_setting_raises(self, n, constrain, seed):
+        d = 2**n
+        gen = np.random.default_rng(seed)
+        povms = cube_povm(n)
+        shots = gen.integers(0, 3, size=len(povms))
+        shots[gen.integers(len(povms))] = 0
+        counts = state_sampler(random_pseudo_state(gen, d, 1.0)).counts(
+            povms, shots, gen
+        )
+        freqs = frequencies(counts)
+        # the dense design loses rank too: the rule is the least-squares one
+        rows = np.repeat(freqs.mask, d)
+        needed = d * d - 1 if constrain else d * d
+        cols = slice(1, None) if constrain else slice(None)
+        assert np.linalg.matrix_rank(dense_cube_design(n)[rows][:, cols]) < needed
+        with pytest.raises(InformationIncompleteError):
+            LrePlan(povms, HermitianBasis(d), constrain).solve(freqs)
+
+    def test_five_qubits(self):
+        u = haar_unitary(32, SeededRng(96).generator())
+        rho = DensityMatrix(eig_reconstruct(np.array([1.0] + [0.0] * 31), u))
+        povms, basis = cube_povm(5), HermitianBasis(32)
+        tick = time.perf_counter()
+        plan = LrePlan(povms, basis, constrain_trace=True)
+        assert time.perf_counter() - tick < 1.0
+        n = 10**6
+        est = adaptive_qst(state_sampler(rho), 32, n, 0.5, SeededRng(97), plan=plan)
+        assert abs(est.value.trace - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(est.value.mat)[0] > -1e-12
+        infid = 1.0 - fidelity(est.value.mat, rho.mat, state_scenario())
+        assert infid < gm_bound(32, n)
 
 
 def simplex_projection_oracle(w):

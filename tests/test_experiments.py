@@ -390,21 +390,21 @@ class TestCli:
 # that reorders random draws or arithmetic shows up here as a changed digest.
 GOLDEN_CSV_SHA256 = {
     ("qst", "qst-rank1-8d", "adaptive"):
-        "7aff86510c195f4ae50703fa9b7eb7e913a9ae065422160237aba53a866b9f93",
+        "e9a20c8a0625d44cc0754cf9be138c473e109308121ba335d64a6a1d6f4b7995",
     ("qst", "qst-rank1-8d", "static"):
-        "146d871b5db9453d7a5b6be2834fff29673074a634ffe760bd0c4bb21277c62c",
+        "b53ac1e7eadb10caaeb0d47af598a99cbf80aa81725f7521719869173ed5e747",
     ("qdt", "qdt-three-valued", "adaptive"):
         "319cafbeb975311034594fcb11583889ff7f09a5506b5e369f957033c582a4d1",
     ("qdt", "qdt-three-valued", "static"):
         "6503c56fb532aa46680816647d403e63e7c1ff41cb93d8afdfce4346662bcd7a",
     ("aapt", "aapt-hadamard", "adaptive"):
-        "1368afe4877d210d988a43c27edace9ccb5432ca6f192d46300985370d95112f",
+        "4a7022ed84b96c90aa015d879add6d32b7f6632c0f30b872a34035c89f9657e9",
     ("aapt", "aapt-hadamard", "static"):
-        "b6dfb47f454ba9b87c72db12b6d84547f5a167c4a6169b98747cc0a511186f1d",
+        "367f763a57d693d44de75ebca5b0458093845df2ccd34991ac561740910a945e",
     ("aapt", "aapt-damping-third", "adaptive"):
-        "bfcaf421786f2965f2bd97fe97efdf112cb133e9828fa2f48228737bc6401315",
+        "a604f79561a38ccf85d1487ae3dcee18557418142f5d4e1512d49240ef0e0fc1",
     ("aapt", "aapt-damping-third", "static"):
-        "addb981b0819bbc6074a887a81798f5e4b4123e9a99f605f3c1138e7770e9d47",
+        "ceb1e04a034a41be487251335bc5efc3cce7aaf79f5ba3f70ab3bff9238395c9",
 }
 
 
