@@ -408,10 +408,47 @@ GOLDEN_CSV_SHA256 = {
 }
 
 
+# SHA-256 of the JSON report of the same configs.  The JSON also carries what
+# the CSV does not: the AAPT output-state infidelity series and the QDT
+# per-element means.
+GOLDEN_JSON_SHA256 = {
+    ("qst", "qst-rank1-8d", "adaptive"):
+        "6dd190f1afa85be0ab55cab86fcf030af6bc738ae1964057c35714c9a43f6787",
+    ("qst", "qst-rank1-8d", "static"):
+        "9f4b6f91d60f7444b49da1f2590757a49b6c5a8b7e4e59833e30207319a23439",
+    ("qdt", "qdt-three-valued", "adaptive"):
+        "a8b2c510786c90f617221968d1f87815b23cf87f2882641702bf67dba67488ca",
+    ("qdt", "qdt-three-valued", "static"):
+        "c82661ae89043c1deeb4ddf3c816f610610197357f7ffcf790357791fc035d1a",
+    ("aapt", "aapt-hadamard", "adaptive"):
+        "9bd2ff0a7b97c778dd7995db7d1ce1f92439580750319938316f0437da775065",
+    ("aapt", "aapt-hadamard", "static"):
+        "1d2e41640e85c59869d46a87731ae36f49ce7056a9de8619cb39f3581325922a",
+    ("aapt", "aapt-damping-third", "adaptive"):
+        "e61596f35c9dd321870a5bafc48d0cb7ec8ae5be3ea710d9980342d7edf0ec9b",
+    ("aapt", "aapt-damping-third", "static"):
+        "3047e717c16142d9279665c580b567c756d2cfe1058a279b2f1ddedfa7bafbd8",
+}
+
+
+def _golden_run(task, target, method):
+    return run_scaling(
+        ExperimentConfig(task, method, target, (300, 1000, 3000), 3, seed=11)
+    )
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 @pytest.mark.parametrize("task,target,method", sorted(GOLDEN_CSV_SHA256))
 def test_golden_csv_digest(task, target, method, tmp_path):
-    cfg = ExperimentConfig(task, method, target, (300, 1000, 3000), 3, seed=11)
-    path = write_csv(run_scaling(cfg), str(tmp_path / "out.csv"))
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == GOLDEN_CSV_SHA256[(task, target, method)]
+    path = write_csv(_golden_run(task, target, method), str(tmp_path / "out.csv"))
+    assert _sha256(path) == GOLDEN_CSV_SHA256[(task, target, method)]
+
+
+@pytest.mark.parametrize("task,target,method", sorted(GOLDEN_JSON_SHA256))
+def test_golden_json_digest(task, target, method, tmp_path):
+    path = write_json(_golden_run(task, target, method), str(tmp_path / "out.json"))
+    assert _sha256(path) == GOLDEN_JSON_SHA256[(task, target, method)]
