@@ -12,7 +12,6 @@ O(1/sqrt N) to O(1/N) on rank-deficient targets.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -48,9 +47,9 @@ from .quantum_objects import (
     ProcessMatrix,
 )
 
-log = logging.getLogger(__name__)
-
 INV_SQRT_CLAMP_PER_DIM = 1e-12
+# random stage-1 probe batteries drawn before detector tomography gives up
+MAX_PROBE_DRAWS = 20
 
 
 class EstimationError(RuntimeError):
@@ -63,10 +62,9 @@ class InformationIncompleteError(EstimationError):
 
 @dataclass(frozen=True)
 class TomographyEstimate:
-    """A physical estimate plus the raw pre-correction data behind it."""
+    """A physical estimate, the shots spent on it, and protocol extras."""
 
     value: object  # DensityMatrix | Povm | ProcessMatrix
-    raw: object
     shots_used: int
     method_tag: str
     extras: dict = field(default_factory=dict, repr=False)
@@ -129,35 +127,25 @@ class HermitianBasis:
         )
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Real parameterization matrix with one row per measured operator."""
-
-    matrix: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.matrix))
-
-    def require_rank(self, needed: int):
-        if self.rank < needed:
-            raise InformationIncompleteError(
-                f"design matrix rank {self.rank} < {needed}; "
-                "measurements are not informationally complete"
-            )
-
-
-def operator_design(operators, basis: HermitianBasis) -> DesignMatrix:
+def operator_design(operators, basis: HermitianBasis) -> np.ndarray:
     """Rows Tr(O_r B_k) for measurement operators or probe states O_r."""
     ops = np.asarray(operators, dtype=complex)
-    mat = np.einsum("aij,bji->ab", ops, basis.operators).real
-    return DesignMatrix(mat)
+    return np.einsum("aij,bji->ab", ops, basis.operators).real
 
 
-def povm_design(povms, basis: HermitianBasis) -> DesignMatrix:
+def povm_design(povms, basis: HermitianBasis) -> np.ndarray:
     """Design matrix of a battery of POVMs, rows ordered setting-major."""
     elems = [e for p in povms for e in p.elements]
     return operator_design(elems, basis)
+
+
+def _require_full_rank(design: np.ndarray, what: str):
+    """Raise :class:`InformationIncompleteError` unless ``design`` has full rank."""
+    rank, needed = int(np.linalg.matrix_rank(design)), design.shape[1]
+    if rank < needed:
+        raise InformationIncompleteError(
+            f"{what} is not informationally complete: design rank {rank} < {needed}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +174,26 @@ class LrePlan:
     so a zero-shot setting always raises :class:`InformationIncompleteError`.
 
     Any other battery gets a dense plan: the pseudo-inverse of its design
-    matrix, built once, makes ``solve`` a matvec.
+    matrix in the Gell-Mann basis, built once, makes ``solve`` a matvec.
+    Only a dense plan builds that basis.
     """
 
-    def __init__(self, povms, basis: HermitianBasis, constrain_trace: bool):
+    def __init__(self, povms, constrain_trace: bool):
         self.povms = tuple(povms)
-        self.basis = basis
         self.constrain_trace = constrain_trace
         if len({len(p) for p in self.povms}) != 1:
             raise DimensionError("battery settings must share one outcome count")
-        self._cube_n = _cube_qubits(self.povms, basis.d)
+        self.d = self.povms[0].dim
+        self._cube_n = _cube_qubits(self.povms, self.d)
         if self._cube_n:
             self._init_cube(self._cube_n)
             return
-        design = povm_design(self.povms, basis)
-        needed = basis.size - 1 if constrain_trace else basis.size
-        design.require_rank(needed)
-        self.design = design.matrix
-        if constrain_trace:
-            self._pinv = np.linalg.pinv(self.design[:, 1:])
-            self._col0 = self.design[:, 0]
-        else:
-            self._pinv = np.linalg.pinv(self.design)
+        self.basis = HermitianBasis(self.d)
+        self.design = povm_design(self.povms, self.basis)
+        # a pinned trace leaves the identity coefficient out of the fit
+        self._fitted = self.design[:, 1:] if constrain_trace else self.design
+        _require_full_rank(self._fitted, "battery")
+        self._pinv = np.linalg.pinv(self._fitted)
 
     def _init_cube(self, n: int):
         half = n // 2
@@ -221,35 +207,25 @@ class LrePlan:
     def solve(self, freqs, trace_value: float = 1.0) -> np.ndarray:
         """Least-squares Hermitian reconstruction from one row per setting.
 
-        ``freqs`` is the :class:`Frequencies` of one battery draw, or one
-        record per setting.  Settings with zero shots contribute no rows; if
-        dropping them breaks informational completeness an error is raised
-        rather than regularizing.
+        ``freqs`` is the :class:`Frequencies` of one battery draw.  Settings
+        with zero shots contribute no rows; if dropping them breaks
+        informational completeness an error is raised rather than
+        regularizing.
         """
-        if not isinstance(freqs, Frequencies):
-            if len(freqs) != len(self.povms):
-                raise DimensionError("one record per POVM setting is required")
-            freqs = Frequencies.from_records(freqs)
         if freqs.values.shape != (len(self.povms), len(self.povms[0])):
             raise DimensionError("frequencies do not match the battery's settings")
         if self._cube_n:
             return self._solve_cube(freqs, trace_value)
         y = freqs.values.ravel()
         mask = np.repeat(freqs.mask, freqs.values.shape[1])
-        full = bool(mask.all())
         if self.constrain_trace:
-            phi0 = trace_value / np.sqrt(self.basis.d)
-            resid = y - self._col0 * phi0
-            if full:
-                coeffs = self._pinv @ resid
-            else:
-                coeffs = _masked_lstsq(self.design[:, 1:], resid, mask)
-            phi = np.concatenate(([phi0], coeffs))
+            phi0 = trace_value / np.sqrt(self.d)
+            y = y - self.design[:, 0] * phi0
+        if mask.all():
+            coeffs = self._pinv @ y
         else:
-            if full:
-                phi = self._pinv @ y
-            else:
-                phi = _masked_lstsq(self.design, y, mask)
+            coeffs = _masked_lstsq(self._fitted, y, mask)
+        phi = np.concatenate(([phi0], coeffs)) if self.constrain_trace else coeffs
         return self.basis.assemble(phi)
 
     def _solve_cube(self, freqs: Frequencies, trace_value: float) -> np.ndarray:
@@ -257,7 +233,7 @@ class LrePlan:
             raise InformationIncompleteError(
                 "a zero-shot Pauli-cube setting leaves its weight-n Pauli unmeasured"
             )
-        n, d = self._cube_n, self.basis.d
+        n, d = self._cube_n, self.d
         f = freqs.values.reshape((3,) * n + (2,) * n).transpose(self._interleave)
         r = self._left @ f.reshape(self._left.shape[1], -1) @ self._right
         rho = r.reshape((2, 2) * n).transpose(self._rows_cols).reshape(d, d)
@@ -292,32 +268,8 @@ def _cube_map(n_qubits: int) -> np.ndarray:
 
 def _masked_lstsq(design: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
     sub = design[mask]
-    if np.linalg.matrix_rank(sub) < design.shape[1]:
-        raise InformationIncompleteError(
-            "zero-shot settings left the design matrix rank deficient"
-        )
+    _require_full_rank(sub, "battery without its zero-shot settings")
     return np.linalg.lstsq(sub, y[mask], rcond=None)[0]
-
-
-def lre_estimate(
-    records,
-    povms,
-    basis: HermitianBasis | None = None,
-    constrain_trace: bool = True,
-    trace_value: float = 1.0,
-    plan: LrePlan | None = None,
-) -> np.ndarray:
-    """Least-squares tomographic inversion of Born-rule frequencies.
-
-    Returns the Hermitian (not necessarily PSD) matrix whose basis
-    coefficients solve ``min ||Y - X phi||``; with ``constrain_trace`` the
-    identity coefficient is pinned so the trace equals ``trace_value``
-    exactly.
-    """
-    if plan is None:
-        d = povms[0].dim
-        plan = LrePlan(povms, basis or HermitianBasis(d), constrain_trace)
-    return plan.solve(records, trace_value)
 
 
 def lre_mse_bound(povms, basis: HermitianBasis, n_total: int) -> float:
@@ -326,7 +278,7 @@ def lre_mse_bound(povms, basis: HermitianBasis, n_total: int) -> float:
     J is the number of POVM settings; uses the trace-constrained design since
     the identity coefficient carries no statistical error.
     """
-    design = povm_design(povms, basis).matrix[:, 1:]
+    design = povm_design(povms, basis)[:, 1:]
     gram_inv = np.linalg.inv(design.T @ design)
     return len(povms) / (4.0 * n_total) * float(np.trace(gram_inv))
 
@@ -371,11 +323,6 @@ def project_eigenvalues_simplex(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def eigenbasis_povm(u: np.ndarray, name: str = "eigenbasis") -> Povm:
-    """Rank-1 projective POVM onto the columns of a unitary."""
-    return Povm(tuple(eigenbasis_projectors(u)), name=name)
-
-
 def _split_shots(total: int, parts: int) -> list:
     base = total // parts
     out = [base] * parts
@@ -383,13 +330,13 @@ def _split_shots(total: int, parts: int) -> list:
     return out
 
 
-def _default_battery(dim: int):
+def _default_plan(dim: int, constrain_trace: bool) -> LrePlan:
     n_qubits = int(round(math.log2(dim)))
     if 2**n_qubits != dim:
         raise DimensionError(
-            f"no built-in measurement battery for dimension {dim}; pass povms="
+            f"no built-in measurement battery for dimension {dim}; pass plan="
         )
-    return cube_povm(n_qubits)
+    return LrePlan(cube_povm(n_qubits), constrain_trace)
 
 
 def _battery_frequencies(sampler, plan: LrePlan, shots: int, gen) -> Frequencies:
@@ -413,52 +360,53 @@ def _check_alpha(n_total: int, alpha: float) -> int:
     return n0
 
 
-def adaptive_qst(
-    sampler,
-    d: int,
-    n_total: int,
-    alpha: float,
-    rng,
-    povms=None,
-    basis: HermitianBasis | None = None,
-    plan: LrePlan | None = None,
-) -> TomographyEstimate:
-    """Two-step adaptive state tomography achieving O(1/N) infidelity.
+def _two_step_state(sampler, dim, n_total, alpha, rng, plan, sub_unit: bool):
+    """The two-step state core: buy an eigenbasis, then count in it.
 
-    Step 1 spends ``floor(alpha * N)`` copies on a static battery and a
-    trace-constrained least-squares fit, used only for its eigenbasis (no
-    positivity correction is applied).  Step 2 measures that eigenbasis with
-    the remaining copies and adopts the outcome frequencies as eigenvalues,
-    which makes the estimate PSD with unit trace by construction.
+    Step 1 spends ``floor(alpha * N)`` copies on the plan's battery and a
+    least-squares fit (trace-constrained unless ``sub_unit``), used only for
+    its eigenbasis.  Step 2 measures that eigenbasis with the remaining copies
+    and adopts the outcome frequencies as eigenvalues; a pseudo-state's null
+    outcome absorbs its missing mass.
     """
     n0 = _check_alpha(n_total, alpha)
     gen = linalg.as_generator(rng)
-    if povms is None:
-        povms = _default_battery(d)
     if plan is None:
-        plan = LrePlan(povms, basis or HermitianBasis(d), constrain_trace=True)
+        plan = _default_plan(dim, constrain_trace=not sub_unit)
     rho_tilde = plan.solve(_battery_frequencies(sampler, plan, n0, gen))
     u = hermitian_eig(rho_tilde).eigenvectors
     lam = _eigenbasis_frequencies(sampler, u, n_total - n0, gen)
-    rho_hat = DensityMatrix(eig_reconstruct(lam, u))
-    return TomographyEstimate(
-        value=rho_hat,
-        raw=rho_tilde,
-        shots_used=n_total,
-        method_tag="adaptive_qst",
-        extras={"step1_shots": n0},
-    )
+    if sub_unit and lam.sum() <= 0.0:
+        raise EstimationError("every adaptive-step outcome fell in the null bin")
+    return DensityMatrix(eig_reconstruct(lam, u), sub_unit=sub_unit)
+
+
+def _static_solve(sampler, dim, n_total, rng, plan, constrain_trace: bool):
+    """Least-squares estimate from the whole budget spent on the plan's battery."""
+    gen = linalg.as_generator(rng)
+    if plan is None:
+        plan = _default_plan(dim, constrain_trace)
+    return plan.solve(_battery_frequencies(sampler, plan, n_total, gen))
+
+
+def adaptive_qst(
+    sampler, d: int, n_total: int, alpha: float, rng, plan: LrePlan | None = None
+) -> TomographyEstimate:
+    """Two-step adaptive state tomography achieving O(1/N) infidelity.
+
+    Step 1 spends ``floor(alpha * N)`` copies on a static battery (``plan``,
+    by default the Pauli cube) and a trace-constrained least-squares fit,
+    used only for its eigenbasis (no positivity correction is applied).
+    Step 2 measures that eigenbasis with the remaining copies and adopts the
+    outcome frequencies as eigenvalues, which makes the estimate PSD with
+    unit trace by construction.
+    """
+    rho_hat = _two_step_state(sampler, d, n_total, alpha, rng, plan, sub_unit=False)
+    return TomographyEstimate(rho_hat, n_total, "adaptive_qst")
 
 
 def adaptive_qpst(
-    sampler,
-    dim: int,
-    n_total: int,
-    alpha: float,
-    rng,
-    povms=None,
-    basis: HermitianBasis | None = None,
-    plan: LrePlan | None = None,
+    sampler, dim: int, n_total: int, alpha: float, rng, plan: LrePlan | None = None
 ) -> TomographyEstimate:
     """Adaptive pseudo-state tomography for sub-unit-trace reconstructions.
 
@@ -466,47 +414,17 @@ def adaptive_qpst(
     dropped in step 1 and a null outcome absorbing the missing mass in
     step 2, so the estimated eigenvalues sum below one.
     """
-    n0 = _check_alpha(n_total, alpha)
-    gen = linalg.as_generator(rng)
-    if povms is None:
-        povms = _default_battery(dim)
-    if plan is None:
-        plan = LrePlan(povms, basis or HermitianBasis(dim), constrain_trace=False)
-    sigma_tilde = plan.solve(_battery_frequencies(sampler, plan, n0, gen))
-    u = hermitian_eig(sigma_tilde).eigenvectors
-    lam = _eigenbasis_frequencies(sampler, u, n_total - n0, gen)
-    if lam.sum() <= 0.0:
-        raise EstimationError("every adaptive-step outcome fell in the null bin")
-    sigma_hat = DensityMatrix(eig_reconstruct(lam, u), sub_unit=True)
-    return TomographyEstimate(
-        value=sigma_hat,
-        raw=sigma_tilde,
-        shots_used=n_total,
-        method_tag="adaptive_qpst",
-        extras={"step1_shots": n0},
-    )
+    sigma_hat = _two_step_state(sampler, dim, n_total, alpha, rng, plan, sub_unit=True)
+    return TomographyEstimate(sigma_hat, n_total, "adaptive_qpst")
 
 
 def static_qst(
-    sampler,
-    d: int,
-    n_total: int,
-    rng,
-    povms=None,
-    basis: HermitianBasis | None = None,
-    plan: LrePlan | None = None,
+    sampler, d: int, n_total: int, rng, plan: LrePlan | None = None
 ) -> TomographyEstimate:
     """Static baseline: full-budget least squares plus physical projection."""
-    gen = linalg.as_generator(rng)
-    if povms is None:
-        povms = _default_battery(d)
-    if plan is None:
-        plan = LrePlan(povms, basis or HermitianBasis(d), constrain_trace=True)
-    rho_tilde = plan.solve(_battery_frequencies(sampler, plan, n_total, gen))
+    rho_tilde = _static_solve(sampler, d, n_total, rng, plan, constrain_trace=True)
     rho_hat = physical_projection_fast(rho_tilde)
-    return TomographyEstimate(
-        value=rho_hat, raw=rho_tilde, shots_used=n_total, method_tag="static_qst"
-    )
+    return TomographyEstimate(rho_hat, n_total, "static_qst")
 
 
 # ---------------------------------------------------------------------------
@@ -514,29 +432,21 @@ def static_qst(
 # ---------------------------------------------------------------------------
 
 
-def qdt_stage1(freqs, probes, basis: HermitianBasis | None = None) -> list:
+def qdt_stage1(freqs: Frequencies, probes: np.ndarray) -> list:
     """Static detector estimate from probe-state frequencies.
 
-    ``freqs`` is the :class:`Frequencies` of one draw per probe (or one
-    record per probe); ``probes`` the probe density matrices as an
-    ``(m, d, d)`` stack (or DensityMatrix objects).  Per-element least
+    ``freqs`` is the :class:`Frequencies` of one draw per probe; ``probes``
+    the probe density matrices as an ``(m, d, d)`` stack.  Per-element least
     squares, per-element PSD projection, then a symmetric joint
     renormalization ``P_i -> S^-1/2 P_i S^-1/2`` with ``S`` the sum of the
     projected elements, restoring completeness exactly.
     """
-    if not isinstance(freqs, Frequencies):
-        freqs = Frequencies.from_records(freqs)
-    if not isinstance(probes, np.ndarray):
-        probes = np.stack([p.mat for p in probes])
     if len(freqs.mask) != len(probes):
-        raise DimensionError("one record per probe state is required")
+        raise DimensionError("one frequency row per probe state is required")
     d = probes.shape[-1]
-    basis = basis or HermitianBasis(d)
-    design = operator_design(probes, basis).matrix[freqs.mask]
-    if np.linalg.matrix_rank(design) < basis.size:
-        raise InformationIncompleteError(
-            "probe battery is not informationally complete"
-        )
+    basis = HermitianBasis(d)
+    design = operator_design(probes, basis)[freqs.mask]
+    _require_full_rank(design, "probe battery")
     values = freqs.values[freqs.mask]
     thetas = np.linalg.pinv(design) @ values  # (d^2, n_elements)
     projected = [
@@ -548,20 +458,11 @@ def qdt_stage1(freqs, probes, basis: HermitianBasis | None = None) -> list:
 
 
 def adaptive_qdt(
-    detector_sampler,
-    n_elements: int,
-    d: int,
-    n_total: int,
-    alpha: float,
-    rng,
-    probes=None,
-    n_probes: int | None = None,
-    basis: HermitianBasis | None = None,
+    detector_sampler, n_elements: int, d: int, n_total: int, alpha: float, rng
 ) -> TomographyEstimate:
     """Two-step adaptive detector tomography with per-element O(1/N) infidelity.
 
-    Step 1 runs :func:`qdt_stage1` on random pure probes (``probes``, if
-    given, holds their state vectors as ``(m, d)`` unit rows); step 2 probes
+    Step 1 runs :func:`qdt_stage1` on random pure probes; step 2 probes
     each estimated eigenvector (n * d adaptive probe states, equal budgets,
     drawn at once) and adopts the observed click frequency of its own element
     as the eigenvalue estimate.  A final symmetric correction by the inverse
@@ -570,11 +471,8 @@ def adaptive_qdt(
     do not divide evenly over the adaptive probes are left unused.
     """
     n0 = _check_alpha(n_total, alpha)
-    basis = basis or HermitianBasis(d)
     gen = linalg.as_generator(rng)
-    states = _probe_states(probes, n_probes, d, basis, gen)
-    freqs = _probe_frequencies(detector_sampler, states, n0, n_elements, gen)
-    stage1 = qdt_stage1(freqs, states, basis)
+    stage1 = _random_probe_stage1(detector_sampler, n_elements, d, n0, gen)
 
     per_probe = (n_total - n0) // (n_elements * d)
     if per_probe < 1:
@@ -588,79 +486,52 @@ def adaptive_qdt(
         eig_reconstruct(lam[i * d : (i + 1) * d, i], u) for i, u in enumerate(bases)
     ]
 
-    total = sum(corrected)
-    clamp = INV_SQRT_CLAMP_PER_DIM * d
-    if np.linalg.eigvalsh(total)[0] < clamp:
-        log.warning("adaptive QDT element sum nearly singular; clamped inverse used")
-    corr = inv_sqrt(total, clamp=clamp)
+    corr = inv_sqrt(sum(corrected), clamp=INV_SQRT_CLAMP_PER_DIM * d)
     elements = tuple(hermitian_part(corr @ p @ corr, check=False) for p in corrected)
     used = n0 + per_probe * len(adaptive)
     return TomographyEstimate(
         value=Povm(elements, name="adaptive-qdt"),
-        raw=stage1,
         shots_used=used,
         method_tag="adaptive_qdt",
-        extras={
-            "probes": len(states),
-            "step2_per_probe": per_probe,
-            "unused_shots": n_total - used,
-        },
+        extras={"step2_per_probe": per_probe, "unused_shots": n_total - used},
     )
 
 
 def static_qdt(
-    detector_sampler,
-    n_elements: int,
-    d: int,
-    n_total: int,
-    rng,
-    probes=None,
-    n_probes: int | None = None,
-    basis: HermitianBasis | None = None,
+    detector_sampler, n_elements: int, d: int, n_total: int, rng
 ) -> TomographyEstimate:
-    """Static detector baseline: the whole budget goes into stage 1.
-
-    ``probes``, if given, holds the pure probes' state vectors as ``(m, d)``
-    unit rows.
-    """
-    basis = basis or HermitianBasis(d)
+    """Static detector baseline: the whole budget goes into stage 1."""
     gen = linalg.as_generator(rng)
-    states = _probe_states(probes, n_probes, d, basis, gen)
-    freqs = _probe_frequencies(detector_sampler, states, n_total, n_elements, gen)
-    elements = qdt_stage1(freqs, states, basis)
+    elements = _random_probe_stage1(detector_sampler, n_elements, d, n_total, gen)
     return TomographyEstimate(
-        value=Povm(tuple(elements), name="static-qdt"),
-        raw=list(elements),
-        shots_used=n_total,
-        method_tag="static_qdt",
-        extras={"probes": len(states)},
+        Povm(tuple(elements), name="static-qdt"), n_total, "static_qdt"
     )
 
 
-def _probe_states(probes, n_probes, d, basis, gen, max_tries: int = 20) -> np.ndarray:
+def _probe_states(d: int, gen) -> np.ndarray:
     """Stage-1 probe density matrices ``(m, d, d)``.
 
-    Given unit vectors are used as they are; otherwise random pure probes are
-    drawn until the battery is informationally complete.
+    Random pure probes are drawn until the battery is informationally complete.
     """
-    if probes is not None:
-        return pure_probe_states(probes)
-    count = n_probes or max(24, d * d)
-    for _ in range(max_tries):
+    basis = HermitianBasis(d)
+    count = max(24, d * d)
+    for _ in range(MAX_PROBE_DRAWS):
         states = pure_probe_states(random_unit_vectors(count, d, gen))
-        if operator_design(states, basis).rank == basis.size:
+        if np.linalg.matrix_rank(operator_design(states, basis)) == basis.size:
             return states
     raise InformationIncompleteError(
-        f"could not draw {count} informationally complete probes in {max_tries} tries"
+        f"could not draw {count} informationally complete probes "
+        f"in {MAX_PROBE_DRAWS} tries"
     )
 
 
-def _probe_frequencies(detector_sampler, states, shots: int, n_elements: int, gen):
-    """Split ``shots`` over the probe states and draw them all at once."""
+def _random_probe_stage1(detector_sampler, n_elements: int, d: int, shots: int, gen):
+    """:func:`qdt_stage1` on random probes, ``shots`` split over them in one draw."""
+    states = _probe_states(d, gen)
     counts = detector_sampler.counts(states, _split_shots(shots, len(states)), gen)
     if counts.shape[1] - 1 != n_elements:
-        raise DimensionError("detector record has the wrong outcome count")
-    return frequencies(counts)
+        raise DimensionError("detector counts have the wrong outcome count")
+    return qdt_stage1(frequencies(counts), states)
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +552,6 @@ def qpt_stage2_tp(g: np.ndarray, dim: int, clamp: float | None = None) -> Proces
         raise DimensionError("stage-2 input must be d^2 x d^2")
     q = partial_trace_1(g, dim, dim)
     clamp = INV_SQRT_CLAMP_PER_DIM * dim if clamp is None else clamp
-    if np.linalg.eigvalsh(hermitian_part(q, check=False))[0] < clamp:
-        log.warning("stage-2 partial trace nearly singular; clamped inverse used")
     corr = kron(np.eye(dim), inv_sqrt(q, clamp=clamp))
     return ProcessMatrix(corr @ g @ dagger(corr), dim)
 
@@ -753,8 +622,6 @@ def adaptive_aapt(
     tp_flag: bool,
     input_state: BipartitePureState,
     rng,
-    povms=None,
-    basis: HermitianBasis | None = None,
     plan: LrePlan | None = None,
 ) -> TomographyEstimate:
     """Three-step adaptive ancilla-assisted process tomography.
@@ -765,24 +632,16 @@ def adaptive_aapt(
     partial trace is corrected, preserving both the O(1/N) entirety error and
     the O(1/N) decay of the estimated zero eigenvalues.
     """
-    dim = d * d
-    if tp_flag:
-        state_est = adaptive_qst(
-            channel_sampler, dim, n_total, alpha, rng, povms=povms, basis=basis, plan=plan
-        )
-    else:
-        state_est = adaptive_qpst(
-            channel_sampler, dim, n_total, alpha, rng, povms=povms, basis=basis, plan=plan
-        )
+    state_protocol = adaptive_qst if tp_flag else adaptive_qpst
+    state_est = state_protocol(channel_sampler, d * d, n_total, alpha, rng, plan=plan)
     sigma_hat = state_est.value
     x0 = aapt_reconstruct(sigma_hat, input_state)
     x_hat = qpt_stage2_tp(x0, d) if tp_flag else qpt_stage2_ntp(x0, d, n_total)
     return TomographyEstimate(
         value=x_hat,
-        raw=x0,
         shots_used=n_total,
         method_tag="adaptive_aapt",
-        extras={"sigma_out": sigma_hat, "state_estimate": state_est},
+        extras={"sigma_out": sigma_hat},
     )
 
 
@@ -794,8 +653,6 @@ def nonadaptive_aapt(
     input_state: BipartitePureState,
     rng,
     known_trace: float | None = None,
-    povms=None,
-    basis: HermitianBasis | None = None,
     plan: LrePlan | None = None,
 ) -> TomographyEstimate:
     """Static ancilla-assisted baseline (O(1/sqrt N) on rank-deficient targets).
@@ -805,20 +662,12 @@ def nonadaptive_aapt(
     eigenvalues are truncated and the remainder rescaled to the a-priori
     known output trace.
     """
-    dim = d * d
-    gen = linalg.as_generator(rng)
-    if povms is None:
-        povms = _default_battery(dim)
-    if plan is None:
-        plan = LrePlan(povms, basis or HermitianBasis(dim), constrain_trace=tp_flag)
-    freqs = _battery_frequencies(channel_sampler, plan, n_total, gen)
+    if not tp_flag and known_trace is None:
+        raise ValueError("non-trace-preserving baseline needs known_trace")
+    sigma_tilde = _static_solve(channel_sampler, d * d, n_total, rng, plan, tp_flag)
     if tp_flag:
-        sigma_tilde = plan.solve(freqs)
         sigma_hat = physical_projection_fast(sigma_tilde)
     else:
-        if known_trace is None:
-            raise ValueError("non-trace-preserving baseline needs known_trace")
-        sigma_tilde = plan.solve(freqs)
         w, v = hermitian_eig(sigma_tilde)
         keep = w >= 0.0
         kept_sum = float(w[keep].sum())
@@ -830,7 +679,6 @@ def nonadaptive_aapt(
     x_hat = qpt_stage2_tp(x0, d) if tp_flag else qpt_stage2_ntp(x0, d, n_total)
     return TomographyEstimate(
         value=x_hat,
-        raw=x0,
         shots_used=n_total,
         method_tag="nonadaptive_aapt",
         extras={"sigma_out": sigma_hat},

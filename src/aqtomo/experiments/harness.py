@@ -22,7 +22,6 @@ import numpy as np
 from ..linalg import partial_trace_1
 from ..estimators import (
     EstimationError,
-    HermitianBasis,
     LrePlan,
     adaptive_aapt,
     adaptive_qdt,
@@ -164,9 +163,7 @@ class _TaskContext:
     target: object
     oracle: object
     tp_flag: bool = True
-    povms: tuple | None = None
     plan: LrePlan | None = None
-    basis: HermitianBasis | None = None
     rank: int = 0
     element_ranks: tuple = ()
     x_true: np.ndarray | None = None
@@ -182,23 +179,14 @@ def _context(config: ExperimentConfig) -> _TaskContext:
             f"target {config.target!r} belongs to task {task}, not {config.task}"
         )
     if isinstance(target, QstTarget):
-        d = target.dim
-        povms = cube_povm(int(round(math.log2(d))))
-        plan = LrePlan(povms, HermitianBasis(d), constrain_trace=True)
+        povms = cube_povm(int(round(math.log2(target.dim))))
+        plan = LrePlan(povms, constrain_trace=True)
         oracle = state_sampler(target.rho, battery=plan.povms)
-        return _TaskContext(
-            target,
-            oracle,
-            povms=povms,
-            plan=plan,
-            basis=HermitianBasis(d),
-            rank=target.rank,
-        )
+        return _TaskContext(target, oracle, plan=plan, rank=target.rank)
     if isinstance(target, QdtTarget):
         return _TaskContext(
             target,
             detector_sampler(target.povm),
-            basis=HermitianBasis(target.dim),
             element_ranks=target.element_ranks,
         )
     assert isinstance(target, AaptTarget)
@@ -208,16 +196,13 @@ def _context(config: ExperimentConfig) -> _TaskContext:
             f"tp_flag={config.tp_flag} contradicts the channel of {config.target!r}"
         )
     dim = target.dim**2
-    povms = cube_povm(int(round(math.log2(dim))))
-    plan = LrePlan(povms, HermitianBasis(dim), constrain_trace=tp)
+    plan = LrePlan(cube_povm(int(round(math.log2(dim)))), constrain_trace=tp)
     oracle = state_sampler(target.sigma_out, battery=plan.povms)
     return _TaskContext(
         target,
         oracle,
         tp_flag=tp,
-        povms=povms,
         plan=plan,
-        basis=HermitianBasis(dim),
         rank=target.rank,
         x_true=target.process.x,
         known_trace=oracle.rho.trace,
@@ -228,11 +213,9 @@ def _qst_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
     target: QstTarget = ctx.target
     sampler = ctx.oracle
     if config.method == "adaptive":
-        est = adaptive_qst(
-            sampler, target.dim, n, config.alpha, gen, povms=ctx.povms, plan=ctx.plan
-        )
+        est = adaptive_qst(sampler, target.dim, n, config.alpha, gen, plan=ctx.plan)
     else:
-        est = static_qst(sampler, target.dim, n, gen, povms=ctx.povms, plan=ctx.plan)
+        est = static_qst(sampler, target.dim, n, gen, plan=ctx.plan)
     rho_hat = est.value.mat
     rho = target.rho.mat
     f, f_dp = fidelity_and_dp(rho_hat, rho, state_scenario())
@@ -249,9 +232,9 @@ def _qdt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
     sampler = ctx.oracle
     n_el, d = len(target.povm), target.dim
     if config.method == "adaptive":
-        est = adaptive_qdt(sampler, n_el, d, n, config.alpha, gen, basis=ctx.basis)
+        est = adaptive_qdt(sampler, n_el, d, n, config.alpha, gen)
     else:
-        est = static_qdt(sampler, n_el, d, n, gen, basis=ctx.basis)
+        est = static_qdt(sampler, n_el, d, n, gen)
     scen = detector_scenario(d)
     per_el, per_el_dp, mse, tail, dev = [], [], 0.0, 0.0, 0.0
     for p_hat, p_true, rank in zip(
@@ -290,7 +273,6 @@ def _aapt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
             ctx.tp_flag,
             target.input_state,
             gen,
-            povms=ctx.povms,
             plan=ctx.plan,
         )
     else:
@@ -302,7 +284,6 @@ def _aapt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
             target.input_state,
             gen,
             known_trace=None if ctx.tp_flag else ctx.known_trace,
-            povms=ctx.povms,
             plan=ctx.plan,
         )
     x_hat = est.value.x

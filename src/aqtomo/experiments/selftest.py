@@ -10,7 +10,6 @@ import numpy as np
 
 from .. import linalg
 from ..estimators import (
-    HermitianBasis,
     LrePlan,
     physical_projection_fast,
     qpt_stage2_tp,
@@ -84,7 +83,7 @@ def _checks():
     recovered = True
     for state, constrain in ((rho, True), (pseudo, False)):
         freqs = frequencies(exact_state_sampler(state).counts(povms))
-        est = LrePlan(povms, HermitianBasis(4), constrain).solve(freqs)
+        est = LrePlan(povms, constrain).solve(freqs)
         recovered &= bool(np.allclose(est, state.mat, atol=1e-12))
     yield "cube inversion recovers a noiseless state", recovered
 

@@ -8,9 +8,12 @@ row-major ``reshape``; every tensor operation below assumes it.
 
 from __future__ import annotations
 
+import logging
 from typing import NamedTuple
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 # Relative tolerance below which an input is accepted as Hermitian / PSD, and
 # the larger threshold beyond which we refuse to silently repair it.
@@ -119,12 +122,15 @@ def inv_sqrt(m: np.ndarray, clamp: float | None = None) -> np.ndarray:
     """Inverse square root with eigenvalues floored at ``clamp``.
 
     Eigenvalues below the floor are raised to it before inversion, so the
-    result is always finite; the default floor is ``1e-12 * d``.
+    result is always finite; the default floor is ``1e-12 * d``.  Each call
+    that floors an eigenvalue logs one warning.
     """
     m = _require_square(m)
     if clamp is None:
         clamp = 1e-12 * m.shape[0]
     w, v = hermitian_eig(m)
+    if w[-1] < clamp:
+        log.warning("inv_sqrt: eigenvalue %.3e floored at %.3e", w[-1], clamp)
     w = np.maximum(w, clamp)
     return eig_reconstruct(1.0 / np.sqrt(w), v)
 

@@ -12,8 +12,8 @@ mass a sub-unit pseudo-state lacks) and draws every setting with one
 ``Generator.multinomial(shots, table)`` call.  numpy draws the rows in order
 and draws nothing for a zero-shot row, so the counts, and the generator state
 after them, equal those of one draw per setting.  A fixed battery's table is
-computed once, when the oracle is built.  The per-POVM record form,
-:func:`measure_state`, is the one-setting case of the same routine.
+computed once, when the oracle is built.  :func:`sample_counts` is the
+one-setting case of the same routine.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionError, as_generator
+from .linalg import as_generator
 from .quantum_objects import (
     COMPLETENESS_ATOL,
     TRACE_ATOL,
@@ -51,34 +51,6 @@ class SeededRng:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome counts for one POVM applied ``shots`` times to one state.
-
-    ``null_count`` absorbs the missing probability mass when a sub-unit
-    pseudo-state is measured; counts plus null always sum to ``shots``.
-    """
-
-    counts: np.ndarray
-    shots: int
-    povm_id: str = ""
-    null_count: int = 0
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or np.any(counts < 0):
-            raise ValueError("counts must be a vector of non-negative integers")
-        if int(counts.sum()) + self.null_count != self.shots:
-            raise ValueError("counts + null_count must equal shots")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        if self.shots == 0:
-            return np.zeros(self.counts.shape[0])
-        return self.counts / self.shots
-
-
 class Frequencies(NamedTuple):
     """Outcome frequencies of ``S`` settings, the form estimators solve from.
 
@@ -89,14 +61,6 @@ class Frequencies(NamedTuple):
 
     values: np.ndarray
     mask: np.ndarray
-
-    @classmethod
-    def from_records(cls, records) -> "Frequencies":
-        """Stack one record per setting (all with the same outcome count)."""
-        values = [rec.frequencies for rec in records]
-        if len({v.shape for v in values}) > 1:
-            raise DimensionError("records disagree on the number of outcomes")
-        return cls(np.stack(values), np.array([rec.shots > 0 for rec in records]))
 
 
 def frequencies(counts) -> Frequencies:
@@ -183,22 +147,6 @@ def cube_povm(n_qubits: int):
     return tuple(povms)
 
 
-def measure_state(rho: DensityMatrix, povm: Povm, shots: int, rng) -> MeasurementRecord:
-    """Sample ``shots`` Born-rule outcomes of ``povm`` on ``rho``.
-
-    For sub-unit pseudo-states the missing trace shows up as the record's
-    null outcome.
-    """
-    probs = born_probabilities(rho, povm)
-    counts = sample_counts(probs, shots, rng)
-    return MeasurementRecord(
-        counts=counts,
-        shots=shots,
-        povm_id=povm.name,
-        null_count=shots - int(counts.sum()),
-    )
-
-
 def unit_rows(vectors) -> np.ndarray:
     """Rows of ``vectors`` divided by their norms (the arithmetic of ``pure_state``)."""
     v = np.asarray(vectors, dtype=complex)
@@ -256,16 +204,9 @@ def random_unit_vectors(count: int, d: int, rng) -> np.ndarray:
     return unit_rows(z[:, 0] + 1j * z[:, 1])
 
 
-def random_pure_probes(count: int, d: int, rng) -> list:
-    """Haar-random pure probe states |psi><psi| as validated density matrices."""
-    states = pure_probe_states(random_unit_vectors(count, d, rng))
-    return [DensityMatrix(m) for m in states]
-
-
 class StateOracle:
     """Measurement oracle hiding a (pseudo-)state ``rho``.
 
-    Called as ``(povm, shots, rng)`` it returns one :class:`MeasurementRecord`.
     :meth:`counts` measures ``S`` settings at once, each a POVM or a stack of
     its ``K`` elements (all settings with one outcome count).  When the oracle
     is built with a fixed ``battery`` (a sequence of settings), that battery's
@@ -289,17 +230,12 @@ class StateOracle:
             return draw_counts(self._battery_table, shots, rng)
         return draw_counts(self.table(settings), shots, rng)
 
-    def __call__(self, povm: Povm, shots: int, rng) -> MeasurementRecord:
-        if povm.dim != self.rho.dim:
-            raise DimensionError("POVM dimension does not match the hidden state")
-        return measure_state(self.rho, povm, shots, rng)
-
 
 class DetectorOracle:
     """Probe oracle hiding a detector ``povm``.
 
-    Called as ``(probe, shots, rng)`` it returns one record; :meth:`counts`
-    measures ``S`` stacked probe density matrices ``(S, d, d)`` at once.
+    :meth:`counts` measures ``S`` stacked probe density matrices ``(S, d, d)``
+    at once.
     """
 
     def __init__(self, povm: Povm):
@@ -314,43 +250,15 @@ class DetectorOracle:
         """``(S, K+1)`` counts, null column last, from one multinomial draw."""
         return draw_counts(self.table(probes), shots, rng)
 
-    def __call__(self, probe: DensityMatrix, shots: int, rng) -> MeasurementRecord:
-        return measure_state(probe, self.povm, shots, rng)
-
 
 def state_sampler(rho: DensityMatrix, battery=None) -> StateOracle:
-    """Measurement oracle hiding ``rho``: callable (povm, shots, rng) -> record."""
+    """Measurement oracle hiding ``rho``; see :class:`StateOracle`."""
     return StateOracle(rho, battery)
 
 
 def detector_sampler(povm: Povm) -> DetectorOracle:
-    """Probe oracle hiding a detector: callable (probe, shots, rng) -> record."""
+    """Probe oracle hiding a detector; see :class:`DetectorOracle`."""
     return DetectorOracle(povm)
-
-
-@dataclass(frozen=True)
-class ExactRecord:
-    """Noise-free record whose frequencies equal the Born probabilities.
-
-    Stands in for a :class:`MeasurementRecord` in the infinite-copy limit;
-    estimators fed exact records must recover the true object exactly.
-    """
-
-    probabilities: np.ndarray
-    shots: int = 1
-    povm_id: str = ""
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.probabilities
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.asarray(self.probabilities, dtype=float)
-
-    @property
-    def null_count(self) -> float:
-        return self.shots - float(np.sum(self.probabilities))
 
 
 class ExactStateOracle(StateOracle):
@@ -363,11 +271,6 @@ class ExactStateOracle(StateOracle):
     def counts(self, settings, shots=None, rng=None) -> np.ndarray:
         return self.table(settings)
 
-    def __call__(self, povm: Povm, shots: int, rng=None) -> ExactRecord:
-        return ExactRecord(
-            born_probabilities(self.rho, povm), shots=max(shots, 1), povm_id=povm.name
-        )
-
 
 class ExactDetectorOracle(DetectorOracle):
     """Zero-noise probe oracle for detector tomography."""
@@ -375,12 +278,9 @@ class ExactDetectorOracle(DetectorOracle):
     def counts(self, probes, shots=None, rng=None) -> np.ndarray:
         return self.table(probes)
 
-    def __call__(self, probe: DensityMatrix, shots: int, rng=None) -> ExactRecord:
-        return ExactRecord(born_probabilities(probe, self.povm), shots=max(shots, 1))
-
 
 def exact_state_sampler(rho: DensityMatrix) -> ExactStateOracle:
-    """Zero-noise oracle: ignores the shot budget and returns exact records."""
+    """Zero-noise oracle: its counts are the outcome table itself."""
     return ExactStateOracle(rho)
 
 

@@ -18,8 +18,6 @@ from aqtomo.estimators import (
     adaptive_qdt,
     adaptive_qpst,
     adaptive_qst,
-    eigenbasis_povm,
-    lre_estimate,
     lre_mse_bound,
     nonadaptive_aapt,
     physical_projection_fast,
@@ -31,7 +29,14 @@ from aqtomo.estimators import (
     static_qdt,
     static_qst,
 )
-from aqtomo.linalg import eig_reconstruct, haar_unitary, kron, partial_trace_1
+from aqtomo.estimators import _gell_mann_stack
+from aqtomo.linalg import (
+    DimensionError,
+    eig_reconstruct,
+    haar_unitary,
+    kron,
+    partial_trace_1,
+)
 from aqtomo.measurement import (
     SeededRng,
     cube_povm,
@@ -39,6 +44,8 @@ from aqtomo.measurement import (
     exact_detector_sampler,
     exact_state_sampler,
     frequencies,
+    pure_probe_states,
+    random_unit_vectors,
     state_sampler,
 )
 from aqtomo.quantum_objects import (
@@ -52,7 +59,8 @@ from aqtomo.quantum_objects import (
     maximally_entangled_input,
 )
 
-from aqtomo.experiments.harness import gm_bound
+from aqtomo.experiments import ExperimentConfig
+from aqtomo.experiments.harness import _context, gm_bound
 from aqtomo.fidelity import fidelity, state_scenario
 from test_quantum_objects import lossy_dephasing, random_channel, random_density
 
@@ -90,9 +98,8 @@ class TestLre:
         gen = SeededRng(51).generator()
         rho = random_density(gen, 4)
         povms = cube_povm(2)
-        sampler = exact_state_sampler(rho)
-        records = [sampler(p, 1, None) for p in povms]
-        est = lre_estimate(records, povms, constrain_trace=True)
+        freqs = frequencies(exact_state_sampler(rho).counts(povms))
+        est = LrePlan(povms, constrain_trace=True).solve(freqs)
         assert np.linalg.norm(est - rho.mat) < 1e-8
 
     def test_noiseless_recovery_sub_unit(self):
@@ -100,9 +107,8 @@ class TestLre:
         rho = random_density(gen, 4)
         sub = DensityMatrix(0.7 * rho.mat, sub_unit=True)
         povms = cube_povm(2)
-        sampler = exact_state_sampler(sub)
-        records = [sampler(p, 1, None) for p in povms]
-        est = lre_estimate(records, povms, constrain_trace=False)
+        freqs = frequencies(exact_state_sampler(sub).counts(povms))
+        est = LrePlan(povms, constrain_trace=False).solve(freqs)
         assert np.linalg.norm(est - sub.mat) < 1e-8
 
     def test_mse_below_analytic_bound(self):
@@ -110,15 +116,12 @@ class TestLre:
         # (J / 4N) Tr[(X^T X)^-1] expectation bound with room to spare
         target = random_density(SeededRng(53).generator(), 8)
         povms = cube_povm(3)
-        basis = HermitianBasis(8)
-        plan = LrePlan(povms, basis, constrain_trace=True)
+        plan = LrePlan(povms, constrain_trace=True)
         n_total = 10**6
-        shots = n_total // len(povms)
+        shots = [n_total // len(povms)] * len(povms)
         gen = SeededRng(54).generator()
-        sampler = state_sampler(target)
-        records = [sampler(p, shots, gen) for p in povms]
-        est = plan.solve(records)
-        bound = lre_mse_bound(povms, basis, n_total)
+        est = plan.solve(frequencies(state_sampler(target).counts(povms, shots, gen)))
+        bound = lre_mse_bound(povms, HermitianBasis(8), n_total)
         assert np.linalg.norm(est - target.mat) ** 2 < bound
 
     def test_unbiased_trace_recovery_sub_unit(self):
@@ -126,39 +129,61 @@ class TestLre:
         gen = SeededRng(55).generator()
         sub = DensityMatrix(0.75 * random_density(gen, 4).mat, sub_unit=True)
         povms = cube_povm(2)
-        plan = LrePlan(povms, HermitianBasis(4), constrain_trace=False)
+        plan = LrePlan(povms, constrain_trace=False)
         sampler = state_sampler(sub)
-        shots = 10**5
+        shots = [10**5] * len(povms)
         traces = []
         for t in range(40):
             g = SeededRng(56, t).generator()
-            records = [sampler(p, shots, g) for p in povms]
-            traces.append(float(np.trace(plan.solve(records)).real))
+            freqs = frequencies(sampler.counts(povms, shots, g))
+            traces.append(float(np.trace(plan.solve(freqs)).real))
         se = np.std(traces, ddof=1) / np.sqrt(len(traces))
         assert abs(np.mean(traces) - 0.75) < 3 * se + 1e-12
 
     def test_rank_deficient_battery_rejected(self):
         povms = cube_povm(2)[:2]  # 8 rows cannot span 16 parameters
         with pytest.raises(InformationIncompleteError):
-            LrePlan(povms, HermitianBasis(4), constrain_trace=True)
+            LrePlan(povms, constrain_trace=True)
 
-    def test_record_count_mismatch_rejected(self):
-        from aqtomo.linalg import DimensionError
-
+    def test_frequency_shape_mismatch_rejected(self):
         gen = SeededRng(94).generator()
         rho = random_density(gen, 4)
         povms = cube_povm(2)
-        sampler = exact_state_sampler(rho)
-        records = [sampler(p, 1, None) for p in povms[:-1]]
+        freqs = frequencies(exact_state_sampler(rho).counts(povms[:-1]))
         with pytest.raises(DimensionError):
-            lre_estimate(records, povms)
+            LrePlan(povms, constrain_trace=True).solve(freqs)
 
+
+class TestGellMannStackOnlyForDensePlans:
+    def test_cube_plan_and_harness_context_build_no_stack(self):
+        _gell_mann_stack.cache_clear()
+        _context.cache_clear()
+        LrePlan(cube_povm(5), constrain_trace=True)
+        _context(ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 1))
+        assert _gell_mann_stack.cache_info().currsize == 0
+
+    def test_dense_battery_builds_stack_and_checks_rank(self):
+        # the cube minus one setting plus a rotated copy of another is no
+        # longer the cube tuple, so it takes the dense plan
+        u = haar_unitary(4, SeededRng(98).generator())
+        extra = Povm(tuple(u @ e @ u.conj().T for e in cube_povm(2)[0].elements))
+        _gell_mann_stack.cache_clear()
+        plan = LrePlan(cube_povm(2)[:-1] + (extra,), constrain_trace=True)
+        assert _gell_mann_stack.cache_info().currsize == 1
+        rho = random_density(SeededRng(99).generator(), 4)
+        freqs = frequencies(exact_state_sampler(rho).counts(plan.povms))
+        assert np.linalg.norm(plan.solve(freqs) - rho.mat) < 1e-8
+        # nine settings again, but the first twice and no zz: Z (x) Z unmeasured
+        _gell_mann_stack.cache_clear()
+        with pytest.raises(InformationIncompleteError):
+            LrePlan(cube_povm(2)[:-1] + cube_povm(2)[:1], constrain_trace=True)
+        assert _gell_mann_stack.cache_info().currsize == 1
 
 
 @lru_cache(maxsize=None)
 def dense_cube_design(n_qubits):
     """Dense design matrix of the full Pauli cube (the least-squares oracle)."""
-    return povm_design(cube_povm(n_qubits), HermitianBasis(2**n_qubits)).matrix
+    return povm_design(cube_povm(n_qubits), HermitianBasis(2**n_qubits))
 
 
 def random_pseudo_state(gen, d, trace):
@@ -184,7 +209,7 @@ class TestCubeInversion:
             povms, shots, gen
         )
         freqs = frequencies(counts)
-        got = LrePlan(povms, HermitianBasis(d), constrain).solve(freqs, trace)
+        got = LrePlan(povms, constrain).solve(freqs, trace)
 
         x, y = dense_cube_design(n), freqs.values.ravel()
         if constrain:  # identity coefficient pinned, the rest fitted
@@ -214,14 +239,13 @@ class TestCubeInversion:
         cols = slice(1, None) if constrain else slice(None)
         assert np.linalg.matrix_rank(dense_cube_design(n)[rows][:, cols]) < needed
         with pytest.raises(InformationIncompleteError):
-            LrePlan(povms, HermitianBasis(d), constrain).solve(freqs)
+            LrePlan(povms, constrain).solve(freqs)
 
     def test_five_qubits(self):
         u = haar_unitary(32, SeededRng(96).generator())
         rho = DensityMatrix(eig_reconstruct(np.array([1.0] + [0.0] * 31), u))
-        povms, basis = cube_povm(5), HermitianBasis(32)
         tick = time.perf_counter()
-        plan = LrePlan(povms, basis, constrain_trace=True)
+        plan = LrePlan(cube_povm(5), constrain_trace=True)
         assert time.perf_counter() - tick < 1.0
         n = 10**6
         est = adaptive_qst(state_sampler(rho), 32, n, 0.5, SeededRng(97), plan=plan)
@@ -371,34 +395,27 @@ class TestQdt:
     def test_stage1_noiseless_exact(self):
         povm = three_valued_detector()
         gen = SeededRng(71).generator()
-        probes = [random_density(gen, 4) for _ in range(20)]
-        probes += [DensityMatrix(np.eye(4) / 4)]
-        sampler = exact_detector_sampler(povm)
-        records = [sampler(p, 1, None) for p in probes]
-        elements = qdt_stage1(records, probes)
+        probes = [random_density(gen, 4).mat for _ in range(20)]
+        probes = np.stack(probes + [np.eye(4, dtype=complex) / 4])
+        freqs = frequencies(exact_detector_sampler(povm).counts(probes))
+        elements = qdt_stage1(freqs, probes)
         for est, true in zip(elements, povm.elements):
             assert np.linalg.norm(est - true) < 1e-8
 
-    def test_stage1_record_probe_mismatch_rejected(self):
-        from aqtomo.linalg import DimensionError
-
+    def test_stage1_frequency_probe_mismatch_rejected(self):
         povm = three_valued_detector()
         gen = SeededRng(95).generator()
-        probes = [random_density(gen, 4) for _ in range(17)]
-        sampler = exact_detector_sampler(povm)
-        records = [sampler(p, 1, None) for p in probes[:-1]]
+        probes = np.stack([random_density(gen, 4).mat for _ in range(17)])
+        freqs = frequencies(exact_detector_sampler(povm).counts(probes[:-1]))
         with pytest.raises(DimensionError):
-            qdt_stage1(records, probes)
+            qdt_stage1(freqs, probes)
 
     def test_stage1_completeness_by_construction(self):
         povm = three_valued_detector()
         gen = SeededRng(72).generator()
-        from aqtomo.measurement import random_pure_probes
-
-        probes = random_pure_probes(24, 4, gen)
-        sampler = detector_sampler(povm)
-        records = [sampler(p, 2000, gen) for p in probes]
-        elements = qdt_stage1(records, probes)
+        probes = pure_probe_states(random_unit_vectors(24, 4, gen))
+        counts = detector_sampler(povm).counts(probes, [2000] * len(probes), gen)
+        elements = qdt_stage1(frequencies(counts), probes)
         assert np.max(np.abs(sum(elements) - np.eye(4))) < 1e-8
         for e in elements:
             assert np.linalg.eigvalsh(e)[0] > -1e-10

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -103,6 +104,26 @@ class TestInvSqrt:
         p = rand_psd(gen, 5) + 0.5 * np.eye(5)
         r = inv_sqrt(p, clamp=1e-15)
         assert np.linalg.norm(r @ p @ r - np.eye(5)) <= 1e-8
+
+    def test_clamp_logs_one_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="aqtomo"):
+            inv_sqrt(np.diag([1.0, 0.0]))
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "floored" in caplog.records[0].getMessage()
+
+    def test_well_conditioned_input_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="aqtomo"):
+            inv_sqrt(np.diag([4.0, 1.0]))
+        assert caplog.records == []
+
+    def test_stage2_correction_logs_its_clamp_once(self, caplog):
+        from aqtomo.estimators import qpt_stage2_tp
+
+        # Tr_1 of diag(1, 0, 0, 0) is diag(1, 0): one floored eigenvalue
+        g = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        with caplog.at_level(logging.WARNING, logger="aqtomo"):
+            qpt_stage2_tp(g, 2)
+        assert len(caplog.records) == 1
 
 
 class TestPartialTrace:

@@ -12,15 +12,14 @@ from aqtomo.estimators import (
     operator_design,
 )
 from aqtomo.measurement import (
-    ExactRecord,
     SeededRng,
     cube_povm,
     draw_counts,
     exact_state_sampler,
     frequencies,
-    measure_state,
     outcome_table,
-    random_pure_probes,
+    pure_probe_states,
+    random_unit_vectors,
     sample_counts,
     state_sampler,
 )
@@ -87,33 +86,39 @@ class TestCubePovm:
                 assert np.max(np.abs(sum(p.elements) - np.eye(2**n))) < 1e-12
 
 
+def measure_one(rho, povm, shots, rng):
+    """Counts ``(K+1,)`` of one setting drawn through the batch oracle."""
+    return state_sampler(rho).counts([povm], [shots], rng)[0]
+
+
 class TestMeasureState:
     def test_own_basis_concentrates(self):
         rho = pure_state(np.array([1.0, 0.0]))
-        rec = measure_state(rho, cube_povm(1)[2], 1000, SeededRng(8))
-        assert rec.counts.tolist() == [1000, 0]
-        assert rec.null_count == 0
+        counts = measure_one(rho, cube_povm(1)[2], 1000, SeededRng(8))
+        assert counts[:-1].tolist() == [1000, 0]
+        assert counts[-1] == 0
 
     def test_uniform_chi_square(self):
         rho = DensityMatrix(np.eye(4) / 4)
         povm = cube_povm(2)[0]
         shots = 10**5
-        rec = measure_state(rho, povm, shots, SeededRng(9))
+        counts = measure_one(rho, povm, shots, SeededRng(9))[:-1]
         expected = shots / 4
-        chi2 = float(np.sum((rec.counts - expected) ** 2 / expected))
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < 16.27  # 99.9% quantile of chi2 with 3 dof
 
     def test_zero_shots(self):
         rho = DensityMatrix(np.eye(2) / 2)
-        rec = measure_state(rho, cube_povm(1)[0], 0, SeededRng(10))
-        assert rec.shots == 0 and rec.counts.sum() == 0
-        assert rec.frequencies.tolist() == [0.0, 0.0]
+        counts = state_sampler(rho).counts([cube_povm(1)[0]], [0], SeededRng(10))
+        assert counts.sum() == 0
+        freqs = frequencies(counts)
+        assert freqs.values[0].tolist() == [0.0, 0.0] and not freqs.mask[0]
 
     def test_sub_unit_records_null(self):
         sub = DensityMatrix(np.diag([0.4, 0.35]).astype(complex), sub_unit=True)
-        rec = measure_state(sub, cube_povm(1)[2], 10**5, SeededRng(11))
-        assert rec.null_count > 0
-        assert rec.counts.sum() + rec.null_count == rec.shots
+        counts = measure_one(sub, cube_povm(1)[2], 10**5, SeededRng(11))
+        assert counts[-1] > 0
+        assert counts.sum() == 10**5
 
     def test_frequency_variance_matches_model(self):
         # sample variance of the frequency of a fixed outcome tracks
@@ -122,9 +127,7 @@ class TestMeasureState:
         povm = cube_povm(1)[2]
         shots = 2000
         gen = SeededRng(12).generator()
-        freqs = [
-            measure_state(rho, povm, shots, gen).frequencies[0] for _ in range(200)
-        ]
+        freqs = [measure_one(rho, povm, shots, gen)[0] / shots for _ in range(200)]
         model = 0.3 * 0.7 / shots
         measured = float(np.var(freqs, ddof=1))
         assert model / 2 < measured < model * 2
@@ -132,38 +135,34 @@ class TestMeasureState:
 
 class TestRandomPureProbes:
     def test_rank_one_unit_trace(self):
-        probes = random_pure_probes(5, 4, SeededRng(13))
+        probes = pure_probe_states(random_unit_vectors(5, 4, SeededRng(13)))
         for p in probes:
-            w = np.linalg.eigvalsh(p.mat)
+            w = np.linalg.eigvalsh(p)
             assert abs(w[-1] - 1.0) < 1e-10 and abs(w[:-1]).max() < 1e-10
 
     def test_informationally_complete_battery(self):
-        probes = random_pure_probes(24, 4, SeededRng(14))
-        design = operator_design([p.mat for p in probes], HermitianBasis(4))
-        assert design.rank == 16
+        probes = pure_probe_states(random_unit_vectors(24, 4, SeededRng(14)))
+        design = operator_design(probes, HermitianBasis(4))
+        assert np.linalg.matrix_rank(design) == 16
 
     def test_determinism(self):
-        a = random_pure_probes(3, 4, SeededRng(15, 2))
-        b = random_pure_probes(3, 4, SeededRng(15, 2))
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.mat, pb.mat)
+        a = pure_probe_states(random_unit_vectors(3, 4, SeededRng(15, 2)))
+        b = pure_probe_states(random_unit_vectors(3, 4, SeededRng(15, 2)))
+        assert np.array_equal(a, b)
 
 
-class TestExactRecords:
-    def test_frequencies_are_probabilities(self):
+class TestExactOracle:
+    def test_counts_are_probabilities(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        sampler = exact_state_sampler(rho)
-        rec = sampler(cube_povm(1)[2], 1000, None)
-        assert isinstance(rec, ExactRecord)
-        assert np.allclose(rec.frequencies, [0.25, 0.75])
-        assert np.allclose(
-            rec.frequencies, born_probabilities(rho, cube_povm(1)[2])
-        )
+        counts = exact_state_sampler(rho).counts([cube_povm(1)[2]], [1000], None)
+        assert np.allclose(counts[0], [0.25, 0.75, 0.0])
+        assert np.array_equal(counts[0, :-1], born_probabilities(rho, cube_povm(1)[2]))
+        assert np.allclose(frequencies(counts).values[0], [0.25, 0.75])
 
 
 @lru_cache(maxsize=None)
 def _cube3_plan():
-    return LrePlan(cube_povm(3), HermitianBasis(8), constrain_trace=True)
+    return LrePlan(cube_povm(3), constrain_trace=True)
 
 
 def _generator_state(gen):
@@ -223,19 +222,19 @@ class TestBatchedDraws:
         batched_gen = np.random.default_rng(seed + 1)
         serial_gen = np.random.default_rng(seed + 1)
         counts = oracle.counts(povms, shots, batched_gen)
-        records = [oracle(p, n, serial_gen) for p, n in zip(povms, shots)]
-        assert np.array_equal(counts[:, :-1], np.stack([r.counts for r in records]))
-        assert np.array_equal(counts[:, -1], [r.null_count for r in records])
+        # the sequential reference: one Born evaluation and one draw per setting
+        serial = np.stack([
+            sample_counts(born_probabilities(rho, p), n, serial_gen)
+            for p, n in zip(povms, shots)
+        ])
+        assert np.array_equal(counts[:, :-1], serial)
+        assert np.array_equal(counts[:, -1], np.array(shots) - serial.sum(axis=1))
         assert _generator_state(batched_gen) == _generator_state(serial_gen)
         freqs = frequencies(counts)
-        assert np.array_equal(freqs.values, np.stack([r.frequencies for r in records]))
+        want = [c / n if n else np.zeros(len(c)) for c, n in zip(serial, shots)]
+        assert np.array_equal(freqs.values, np.stack(want))
         assert np.array_equal(freqs.mask, np.array(shots) > 0)
-        # the solver sees the same rows either way; zero-shot settings drop
-        # out and leave the cube rank deficient
-        plan = _cube3_plan()
-        if freqs.mask.all():
-            assert np.array_equal(plan.solve(freqs), plan.solve(records))
-        else:
-            for data in (freqs, records):
-                with pytest.raises(InformationIncompleteError):
-                    plan.solve(data)
+        # zero-shot settings drop out and leave the cube rank deficient
+        if not freqs.mask.all():
+            with pytest.raises(InformationIncompleteError):
+                _cube3_plan().solve(freqs)
