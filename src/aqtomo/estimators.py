@@ -635,14 +635,7 @@ def adaptive_aapt(
     state_protocol = adaptive_qst if tp_flag else adaptive_qpst
     state_est = state_protocol(channel_sampler, d * d, n_total, alpha, rng, plan=plan)
     sigma_hat = state_est.value
-    x0 = aapt_reconstruct(sigma_hat, input_state)
-    x_hat = qpt_stage2_tp(x0, d) if tp_flag else qpt_stage2_ntp(x0, d, n_total)
-    return TomographyEstimate(
-        value=x_hat,
-        shots_used=n_total,
-        method_tag="adaptive_aapt",
-        extras={"sigma_out": sigma_hat},
-    )
+    return _process_estimate(sigma_hat, input_state, tp_flag, n_total, "adaptive_aapt")
 
 
 def nonadaptive_aapt(
@@ -675,11 +668,14 @@ def nonadaptive_aapt(
             raise EstimationError("no positive eigenvalue mass to rescale")
         lam = np.where(keep, w, 0.0) * (known_trace / kept_sum)
         sigma_hat = DensityMatrix(eig_reconstruct(lam, v), sub_unit=True)
+    return _process_estimate(
+        sigma_hat, input_state, tp_flag, n_total, "nonadaptive_aapt"
+    )
+
+
+def _process_estimate(sigma_hat, input_state, tp_flag, n_total, method_tag):
+    """Last AAPT step: invert the input probe, then correct the partial trace."""
+    d = input_state.dim_a
     x0 = aapt_reconstruct(sigma_hat, input_state)
     x_hat = qpt_stage2_tp(x0, d) if tp_flag else qpt_stage2_ntp(x0, d, n_total)
-    return TomographyEstimate(
-        value=x_hat,
-        shots_used=n_total,
-        method_tag="nonadaptive_aapt",
-        extras={"sigma_out": sigma_hat},
-    )
+    return TomographyEstimate(x_hat, n_total, method_tag, {"sigma_out": sigma_hat})
