@@ -15,7 +15,7 @@ import sys
 
 from .config import load_config
 from .harness import VERSION, fit_loglog_slope, run_scaling
-from .io import emit_results, read_result_csv
+from .io import emit_results, read_result_csv, write_csv
 from .selftest import run_selftest
 from .targets import BUILTIN_TARGET_NAMES, builtin_target, expected_task
 
@@ -55,11 +55,7 @@ def _cmd_run(args) -> int:
         file=sys.stderr,
     )
     if args.out is None:
-        from .io import CSV_FIELDS, _csv_rows
-
-        print(",".join(CSV_FIELDS))
-        for row in _csv_rows(result):
-            print(",".join(row))
+        write_csv(result, sys.stdout)
     else:
         for path in emit_results(result, args.out, args.format):
             print(f"wrote {path}", file=sys.stderr)

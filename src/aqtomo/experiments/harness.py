@@ -1,11 +1,14 @@
 """Monte-Carlo scaling harness.
 
-For each shot count in the grid the harness runs independent seeded trials,
-scores each reconstruction (infidelity, classic trace-normalized infidelity,
-mean squared error, and the eigenvalue mass beyond the true rank), and fits
-a log-log slope through the per-N mean infidelities.  Trial randomness is
-keyed by (seed, grid index, trial index), so results are identical for any
-worker count and any execution order.
+For each shot count in the grid the harness runs independent seeded trials.
+Every task scores its reconstruction with one scorer (infidelity, classic
+trace-normalized infidelity, mean squared error, the eigenvalue mass beyond
+the true rank and the constraint deviation), and a trial returns its metrics
+as a name -> value mapping.  ``run_scaling`` reduces each metric over the
+kept trials of a grid point by one generic loop and fits a log-log slope
+through the per-N mean infidelities.  Trial randomness is keyed by (seed,
+grid index, trial index), so results are identical for any worker count and
+any execution order.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,13 +95,29 @@ class ScalingRow:
     excluded_trials: int
 
 
+_ROW_FIELDS = {f.name for f in fields(ScalingRow)}
+
+# report keys of each per-trial metric: (key of its mean, key of its sample
+# standard deviation or None); constraint_dev is reported by its maximum
+_REPORT_KEYS = {
+    "infidelity": ("mean_infidelity", "std_infidelity"),
+    "infidelity_dp": ("mean_infidelity_dp", None),
+    "mse": ("mean_mse", None),
+    "tail_eigensum": ("mean_tail_eigensum", None),
+    "sigma_out_infidelity": ("sigma_out_mean_infidelity", "sigma_out_std_infidelity"),
+    "element_infidelities": ("element_mean_infidelity", None),
+}
+
+
 @dataclass
 class ScalingResult:
     """Aggregated scaling run: one row per grid point plus the fitted slope.
 
-    ``sigma_out_*`` carry the joint-output-state infidelity series for aapt
-    runs; ``element_infidelities`` carries the per-element means (rows by
-    grid point, columns by POVM element) for qdt runs.
+    ``series`` carries the per-grid-point reductions that are not CSV
+    columns, keyed by their JSON names: ``sigma_out_mean_infidelity`` and
+    ``sigma_out_std_infidelity`` (joint-output-state infidelity) for aapt
+    runs, ``element_mean_infidelity`` (rows by grid point, columns by POVM
+    element) for qdt runs.
     """
 
     config: ExperimentConfig
@@ -108,46 +126,26 @@ class ScalingResult:
     intercept: float
     r2: float
     version: str = VERSION
-    sigma_out_mean: list | None = None
-    sigma_out_std: list | None = None
-    element_infidelities: list | None = None
+    series: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
-    @property
-    def seed(self) -> int:
-        return self.config.seed
+    def _series(self, key: str) -> list:
+        if key not in self.series:
+            raise ValueError(f"this run has no {key} series")
+        return self.series[key]
 
     def sigma_out_slope(self) -> float:
-        if self.sigma_out_mean is None:
-            raise ValueError("this run has no output-state series")
-        return fit_loglog_slope(
-            zip((r.n for r in self.rows), self.sigma_out_mean)
-        )[0]
+        means = self._series("sigma_out_mean_infidelity")
+        return fit_loglog_slope(zip((r.n for r in self.rows), means))[0]
 
     def element_slopes(self) -> list:
-        if self.element_infidelities is None:
-            raise ValueError("this run has no per-element series")
-        per_element = np.asarray(self.element_infidelities).T
+        per_element = np.asarray(self._series("element_mean_infidelity")).T
         ns = [r.n for r in self.rows]
         return [fit_loglog_slope(zip(ns, col))[0] for col in per_element]
 
 
-class TrialMetrics(NamedTuple):
-    infidelity: float
-    infidelity_dp: float
-    mse: float
-    tail_eigensum: float
-    sigma_out_infidelity: float
-    element_infidelities: tuple | None
-    constraint_dev: float
-
-
 def _trial_stream(n_index: int, trial: int) -> int:
     return ((n_index + 1) << TRIAL_STREAM_BITS) + trial
-
-
-def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(mat)[::-1]
 
 
 @dataclass
@@ -209,7 +207,25 @@ def _context(config: ExperimentConfig) -> _TaskContext:
     )
 
 
-def _qst_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
+def _score(hat: np.ndarray, true: np.ndarray, scenario, rank: int) -> dict:
+    """Metrics of an estimate against the truth, shared by every task.
+
+    One eigendecomposition gives both the eigenvalue mass beyond the true
+    rank and the PSD deviation (the most negative eigenvalue, floored at 0),
+    which starts the ``constraint_dev`` each task extends.
+    """
+    f, f_dp = fidelity_and_dp(hat, true, scenario)
+    eigs = np.linalg.eigvalsh(hat)
+    return {
+        "infidelity": 1.0 - f,
+        "infidelity_dp": 1.0 - f_dp,
+        "mse": float(np.linalg.norm(hat - true) ** 2),
+        "tail_eigensum": float(np.sum(eigs[::-1][rank:])),
+        "constraint_dev": max(0.0, -float(eigs[0])),
+    }
+
+
+def _qst_trial(ctx: _TaskContext, config, n, gen) -> dict:
     target: QstTarget = ctx.target
     sampler = ctx.oracle
     if config.method == "adaptive":
@@ -217,17 +233,13 @@ def _qst_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
     else:
         est = static_qst(sampler, target.dim, n, gen, plan=ctx.plan)
     rho_hat = est.value.mat
-    rho = target.rho.mat
-    f, f_dp = fidelity_and_dp(rho_hat, rho, state_scenario())
-    infid, infid_dp = 1.0 - f, 1.0 - f_dp
-    mse = float(np.linalg.norm(rho_hat - rho) ** 2)
-    eigs = _sorted_eigenvalues(rho_hat)
-    tail = float(np.sum(eigs[ctx.rank :]))
-    dev = max(abs(float(np.trace(rho_hat).real) - 1.0), max(0.0, -float(eigs[-1])))
-    return TrialMetrics(infid, infid_dp, mse, tail, math.nan, None, dev)
+    metrics = _score(rho_hat, target.rho.mat, state_scenario(), ctx.rank)
+    trace_dev = abs(float(np.trace(rho_hat).real) - 1.0)
+    metrics["constraint_dev"] = max(trace_dev, metrics["constraint_dev"])
+    return metrics
 
 
-def _qdt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
+def _qdt_trial(ctx: _TaskContext, config, n, gen) -> dict:
     target: QdtTarget = ctx.target
     sampler = ctx.oracle
     n_el, d = len(target.povm), target.dim
@@ -236,34 +248,33 @@ def _qdt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
     else:
         est = static_qdt(sampler, n_el, d, n, gen)
     scen = detector_scenario(d)
-    per_el, per_el_dp, mse, tail, dev = [], [], 0.0, 0.0, 0.0
-    for p_hat, p_true, rank in zip(
-        est.value.elements, target.povm.elements, ctx.element_ranks
-    ):
-        f, f_dp = fidelity_and_dp(p_hat, p_true, scen)
-        per_el.append(1.0 - f)
-        per_el_dp.append(1.0 - f_dp)
-        mse += float(np.linalg.norm(p_hat - p_true) ** 2)
-        eigs = _sorted_eigenvalues(p_hat)
-        tail += float(np.sum(eigs[rank:]))
-        dev = max(dev, max(0.0, -float(eigs[-1])))
+    scores = [
+        _score(p_hat, p_true, scen, rank)
+        for p_hat, p_true, rank in zip(
+            est.value.elements, target.povm.elements, ctx.element_ranks
+        )
+    ]
+    # summed in element order from 0.0 (Python 3.12's sum() compensates)
+    mse = tail = dev = 0.0
+    for score in scores:
+        mse += score["mse"]
+        tail += score["tail_eigensum"]
+        dev = max(dev, score["constraint_dev"])
+    per_el = tuple(score["infidelity"] for score in scores)
     total = sum(est.value.elements)
-    dev = max(dev, float(np.max(np.abs(total - np.eye(d)))))
-    return TrialMetrics(
-        float(np.mean(per_el)),
-        float(np.mean(per_el_dp)),
-        mse,
-        tail,
-        math.nan,
-        tuple(per_el),
-        dev,
-    )
+    return {
+        "infidelity": float(np.mean(per_el)),
+        "infidelity_dp": float(np.mean([score["infidelity_dp"] for score in scores])),
+        "mse": mse,
+        "tail_eigensum": tail,
+        "element_infidelities": per_el,
+        "constraint_dev": max(dev, float(np.max(np.abs(total - np.eye(d))))),
+    }
 
 
-def _aapt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
+def _aapt_trial(ctx: _TaskContext, config, n, gen) -> dict:
     target: AaptTarget = ctx.target
     sampler = ctx.oracle
-    sigma_out = sampler.rho
     if config.method == "adaptive":
         est = adaptive_aapt(
             sampler,
@@ -287,27 +298,25 @@ def _aapt_trial(ctx: _TaskContext, config, n, gen) -> TrialMetrics:
             plan=ctx.plan,
         )
     x_hat = est.value.x
-    x_true = ctx.x_true
-    f, f_dp = fidelity_and_dp(x_hat, x_true, process_scenario(target.dim))
-    infid, infid_dp = 1.0 - f, 1.0 - f_dp
-    mse = float(np.linalg.norm(x_hat - x_true) ** 2)
-    tail = float(np.sum(_sorted_eigenvalues(x_hat)[ctx.rank :]))
+    metrics = _score(x_hat, ctx.x_true, process_scenario(target.dim), ctx.rank)
     sigma_hat = est.extras["sigma_out"]
-    sigma_infid = 1.0 - pseudo_state_fidelity(sigma_hat.mat, sigma_out.mat)
+    metrics["sigma_out_infidelity"] = 1.0 - pseudo_state_fidelity(
+        sigma_hat.mat, sampler.rho.mat
+    )
     q = partial_trace_1(x_hat, target.dim, target.dim)
     if ctx.tp_flag:
         dev = float(np.max(np.abs(q - np.eye(target.dim))))
     else:
         dev = max(0.0, float(np.linalg.eigvalsh(q)[-1]) - 1.0)
-    dev = max(dev, max(0.0, -float(np.linalg.eigvalsh(x_hat)[0])))
-    return TrialMetrics(infid, infid_dp, mse, tail, sigma_infid, None, dev)
+    metrics["constraint_dev"] = max(dev, metrics["constraint_dev"])
+    return metrics
 
 
 _TRIALS = {"qst": _qst_trial, "qdt": _qdt_trial, "aapt": _aapt_trial}
 
 
 def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int):
-    """Run one seeded trial; returns TrialMetrics or None when excluded."""
+    """Run one seeded trial; returns its metrics by name, or None when excluded."""
     ctx = _context(config)
     gen = SeededRng(config.seed, stream_id=_trial_stream(n_index, trial)).generator()
     try:
@@ -317,76 +326,59 @@ def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int):
         return None
 
 
-def _trial_entry(args):
-    config, n, n_index, trial = args
-    return n_index, trial, run_trial(config, n, n_index, trial)
-
-
 def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
     """Run the full grid of seeded trials and aggregate a ScalingResult.
 
-    Trials failing with an estimation error are excluded and counted; more
-    than 10% exclusions at any grid point aborts the run.  Output is
-    byte-stable for a fixed config regardless of ``workers``.
+    Each metric a trial returns is stacked over the kept trials of a grid
+    point and reduced by the rule of ``_REPORT_KEYS``.  Trials failing with
+    an estimation error are excluded and counted; more than 10% exclusions
+    at any grid point aborts the run.  Output is byte-stable for a fixed
+    config regardless of ``workers``.
     """
     ctx = _context(config)  # validate config/target pairing before spawning
+    reps = config.repetitions
     jobs = [
-        (config, n, ni, t)
-        for ni, n in enumerate(config.n_grid)
-        for t in range(config.repetitions)
+        (config, n, ni, t) for ni, n in enumerate(config.n_grid) for t in range(reps)
     ]
     if workers <= 1:
-        outcomes = [_trial_entry(job) for job in jobs]
+        outcomes = [run_trial(*job) for job in jobs]
     else:
         chunk = max(1, len(jobs) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_entry, jobs, chunksize=chunk))
+            # map returns results in job order, so grid point ni owns one slice
+            outcomes = list(pool.map(run_trial, *zip(*jobs), chunksize=chunk))
 
-    by_n: dict = {ni: {} for ni in range(len(config.n_grid))}
-    for ni, trial, metrics in outcomes:
-        by_n[ni][trial] = metrics
-
-    is_qst = config.task == "qst"
-    is_qdt = config.task == "qdt"
-    is_aapt = config.task == "aapt"
-    d = ctx.target.dim
-
-    rows = []
-    sigma_mean, sigma_std = [], []
-    element_rows = []
-    constraint_devs = []
+    rows, series, constraint_devs = [], {}, []
     for ni, n in enumerate(config.n_grid):
-        ordered = [by_n[ni][t] for t in sorted(by_n[ni])]
-        kept = [m for m in ordered if m is not None]
-        excluded = len(ordered) - len(kept)
-        if excluded > MAX_EXCLUDED_FRACTION * config.repetitions:
+        kept = [m for m in outcomes[ni * reps : (ni + 1) * reps] if m is not None]
+        excluded = reps - len(kept)
+        if excluded > MAX_EXCLUDED_FRACTION * reps:
             raise RuntimeError(
-                f"{excluded}/{config.repetitions} trials failed at N={n}; "
+                f"{excluded}/{reps} trials failed at N={n}; "
                 "the configuration is not informationally complete at this budget"
             )
         if not kept:
             raise RuntimeError(f"no usable trials at N={n}")
-        inf = np.array([m.infidelity for m in kept])
+        stats = {}
+        for name in kept[0]:
+            values = np.array([m[name] for m in kept])
+            if name == "constraint_dev":
+                constraint_devs.append(float(values.max()))
+                continue
+            mean_key, std_key = _REPORT_KEYS[name]
+            stats[mean_key] = values.mean(axis=0).tolist()
+            if std_key is not None:
+                stats[std_key] = float(values.std(ddof=1)) if len(kept) > 1 else 0.0
         rows.append(
             ScalingRow(
                 n=n,
-                mean_infidelity=float(inf.mean()),
-                std_infidelity=float(inf.std(ddof=1)) if len(kept) > 1 else 0.0,
-                mean_infidelity_dp=float(np.mean([m.infidelity_dp for m in kept])),
-                mean_mse=float(np.mean([m.mse for m in kept])),
-                mean_tail_eigensum=float(np.mean([m.tail_eigensum for m in kept])),
-                gm_bound=gm_bound(d, n) if is_qst else None,
+                gm_bound=gm_bound(ctx.target.dim, n) if config.task == "qst" else None,
                 excluded_trials=excluded,
+                **{key: stats.pop(key) for key in _ROW_FIELDS & stats.keys()},
             )
         )
-        if is_aapt:
-            s = np.array([m.sigma_out_infidelity for m in kept])
-            sigma_mean.append(float(s.mean()))
-            sigma_std.append(float(s.std(ddof=1)) if len(kept) > 1 else 0.0)
-        if is_qdt:
-            mat = np.array([m.element_infidelities for m in kept])
-            element_rows.append([float(v) for v in mat.mean(axis=0)])
-        constraint_devs.append(float(max(m.constraint_dev for m in kept)))
+        for key, value in stats.items():
+            series.setdefault(key, []).append(value)
 
     slope, intercept, r2 = fit_loglog_slope(
         (row.n, row.mean_infidelity) for row in rows
@@ -397,8 +389,6 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
         slope=slope,
         intercept=intercept,
         r2=r2,
-        sigma_out_mean=sigma_mean if is_aapt else None,
-        sigma_out_std=sigma_std if is_aapt else None,
-        element_infidelities=element_rows if is_qdt else None,
+        series=series,
         extras={"max_constraint_dev": constraint_devs},
     )

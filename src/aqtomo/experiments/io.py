@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -40,29 +41,22 @@ def _csv_rows(result: ScalingResult):
         ]
 
 
-def write_csv(result: ScalingResult, path: str) -> str:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        writer.writerows(_csv_rows(result))
-    return path
+def write_csv(result: ScalingResult, out):
+    """Write ``result`` as CSV to the path or open text stream ``out``."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            write_csv(result, fh)
+        return out
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows(_csv_rows(result))
+    return out
 
 
 def result_to_dict(result: ScalingResult) -> dict:
-    rows = []
-    for row in result.rows:
-        rows.append(
-            {
-                "N": row.n,
-                "mean_infidelity": row.mean_infidelity,
-                "std_infidelity": row.std_infidelity,
-                "mean_infidelity_dp": row.mean_infidelity_dp,
-                "mean_mse": row.mean_mse,
-                "mean_tail_eigensum": row.mean_tail_eigensum,
-                "gm_bound": row.gm_bound,
-                "excluded_trials": row.excluded_trials,
-            }
-        )
+    rows = [dataclasses.asdict(row) for row in result.rows]
+    for row in rows:
+        row["N"] = row.pop("n")
     data = {
         "rows": rows,
         "slope": result.slope,
@@ -72,11 +66,7 @@ def result_to_dict(result: ScalingResult) -> dict:
         "seed": result.config.seed,
         "version": result.version,
     }
-    if result.sigma_out_mean is not None:
-        data["sigma_out_mean_infidelity"] = result.sigma_out_mean
-        data["sigma_out_std_infidelity"] = result.sigma_out_std
-    if result.element_infidelities is not None:
-        data["element_mean_infidelity"] = result.element_infidelities
+    data.update(result.series)
     return data
 
 

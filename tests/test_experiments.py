@@ -19,7 +19,7 @@ from aqtomo.experiments import (
     resolve_target,
     run_scaling,
 )
-from aqtomo.experiments.io import CSV_HEADER, write_csv, write_json
+from aqtomo.experiments.io import CSV_HEADER, result_to_dict, write_csv, write_json
 from aqtomo.experiments.targets import AaptTarget, QstTarget, load_target
 
 CONFIG_TEXT = """
@@ -239,9 +239,36 @@ class TestRunScaling(object):
         assert again.rows == small_result.rows
         assert again.slope == small_result.slope
 
-    def test_worker_count_invariance(self, small_result):
-        parallel = run_scaling(small_result.config, workers=2)
-        assert parallel.rows == small_result.rows
+    @pytest.mark.parametrize(
+        "task,target",
+        [
+            ("qst", "qst-rank1-8d"),
+            ("qdt", "qdt-three-valued"),
+            ("aapt", "aapt-damping-third"),
+        ],
+        ids=["qst", "qdt", "aapt"],
+    )
+    def test_worker_count_invariance(self, task, target):
+        # the per-element and output-state series cross the process pool too
+        grid = (1000, 4000, 16000)
+        cfg = ExperimentConfig(task, "adaptive", target, grid, 4, seed=21)
+        serial = run_scaling(cfg, workers=1)
+        parallel = run_scaling(cfg, workers=2)
+        assert result_to_dict(parallel) == result_to_dict(serial)
+        assert parallel.extras == serial.extras
+
+    def test_missing_series_raise(self, small_result):
+        with pytest.raises(ValueError):
+            small_result.element_slopes()
+        with pytest.raises(ValueError):
+            small_result.sigma_out_slope()
+        cfg = ExperimentConfig(
+            "qdt", "adaptive", "qdt-three-valued", (1000, 4000, 16000), 2
+        )
+        qdt = run_scaling(cfg)
+        assert len(qdt.element_slopes()) == 3
+        with pytest.raises(ValueError):
+            qdt.sigma_out_slope()
 
     def test_constraint_devs_tracked(self, small_result):
         devs = small_result.extras["max_constraint_dev"]
@@ -346,11 +373,11 @@ class TestIo:
         assert result.sigma_out_slope() < 0
 
 
-def run_cli(*args):
+def run_cli(*args, text=True):
     return subprocess.run(
         [sys.executable, "-m", "aqtomo.experiments.cli", *args],
         capture_output=True,
-        text=True,
+        text=text,
     )
 
 
@@ -378,6 +405,29 @@ class TestCli:
         b = run_cli("run", "--config", str(cfg), "--seed", "99")
         assert a.returncode == b.returncode == 0
         assert a.stdout != b.stdout
+
+    def test_stdout_csv_equals_out_file(self, tmp_path):
+        # a target path with a comma is quoted on stdout as in the file
+        target = tmp_path / "a,b.json"
+        plus = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+        target.write_text(json.dumps({"task": "qst", "density": plus}))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            CONFIG_TEXT.replace("qst-rank1-8d", str(target)).replace(
+                "repetitions = 4", "repetitions = 2"
+            )
+        )
+        out = tmp_path / "res.csv"
+        to_file = run_cli("run", "--config", str(cfg), "--out", str(out))
+        to_stdout = run_cli("run", "--config", str(cfg), text=False)
+        assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+        assert to_stdout.stdout == out.read_bytes()
+        captured = tmp_path / "stdout.csv"
+        captured.write_bytes(to_stdout.stdout)
+        for path in (out, captured):
+            fit = run_cli("fit", str(path))
+            assert fit.returncode == 0, fit.stderr
+            assert "slope=" in fit.stdout
 
     def test_selftest(self):
         proc = run_cli("selftest")
