@@ -32,9 +32,9 @@ from .linalg import (
 )
 from .measurement import (
     Frequencies,
-    cube_povm,
-    eigenbasis_projectors,
+    PauliCube,
     frequencies,
+    pauli_cube,
     pure_probe_states,
     random_unit_vectors,
     unit_rows,
@@ -139,9 +139,17 @@ def povm_design(povms, basis: HermitianBasis) -> np.ndarray:
     return operator_design(elems, basis)
 
 
-def _require_full_rank(design: np.ndarray, what: str):
-    """Raise :class:`InformationIncompleteError` unless ``design`` has full rank."""
-    rank, needed = int(np.linalg.matrix_rank(design)), design.shape[1]
+def _require_full_rank(design: np.ndarray, what: str, s: np.ndarray | None = None):
+    """Raise :class:`InformationIncompleteError` unless ``design`` has full rank.
+
+    The rank is ``np.linalg.matrix_rank``'s: the count of singular values
+    above ``s.max() * max(M, N) * eps``.  ``s`` are the singular values of
+    ``design`` when the caller has them already.
+    """
+    if s is None:
+        s = np.linalg.svd(design, compute_uv=False)
+    tol = s.max(initial=0.0) * (max(design.shape) * np.finfo(s.dtype).eps)
+    rank, needed = int(np.count_nonzero(s > tol)), design.shape[1]
     if rank < needed:
         raise InformationIncompleteError(
             f"{what} is not informationally complete: design rank {rank} < {needed}"
@@ -154,55 +162,44 @@ def _require_full_rank(design: np.ndarray, what: str):
 
 
 class LrePlan:
-    """Least-squares solver for a fixed POVM battery, built once per battery.
+    """Least-squares solver for a fixed battery, built once per battery.
 
     ``solve`` takes one ``(S, K)`` frequency table per battery draw, so every
     setting must have the same number of outcomes.
 
-    For the full Pauli-cube battery (the ``cube_povm(n)`` tuple itself, which
-    is what :func:`adaptive_qst` and the harness use) ``X^T X`` is diagonal
-    in the Pauli basis, and the least-squares solution has a closed form, the
-    linear-inversion (classical-shadow) estimator
-    ``3^-n sum_s sum_b f_s(b) (x)_k (3 |b_k><b_k| - I)``.  It is applied
-    qubit by qubit: the frequencies are contracted with Kronecker powers of
-    the single-qubit map ``(s, b) -> (3 Pi_{s,b} - I) / 3``, one power per
-    half of the qubits, so a solve is two matrix products and no design
-    matrix, rank check or pseudo-inverse is built.  Its identity coefficient
-    already is the unconstrained least-squares one; with ``constrain_trace``
-    the trace is re-pinned to ``trace_value``.  Setting ``s`` is the only
-    one that measures the weight-n Pauli ``sigma_s1 (x) ... (x) sigma_sn``,
-    so a zero-shot setting always raises :class:`InformationIncompleteError`.
+    The battery is a :class:`~aqtomo.measurement.PauliCube` (what
+    :func:`adaptive_qst` and the harness measure) or a sequence of POVMs.
+    For the cube ``X^T X`` is diagonal in the Pauli basis, and the
+    least-squares solution is the cube's own linear inversion
+    (:meth:`PauliCube.invert`, two matrix products), so no design matrix,
+    rank check or pseudo-inverse is built.  Its identity coefficient already
+    is the unconstrained least-squares one; with ``constrain_trace`` the
+    trace is re-pinned to ``trace_value``.  Setting ``s`` is the only one
+    that measures the weight-n Pauli ``sigma_s1 (x) ... (x) sigma_sn``, so a
+    zero-shot setting always raises :class:`InformationIncompleteError`.
 
-    Any other battery gets a dense plan: the pseudo-inverse of its design
+    A sequence of POVMs gets a dense plan: the pseudo-inverse of its design
     matrix in the Gell-Mann basis, built once, makes ``solve`` a matvec.
     Only a dense plan builds that basis.
     """
 
     def __init__(self, povms, constrain_trace: bool):
-        self.povms = tuple(povms)
         self.constrain_trace = constrain_trace
+        if isinstance(povms, PauliCube):
+            self.povms, self.d = povms, povms.dim
+            self._shape = (len(povms), povms.dim)
+            return
+        self.povms = tuple(povms)
         if len({len(p) for p in self.povms}) != 1:
             raise DimensionError("battery settings must share one outcome count")
         self.d = self.povms[0].dim
-        self._cube_n = _cube_qubits(self.povms, self.d)
-        if self._cube_n:
-            self._init_cube(self._cube_n)
-            return
+        self._shape = (len(self.povms), len(self.povms[0]))
         self.basis = HermitianBasis(self.d)
         self.design = povm_design(self.povms, self.basis)
         # a pinned trace leaves the identity coefficient out of the fit
         self._fitted = self.design[:, 1:] if constrain_trace else self.design
         _require_full_rank(self._fitted, "battery")
         self._pinv = np.linalg.pinv(self._fitted)
-
-    def _init_cube(self, n: int):
-        half = n // 2
-        self._left = np.ascontiguousarray(_cube_map(half).T)  # (4^h, 6^h)
-        self._right = _cube_map(n - half)  # (6^(n-h), 4^(n-h))
-        # frequency axes (s_1..s_n, b_1..b_n) -> (s_1, b_1, ..., s_n, b_n)
-        self._interleave = [a for k in range(n) for a in (k, n + k)]
-        # matrix axes (i_1, j_1, ..., i_n, j_n) -> (i_1..i_n, j_1..j_n)
-        self._rows_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
 
     def solve(self, freqs, trace_value: float = 1.0) -> np.ndarray:
         """Least-squares Hermitian reconstruction from one row per setting.
@@ -212,9 +209,9 @@ class LrePlan:
         informational completeness an error is raised rather than
         regularizing.
         """
-        if freqs.values.shape != (len(self.povms), len(self.povms[0])):
+        if freqs.values.shape != self._shape:
             raise DimensionError("frequencies do not match the battery's settings")
-        if self._cube_n:
+        if isinstance(self.povms, PauliCube):
             return self._solve_cube(freqs, trace_value)
         y = freqs.values.ravel()
         mask = np.repeat(freqs.mask, freqs.values.shape[1])
@@ -233,37 +230,10 @@ class LrePlan:
             raise InformationIncompleteError(
                 "a zero-shot Pauli-cube setting leaves its weight-n Pauli unmeasured"
             )
-        n, d = self._cube_n, self.d
-        f = freqs.values.reshape((3,) * n + (2,) * n).transpose(self._interleave)
-        r = self._left @ f.reshape(self._left.shape[1], -1) @ self._right
-        rho = r.reshape((2, 2) * n).transpose(self._rows_cols).reshape(d, d)
+        rho, d = self.povms.invert(freqs.values), self.d
         if self.constrain_trace:
             rho.flat[:: d + 1] += (trace_value - np.trace(rho).real) / d
         return rho
-
-
-def _cube_qubits(povms: tuple, d: int) -> int:
-    """``n`` when ``povms`` is the ``cube_povm(n)`` battery itself, else 0."""
-    n = d.bit_length() - 1
-    if d == 2**n and n >= 1 and len(povms) == 3**n and povms is cube_povm(n):
-        return n
-    return 0
-
-
-def _cube_map(n_qubits: int) -> np.ndarray:
-    """Kronecker power ``(6^n, 4^n)`` of the map ``(s, b) -> (3 Pi_{s,b} - I) / 3``.
-
-    Rows run over the (setting, outcome) pairs of each qubit, columns over
-    the (row, column) entries of its 2 x 2 block, qubit 1 most significant,
-    which is the ordering of :func:`cube_povm`.
-    """
-    single = np.stack(
-        [(3.0 * e - np.eye(2)) / 3.0 for p in cube_povm(1) for e in p.elements]
-    ).reshape(6, 4)
-    out = np.ones((1, 1), dtype=complex)
-    for _ in range(n_qubits):
-        out = np.kron(out, single)
-    return out
 
 
 def _masked_lstsq(design: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -336,7 +306,7 @@ def _default_plan(dim: int, constrain_trace: bool) -> LrePlan:
         raise DimensionError(
             f"no built-in measurement battery for dimension {dim}; pass plan="
         )
-    return LrePlan(cube_povm(n_qubits), constrain_trace)
+    return LrePlan(pauli_cube(n_qubits), constrain_trace)
 
 
 def _battery_frequencies(sampler, plan: LrePlan, shots: int, gen) -> Frequencies:
@@ -347,8 +317,7 @@ def _battery_frequencies(sampler, plan: LrePlan, shots: int, gen) -> Frequencies
 
 def _eigenbasis_frequencies(sampler, u: np.ndarray, shots: int, gen) -> np.ndarray:
     """Outcome frequencies of ``shots`` measurements in the columns of ``u``."""
-    counts = sampler.counts([eigenbasis_projectors(u)], [shots], gen)
-    return frequencies(counts).values[0]
+    return frequencies(sampler.basis_counts(u, shots, gen)).values[0]
 
 
 def _check_alpha(n_total: int, alpha: float) -> int:
@@ -432,23 +401,31 @@ def static_qst(
 # ---------------------------------------------------------------------------
 
 
-def qdt_stage1(freqs: Frequencies, probes: np.ndarray) -> list:
+def qdt_stage1(
+    freqs: Frequencies, probes: np.ndarray, basis: HermitianBasis | None = None
+) -> list:
     """Static detector estimate from probe-state frequencies.
 
     ``freqs`` is the :class:`Frequencies` of one draw per probe; ``probes``
-    the probe density matrices as an ``(m, d, d)`` stack.  Per-element least
-    squares, per-element PSD projection, then a symmetric joint
+    the probe density matrices as an ``(m, d, d)`` stack; ``basis`` the
+    ``HermitianBasis(d)``, when the caller holds it already.  Per-element
+    least squares, per-element PSD projection, then a symmetric joint
     renormalization ``P_i -> S^-1/2 P_i S^-1/2`` with ``S`` the sum of the
-    projected elements, restoring completeness exactly.
+    projected elements, restoring completeness exactly.  One SVD of the
+    probe design gives both its rank check and its pseudo-inverse.
     """
     if len(freqs.mask) != len(probes):
         raise DimensionError("one frequency row per probe state is required")
     d = probes.shape[-1]
-    basis = HermitianBasis(d)
+    basis = basis or HermitianBasis(d)
     design = operator_design(probes, basis)[freqs.mask]
-    _require_full_rank(design, "probe battery")
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    _require_full_rank(design, "probe battery", s)
+    # the pseudo-inverse as np.linalg.pinv forms it: same cutoff, same products
+    large = s > 1e-15 * s.max()
+    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
     values = freqs.values[freqs.mask]
-    thetas = np.linalg.pinv(design) @ values  # (d^2, n_elements)
+    thetas = (vt.T @ (s_inv[:, None] * u.T)) @ values  # (d^2, n_elements)
     projected = [
         project_psd(basis.assemble(thetas[:, i])) for i in range(values.shape[1])
     ]
@@ -508,13 +485,16 @@ def static_qdt(
     )
 
 
-def _probe_states(d: int, gen) -> np.ndarray:
-    """Stage-1 probe density matrices ``(m, d, d)``.
+def _probe_states(basis: HermitianBasis, gen) -> np.ndarray:
+    """Stage-1 probe density matrices ``(m, d, d)``, ``m = max(24, 3 d^2 / 2)``.
 
-    Random pure probes are drawn until the battery is informationally complete.
+    Random pure probes are drawn until the battery is informationally
+    complete.  Oversampling the ``d^2`` parameters by half keeps the design
+    well conditioned; a square design (``m = d^2``) is not, and its O(1/N)
+    per-element scaling breaks down from three qubits on.
     """
-    basis = HermitianBasis(d)
-    count = max(24, d * d)
+    d = basis.d
+    count = max(24, 3 * d * d // 2)
     for _ in range(MAX_PROBE_DRAWS):
         states = pure_probe_states(random_unit_vectors(count, d, gen))
         if np.linalg.matrix_rank(operator_design(states, basis)) == basis.size:
@@ -527,11 +507,12 @@ def _probe_states(d: int, gen) -> np.ndarray:
 
 def _random_probe_stage1(detector_sampler, n_elements: int, d: int, shots: int, gen):
     """:func:`qdt_stage1` on random probes, ``shots`` split over them in one draw."""
-    states = _probe_states(d, gen)
+    basis = HermitianBasis(d)
+    states = _probe_states(basis, gen)
     counts = detector_sampler.counts(states, _split_shots(shots, len(states)), gen)
     if counts.shape[1] - 1 != n_elements:
         raise DimensionError("detector counts have the wrong outcome count")
-    return qdt_stage1(frequencies(counts), states)
+    return qdt_stage1(frequencies(counts), states, basis)
 
 
 # ---------------------------------------------------------------------------

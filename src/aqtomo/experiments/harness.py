@@ -39,7 +39,7 @@ from ..fidelity import (
     pseudo_state_fidelity,
     state_scenario,
 )
-from ..measurement import SeededRng, cube_povm, detector_sampler, state_sampler
+from ..measurement import SeededRng, detector_sampler, pauli_cube, state_sampler
 from .config import TRIAL_STREAM_BITS, ExperimentConfig
 from .targets import AaptTarget, QdtTarget, QstTarget, expected_task, resolve_target
 
@@ -152,8 +152,10 @@ def _trial_stream(n_index: int, trial: int) -> int:
 class _TaskContext:
     """Per-config state built once and shared by every trial.
 
-    ``oracle`` hides the target; for state and process targets it is built
-    with the plan's battery, so the battery's Born table is computed here.
+    ``oracle`` hides the target.  For state and process targets the plan
+    is built on the product-form Pauli cube, and the oracle with that
+    battery, so its Born table is computed here, qubit by qubit, with no
+    dense cube element built.
     The target's fixed scoring constants (its rank, per-element ranks, true
     process matrix and known output trace) are computed here too.
     """
@@ -177,8 +179,8 @@ def _context(config: ExperimentConfig) -> _TaskContext:
             f"target {config.target!r} belongs to task {task}, not {config.task}"
         )
     if isinstance(target, QstTarget):
-        povms = cube_povm(int(round(math.log2(target.dim))))
-        plan = LrePlan(povms, constrain_trace=True)
+        n_qubits = int(round(math.log2(target.dim)))
+        plan = LrePlan(pauli_cube(n_qubits), constrain_trace=True)
         oracle = state_sampler(target.rho, battery=plan.povms)
         return _TaskContext(target, oracle, plan=plan, rank=target.rank)
     if isinstance(target, QdtTarget):
@@ -194,7 +196,7 @@ def _context(config: ExperimentConfig) -> _TaskContext:
             f"tp_flag={config.tp_flag} contradicts the channel of {config.target!r}"
         )
     dim = target.dim**2
-    plan = LrePlan(cube_povm(int(round(math.log2(dim)))), constrain_trace=tp)
+    plan = LrePlan(pauli_cube(int(round(math.log2(dim)))), constrain_trace=tp)
     oracle = state_sampler(target.sigma_out, battery=plan.povms)
     return _TaskContext(
         target,

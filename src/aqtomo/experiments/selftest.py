@@ -17,9 +17,9 @@ from ..estimators import (
 from ..fidelity import fidelity, fidelity_dp, detector_scenario, fuchs_check
 from ..measurement import (
     SeededRng,
-    cube_povm,
     exact_state_sampler,
     frequencies,
+    pauli_cube,
     sample_counts,
 )
 from ..quantum_objects import (
@@ -72,18 +72,18 @@ def _checks():
     fixed = fidelity(eye / 3, eye / 4, detector_scenario(2))
     yield "distortion fix", abs(distorted - 1.0) < 1e-10 and fixed < 1.0 - 1e-4
 
-    povms = cube_povm(2)
-    complete = all(
-        np.allclose(sum(p.elements), np.eye(4), atol=1e-12) for p in povms
-    )
-    yield "cube completeness", complete and len(povms) == 9
-
+    cube = pauli_cube(2)
     rho = _random_density(gen, 4)
+    # every setting's outcome probabilities sum to the trace
+    table = cube.probabilities(rho.mat)
+    complete = np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
+    yield "cube completeness", complete and table.shape == (9, 4)
+
     pseudo = DensityMatrix(0.6 * rho.mat, sub_unit=True)
     recovered = True
     for state, constrain in ((rho, True), (pseudo, False)):
-        freqs = frequencies(exact_state_sampler(state).counts(povms))
-        est = LrePlan(povms, constrain).solve(freqs)
+        freqs = frequencies(exact_state_sampler(state).counts(cube))
+        est = LrePlan(cube, constrain).solve(freqs)
         recovered &= bool(np.allclose(est, state.mat, atol=1e-12))
     yield "cube inversion recovers a noiseless state", recovered
 

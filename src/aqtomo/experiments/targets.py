@@ -108,6 +108,14 @@ def _qst_rank1(seed):
     return _qst_from_profile("qst-rank1-8d", [1.0] + [0.0] * 7, seed, 1)
 
 
+def _qst_rank1_64d(seed):
+    return _qst_from_profile("qst-rank1-64d", [1.0] + [0.0] * 63, seed, 8)
+
+
+def _qst_rank1_256d(seed):
+    return _qst_from_profile("qst-rank1-256d", [1.0] + [0.0] * 255, seed, 9)
+
+
 def _qst_rank2(seed):
     return _qst_from_profile("qst-rank2-8d", [0.5, 0.5] + [0.0] * 6, seed, 2)
 
@@ -123,13 +131,23 @@ def _qst_rank2_degenerate(seed):
     return _qst_from_profile("qst-rank2-degenerate", [0.5, 0.5] + [0.0] * 6, seed, 4)
 
 
+def _three_valued(name, d, seed, streams) -> QdtTarget:
+    # a rank-1 element 0.4 |u><u|, a rank-1 element 0.5 |v><v| and the
+    # full-rank rest
+    u1 = haar_unitary(d, _target_rng(seed, streams[0]))
+    u2 = haar_unitary(d, _target_rng(seed, streams[1]))
+    p1 = eig_reconstruct(np.array([0.4] + [0.0] * (d - 1)), u1)
+    p2 = u2 @ np.diag([0.0, 0.5] + [0.0] * (d - 2)).astype(complex) @ u2.conj().T
+    p3 = np.eye(d) - p1 - p2
+    return QdtTarget(name, Povm((p1, p2, p3), name="three-valued"))
+
+
 def _qdt_three_valued(seed):
-    u1 = haar_unitary(4, _target_rng(seed, 5))
-    u2 = haar_unitary(4, _target_rng(seed, 6))
-    p1 = eig_reconstruct(np.array([0.4, 0.0, 0.0, 0.0]), u1)
-    p2 = u2 @ np.diag([0.0, 0.5, 0.0, 0.0]).astype(complex) @ u2.conj().T
-    p3 = np.eye(4) - p1 - p2
-    return QdtTarget("qdt-three-valued", Povm((p1, p2, p3), name="three-valued"))
+    return _three_valued("qdt-three-valued", 4, seed, (5, 6))
+
+
+def _qdt_three_valued_8d(seed):
+    return _three_valued("qdt-three-valued-8d", 8, seed, (10, 11))
 
 
 def _aapt_hadamard(seed):
@@ -177,15 +195,26 @@ def _aapt_damping_third(seed):
     return AaptTarget("aapt-damping-third", KrausChannel((a1, a2)), probe)
 
 
+def _aapt_toffoli(seed):
+    # a 3-qubit unitary channel: d_out = 64 and a rank-1 process matrix
+    u = np.eye(8, dtype=complex)
+    u[6:, 6:] = [[0, 1], [1, 0]]
+    return AaptTarget("aapt-toffoli", KrausChannel((u,)), maximally_entangled_input(8))
+
+
 _BUILTIN = {
     "qst-rank1-8d": _qst_rank1,
+    "qst-rank1-64d": _qst_rank1_64d,
+    "qst-rank1-256d": _qst_rank1_256d,
     "qst-rank2-8d": _qst_rank2,
     "qst-rank4-8d": _qst_rank4,
     "qst-rank2-degenerate": _qst_rank2_degenerate,
     "qdt-three-valued": _qdt_three_valued,
+    "qdt-three-valued-8d": _qdt_three_valued_8d,
     "aapt-hadamard": _aapt_hadamard,
     "aapt-damping-0.989": _aapt_damping_0989,
     "aapt-damping-third": _aapt_damping_third,
+    "aapt-toffoli": _aapt_toffoli,
 }
 
 BUILTIN_TARGET_NAMES = tuple(_BUILTIN)

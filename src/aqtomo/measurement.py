@@ -14,6 +14,12 @@ and draws nothing for a zero-shot row, so the counts, and the generator state
 after them, equal those of one draw per setting.  A fixed battery's table is
 computed once, when the oracle is built.  :func:`sample_counts` is the
 one-setting case of the same routine.
+
+The Pauli cube, the protocols' static battery, is held in product form
+(:class:`PauliCube`): its Born table and its linear inversion are computed
+qubit by qubit and none of its ``6^n`` projectors is built.  The adaptive
+step measures in an estimated eigenbasis ``U``, whose outcome probabilities
+are the diagonal of ``U^dag rho U``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_generator
+from .linalg import DimensionError, as_generator
 from .quantum_objects import (
     COMPLETENESS_ATOL,
     TRACE_ATOL,
@@ -115,25 +121,33 @@ def sample_counts(probs, shots: int, rng) -> np.ndarray:
     return draw_counts(outcome_table(probs), shots, rng)[:-1].astype(np.int64)
 
 
-def _single_qubit_cube():
-    povms = []
-    for label, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
-        plus = (np.eye(2) + sigma) / 2.0
-        minus = (np.eye(2) - sigma) / 2.0
-        povms.append(Povm((plus, minus), name=f"cube-{label}"))
-    return povms
+def _single_qubit_projectors() -> np.ndarray:
+    """``(6, 2, 2)`` eigenprojectors ``(I + sigma)/2``, ``(I - sigma)/2`` of x, y, z."""
+    return np.stack(
+        [
+            (np.eye(2) + sign * sigma) / 2.0
+            for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)
+            for sign in (1, -1)
+        ]
+    )
 
 
 @lru_cache(maxsize=None)
 def cube_povm(n_qubits: int):
-    """All 3^n Pauli-eigenbasis POVMs on n qubits, each with 2^n elements.
+    """All 3^n Pauli-eigenbasis POVMs on n qubits, each with 2^n dense elements.
 
     Settings are lexicographic over axis strings (x, y, z)^n and elements
     lexicographic over outcome signs, so ordering is stable across runs.
+    The protocols measure :func:`pauli_cube`, the same battery in product
+    form; these dense elements are its reference.
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    singles = _single_qubit_cube()
+    proj = _single_qubit_projectors()
+    singles = [
+        Povm((proj[2 * k], proj[2 * k + 1]), name=f"cube-{axis}")
+        for k, axis in enumerate("xyz")
+    ]
     povms = []
     for combo in itertools.product(singles, repeat=n_qubits):
         elements = []
@@ -147,6 +161,83 @@ def cube_povm(n_qubits: int):
     return tuple(povms)
 
 
+def _kron_power(single: np.ndarray, n: int) -> np.ndarray:
+    out = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        out = np.kron(out, single)
+    return out
+
+
+class PauliCube:
+    """The Pauli-cube battery on ``n`` qubits in product form.
+
+    It has the settings and outcomes of :func:`cube_povm`, in the same
+    order: setting ``s = (s_1..s_n)`` measures qubit ``k`` in the eigenbasis
+    of ``sigma_{s_k}`` and outcome ``b = (b_1..b_n)`` has the projector
+    ``Pi_{s,b} = (x)_k Pi_{s_k,b_k}``.  No element is built.  Both linear
+    maps between a ``d x d`` matrix and a ``(3^n, 2^n)`` table act qubit by
+    qubit: the table's (setting, outcome) axes of each qubit are paired with
+    the (row, column) axes of its 2 x 2 block, and the pairs are contracted
+    with Kronecker powers of a single-qubit ``(6, 4)`` map, one power per half
+    of the qubits, so each map is two matrix products.
+
+    * :meth:`probabilities`, the Born table ``Tr(Pi_{s,b} rho)``, uses the
+      map ``(s, b), (i, j) -> conj(Pi_{s,b})_{ij}``.
+    * :meth:`invert`, the linear-inversion (classical-shadow) estimator
+      ``3^-n sum_{s,b} f_s(b) (x)_k (3 Pi_{s_k,b_k} - I)``, uses the map
+      ``(3 Pi_{s,b} - I) / 3``.  From a full frequency table it is the
+      least-squares solution, since the cube's Gram matrix is diagonal in
+      the Pauli basis.
+    """
+
+    def __init__(self, n_qubits: int):
+        if n_qubits < 1:
+            raise ValueError("need at least one qubit")
+        n, half = n_qubits, n_qubits // 2
+        self.n_qubits, self.dim = n, 2**n
+        proj = _single_qubit_projectors()
+        born = proj.conj().reshape(6, 4)
+        inverse = ((3.0 * proj - np.eye(2)) / 3.0).reshape(6, 4)
+        self._born = (_kron_power(born, half), _kron_power(born, n - half).T)
+        self._inverse = (
+            np.ascontiguousarray(_kron_power(inverse, half).T),  # (4^h, 6^h)
+            _kron_power(inverse, n - half),  # (6^(n-h), 4^(n-h))
+        )
+        # axes (a_1..a_n, c_1..c_n) -> (a_1, c_1, ..., a_n, c_n) and back
+        self._interleave = [a for k in range(n) for a in (k, n + k)]
+        self._split = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+
+    def __len__(self) -> int:
+        """Number of settings, ``3^n``."""
+        return 3**self.n_qubits
+
+    def probabilities(self, rho) -> np.ndarray:
+        """``(3^n, 2^n)`` Born table of a (pseudo-)state matrix, clamped into [0, 1]."""
+        n, d = self.n_qubits, self.dim
+        rho = np.asarray(rho)
+        if rho.shape != (d, d):
+            raise DimensionError(f"state is not {d} x {d}")
+        left, right = self._born
+        m = rho.reshape((2,) * (2 * n)).transpose(self._interleave)
+        t = (left @ m.reshape(left.shape[1], -1) @ right).real
+        p = t.reshape((3, 2) * n).transpose(self._split).reshape(len(self), d)
+        return np.clip(p, 0.0, 1.0)
+
+    def invert(self, values) -> np.ndarray:
+        """Linear-inversion ``d x d`` Hermitian matrix of a ``(3^n, 2^n)`` table."""
+        n, d = self.n_qubits, self.dim
+        left, right = self._inverse
+        f = np.asarray(values).reshape((3,) * n + (2,) * n).transpose(self._interleave)
+        r = left @ f.reshape(left.shape[1], -1) @ right
+        return r.reshape((2, 2) * n).transpose(self._split).reshape(d, d)
+
+
+@lru_cache(maxsize=None)
+def pauli_cube(n_qubits: int) -> PauliCube:
+    """The n-qubit Pauli-cube battery in product form; see :class:`PauliCube`."""
+    return PauliCube(n_qubits)
+
+
 def unit_rows(vectors) -> np.ndarray:
     """Rows of ``vectors`` divided by their norms (the arithmetic of ``pure_state``)."""
     v = np.asarray(vectors, dtype=complex)
@@ -157,40 +248,20 @@ def unit_rows(vectors) -> np.ndarray:
     return v / np.sqrt(sq[:, 0])
 
 
-def rank1_projectors(vectors) -> np.ndarray:
-    """Stacked ``|v><v|`` of the rows of ``vectors``, shape ``(m, d, d)``.
-
-    Equal bit for bit to the matrices of ``DensityMatrix(np.outer(v, v.conj()))``.
-    """
-    v = np.asarray(vectors, dtype=complex)
-    outer = v[:, :, None] * v.conj()[:, None, :]
-    return (outer + outer.conj().swapaxes(-1, -2)) / 2.0
-
-
 def pure_probe_states(unit_vectors) -> np.ndarray:
     """Probe density matrices ``(m, d, d)`` of pure states given as unit rows.
 
+    Equal bit for bit to the matrices of ``DensityMatrix(np.outer(v, v.conj()))``.
     A rank-1 projector is PSD by construction, so its one physical condition
     left to check is unit trace, i.e. a unit-norm row.
     """
-    states = rank1_projectors(unit_vectors)
+    v = np.asarray(unit_vectors, dtype=complex)
+    outer = v[:, :, None] * v.conj()[:, None, :]
+    states = (outer + outer.conj().swapaxes(-1, -2)) / 2.0
     traces = np.einsum("sii->s", states).real
     if np.any(np.abs(traces - 1.0) > TRACE_ATOL):
         raise ValueError("probe vectors must have unit norm")
     return states
-
-
-def eigenbasis_projectors(u: np.ndarray) -> np.ndarray:
-    """Projective measurement ``(d, d, d)`` onto the columns of a unitary.
-
-    The projectors are PSD by construction; completeness, which holds when
-    ``u`` is unitary, is checked once for the whole stack.
-    """
-    elements = rank1_projectors(np.asarray(u).T)
-    d = elements.shape[-1]
-    if np.max(np.abs(elements.sum(axis=0) - np.eye(d))) > COMPLETENESS_ATOL:
-        raise ValueError("eigenbasis projectors do not sum to the identity")
-    return elements
 
 
 def random_unit_vectors(count: int, d: int, rng) -> np.ndarray:
@@ -207,11 +278,13 @@ def random_unit_vectors(count: int, d: int, rng) -> np.ndarray:
 class StateOracle:
     """Measurement oracle hiding a (pseudo-)state ``rho``.
 
-    :meth:`counts` measures ``S`` settings at once, each a POVM or a stack of
-    its ``K`` elements (all settings with one outcome count).  When the oracle
-    is built with a fixed ``battery`` (a sequence of settings), that battery's
-    outcome table is computed here, once, and reused whenever :meth:`counts`
-    is given the same object.
+    :meth:`counts` measures ``S`` settings at once: a :class:`PauliCube`, or
+    a sequence of settings, each a POVM or a stack of its ``K`` elements
+    (all settings with one outcome count).  When the oracle is built with a
+    fixed ``battery``, that battery's outcome table is computed here, once,
+    and reused whenever :meth:`counts` is given the same object.
+    :meth:`basis_counts` measures in the orthonormal basis of a unitary's
+    columns.
     """
 
     def __init__(self, rho: DensityMatrix, battery=None):
@@ -221,6 +294,8 @@ class StateOracle:
 
     def table(self, settings) -> np.ndarray:
         """``(S, K+1)`` outcome table of ``S`` settings."""
+        if isinstance(settings, PauliCube):
+            return outcome_table(settings.probabilities(self.rho.mat))
         probs = [born_probabilities(self.rho, setting) for setting in settings]
         return outcome_table(np.stack(probs))
 
@@ -229,6 +304,25 @@ class StateOracle:
         if settings is self.battery:
             return draw_counts(self._battery_table, shots, rng)
         return draw_counts(self.table(settings), shots, rng)
+
+    def basis_table(self, u) -> np.ndarray:
+        """``(1, d+1)`` outcome table of a measurement in the columns of ``u``.
+
+        Outcome ``j`` has probability ``(U^dag rho U)_jj``.  The projectors
+        onto the columns sum to the identity exactly when ``u`` is unitary,
+        which is checked instead of building them.
+        """
+        u, rho = np.asarray(u), self.rho.mat
+        if u.shape != rho.shape:
+            raise DimensionError("measurement basis must be a d x d matrix")
+        if np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) > COMPLETENESS_ATOL:
+            raise ValueError("measurement basis is not unitary")
+        p = np.einsum("ij,ij->j", u.conj(), rho @ u).real
+        return outcome_table(np.clip(p, 0.0, 1.0)[None])
+
+    def basis_counts(self, u, shots: int, rng) -> np.ndarray:
+        """``(1, d+1)`` counts of ``shots`` measurements in the columns of ``u``."""
+        return draw_counts(self.basis_table(u), [shots], rng)
 
 
 class DetectorOracle:
@@ -270,6 +364,9 @@ class ExactStateOracle(StateOracle):
 
     def counts(self, settings, shots=None, rng=None) -> np.ndarray:
         return self.table(settings)
+
+    def basis_counts(self, u, shots=None, rng=None) -> np.ndarray:
+        return self.basis_table(u)
 
 
 class ExactDetectorOracle(DetectorOracle):

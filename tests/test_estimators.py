@@ -44,6 +44,7 @@ from aqtomo.measurement import (
     exact_detector_sampler,
     exact_state_sampler,
     frequencies,
+    pauli_cube,
     pure_probe_states,
     random_unit_vectors,
     state_sampler,
@@ -60,7 +61,7 @@ from aqtomo.quantum_objects import (
 )
 
 from aqtomo.experiments import ExperimentConfig
-from aqtomo.experiments.harness import _context, gm_bound
+from aqtomo.experiments.harness import _context, gm_bound, run_trial
 from aqtomo.fidelity import fidelity, state_scenario
 from test_quantum_objects import lossy_dephasing, random_channel, random_density
 
@@ -158,13 +159,13 @@ class TestGellMannStackOnlyForDensePlans:
     def test_cube_plan_and_harness_context_build_no_stack(self):
         _gell_mann_stack.cache_clear()
         _context.cache_clear()
-        LrePlan(cube_povm(5), constrain_trace=True)
+        LrePlan(pauli_cube(5), constrain_trace=True)
         _context(ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 1))
         assert _gell_mann_stack.cache_info().currsize == 0
 
     def test_dense_battery_builds_stack_and_checks_rank(self):
-        # the cube minus one setting plus a rotated copy of another is no
-        # longer the cube tuple, so it takes the dense plan
+        # a sequence of POVMs, here the dense cube minus one setting plus a
+        # rotated copy of another, takes the dense plan
         u = haar_unitary(4, SeededRng(98).generator())
         extra = Povm(tuple(u @ e @ u.conj().T for e in cube_povm(2)[0].elements))
         _gell_mann_stack.cache_clear()
@@ -178,6 +179,20 @@ class TestGellMannStackOnlyForDensePlans:
         with pytest.raises(InformationIncompleteError):
             LrePlan(cube_povm(2)[:-1] + cube_povm(2)[:1], constrain_trace=True)
         assert _gell_mann_stack.cache_info().currsize == 1
+
+
+class TestNoDenseCubeInProduction:
+    def test_harness_trials_and_default_plans_build_no_dense_cube(self):
+        cube_povm.cache_clear()
+        _context.cache_clear()
+        for task, target in (("qst", "qst-rank1-8d"), ("aapt", "aapt-hadamard")):
+            for method in ("adaptive", "static"):
+                cfg = ExperimentConfig(task, method, target, (400,), 1)
+                assert run_trial(cfg, 400, 0, 0) is not None
+        rho = random_density(SeededRng(100).generator(), 4)
+        adaptive_qst(state_sampler(rho), 4, 400, 0.5, SeededRng(101))
+        static_qst(state_sampler(rho), 4, 400, SeededRng(102))
+        assert cube_povm.cache_info().currsize == 0
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +224,7 @@ class TestCubeInversion:
             povms, shots, gen
         )
         freqs = frequencies(counts)
-        got = LrePlan(povms, constrain).solve(freqs, trace)
+        got = LrePlan(pauli_cube(n), constrain).solve(freqs, trace)
 
         x, y = dense_cube_design(n), freqs.values.ravel()
         if constrain:  # identity coefficient pinned, the rest fitted
@@ -239,13 +254,13 @@ class TestCubeInversion:
         cols = slice(1, None) if constrain else slice(None)
         assert np.linalg.matrix_rank(dense_cube_design(n)[rows][:, cols]) < needed
         with pytest.raises(InformationIncompleteError):
-            LrePlan(povms, constrain).solve(freqs)
+            LrePlan(pauli_cube(n), constrain).solve(freqs)
 
     def test_five_qubits(self):
         u = haar_unitary(32, SeededRng(96).generator())
         rho = DensityMatrix(eig_reconstruct(np.array([1.0] + [0.0] * 31), u))
         tick = time.perf_counter()
-        plan = LrePlan(cube_povm(5), constrain_trace=True)
+        plan = LrePlan(pauli_cube(5), constrain_trace=True)
         assert time.perf_counter() - tick < 1.0
         n = 10**6
         est = adaptive_qst(state_sampler(rho), 32, n, 0.5, SeededRng(97), plan=plan)
@@ -274,6 +289,25 @@ def simplex_projection_oracle(w):
     return best
 
 
+def sgs_projection(h):
+    """Smolin-Gambetta-Smith closest state (PRL 108, 070502 (2012)).
+
+    Eigenvalues sorted in descending order; from the smallest up, each one
+    whose value plus its share ``a / i`` of the mass ``a`` removed so far is
+    negative is set to zero, and the remaining ones share ``a`` equally.
+    """
+    w, v = np.linalg.eigh(h)
+    order = np.argsort(w)[::-1]
+    mu, v = w[order], v[:, order]
+    lam, a, i = mu.copy(), 0.0, len(mu)
+    while mu[i - 1] + a / i < 0.0:
+        lam[i - 1] = 0.0
+        a += mu[i - 1]
+        i -= 1
+    lam[:i] = mu[:i] + a / i
+    return (v * lam) @ v.conj().T
+
+
 class TestPhysicalProjection:
     def test_psd_input_unchanged(self):
         rho = random_density(SeededRng(57).generator(), 4)
@@ -298,6 +332,17 @@ class TestPhysicalProjection:
             fast = project_eigenvalues_simplex(w)
             oracle = simplex_projection_oracle(w)
             assert np.allclose(fast, oracle, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_equals_sgs_projection(self, d, spread, seed):
+        # unit-trace Hermitian inputs, from PSD to strongly negative
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        h = spread * (a + a.conj().T) / 2
+        h += (1.0 - np.trace(h).real) / d * np.eye(d)
+        out = physical_projection_fast(h).mat
+        assert np.max(np.abs(out - sgs_projection(h))) <= 1e-12
 
     def test_trace_preserved_exactly(self):
         gen = SeededRng(59).generator()

@@ -106,13 +106,17 @@ class TestTargets:
     def test_builtin_names(self):
         assert set(BUILTIN_TARGET_NAMES) == {
             "qst-rank1-8d",
+            "qst-rank1-64d",
+            "qst-rank1-256d",
             "qst-rank2-8d",
             "qst-rank4-8d",
             "qst-rank2-degenerate",
             "qdt-three-valued",
+            "qdt-three-valued-8d",
             "aapt-hadamard",
             "aapt-damping-0.989",
             "aapt-damping-third",
+            "aapt-toffoli",
         }
 
     def test_unknown_name(self):

@@ -18,12 +18,15 @@ from aqtomo.measurement import (
     exact_state_sampler,
     frequencies,
     outcome_table,
+    pauli_cube,
     pure_probe_states,
     random_unit_vectors,
     sample_counts,
     state_sampler,
 )
+from aqtomo.linalg import DimensionError, haar_unitary
 from aqtomo.quantum_objects import DensityMatrix, born_probabilities, pure_state
+from test_estimators import random_pseudo_state
 
 
 class TestSampleCounts:
@@ -84,6 +87,76 @@ class TestCubePovm:
         for n in (1, 2, 3):
             for p in cube_povm(n):
                 assert np.max(np.abs(sum(p.elements) - np.eye(2**n))) < 1e-12
+
+
+class TestPauliCube:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([1.0, 0.3, 0.8]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_table_equals_dense_born_probabilities(self, n, trace, seed):
+        rho = random_pseudo_state(np.random.default_rng(seed), 2**n, trace)
+        dense = np.stack([born_probabilities(rho, p) for p in cube_povm(n)])
+        table = pauli_cube(n).probabilities(rho.mat)
+        assert table.shape == dense.shape == (3**n, 2**n)
+        assert np.max(np.abs(table - dense)) <= 1e-15
+
+    def test_shape_and_validation(self):
+        cube = pauli_cube(3)
+        assert len(cube) == 27 and cube.dim == 8
+        assert pauli_cube(3) is cube
+        with pytest.raises(ValueError):
+            pauli_cube(0)
+        with pytest.raises(DimensionError):
+            cube.probabilities(np.eye(4) / 4)
+
+    def test_oracle_reuses_the_battery_table(self):
+        rho = random_pseudo_state(np.random.default_rng(16), 8, 0.6)
+        cube = pauli_cube(3)
+        oracle = state_sampler(rho, battery=cube)
+        want = outcome_table(cube.probabilities(rho.mat))
+        assert np.array_equal(oracle.table(cube), want)
+        assert np.array_equal(exact_state_sampler(rho).counts(cube), want)
+        counts = oracle.counts(cube, [5] * 27, SeededRng(17))
+        assert np.array_equal(counts, draw_counts(want, [5] * 27, SeededRng(17)))
+
+
+class TestBasisMeasurement:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 16), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+    def test_table_equals_column_projector_born_probabilities(self, d, trace, seed):
+        gen = np.random.default_rng(seed)
+        rho = random_pseudo_state(gen, d, trace)
+        u = haar_unitary(d, gen)
+        projectors = np.stack([np.outer(c, c.conj()) for c in u.T])
+        want = outcome_table(born_probabilities(rho, projectors))
+        got = state_sampler(rho).basis_table(u)
+        assert got.shape == (1, d + 1)
+        assert np.max(np.abs(got[0] - want)) <= 1e-15
+
+    def test_non_unitary_basis_rejected(self):
+        rho = DensityMatrix(np.eye(4) / 4)
+        u = haar_unitary(4, SeededRng(18).generator())
+        u[:, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            state_sampler(rho).basis_counts(u, 100, SeededRng(19))
+        with pytest.raises(ValueError, match="not unitary"):
+            exact_state_sampler(rho).basis_counts(u)
+        # orthonormal columns that do not span the space
+        isometry = haar_unitary(4, SeededRng(18).generator())[:, :3]
+        with pytest.raises(DimensionError):
+            state_sampler(rho).basis_counts(isometry, 100, SeededRng(19))
+
+    def test_counts_and_exact_counts(self):
+        rho = DensityMatrix(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
+        u = np.eye(4, dtype=complex)[:, [1, 0, 3, 2]]
+        counts = state_sampler(rho).basis_counts(u, 1000, SeededRng(20))
+        assert counts.shape == (1, 5) and counts.sum() == 1000
+        assert counts[0, 2:].tolist() == [0, 0, 0]
+        exact = exact_state_sampler(rho).basis_counts(u)
+        assert np.allclose(exact, [[0.3, 0.7, 0.0, 0.0, 0.0]], atol=1e-15)
 
 
 def measure_one(rho, povm, shots, rng):
@@ -162,7 +235,7 @@ class TestExactOracle:
 
 @lru_cache(maxsize=None)
 def _cube3_plan():
-    return LrePlan(cube_povm(3), constrain_trace=True)
+    return LrePlan(pauli_cube(3), constrain_trace=True)
 
 
 def _generator_state(gen):
