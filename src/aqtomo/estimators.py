@@ -401,15 +401,12 @@ def static_qst(
 # ---------------------------------------------------------------------------
 
 
-def qdt_stage1(
-    freqs: Frequencies, probes: np.ndarray, basis: HermitianBasis | None = None
-) -> list:
+def qdt_stage1(freqs: Frequencies, probes: np.ndarray) -> list:
     """Static detector estimate from probe-state frequencies.
 
     ``freqs`` is the :class:`Frequencies` of one draw per probe; ``probes``
-    the probe density matrices as an ``(m, d, d)`` stack; ``basis`` the
-    ``HermitianBasis(d)``, when the caller holds it already.  Per-element
-    least squares, per-element PSD projection, then a symmetric joint
+    the probe density matrices as an ``(m, d, d)`` stack.  Per-element least
+    squares, per-element PSD projection, then a symmetric joint
     renormalization ``P_i -> S^-1/2 P_i S^-1/2`` with ``S`` the sum of the
     projected elements, restoring completeness exactly.  One SVD of the
     probe design gives both its rank check and its pseudo-inverse.
@@ -417,13 +414,12 @@ def qdt_stage1(
     if len(freqs.mask) != len(probes):
         raise DimensionError("one frequency row per probe state is required")
     d = probes.shape[-1]
-    basis = basis or HermitianBasis(d)
+    basis = HermitianBasis(d)
     design = operator_design(probes, basis)[freqs.mask]
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     _require_full_rank(design, "probe battery", s)
-    # the pseudo-inverse as np.linalg.pinv forms it: same cutoff, same products
-    large = s > 1e-15 * s.max()
-    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    # full rank leaves no singular value to cut; pinv's product order kept
+    s_inv = 1.0 / s
     values = freqs.values[freqs.mask]
     thetas = (vt.T @ (s_inv[:, None] * u.T)) @ values  # (d^2, n_elements)
     projected = [
@@ -485,7 +481,7 @@ def static_qdt(
     )
 
 
-def _probe_states(basis: HermitianBasis, gen) -> np.ndarray:
+def _probe_states(d: int, gen) -> np.ndarray:
     """Stage-1 probe density matrices ``(m, d, d)``, ``m = max(24, 3 d^2 / 2)``.
 
     Random pure probes are drawn until the battery is informationally
@@ -493,7 +489,7 @@ def _probe_states(basis: HermitianBasis, gen) -> np.ndarray:
     well conditioned; a square design (``m = d^2``) is not, and its O(1/N)
     per-element scaling breaks down from three qubits on.
     """
-    d = basis.d
+    basis = HermitianBasis(d)
     count = max(24, 3 * d * d // 2)
     for _ in range(MAX_PROBE_DRAWS):
         states = pure_probe_states(random_unit_vectors(count, d, gen))
@@ -507,12 +503,11 @@ def _probe_states(basis: HermitianBasis, gen) -> np.ndarray:
 
 def _random_probe_stage1(detector_sampler, n_elements: int, d: int, shots: int, gen):
     """:func:`qdt_stage1` on random probes, ``shots`` split over them in one draw."""
-    basis = HermitianBasis(d)
-    states = _probe_states(basis, gen)
+    states = _probe_states(d, gen)
     counts = detector_sampler.counts(states, _split_shots(shots, len(states)), gen)
     if counts.shape[1] - 1 != n_elements:
         raise DimensionError("detector counts have the wrong outcome count")
-    return qdt_stage1(frequencies(counts), states, basis)
+    return qdt_stage1(frequencies(counts), states)
 
 
 # ---------------------------------------------------------------------------
