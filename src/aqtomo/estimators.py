@@ -48,8 +48,6 @@ from .quantum_objects import (
 )
 
 INV_SQRT_CLAMP_PER_DIM = 1e-12
-# random stage-1 probe batteries drawn before detector tomography gives up
-MAX_PROBE_DRAWS = 20
 
 
 class EstimationError(RuntimeError):
@@ -111,10 +109,6 @@ class HermitianBasis:
     def __post_init__(self):
         object.__setattr__(self, "operators", _gell_mann_stack(self.d))
 
-    @property
-    def size(self) -> int:
-        return self.d * self.d
-
     def expand(self, m: np.ndarray) -> np.ndarray:
         """Real coefficient vector of a Hermitian matrix in this basis."""
         return np.einsum("kij,ji->k", self.operators, np.asarray(m, complex)).real
@@ -139,15 +133,13 @@ def povm_design(povms, basis: HermitianBasis) -> np.ndarray:
     return operator_design(elems, basis)
 
 
-def _require_full_rank(design: np.ndarray, what: str, s: np.ndarray | None = None):
+def _require_full_rank(design: np.ndarray, what: str, s: np.ndarray):
     """Raise :class:`InformationIncompleteError` unless ``design`` has full rank.
 
-    The rank is ``np.linalg.matrix_rank``'s: the count of singular values
-    above ``s.max() * max(M, N) * eps``.  ``s`` are the singular values of
-    ``design`` when the caller has them already.
+    ``s`` are the singular values of ``design``.  The rank is
+    ``np.linalg.matrix_rank``'s: the count of singular values above
+    ``s.max() * max(M, N) * eps``.
     """
-    if s is None:
-        s = np.linalg.svd(design, compute_uv=False)
     tol = s.max(initial=0.0) * (max(design.shape) * np.finfo(s.dtype).eps)
     rank, needed = int(np.count_nonzero(s > tol)), design.shape[1]
     if rank < needed:
@@ -162,84 +154,40 @@ def _require_full_rank(design: np.ndarray, what: str, s: np.ndarray | None = Non
 
 
 class LrePlan:
-    """Least-squares solver for a fixed battery, built once per battery.
+    """Least-squares solver for the Pauli cube, built once per cube and flag.
 
-    ``solve`` takes one ``(S, K)`` frequency table per battery draw, so every
-    setting must have the same number of outcomes.
-
-    The battery is a :class:`~aqtomo.measurement.PauliCube` (what
-    :func:`adaptive_qst` and the harness measure) or a sequence of POVMs.
-    For the cube ``X^T X`` is diagonal in the Pauli basis, and the
-    least-squares solution is the cube's own linear inversion
-    (:meth:`PauliCube.invert`, two matrix products), so no design matrix,
-    rank check or pseudo-inverse is built.  Its identity coefficient already
-    is the unconstrained least-squares one; with ``constrain_trace`` the
-    trace is re-pinned to ``trace_value``.  Setting ``s`` is the only one
+    The cube (:class:`~aqtomo.measurement.PauliCube`) is the one static
+    battery of the state, pseudo-state and process protocols; any other
+    battery raises ``TypeError``.  ``solve`` takes the ``(3^n, 2^n)``
+    frequency table of one draw of it.  The cube's ``X^T X`` is diagonal in
+    the Pauli basis, so the least-squares solution is the cube's own linear
+    inversion (:meth:`PauliCube.invert`, two matrix products): no design
+    matrix, rank check or pseudo-inverse is built.  Its identity coefficient
+    already is the unconstrained least-squares one; with ``constrain_trace``
+    the trace is re-pinned to ``trace_value``.  Setting ``s`` is the only one
     that measures the weight-n Pauli ``sigma_s1 (x) ... (x) sigma_sn``, so a
     zero-shot setting always raises :class:`InformationIncompleteError`.
-
-    A sequence of POVMs gets a dense plan: the pseudo-inverse of its design
-    matrix in the Gell-Mann basis, built once, makes ``solve`` a matvec.
-    Only a dense plan builds that basis.
     """
 
-    def __init__(self, povms, constrain_trace: bool):
+    def __init__(self, cube: PauliCube, constrain_trace: bool):
+        if not isinstance(cube, PauliCube):
+            raise TypeError(f"LrePlan solves a PauliCube, not {type(cube).__name__}")
+        self.cube, self.d = cube, cube.dim
         self.constrain_trace = constrain_trace
-        if isinstance(povms, PauliCube):
-            self.povms, self.d = povms, povms.dim
-            self._shape = (len(povms), povms.dim)
-            return
-        self.povms = tuple(povms)
-        if len({len(p) for p in self.povms}) != 1:
-            raise DimensionError("battery settings must share one outcome count")
-        self.d = self.povms[0].dim
-        self._shape = (len(self.povms), len(self.povms[0]))
-        self.basis = HermitianBasis(self.d)
-        self.design = povm_design(self.povms, self.basis)
-        # a pinned trace leaves the identity coefficient out of the fit
-        self._fitted = self.design[:, 1:] if constrain_trace else self.design
-        _require_full_rank(self._fitted, "battery")
-        self._pinv = np.linalg.pinv(self._fitted)
 
-    def solve(self, freqs, trace_value: float = 1.0) -> np.ndarray:
-        """Least-squares Hermitian reconstruction from one row per setting.
-
-        ``freqs`` is the :class:`Frequencies` of one battery draw.  Settings
-        with zero shots contribute no rows; if dropping them breaks
-        informational completeness an error is raised rather than
-        regularizing.
-        """
-        if freqs.values.shape != self._shape:
-            raise DimensionError("frequencies do not match the battery's settings")
-        if isinstance(self.povms, PauliCube):
-            return self._solve_cube(freqs, trace_value)
-        y = freqs.values.ravel()
-        mask = np.repeat(freqs.mask, freqs.values.shape[1])
-        if self.constrain_trace:
-            phi0 = trace_value / np.sqrt(self.d)
-            y = y - self.design[:, 0] * phi0
-        if mask.all():
-            coeffs = self._pinv @ y
-        else:
-            coeffs = _masked_lstsq(self._fitted, y, mask)
-        phi = np.concatenate(([phi0], coeffs)) if self.constrain_trace else coeffs
-        return self.basis.assemble(phi)
-
-    def _solve_cube(self, freqs: Frequencies, trace_value: float) -> np.ndarray:
+    def solve(self, freqs: Frequencies, trace_value: float = 1.0) -> np.ndarray:
+        """Least-squares Hermitian reconstruction from one row per setting."""
+        d = self.d
+        if freqs.values.shape != (len(self.cube), d):
+            raise DimensionError("frequencies do not match the cube's settings")
         if not freqs.mask.all():
             raise InformationIncompleteError(
                 "a zero-shot Pauli-cube setting leaves its weight-n Pauli unmeasured"
             )
-        rho, d = self.povms.invert(freqs.values), self.d
+        rho = self.cube.invert(freqs.values)
         if self.constrain_trace:
             rho.flat[:: d + 1] += (trace_value - np.trace(rho).real) / d
         return rho
-
-
-def _masked_lstsq(design: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    sub = design[mask]
-    _require_full_rank(sub, "battery without its zero-shot settings")
-    return np.linalg.lstsq(sub, y[mask], rcond=None)[0]
 
 
 def lre_mse_bound(povms, basis: HermitianBasis, n_total: int) -> float:
@@ -301,18 +249,26 @@ def _split_shots(total: int, parts: int) -> list:
 
 
 def _default_plan(dim: int, constrain_trace: bool) -> LrePlan:
+    """The Pauli-cube plan of ``dim``, one object per ``(dim, constrain_trace)``.
+
+    The flag is normalized before the cache, so passing it by position or by
+    keyword returns the same plan.
+    """
+    return _cube_plan(dim, bool(constrain_trace))
+
+
+@lru_cache(maxsize=None)
+def _cube_plan(dim: int, constrain_trace: bool) -> LrePlan:
     n_qubits = int(round(math.log2(dim)))
     if 2**n_qubits != dim:
-        raise DimensionError(
-            f"no built-in measurement battery for dimension {dim}; pass plan="
-        )
+        raise DimensionError(f"no Pauli cube has dimension {dim}")
     return LrePlan(pauli_cube(n_qubits), constrain_trace)
 
 
-def _battery_frequencies(sampler, plan: LrePlan, shots: int, gen) -> Frequencies:
-    """Split ``shots`` over the plan's settings and draw them all at once."""
-    split = _split_shots(shots, len(plan.povms))
-    return frequencies(sampler.counts(plan.povms, split, gen))
+def _cube_frequencies(sampler, plan: LrePlan, shots: int, gen) -> Frequencies:
+    """Split ``shots`` over the cube's settings and draw them all at once."""
+    split = _split_shots(shots, len(plan.cube))
+    return frequencies(sampler.counts(plan.cube, split, gen))
 
 
 def _eigenbasis_frequencies(sampler, u: np.ndarray, shots: int, gen) -> np.ndarray:
@@ -329,10 +285,10 @@ def _check_alpha(n_total: int, alpha: float) -> int:
     return n0
 
 
-def _two_step_state(sampler, dim, n_total, alpha, rng, plan, sub_unit: bool):
+def _two_step_state(sampler, dim, n_total, alpha, rng, sub_unit: bool):
     """The two-step state core: buy an eigenbasis, then count in it.
 
-    Step 1 spends ``floor(alpha * N)`` copies on the plan's battery and a
+    Step 1 spends ``floor(alpha * N)`` copies on the Pauli cube and a
     least-squares fit (trace-constrained unless ``sub_unit``), used only for
     its eigenbasis.  Step 2 measures that eigenbasis with the remaining copies
     and adopts the outcome frequencies as eigenvalues; a pseudo-state's null
@@ -340,9 +296,8 @@ def _two_step_state(sampler, dim, n_total, alpha, rng, plan, sub_unit: bool):
     """
     n0 = _check_alpha(n_total, alpha)
     gen = linalg.as_generator(rng)
-    if plan is None:
-        plan = _default_plan(dim, constrain_trace=not sub_unit)
-    rho_tilde = plan.solve(_battery_frequencies(sampler, plan, n0, gen))
+    plan = _default_plan(dim, constrain_trace=not sub_unit)
+    rho_tilde = plan.solve(_cube_frequencies(sampler, plan, n0, gen))
     u = hermitian_eig(rho_tilde).eigenvectors
     lam = _eigenbasis_frequencies(sampler, u, n_total - n0, gen)
     if sub_unit and lam.sum() <= 0.0:
@@ -350,32 +305,31 @@ def _two_step_state(sampler, dim, n_total, alpha, rng, plan, sub_unit: bool):
     return DensityMatrix(eig_reconstruct(lam, u), sub_unit=sub_unit)
 
 
-def _static_solve(sampler, dim, n_total, rng, plan, constrain_trace: bool):
-    """Least-squares estimate from the whole budget spent on the plan's battery."""
+def _static_solve(sampler, dim, n_total, rng, constrain_trace: bool):
+    """Least-squares estimate from the whole budget spent on the Pauli cube."""
     gen = linalg.as_generator(rng)
-    if plan is None:
-        plan = _default_plan(dim, constrain_trace)
-    return plan.solve(_battery_frequencies(sampler, plan, n_total, gen))
+    plan = _default_plan(dim, constrain_trace)
+    return plan.solve(_cube_frequencies(sampler, plan, n_total, gen))
 
 
 def adaptive_qst(
-    sampler, d: int, n_total: int, alpha: float, rng, plan: LrePlan | None = None
+    sampler, d: int, n_total: int, alpha: float, rng
 ) -> TomographyEstimate:
     """Two-step adaptive state tomography achieving O(1/N) infidelity.
 
-    Step 1 spends ``floor(alpha * N)`` copies on a static battery (``plan``,
-    by default the Pauli cube) and a trace-constrained least-squares fit,
-    used only for its eigenbasis (no positivity correction is applied).
+    Step 1 spends ``floor(alpha * N)`` copies on the Pauli cube and a
+    trace-constrained least-squares fit, used only for its eigenbasis (no
+    positivity correction is applied).
     Step 2 measures that eigenbasis with the remaining copies and adopts the
     outcome frequencies as eigenvalues, which makes the estimate PSD with
     unit trace by construction.
     """
-    rho_hat = _two_step_state(sampler, d, n_total, alpha, rng, plan, sub_unit=False)
+    rho_hat = _two_step_state(sampler, d, n_total, alpha, rng, sub_unit=False)
     return TomographyEstimate(rho_hat, n_total, "adaptive_qst")
 
 
 def adaptive_qpst(
-    sampler, dim: int, n_total: int, alpha: float, rng, plan: LrePlan | None = None
+    sampler, dim: int, n_total: int, alpha: float, rng
 ) -> TomographyEstimate:
     """Adaptive pseudo-state tomography for sub-unit-trace reconstructions.
 
@@ -383,15 +337,13 @@ def adaptive_qpst(
     dropped in step 1 and a null outcome absorbing the missing mass in
     step 2, so the estimated eigenvalues sum below one.
     """
-    sigma_hat = _two_step_state(sampler, dim, n_total, alpha, rng, plan, sub_unit=True)
+    sigma_hat = _two_step_state(sampler, dim, n_total, alpha, rng, sub_unit=True)
     return TomographyEstimate(sigma_hat, n_total, "adaptive_qpst")
 
 
-def static_qst(
-    sampler, d: int, n_total: int, rng, plan: LrePlan | None = None
-) -> TomographyEstimate:
+def static_qst(sampler, d: int, n_total: int, rng) -> TomographyEstimate:
     """Static baseline: full-budget least squares plus physical projection."""
-    rho_tilde = _static_solve(sampler, d, n_total, rng, plan, constrain_trace=True)
+    rho_tilde = _static_solve(sampler, d, n_total, rng, constrain_trace=True)
     rho_hat = physical_projection_fast(rho_tilde)
     return TomographyEstimate(rho_hat, n_total, "static_qst")
 
@@ -484,21 +436,13 @@ def static_qdt(
 def _probe_states(d: int, gen) -> np.ndarray:
     """Stage-1 probe density matrices ``(m, d, d)``, ``m = max(24, 3 d^2 / 2)``.
 
-    Random pure probes are drawn until the battery is informationally
-    complete.  Oversampling the ``d^2`` parameters by half keeps the design
-    well conditioned; a square design (``m = d^2``) is not, and its O(1/N)
-    per-element scaling breaks down from three qubits on.
+    Haar-random pure probes.  Oversampling the ``d^2`` parameters by half
+    keeps the design well conditioned; a square design (``m = d^2``) is
+    not, and its O(1/N) per-element scaling breaks down from three qubits
+    on.  A rank-deficient draw has probability zero; :func:`qdt_stage1`'s
+    rank check is the one that catches it.
     """
-    basis = HermitianBasis(d)
-    count = max(24, 3 * d * d // 2)
-    for _ in range(MAX_PROBE_DRAWS):
-        states = pure_probe_states(random_unit_vectors(count, d, gen))
-        if np.linalg.matrix_rank(operator_design(states, basis)) == basis.size:
-            return states
-    raise InformationIncompleteError(
-        f"could not draw {count} informationally complete probes "
-        f"in {MAX_PROBE_DRAWS} tries"
-    )
+    return pure_probe_states(random_unit_vectors(max(24, 3 * d * d // 2), d, gen))
 
 
 def _random_probe_stage1(detector_sampler, n_elements: int, d: int, shots: int, gen):
@@ -598,7 +542,6 @@ def adaptive_aapt(
     tp_flag: bool,
     input_state: BipartitePureState,
     rng,
-    plan: LrePlan | None = None,
 ) -> TomographyEstimate:
     """Three-step adaptive ancilla-assisted process tomography.
 
@@ -609,7 +552,7 @@ def adaptive_aapt(
     the O(1/N) decay of the estimated zero eigenvalues.
     """
     state_protocol = adaptive_qst if tp_flag else adaptive_qpst
-    state_est = state_protocol(channel_sampler, d * d, n_total, alpha, rng, plan=plan)
+    state_est = state_protocol(channel_sampler, d * d, n_total, alpha, rng)
     sigma_hat = state_est.value
     return _process_estimate(sigma_hat, input_state, tp_flag, n_total, "adaptive_aapt")
 
@@ -622,18 +565,17 @@ def nonadaptive_aapt(
     input_state: BipartitePureState,
     rng,
     known_trace: float | None = None,
-    plan: LrePlan | None = None,
 ) -> TomographyEstimate:
     """Static ancilla-assisted baseline (O(1/sqrt N) on rank-deficient targets).
 
-    Spends the whole budget on the static battery.  Trace-preserving
+    Spends the whole budget on the Pauli cube.  Trace-preserving
     processes go through the physical projection; otherwise the negative
     eigenvalues are truncated and the remainder rescaled to the a-priori
     known output trace.
     """
     if not tp_flag and known_trace is None:
         raise ValueError("non-trace-preserving baseline needs known_trace")
-    sigma_tilde = _static_solve(channel_sampler, d * d, n_total, rng, plan, tp_flag)
+    sigma_tilde = _static_solve(channel_sampler, d * d, n_total, rng, tp_flag)
     if tp_flag:
         sigma_hat = physical_projection_fast(sigma_tilde)
     else:

@@ -14,7 +14,6 @@ any execution order.
 from __future__ import annotations
 
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -24,7 +23,6 @@ import numpy as np
 from ..linalg import partial_trace_1
 from ..estimators import (
     EstimationError,
-    LrePlan,
     adaptive_aapt,
     adaptive_qdt,
     adaptive_qst,
@@ -39,7 +37,7 @@ from ..fidelity import (
     pseudo_state_fidelity,
     state_scenario,
 )
-from ..measurement import SeededRng, detector_sampler, pauli_cube, state_sampler
+from ..measurement import SeededRng, detector_sampler, state_sampler
 from .config import TRIAL_STREAM_BITS, ExperimentConfig
 from .targets import AaptTarget, QdtTarget, QstTarget, expected_task, resolve_target
 
@@ -152,18 +150,15 @@ def _trial_stream(n_index: int, trial: int) -> int:
 class _TaskContext:
     """Per-config state built once and shared by every trial.
 
-    ``oracle`` hides the target.  For state and process targets the plan
-    is built on the product-form Pauli cube, and the oracle with that
-    battery, so its Born table is computed here, qubit by qubit, with no
-    dense cube element built.
-    The target's fixed scoring constants (its rank, per-element ranks, true
-    process matrix and known output trace) are computed here too.
+    ``oracle`` hides the target.  A state oracle computes its Pauli-cube
+    Born table on the first trial and keeps it for the rest.  The target's
+    fixed scoring constants (its rank, per-element ranks, true process matrix
+    and known output trace) are computed here.
     """
 
     target: object
     oracle: object
     tp_flag: bool = True
-    plan: LrePlan | None = None
     rank: int = 0
     element_ranks: tuple = ()
     x_true: np.ndarray | None = None
@@ -179,10 +174,7 @@ def _context(config: ExperimentConfig) -> _TaskContext:
             f"target {config.target!r} belongs to task {task}, not {config.task}"
         )
     if isinstance(target, QstTarget):
-        n_qubits = int(round(math.log2(target.dim)))
-        plan = LrePlan(pauli_cube(n_qubits), constrain_trace=True)
-        oracle = state_sampler(target.rho, battery=plan.povms)
-        return _TaskContext(target, oracle, plan=plan, rank=target.rank)
+        return _TaskContext(target, state_sampler(target.rho), rank=target.rank)
     if isinstance(target, QdtTarget):
         return _TaskContext(
             target,
@@ -195,14 +187,11 @@ def _context(config: ExperimentConfig) -> _TaskContext:
         raise ValueError(
             f"tp_flag={config.tp_flag} contradicts the channel of {config.target!r}"
         )
-    dim = target.dim**2
-    plan = LrePlan(pauli_cube(int(round(math.log2(dim)))), constrain_trace=tp)
-    oracle = state_sampler(target.sigma_out, battery=plan.povms)
+    oracle = state_sampler(target.sigma_out)
     return _TaskContext(
         target,
         oracle,
         tp_flag=tp,
-        plan=plan,
         rank=target.rank,
         x_true=target.process.x,
         known_trace=oracle.rho.trace,
@@ -231,9 +220,9 @@ def _qst_trial(ctx: _TaskContext, config, n, gen) -> dict:
     target: QstTarget = ctx.target
     sampler = ctx.oracle
     if config.method == "adaptive":
-        est = adaptive_qst(sampler, target.dim, n, config.alpha, gen, plan=ctx.plan)
+        est = adaptive_qst(sampler, target.dim, n, config.alpha, gen)
     else:
-        est = static_qst(sampler, target.dim, n, gen, plan=ctx.plan)
+        est = static_qst(sampler, target.dim, n, gen)
     rho_hat = est.value.mat
     metrics = _score(rho_hat, target.rho.mat, state_scenario(), ctx.rank)
     trace_dev = abs(float(np.trace(rho_hat).real) - 1.0)
@@ -286,7 +275,6 @@ def _aapt_trial(ctx: _TaskContext, config, n, gen) -> dict:
             ctx.tp_flag,
             target.input_state,
             gen,
-            plan=ctx.plan,
         )
     else:
         est = nonadaptive_aapt(
@@ -297,7 +285,6 @@ def _aapt_trial(ctx: _TaskContext, config, n, gen) -> dict:
             target.input_state,
             gen,
             known_trace=None if ctx.tp_flag else ctx.known_trace,
-            plan=ctx.plan,
         )
     x_hat = est.value.x
     metrics = _score(x_hat, ctx.x_true, process_scenario(target.dim), ctx.rank)
@@ -324,7 +311,7 @@ def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int):
     try:
         return _TRIALS[config.task](ctx, config, n, gen)
     except (EstimationError, np.linalg.LinAlgError) as exc:
-        log.warning("excluding trial %d at N=%d: %s", trial, n, exc)
+        log.warning("excluding trial=%d N=%d reason=%s", trial, n, exc)
         return None
 
 

@@ -165,11 +165,6 @@ def fidelity(
     return fidelity_and_dp(hat_s, s, scenario, clamp)[0]
 
 
-def infidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> float:
-    """1 - F, the error index whose scaling the adaptive protocols optimize."""
-    return 1.0 - fidelity(hat_s, s, scenario)
-
-
 def pseudo_state_fidelity(hat_s: np.ndarray, s: np.ndarray) -> float:
     """F_1 with f = 0 for (possibly sub-unit-trace) reconstructed states.
 

@@ -11,15 +11,15 @@ Sampling is batched.  A measurement oracle (:func:`state_sampler`,
 mass a sub-unit pseudo-state lacks) and draws every setting with one
 ``Generator.multinomial(shots, table)`` call.  numpy draws the rows in order
 and draws nothing for a zero-shot row, so the counts, and the generator state
-after them, equal those of one draw per setting.  A fixed battery's table is
-computed once, when the oracle is built.  :func:`sample_counts` is the
-one-setting case of the same routine.
+after them, equal those of one draw per setting.  :func:`sample_counts` is
+the one-setting case of the same routine.
 
-The Pauli cube, the protocols' static battery, is held in product form
+The Pauli cube, the protocols' one static battery, is held in product form
 (:class:`PauliCube`): its Born table and its linear inversion are computed
-qubit by qubit and none of its ``6^n`` projectors is built.  The adaptive
-step measures in an estimated eigenbasis ``U``, whose outcome probabilities
-are the diagonal of ``U^dag rho U``.
+qubit by qubit and none of its ``6^n`` projectors is built.  A state oracle
+computes the cube's table on its first draw and keeps it, so repeated draws
+only sample.  The adaptive step measures in an estimated eigenbasis ``U``,
+whose outcome probabilities are the diagonal of ``U^dag rho U``.
 """
 
 from __future__ import annotations
@@ -278,31 +278,34 @@ def random_unit_vectors(count: int, d: int, rng) -> np.ndarray:
 class StateOracle:
     """Measurement oracle hiding a (pseudo-)state ``rho``.
 
-    :meth:`counts` measures ``S`` settings at once: a :class:`PauliCube`, or
-    a sequence of settings, each a POVM or a stack of its ``K`` elements
-    (all settings with one outcome count).  When the oracle is built with a
-    fixed ``battery``, that battery's outcome table is computed here, once,
-    and reused whenever :meth:`counts` is given the same object.
+    :meth:`counts` measures ``S`` settings at once: the :class:`PauliCube`
+    of ``rho``'s dimension, or a sequence of settings, each a POVM or a stack
+    of its ``K`` elements (all settings with one outcome count).  The cube's
+    outcome table is computed on first use and kept, read-only; a sequence
+    is evaluated by :func:`born_probabilities` on every call.
     :meth:`basis_counts` measures in the orthonormal basis of a unitary's
     columns.
     """
 
-    def __init__(self, rho: DensityMatrix, battery=None):
+    def __init__(self, rho: DensityMatrix):
         self.rho = rho
-        self.battery = battery
-        self._battery_table = None if battery is None else self.table(battery)
+        self._cube_table = None
 
     def table(self, settings) -> np.ndarray:
         """``(S, K+1)`` outcome table of ``S`` settings."""
         if isinstance(settings, PauliCube):
-            return outcome_table(settings.probabilities(self.rho.mat))
+            if settings.dim != self.rho.dim:
+                raise DimensionError(f"state is not {settings.dim} x {settings.dim}")
+            if self._cube_table is None:
+                table = outcome_table(settings.probabilities(self.rho.mat))
+                table.flags.writeable = False
+                self._cube_table = table
+            return self._cube_table
         probs = [born_probabilities(self.rho, setting) for setting in settings]
         return outcome_table(np.stack(probs))
 
     def counts(self, settings, shots, rng) -> np.ndarray:
         """``(S, K+1)`` counts, null column last, from one multinomial draw."""
-        if settings is self.battery:
-            return draw_counts(self._battery_table, shots, rng)
         return draw_counts(self.table(settings), shots, rng)
 
     def basis_table(self, u) -> np.ndarray:
@@ -345,9 +348,9 @@ class DetectorOracle:
         return draw_counts(self.table(probes), shots, rng)
 
 
-def state_sampler(rho: DensityMatrix, battery=None) -> StateOracle:
+def state_sampler(rho: DensityMatrix) -> StateOracle:
     """Measurement oracle hiding ``rho``; see :class:`StateOracle`."""
-    return StateOracle(rho, battery)
+    return StateOracle(rho)
 
 
 def detector_sampler(povm: Povm) -> DetectorOracle:

@@ -29,7 +29,7 @@ from aqtomo.estimators import (
     static_qdt,
     static_qst,
 )
-from aqtomo.estimators import _gell_mann_stack
+from aqtomo.estimators import _default_plan, _gell_mann_stack
 from aqtomo.linalg import (
     DimensionError,
     eig_reconstruct,
@@ -98,61 +98,87 @@ class TestLre:
     def test_noiseless_recovery_constrained(self):
         gen = SeededRng(51).generator()
         rho = random_density(gen, 4)
-        povms = cube_povm(2)
-        freqs = frequencies(exact_state_sampler(rho).counts(povms))
-        est = LrePlan(povms, constrain_trace=True).solve(freqs)
+        cube = pauli_cube(2)
+        freqs = frequencies(exact_state_sampler(rho).counts(cube))
+        est = LrePlan(cube, constrain_trace=True).solve(freqs)
         assert np.linalg.norm(est - rho.mat) < 1e-8
 
     def test_noiseless_recovery_sub_unit(self):
         gen = SeededRng(52).generator()
         rho = random_density(gen, 4)
         sub = DensityMatrix(0.7 * rho.mat, sub_unit=True)
-        povms = cube_povm(2)
-        freqs = frequencies(exact_state_sampler(sub).counts(povms))
-        est = LrePlan(povms, constrain_trace=False).solve(freqs)
+        cube = pauli_cube(2)
+        freqs = frequencies(exact_state_sampler(sub).counts(cube))
+        est = LrePlan(cube, constrain_trace=False).solve(freqs)
         assert np.linalg.norm(est - sub.mat) < 1e-8
 
     def test_mse_below_analytic_bound(self):
         # single high-budget run sits below the conservative
         # (J / 4N) Tr[(X^T X)^-1] expectation bound with room to spare
         target = random_density(SeededRng(53).generator(), 8)
-        povms = cube_povm(3)
-        plan = LrePlan(povms, constrain_trace=True)
+        cube = pauli_cube(3)
+        plan = LrePlan(cube, constrain_trace=True)
         n_total = 10**6
-        shots = [n_total // len(povms)] * len(povms)
+        shots = [n_total // len(cube)] * len(cube)
         gen = SeededRng(54).generator()
-        est = plan.solve(frequencies(state_sampler(target).counts(povms, shots, gen)))
-        bound = lre_mse_bound(povms, HermitianBasis(8), n_total)
+        est = plan.solve(frequencies(state_sampler(target).counts(cube, shots, gen)))
+        bound = lre_mse_bound(cube_povm(3), HermitianBasis(8), n_total)
         assert np.linalg.norm(est - target.mat) ** 2 < bound
 
     def test_unbiased_trace_recovery_sub_unit(self):
         # unconstrained least squares recovers the trace of a pseudo-state
         gen = SeededRng(55).generator()
         sub = DensityMatrix(0.75 * random_density(gen, 4).mat, sub_unit=True)
-        povms = cube_povm(2)
-        plan = LrePlan(povms, constrain_trace=False)
+        cube = pauli_cube(2)
+        plan = LrePlan(cube, constrain_trace=False)
         sampler = state_sampler(sub)
-        shots = [10**5] * len(povms)
+        shots = [10**5] * len(cube)
         traces = []
         for t in range(40):
             g = SeededRng(56, t).generator()
-            freqs = frequencies(sampler.counts(povms, shots, g))
+            freqs = frequencies(sampler.counts(cube, shots, g))
             traces.append(float(np.trace(plan.solve(freqs)).real))
         se = np.std(traces, ddof=1) / np.sqrt(len(traces))
         assert abs(np.mean(traces) - 0.75) < 3 * se + 1e-12
 
     def test_rank_deficient_battery_rejected(self):
-        povms = cube_povm(2)[:2]  # 8 rows cannot span 16 parameters
+        # only the first 2 settings measured: 8 rows cannot span 16 parameters
+        rho = random_density(SeededRng(93).generator(), 4)
+        cube = pauli_cube(2)
+        shots = [100] * 2 + [0] * 7
+        freqs = frequencies(state_sampler(rho).counts(cube, shots, SeededRng(93)))
         with pytest.raises(InformationIncompleteError):
-            LrePlan(povms, constrain_trace=True)
+            LrePlan(cube, constrain_trace=True).solve(freqs)
 
     def test_frequency_shape_mismatch_rejected(self):
         gen = SeededRng(94).generator()
         rho = random_density(gen, 4)
-        povms = cube_povm(2)
-        freqs = frequencies(exact_state_sampler(rho).counts(povms[:-1]))
+        freqs = frequencies(exact_state_sampler(rho).counts(cube_povm(2)[:-1]))
         with pytest.raises(DimensionError):
-            LrePlan(povms, constrain_trace=True).solve(freqs)
+            LrePlan(pauli_cube(2), constrain_trace=True).solve(freqs)
+
+    def test_only_the_pauli_cube_is_accepted(self):
+        with pytest.raises(TypeError):
+            LrePlan(cube_povm(2), True)
+
+
+class TestDefaultPlan:
+    def test_one_plan_per_dimension_and_flag(self):
+        plan = _default_plan(8, True)
+        assert plan is _default_plan(8, constrain_trace=True)
+        assert plan is _default_plan(8, np.True_)
+        assert plan.cube is pauli_cube(3) and plan.constrain_trace
+        unconstrained = _default_plan(8, constrain_trace=False)
+        assert unconstrained is _default_plan(8, False) and unconstrained is not plan
+        assert _default_plan(16, True).cube is pauli_cube(4)
+
+    @pytest.mark.parametrize("dim", [3, 6, 12])
+    def test_non_power_of_two_dimension_rejected(self, dim):
+        with pytest.raises(DimensionError):
+            _default_plan(dim, True)
+        rho = DensityMatrix(np.eye(dim) / dim)
+        with pytest.raises(DimensionError):
+            adaptive_qst(state_sampler(rho), dim, 1000, 0.5, SeededRng(95))
 
 
 class TestGellMannStackOnlyForDensePlans:
@@ -162,23 +188,6 @@ class TestGellMannStackOnlyForDensePlans:
         LrePlan(pauli_cube(5), constrain_trace=True)
         _context(ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 1))
         assert _gell_mann_stack.cache_info().currsize == 0
-
-    def test_dense_battery_builds_stack_and_checks_rank(self):
-        # a sequence of POVMs, here the dense cube minus one setting plus a
-        # rotated copy of another, takes the dense plan
-        u = haar_unitary(4, SeededRng(98).generator())
-        extra = Povm(tuple(u @ e @ u.conj().T for e in cube_povm(2)[0].elements))
-        _gell_mann_stack.cache_clear()
-        plan = LrePlan(cube_povm(2)[:-1] + (extra,), constrain_trace=True)
-        assert _gell_mann_stack.cache_info().currsize == 1
-        rho = random_density(SeededRng(99).generator(), 4)
-        freqs = frequencies(exact_state_sampler(rho).counts(plan.povms))
-        assert np.linalg.norm(plan.solve(freqs) - rho.mat) < 1e-8
-        # nine settings again, but the first twice and no zz: Z (x) Z unmeasured
-        _gell_mann_stack.cache_clear()
-        with pytest.raises(InformationIncompleteError):
-            LrePlan(cube_povm(2)[:-1] + cube_povm(2)[:1], constrain_trace=True)
-        assert _gell_mann_stack.cache_info().currsize == 1
 
 
 class TestNoDenseCubeInProduction:
@@ -260,10 +269,10 @@ class TestCubeInversion:
         u = haar_unitary(32, SeededRng(96).generator())
         rho = DensityMatrix(eig_reconstruct(np.array([1.0] + [0.0] * 31), u))
         tick = time.perf_counter()
-        plan = LrePlan(pauli_cube(5), constrain_trace=True)
+        _default_plan(32, True)  # the plan adaptive_qst measures below
         assert time.perf_counter() - tick < 1.0
         n = 10**6
-        est = adaptive_qst(state_sampler(rho), 32, n, 0.5, SeededRng(97), plan=plan)
+        est = adaptive_qst(state_sampler(rho), 32, n, 0.5, SeededRng(97))
         assert abs(est.value.trace - 1.0) < 1e-12
         assert np.linalg.eigvalsh(est.value.mat)[0] > -1e-12
         infid = 1.0 - fidelity(est.value.mat, rho.mat, state_scenario())

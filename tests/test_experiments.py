@@ -1,11 +1,13 @@
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from aqtomo.estimators import EstimationError, InformationIncompleteError
 from aqtomo.experiments import (
     BUILTIN_TARGET_NAMES,
     ExperimentConfig,
@@ -19,8 +21,10 @@ from aqtomo.experiments import (
     resolve_target,
     run_scaling,
 )
+from aqtomo.experiments import harness
 from aqtomo.experiments.io import CSV_HEADER, result_to_dict, write_csv, write_json
 from aqtomo.experiments.targets import AaptTarget, QstTarget, load_target
+from aqtomo.linalg import NotPSDError
 
 CONFIG_TEXT = """
 # demo config
@@ -324,6 +328,46 @@ class TestRunScaling(object):
         slope_s, _, _ = fit_loglog_slope(tail_rows)
         assert -1.2 <= slope_a <= -0.8
         assert -0.7 <= slope_s <= -0.3
+
+
+class TestTrialExclusion:
+    """Which trial errors exclude the trial and which abort the run."""
+
+    CFG = ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (1000,), 1, seed=3)
+
+    @staticmethod
+    def _fail_with(monkeypatch, exc):
+        def trial(ctx, config, n, gen):
+            raise exc
+
+        monkeypatch.setitem(harness._TRIALS, "qst", trial)
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            EstimationError("every adaptive-step outcome fell in the null bin"),
+            InformationIncompleteError("design rank 15 < 16"),
+            np.linalg.LinAlgError("Eigenvalues did not converge"),
+        ],
+        ids=["estimation", "incomplete", "linalg"],
+    )
+    def test_excluded_with_one_greppable_warning(self, monkeypatch, caplog, exc):
+        self._fail_with(monkeypatch, exc)
+        with caplog.at_level(logging.WARNING, logger=harness.__name__):
+            assert harness.run_trial(self.CFG, 1000, 0, 7) is None
+        messages = [record.getMessage() for record in caplog.records]
+        assert messages == [f"excluding trial=7 N=1000 reason={exc}"]
+
+    @pytest.mark.parametrize(
+        "exc",
+        [NotPSDError("density matrix eigenvalue -1e-3 < 0"), ValueError("bad input")],
+        ids=["not-psd", "value"],
+    )
+    def test_other_errors_abort(self, monkeypatch, caplog, exc):
+        self._fail_with(monkeypatch, exc)
+        with pytest.raises(type(exc)):
+            harness.run_trial(self.CFG, 1000, 0, 7)
+        assert not caplog.records
 
 
 class TestIo:

@@ -12,6 +12,7 @@ from aqtomo.estimators import (
     operator_design,
 )
 from aqtomo.measurement import (
+    PauliCube,
     SeededRng,
     cube_povm,
     draw_counts,
@@ -115,12 +116,39 @@ class TestPauliCube:
     def test_oracle_reuses_the_battery_table(self):
         rho = random_pseudo_state(np.random.default_rng(16), 8, 0.6)
         cube = pauli_cube(3)
-        oracle = state_sampler(rho, battery=cube)
+        oracle = state_sampler(rho)
         want = outcome_table(cube.probabilities(rho.mat))
         assert np.array_equal(oracle.table(cube), want)
         assert np.array_equal(exact_state_sampler(rho).counts(cube), want)
         counts = oracle.counts(cube, [5] * 27, SeededRng(17))
         assert np.array_equal(counts, draw_counts(want, [5] * 27, SeededRng(17)))
+
+    def test_oracle_computes_the_cube_table_once(self, monkeypatch):
+        rho = random_pseudo_state(np.random.default_rng(21), 8, 0.8)
+        cube = pauli_cube(3)
+        want = outcome_table(cube.probabilities(rho.mat))
+        calls = []
+        original = PauliCube.probabilities
+
+        def counted(self, m):
+            calls.append(self)
+            return original(self, m)
+
+        monkeypatch.setattr(PauliCube, "probabilities", counted)
+        oracle = state_sampler(rho)
+        assert calls == []  # nothing is computed before the first draw
+        shots = [7] * 27
+        for stream in range(3):
+            rng = SeededRng(22, stream)  # each use starts a fresh generator
+            counts = oracle.counts(cube, shots, rng)
+            assert np.array_equal(counts, draw_counts(want, shots, rng))
+        assert calls == [cube]
+        exact = exact_state_sampler(rho)
+        table = exact.counts(cube)
+        assert np.array_equal(table, want) and exact.counts(cube) is table
+        assert len(calls) == 2 and not table.flags.writeable
+        with pytest.raises(DimensionError):
+            oracle.counts(pauli_cube(2), [7] * 9, SeededRng(23))
 
 
 class TestBasisMeasurement:
@@ -288,17 +316,17 @@ class TestBatchedDraws:
         a = gen.standard_normal((8, 8)) + 1j * gen.standard_normal((8, 8))
         m = a @ a.conj().T
         rho = DensityMatrix(trace * m / np.trace(m).real, sub_unit=trace < 1.0)
-        povms = cube_povm(3)
         base = total // 27
         shots = [base] * 26 + [total - 26 * base]
-        oracle = state_sampler(rho, battery=povms)
+        oracle = state_sampler(rho)
         batched_gen = np.random.default_rng(seed + 1)
         serial_gen = np.random.default_rng(seed + 1)
-        counts = oracle.counts(povms, shots, batched_gen)
-        # the sequential reference: one Born evaluation and one draw per setting
+        counts = oracle.counts(pauli_cube(3), shots, batched_gen)
+        # the sequential reference: one dense Born evaluation and one draw
+        # per setting
         serial = np.stack([
             sample_counts(born_probabilities(rho, p), n, serial_gen)
-            for p, n in zip(povms, shots)
+            for p, n in zip(cube_povm(3), shots)
         ])
         assert np.array_equal(counts[:, :-1], serial)
         assert np.array_equal(counts[:, -1], np.array(shots) - serial.sum(axis=1))
