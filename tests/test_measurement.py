@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from hypothesis import strategies as st
 from aqtomo.estimators import (
     HermitianBasis,
     InformationIncompleteError,
-    LrePlan,
+    _default_plan,
     operator_design,
 )
 from aqtomo.measurement import (
@@ -261,11 +259,6 @@ class TestExactOracle:
         assert np.allclose(frequencies(counts).values[0], [0.25, 0.75])
 
 
-@lru_cache(maxsize=None)
-def _cube3_plan():
-    return LrePlan(pauli_cube(3), constrain_trace=True)
-
-
 def _generator_state(gen):
     return gen.bit_generator.state["state"]
 
@@ -338,4 +331,4 @@ class TestBatchedDraws:
         # zero-shot settings drop out and leave the cube rank deficient
         if not freqs.mask.all():
             with pytest.raises(InformationIncompleteError):
-                _cube3_plan().solve(freqs)
+                _default_plan(8, True).solve(freqs)
