@@ -8,6 +8,13 @@ estimated eigenvalues are plain outcome frequencies.  Frequencies of
 near-zero-probability outcomes concentrate at O(1/N) instead of the O(1/sqrt N)
 floor of generic estimators, which is what moves the infidelity from
 O(1/sqrt N) to O(1/N) on rank-deficient targets.
+
+Every first pass spends its copies on the Pauli cube and solves it by the
+cube's closed-form linear inversion (:meth:`PauliCube.invert`): a state is
+measured in the cube's ``3^n`` settings, and a detector is probed with its
+``6^n`` product eigenstates, whose click table of element ``P_i`` is the
+cube's Born table of ``P_i``.  No design matrix, rank check or
+pseudo-inverse is built, and every dimension must be a power of two.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .measurement import (
     frequencies,
     pauli_cube,
     pure_probe_states,
-    random_unit_vectors,
     unit_rows,
 )
 from .quantum_objects import (
@@ -47,15 +53,13 @@ from .quantum_objects import (
     ProcessMatrix,
 )
 
-INV_SQRT_CLAMP_PER_DIM = 1e-12
-
 
 class EstimationError(RuntimeError):
     """A reconstruction could not be completed from the given data."""
 
 
 class InformationIncompleteError(EstimationError):
-    """The measurement design does not have full column rank."""
+    """A battery setting or probe that the inversion needs received no shots."""
 
 
 @dataclass(frozen=True)
@@ -69,86 +73,6 @@ class TomographyEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian operator basis and measurement design matrices
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _gell_mann_stack(d: int) -> np.ndarray:
-    """I/sqrt(d) followed by the d^2 - 1 generalized Gell-Mann matrices.
-
-    Orthonormal under the Hilbert-Schmidt inner product, all Hermitian, with
-    the identity direction isolated in slot 0 so a trace constraint pins a
-    single coefficient.
-    """
-    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1.0
-        diag[l] = -l
-        ops.append(np.diag(diag).astype(complex) / np.sqrt(l * (l + 1)))
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
-            ops.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1j / np.sqrt(2.0)
-            asym[k, j] = 1j / np.sqrt(2.0)
-            ops.append(asym)
-    return np.stack(ops)
-
-
-@dataclass(frozen=True)
-class HermitianBasis:
-    """Orthonormal Hermitian basis with operators[0] = I/sqrt(d)."""
-
-    d: int
-    operators: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "operators", _gell_mann_stack(self.d))
-
-    def expand(self, m: np.ndarray) -> np.ndarray:
-        """Real coefficient vector of a Hermitian matrix in this basis."""
-        return np.einsum("kij,ji->k", self.operators, np.asarray(m, complex)).real
-
-    def assemble(self, coeffs: np.ndarray) -> np.ndarray:
-        """Hermitian matrix from a real coefficient vector."""
-        return hermitian_part(
-            np.einsum("k,kij->ij", np.asarray(coeffs, float), self.operators),
-            check=False,
-        )
-
-
-def operator_design(operators, basis: HermitianBasis) -> np.ndarray:
-    """Rows Tr(O_r B_k) for measurement operators or probe states O_r."""
-    ops = np.asarray(operators, dtype=complex)
-    return np.einsum("aij,bji->ab", ops, basis.operators).real
-
-
-def povm_design(povms, basis: HermitianBasis) -> np.ndarray:
-    """Design matrix of a battery of POVMs, rows ordered setting-major."""
-    elems = [e for p in povms for e in p.elements]
-    return operator_design(elems, basis)
-
-
-def _require_full_rank(design: np.ndarray, what: str, s: np.ndarray):
-    """Raise :class:`InformationIncompleteError` unless ``design`` has full rank.
-
-    ``s`` are the singular values of ``design``.  The rank is
-    ``np.linalg.matrix_rank``'s: the count of singular values above
-    ``s.max() * max(M, N) * eps``.
-    """
-    tol = s.max(initial=0.0) * (max(design.shape) * np.finfo(s.dtype).eps)
-    rank, needed = int(np.count_nonzero(s > tol)), design.shape[1]
-    if rank < needed:
-        raise InformationIncompleteError(
-            f"{what} is not informationally complete: design rank {rank} < {needed}"
-        )
-
-
-# ---------------------------------------------------------------------------
 # Linear regression estimation
 # ---------------------------------------------------------------------------
 
@@ -157,8 +81,9 @@ class LrePlan:
     """Least-squares solver for the Pauli cube, built once per cube and flag.
 
     The cube (:class:`~aqtomo.measurement.PauliCube`) is the one static
-    battery of the state, pseudo-state and process protocols; any other
-    battery raises ``TypeError``.  ``solve`` takes the ``(3^n, 2^n)``
+    battery of the state, pseudo-state and process protocols (detectors are
+    probed with its eigenstates, see :func:`qdt_stage1`); any other battery
+    raises ``TypeError``.  ``solve`` takes the ``(3^n, 2^n)``
     frequency table of one draw of it.  The cube's ``X^T X`` is diagonal in
     the Pauli basis, so the least-squares solution is the cube's own linear
     inversion (:meth:`PauliCube.invert`, two matrix products): no design
@@ -188,17 +113,6 @@ class LrePlan:
         if self.constrain_trace:
             rho.flat[:: d + 1] += (trace_value - np.trace(rho).real) / d
         return rho
-
-
-def lre_mse_bound(povms, basis: HermitianBasis, n_total: int) -> float:
-    """Conservative mean-squared-error bound (J / 4N) Tr[(X^T X)^-1].
-
-    J is the number of POVM settings; uses the trace-constrained design since
-    the identity coefficient carries no statistical error.
-    """
-    design = povm_design(povms, basis)[:, 1:]
-    gram_inv = np.linalg.inv(design.T @ design)
-    return len(povms) / (4.0 * n_total) * float(np.trace(gram_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +162,14 @@ def _split_shots(total: int, parts: int) -> list:
     return out
 
 
+def _cube(dim: int) -> PauliCube:
+    """The Pauli cube of ``dim``; a dimension that is no power of two has none."""
+    n_qubits = int(round(math.log2(dim)))
+    if 2**n_qubits != dim:
+        raise DimensionError(f"no Pauli cube has dimension {dim}")
+    return pauli_cube(n_qubits)
+
+
 def _default_plan(dim: int, constrain_trace: bool) -> LrePlan:
     """The Pauli-cube plan of ``dim``, one object per ``(dim, constrain_trace)``.
 
@@ -259,10 +181,7 @@ def _default_plan(dim: int, constrain_trace: bool) -> LrePlan:
 
 @lru_cache(maxsize=None)
 def _cube_plan(dim: int, constrain_trace: bool) -> LrePlan:
-    n_qubits = int(round(math.log2(dim)))
-    if 2**n_qubits != dim:
-        raise DimensionError(f"no Pauli cube has dimension {dim}")
-    return LrePlan(pauli_cube(n_qubits), constrain_trace)
+    return LrePlan(_cube(dim), constrain_trace)
 
 
 def _cube_frequencies(sampler, plan: LrePlan, shots: int, gen) -> Frequencies:
@@ -353,33 +272,38 @@ def static_qst(sampler, d: int, n_total: int, rng) -> TomographyEstimate:
 # ---------------------------------------------------------------------------
 
 
-def qdt_stage1(freqs: Frequencies, probes: np.ndarray) -> list:
-    """Static detector estimate from probe-state frequencies.
+def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> list:
+    """Static detector estimate from the click frequencies of the cube's probes.
 
-    ``freqs`` is the :class:`Frequencies` of one draw per probe; ``probes``
-    the probe density matrices as an ``(m, d, d)`` stack.  Per-element least
-    squares, per-element PSD projection, then a symmetric joint
-    renormalization ``P_i -> S^-1/2 P_i S^-1/2`` with ``S`` the sum of the
-    projected elements, restoring completeness exactly.  One SVD of the
-    probe design gives both its rank check and its pseudo-inverse.
+    ``freqs`` holds one row per probe state ``Pi_{s,b}`` of ``cube``, in cube
+    order (row ``s * 2^n + b``), and one column per element.  Element ``i``'s
+    column, read as a ``(3^n, 2^n)`` table, estimates ``Tr(Pi_{s,b} P_i)``,
+    which :meth:`PauliCube.invert` maps back to ``P_i``.  Each inverted
+    element is projected onto the PSD cone, then :func:`_renormalize`
+    restores completeness exactly.  Every probe must have shots: a zero-shot
+    probe raises :class:`InformationIncompleteError`, as in :class:`LrePlan`.
     """
-    if len(freqs.mask) != len(probes):
-        raise DimensionError("one frequency row per probe state is required")
-    d = probes.shape[-1]
-    basis = HermitianBasis(d)
-    design = operator_design(probes, basis)[freqs.mask]
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    _require_full_rank(design, "probe battery", s)
-    # full rank leaves no singular value to cut; pinv's product order kept
-    s_inv = 1.0 / s
-    values = freqs.values[freqs.mask]
-    thetas = (vt.T @ (s_inv[:, None] * u.T)) @ values  # (d^2, n_elements)
-    projected = [
-        project_psd(basis.assemble(thetas[:, i])) for i in range(values.shape[1])
-    ]
-    total = sum(projected)
-    corr = inv_sqrt(total, clamp=INV_SQRT_CLAMP_PER_DIM * d)
-    return [hermitian_part(corr @ p @ corr, check=False) for p in projected]
+    d = cube.dim
+    if len(freqs.mask) != len(cube) * d:
+        raise DimensionError("one frequency row per cube probe state is required")
+    if not freqs.mask.all():
+        raise InformationIncompleteError(
+            "a zero-shot probe state leaves the cube's inversion incomplete"
+        )
+    tables = freqs.values.reshape(len(cube), d, -1)
+    return _renormalize(
+        [project_psd(cube.invert(tables[..., i])) for i in range(tables.shape[2])]
+    )
+
+
+def _renormalize(elements) -> list:
+    """Symmetric joint correction ``P_i -> S^-1/2 P_i S^-1/2``, ``S = sum_i P_i``.
+
+    Makes the elements sum to the identity; flooring the inverse square root
+    (logged, never fatal) keeps it finite.
+    """
+    corr = inv_sqrt(sum(elements))
+    return [hermitian_part(corr @ p @ corr, check=False) for p in elements]
 
 
 def adaptive_qdt(
@@ -387,17 +311,16 @@ def adaptive_qdt(
 ) -> TomographyEstimate:
     """Two-step adaptive detector tomography with per-element O(1/N) infidelity.
 
-    Step 1 runs :func:`qdt_stage1` on random pure probes; step 2 probes
-    each estimated eigenvector (n * d adaptive probe states, equal budgets,
-    drawn at once) and adopts the observed click frequency of its own element
-    as the eigenvalue estimate.  A final symmetric correction by the inverse
-    square root of the element sum restores completeness; clamping of that
-    inverse is logged, never fatal.  The ``(N - n0) mod (n * d)`` shots that
-    do not divide evenly over the adaptive probes are left unused.
+    Step 1 runs :func:`qdt_stage1` on the Pauli cube's probe states; step 2
+    probes each estimated eigenvector (n * d adaptive probe states, equal
+    budgets, drawn at once) and adopts the observed click frequency of its
+    own element as the eigenvalue estimate.  The final correction is
+    :func:`_renormalize`'s.  The ``(N - n0) mod (n * d)`` shots that do not
+    divide evenly over the adaptive probes are left unused.
     """
     n0 = _check_alpha(n_total, alpha)
     gen = linalg.as_generator(rng)
-    stage1 = _random_probe_stage1(detector_sampler, n_elements, d, n0, gen)
+    stage1 = _cube_stage1(detector_sampler, n_elements, d, n0, gen)
 
     per_probe = (n_total - n0) // (n_elements * d)
     if per_probe < 1:
@@ -411,8 +334,7 @@ def adaptive_qdt(
         eig_reconstruct(lam[i * d : (i + 1) * d, i], u) for i, u in enumerate(bases)
     ]
 
-    corr = inv_sqrt(sum(corrected), clamp=INV_SQRT_CLAMP_PER_DIM * d)
-    elements = tuple(hermitian_part(corr @ p @ corr, check=False) for p in corrected)
+    elements = tuple(_renormalize(corrected))
     used = n0 + per_probe * len(adaptive)
     return TomographyEstimate(
         value=Povm(elements, name="adaptive-qdt"),
@@ -427,31 +349,19 @@ def static_qdt(
 ) -> TomographyEstimate:
     """Static detector baseline: the whole budget goes into stage 1."""
     gen = linalg.as_generator(rng)
-    elements = _random_probe_stage1(detector_sampler, n_elements, d, n_total, gen)
+    elements = _cube_stage1(detector_sampler, n_elements, d, n_total, gen)
     return TomographyEstimate(
         Povm(tuple(elements), name="static-qdt"), n_total, "static_qdt"
     )
 
 
-def _probe_states(d: int, gen) -> np.ndarray:
-    """Stage-1 probe density matrices ``(m, d, d)``, ``m = max(24, 3 d^2 / 2)``.
-
-    Haar-random pure probes.  Oversampling the ``d^2`` parameters by half
-    keeps the design well conditioned; a square design (``m = d^2``) is
-    not, and its O(1/N) per-element scaling breaks down from three qubits
-    on.  A rank-deficient draw has probability zero; :func:`qdt_stage1`'s
-    rank check is the one that catches it.
-    """
-    return pure_probe_states(random_unit_vectors(max(24, 3 * d * d // 2), d, gen))
-
-
-def _random_probe_stage1(detector_sampler, n_elements: int, d: int, shots: int, gen):
-    """:func:`qdt_stage1` on random probes, ``shots`` split over them in one draw."""
-    states = _probe_states(d, gen)
-    counts = detector_sampler.counts(states, _split_shots(shots, len(states)), gen)
+def _cube_stage1(detector_sampler, n_elements: int, d: int, shots: int, gen):
+    """:func:`qdt_stage1` on the cube's ``6^n`` probes, ``shots`` split in one draw."""
+    cube = _cube(d)
+    counts = detector_sampler.counts(cube, _split_shots(shots, len(cube) * d), gen)
     if counts.shape[1] - 1 != n_elements:
         raise DimensionError("detector counts have the wrong outcome count")
-    return qdt_stage1(frequencies(counts), states)
+    return qdt_stage1(frequencies(counts), cube)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +369,7 @@ def _random_probe_stage1(detector_sampler, n_elements: int, d: int, shots: int, 
 # ---------------------------------------------------------------------------
 
 
-def qpt_stage2_tp(g: np.ndarray, dim: int, clamp: float | None = None) -> ProcessMatrix:
+def qpt_stage2_tp(g: np.ndarray, dim: int) -> ProcessMatrix:
     """Rescale a PSD matrix so its partial trace equals the identity.
 
     ``X = (I (x) Q^-1/2) G (I (x) Q^-1/2)`` with ``Q = Tr_1(G)``; invariant
@@ -471,8 +381,7 @@ def qpt_stage2_tp(g: np.ndarray, dim: int, clamp: float | None = None) -> Proces
     if g.shape[0] != dim * dim:
         raise DimensionError("stage-2 input must be d^2 x d^2")
     q = partial_trace_1(g, dim, dim)
-    clamp = INV_SQRT_CLAMP_PER_DIM * dim if clamp is None else clamp
-    corr = kron(np.eye(dim), inv_sqrt(q, clamp=clamp))
+    corr = kron(np.eye(dim), inv_sqrt(q))
     return ProcessMatrix(corr @ g @ dagger(corr), dim)
 
 
@@ -491,7 +400,7 @@ def qpt_stage2_ntp(g: np.ndarray, dim: int, n_shots: int) -> ProcessMatrix:
         raise DimensionError("stage-2 input must be d^2 x d^2")
     q = partial_trace_1(g, dim, dim)
     w, vecs = hermitian_eig(q)
-    tol = INV_SQRT_CLAMP_PER_DIM * dim
+    tol = 1e-12 * dim  # inv_sqrt's default floor
     positive = int(np.sum(w > tol))
     f_bar = w.copy()
     if positive == 0:

@@ -12,11 +12,13 @@ from .. import linalg
 from ..estimators import (
     LrePlan,
     physical_projection_fast,
+    qdt_stage1,
     qpt_stage2_tp,
 )
 from ..fidelity import fidelity, fidelity_dp, detector_scenario, fuchs_check
 from ..measurement import (
     SeededRng,
+    exact_detector_sampler,
     exact_state_sampler,
     frequencies,
     pauli_cube,
@@ -25,6 +27,7 @@ from ..measurement import (
 from ..quantum_objects import (
     DensityMatrix,
     KrausChannel,
+    Povm,
     choi_state,
     kraus_to_process,
 )
@@ -86,6 +89,17 @@ def _checks():
         est = LrePlan(cube, constrain).solve(freqs)
         recovered &= bool(np.allclose(est, state.mat, atol=1e-12))
     yield "cube inversion recovers a noiseless state", recovered
+
+    # a three-outcome detector; probing it with the cube's eigenstates gives
+    # each element's Born table, which the same inversion maps back
+    half = rho.mat / 2.0
+    detector = Povm((half, np.eye(4) - rho.mat, half))
+    freqs = frequencies(exact_detector_sampler(detector).counts(cube))
+    elements = qdt_stage1(freqs, cube)
+    recovered = all(
+        np.allclose(e, p, atol=1e-12) for e, p in zip(elements, detector.elements)
+    )
+    yield "detector cube inversion recovers a noiseless POVM", recovered
 
     c1 = sample_counts([0.25, 0.25, 0.5], 10_000, SeededRng(9, 3))
     c2 = sample_counts([0.25, 0.25, 0.5], 10_000, SeededRng(9, 3))

@@ -16,7 +16,10 @@ the one-setting case of the same routine.
 
 The Pauli cube, the protocols' one static battery, is held in product form
 (:class:`PauliCube`): its Born table and its linear inversion are computed
-qubit by qubit and none of its ``6^n`` projectors is built.  A state oracle
+qubit by qubit and none of its ``6^n`` projectors is built.  A state is
+measured in the cube's ``3^n`` settings; a detector is probed with its
+``6^n`` product eigenstates, and element ``P_i``'s click table
+``Tr(Pi_{s,b} P_i)`` is the cube's Born table of ``P_i``.  Either oracle
 computes the cube's table on its first draw and keeps it, so repeated draws
 only sample.  The adaptive step measures in an estimated eigenbasis ``U``,
 whose outcome probabilities are the diagonal of ``U^dag rho U``.
@@ -264,49 +267,54 @@ def pure_probe_states(unit_vectors) -> np.ndarray:
     return states
 
 
-def random_unit_vectors(count: int, d: int, rng) -> np.ndarray:
-    """``(count, d)`` Haar-random unit vectors (rows).
+class _Oracle:
+    """Batch draws and the cube-caching rule shared by the two oracles.
 
-    Normalized complex Gaussian vectors are Haar-uniform on the sphere, which
-    is all a rank-1 probe needs.  Each row draws its d real parts, then its d
-    imaginary parts.
-    """
-    z = as_generator(rng).standard_normal((count, 2, d))
-    return unit_rows(z[:, 0] + 1j * z[:, 1])
-
-
-class StateOracle:
-    """Measurement oracle hiding a (pseudo-)state ``rho``.
-
-    :meth:`counts` measures ``S`` settings at once: the :class:`PauliCube`
-    of ``rho``'s dimension, or a sequence of settings, each a POVM or a stack
-    of its ``K`` elements (all settings with one outcome count).  The cube's
-    outcome table is computed on first use and kept, read-only; a sequence
-    is evaluated by :func:`born_probabilities` on every call.
-    :meth:`basis_counts` measures in the orthonormal basis of a unitary's
-    columns.
+    :meth:`table` of the :class:`PauliCube` of the oracle's dimension is
+    computed on first use and kept, read-only, so repeated draws only
+    sample; any other battery is evaluated on every call.
     """
 
-    def __init__(self, rho: DensityMatrix):
-        self.rho = rho
+    def __init__(self, dim: int):
+        self.dim = dim
         self._cube_table = None
 
     def table(self, settings) -> np.ndarray:
         """``(S, K+1)`` outcome table of ``S`` settings."""
         if isinstance(settings, PauliCube):
-            if settings.dim != self.rho.dim:
-                raise DimensionError(f"state is not {settings.dim} x {settings.dim}")
+            if settings.dim != self.dim:
+                raise DimensionError(f"oracle is {self.dim}-dimensional, cube is not")
             if self._cube_table is None:
-                table = outcome_table(settings.probabilities(self.rho.mat))
+                table = outcome_table(self._cube_probabilities(settings))
                 table.flags.writeable = False
                 self._cube_table = table
             return self._cube_table
-        probs = [born_probabilities(self.rho, setting) for setting in settings]
-        return outcome_table(np.stack(probs))
+        return outcome_table(self._probabilities(settings))
 
     def counts(self, settings, shots, rng) -> np.ndarray:
         """``(S, K+1)`` counts, null column last, from one multinomial draw."""
         return draw_counts(self.table(settings), shots, rng)
+
+
+class StateOracle(_Oracle):
+    """Measurement oracle hiding a (pseudo-)state ``rho``.
+
+    :meth:`counts` measures ``S`` settings at once: the :class:`PauliCube`
+    of ``rho``'s dimension (table cached), or a sequence of settings, each a
+    POVM or a stack of its ``K`` elements (all settings with one outcome
+    count), evaluated by :func:`born_probabilities`.  :meth:`basis_counts`
+    measures in the orthonormal basis of a unitary's columns.
+    """
+
+    def __init__(self, rho: DensityMatrix):
+        super().__init__(rho.dim)
+        self.rho = rho
+
+    def _cube_probabilities(self, cube: PauliCube) -> np.ndarray:
+        return cube.probabilities(self.rho.mat)
+
+    def _probabilities(self, settings) -> np.ndarray:
+        return np.stack([born_probabilities(self.rho, setting) for setting in settings])
 
     def basis_table(self, u) -> np.ndarray:
         """``(1, d+1)`` outcome table of a measurement in the columns of ``u``.
@@ -328,24 +336,28 @@ class StateOracle:
         return draw_counts(self.basis_table(u), [shots], rng)
 
 
-class DetectorOracle:
+class DetectorOracle(_Oracle):
     """Probe oracle hiding a detector ``povm``.
 
-    :meth:`counts` measures ``S`` stacked probe density matrices ``(S, d, d)``
-    at once.
+    :meth:`counts` probes the detector with ``S`` states at once: the
+    ``6^n`` product eigenstates ``Pi_{s,b}`` of the :class:`PauliCube` of
+    its dimension, row ``s * 2^n + b`` in cube order (table cached), or a
+    stack of probe density matrices ``(S, d, d)``.  Element ``i``'s click
+    probabilities under the cube, ``Tr(Pi_{s,b} P_i)``, are its
+    :meth:`PauliCube.probabilities` table.
     """
 
     def __init__(self, povm: Povm):
+        super().__init__(povm.dim)
         self.povm = povm
         self._elements = np.stack(povm.elements)
 
-    def table(self, probes) -> np.ndarray:
-        """``(S, K+1)`` outcome table of stacked probe states ``(S, d, d)``."""
-        return outcome_table(born_probabilities(probes, self._elements))
+    def _cube_probabilities(self, cube: PauliCube) -> np.ndarray:
+        tables = np.stack([cube.probabilities(e) for e in self._elements], axis=-1)
+        return tables.reshape(-1, len(self._elements))
 
-    def counts(self, probes, shots, rng) -> np.ndarray:
-        """``(S, K+1)`` counts, null column last, from one multinomial draw."""
-        return draw_counts(self.table(probes), shots, rng)
+    def _probabilities(self, probes) -> np.ndarray:
+        return born_probabilities(probes, self._elements)
 
 
 def state_sampler(rho: DensityMatrix) -> StateOracle:
@@ -375,8 +387,8 @@ class ExactStateOracle(StateOracle):
 class ExactDetectorOracle(DetectorOracle):
     """Zero-noise probe oracle for detector tomography."""
 
-    def counts(self, probes, shots=None, rng=None) -> np.ndarray:
-        return self.table(probes)
+    def counts(self, settings, shots=None, rng=None) -> np.ndarray:
+        return self.table(settings)
 
 
 def exact_state_sampler(rho: DensityMatrix) -> ExactStateOracle:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from aqtomo.estimators import (
     EstimationError,
-    HermitianBasis,
     InformationIncompleteError,
     LrePlan,
     TomographyEstimate,
@@ -18,10 +17,8 @@ from aqtomo.estimators import (
     adaptive_qdt,
     adaptive_qpst,
     adaptive_qst,
-    lre_mse_bound,
     nonadaptive_aapt,
     physical_projection_fast,
-    povm_design,
     project_eigenvalues_simplex,
     qdt_stage1,
     qpt_stage2_ntp,
@@ -29,11 +26,12 @@ from aqtomo.estimators import (
     static_qdt,
     static_qst,
 )
-from aqtomo.estimators import _default_plan, _gell_mann_stack
+from aqtomo.estimators import _default_plan
 from aqtomo.linalg import (
     DimensionError,
     eig_reconstruct,
     haar_unitary,
+    hermitian_part,
     kron,
     partial_trace_1,
 )
@@ -45,8 +43,6 @@ from aqtomo.measurement import (
     exact_state_sampler,
     frequencies,
     pauli_cube,
-    pure_probe_states,
-    random_unit_vectors,
     state_sampler,
 )
 from aqtomo.quantum_objects import (
@@ -64,6 +60,72 @@ from aqtomo.experiments import ExperimentConfig
 from aqtomo.experiments.harness import _context, gm_bound, run_trial
 from aqtomo.fidelity import fidelity, state_scenario
 from test_quantum_objects import lossy_dephasing, random_channel, random_density
+
+
+# ---------------------------------------------------------------------------
+# Dense least-squares reference: a Gell-Mann basis and the design matrix of a
+# POVM battery, against which the closed-form cube inversion is checked
+# ---------------------------------------------------------------------------
+
+
+def gell_mann_stack(d: int) -> np.ndarray:
+    """I/sqrt(d) followed by the d^2 - 1 generalized Gell-Mann matrices.
+
+    Orthonormal under the Hilbert-Schmidt inner product, all Hermitian, with
+    the identity direction isolated in slot 0 so a trace constraint pins a
+    single coefficient.
+    """
+    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l] = 1.0
+        diag[l] = -l
+        ops.append(np.diag(diag).astype(complex) / np.sqrt(l * (l + 1)))
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+            ops.append(sym)
+            asym = np.zeros((d, d), dtype=complex)
+            asym[j, k] = -1j / np.sqrt(2.0)
+            asym[k, j] = 1j / np.sqrt(2.0)
+            ops.append(asym)
+    return np.stack(ops)
+
+
+class HermitianBasis:
+    """Orthonormal Hermitian basis with operators[0] = I/sqrt(d)."""
+
+    def __init__(self, d: int):
+        self.d, self.operators = d, gell_mann_stack(d)
+
+    def expand(self, m: np.ndarray) -> np.ndarray:
+        """Real coefficient vector of a Hermitian matrix in this basis."""
+        return np.einsum("kij,ji->k", self.operators, np.asarray(m, complex)).real
+
+    def assemble(self, coeffs: np.ndarray) -> np.ndarray:
+        """Hermitian matrix from a real coefficient vector."""
+        return hermitian_part(
+            np.einsum("k,kij->ij", np.asarray(coeffs, float), self.operators),
+            check=False,
+        )
+
+
+def povm_design(povms, basis: HermitianBasis) -> np.ndarray:
+    """Rows Tr(P B_k) of a battery's elements P, ordered setting-major."""
+    elems = np.stack([e for p in povms for e in p.elements])
+    return np.einsum("aij,bji->ab", elems, basis.operators).real
+
+
+def lre_mse_bound(povms, basis: HermitianBasis, n_total: int) -> float:
+    """Conservative mean-squared-error bound (J / 4N) Tr[(X^T X)^-1].
+
+    J is the number of POVM settings; uses the trace-constrained design since
+    the identity coefficient carries no statistical error.
+    """
+    design = povm_design(povms, basis)[:, 1:]
+    gram_inv = np.linalg.inv(design.T @ design)
+    return len(povms) / (4.0 * n_total) * float(np.trace(gram_inv))
 
 
 def random_full_schmidt(gen, d, min_coeff=0.2):
@@ -181,20 +243,15 @@ class TestDefaultPlan:
             adaptive_qst(state_sampler(rho), dim, 1000, 0.5, SeededRng(95))
 
 
-class TestGellMannStackOnlyForDensePlans:
-    def test_cube_plan_and_harness_context_build_no_stack(self):
-        _gell_mann_stack.cache_clear()
-        _context.cache_clear()
-        LrePlan(pauli_cube(5), constrain_trace=True)
-        _context(ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 1))
-        assert _gell_mann_stack.cache_info().currsize == 0
-
-
 class TestNoDenseCubeInProduction:
     def test_harness_trials_and_default_plans_build_no_dense_cube(self):
         cube_povm.cache_clear()
         _context.cache_clear()
-        for task, target in (("qst", "qst-rank1-8d"), ("aapt", "aapt-hadamard")):
+        for task, target in (
+            ("qst", "qst-rank1-8d"),
+            ("qdt", "qdt-three-valued"),
+            ("aapt", "aapt-hadamard"),
+        ):
             for method in ("adaptive", "static"):
                 cfg = ExperimentConfig(task, method, target, (400,), 1)
                 assert run_trial(cfg, 400, 0, 0) is not None
@@ -445,34 +502,75 @@ def three_valued_detector(seed=70):
     return Povm((p1, p2, np.eye(4) - p1 - p2), name="three-valued")
 
 
+def random_povm(gen, d, n_elements):
+    """Random full-rank POVM: positive matrices renormalized by S^-1/2."""
+    parts = []
+    for _ in range(n_elements):
+        a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        parts.append(a @ a.conj().T)
+    w, v = np.linalg.eigh(sum(parts))
+    s_inv = (v / np.sqrt(w)) @ v.conj().T
+    return Povm(tuple(s_inv @ p @ s_inv for p in parts))
+
+
 class TestQdt:
     def test_stage1_noiseless_exact(self):
         povm = three_valued_detector()
-        gen = SeededRng(71).generator()
-        probes = [random_density(gen, 4).mat for _ in range(20)]
-        probes = np.stack(probes + [np.eye(4, dtype=complex) / 4])
-        freqs = frequencies(exact_detector_sampler(povm).counts(probes))
-        elements = qdt_stage1(freqs, probes)
+        cube = pauli_cube(2)
+        freqs = frequencies(exact_detector_sampler(povm).counts(cube))
+        elements = qdt_stage1(freqs, cube)
         for est, true in zip(elements, povm.elements):
             assert np.linalg.norm(est - true) < 1e-8
 
     def test_stage1_frequency_probe_mismatch_rejected(self):
         povm = three_valued_detector()
-        gen = SeededRng(95).generator()
-        probes = np.stack([random_density(gen, 4).mat for _ in range(17)])
-        freqs = frequencies(exact_detector_sampler(povm).counts(probes[:-1]))
+        cube = pauli_cube(2)
+        counts = exact_detector_sampler(povm).counts(cube)
         with pytest.raises(DimensionError):
-            qdt_stage1(freqs, probes)
+            qdt_stage1(frequencies(counts[:-1]), cube)
 
     def test_stage1_completeness_by_construction(self):
         povm = three_valued_detector()
         gen = SeededRng(72).generator()
-        probes = pure_probe_states(random_unit_vectors(24, 4, gen))
-        counts = detector_sampler(povm).counts(probes, [2000] * len(probes), gen)
-        elements = qdt_stage1(frequencies(counts), probes)
+        cube = pauli_cube(2)
+        counts = detector_sampler(povm).counts(cube, [2000] * 36, gen)
+        elements = qdt_stage1(frequencies(counts), cube)
         assert np.max(np.abs(sum(elements) - np.eye(4))) < 1e-8
         for e in elements:
             assert np.linalg.eigvalsh(e)[0] > -1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_stage1_recovers_random_povms(self, n, n_elements, seed):
+        povm = random_povm(np.random.default_rng(seed), 2**n, n_elements)
+        cube = pauli_cube(n)
+        freqs = frequencies(exact_detector_sampler(povm).counts(cube))
+        elements = qdt_stage1(freqs, cube)
+        assert len(elements) == n_elements
+        for est, true in zip(elements, povm.elements):
+            assert np.max(np.abs(est - true)) <= 1e-12
+
+    def test_zero_shot_probe_raises(self):
+        povm = three_valued_detector()
+        cube = pauli_cube(2)
+        shots = [50] * 36
+        shots[7] = 0
+        counts = detector_sampler(povm).counts(cube, shots, SeededRng(98))
+        with pytest.raises(InformationIncompleteError):
+            qdt_stage1(frequencies(counts), cube)
+        # a budget below one shot per probe leaves the first 35 probes empty
+        with pytest.raises(InformationIncompleteError):
+            static_qdt(detector_sampler(povm), 3, 4, 35, SeededRng(99))
+        with pytest.raises(InformationIncompleteError):
+            adaptive_qdt(detector_sampler(povm), 3, 4, 70, 0.5, SeededRng(99))
+
+    def test_non_power_of_two_detector_rejected(self):
+        povm = Povm((np.diag([1.0, 0.0, 0.5]), np.diag([0.0, 1.0, 0.5])))
+        sampler = detector_sampler(povm)
+        with pytest.raises(DimensionError):
+            static_qdt(sampler, 2, 3, 1000, SeededRng(100))
+        with pytest.raises(DimensionError):
+            adaptive_qdt(sampler, 2, 3, 1000, 0.5, SeededRng(100))
 
     def test_stage1_mse_scales_inversely(self):
         povm = three_valued_detector()

@@ -492,9 +492,9 @@ GOLDEN_CSV_SHA256 = {
     ("qst", "qst-rank1-8d", "static"):
         "b53ac1e7eadb10caaeb0d47af598a99cbf80aa81725f7521719869173ed5e747",
     ("qdt", "qdt-three-valued", "adaptive"):
-        "319cafbeb975311034594fcb11583889ff7f09a5506b5e369f957033c582a4d1",
+        "37576fb8413b7763057a3823d6499fa844380956ce0f780e567d9538536634f5",
     ("qdt", "qdt-three-valued", "static"):
-        "6503c56fb532aa46680816647d403e63e7c1ff41cb93d8afdfce4346662bcd7a",
+        "e16095341580efe5c873ef295f2ae4a6a958289efc16c071c53975f09fa8c2a9",
     ("aapt", "aapt-hadamard", "adaptive"):
         "4a7022ed84b96c90aa015d879add6d32b7f6632c0f30b872a34035c89f9657e9",
     ("aapt", "aapt-hadamard", "static"):
@@ -515,9 +515,9 @@ GOLDEN_JSON_SHA256 = {
     ("qst", "qst-rank1-8d", "static"):
         "9f4b6f91d60f7444b49da1f2590757a49b6c5a8b7e4e59833e30207319a23439",
     ("qdt", "qdt-three-valued", "adaptive"):
-        "a8b2c510786c90f617221968d1f87815b23cf87f2882641702bf67dba67488ca",
+        "99aa8b351f1c22c5cc91329a025a3dbedef07d9acbff48714612dcfdcabe67a9",
     ("qdt", "qdt-three-valued", "static"):
-        "c82661ae89043c1deeb4ddf3c816f610610197357f7ffcf790357791fc035d1a",
+        "06b0db9716b3933354da5ef1001968aa3b53621c1e9fde98ba16f362979bc23e",
     ("aapt", "aapt-hadamard", "adaptive"):
         "9bd2ff0a7b97c778dd7995db7d1ce1f92439580750319938316f0437da775065",
     ("aapt", "aapt-hadamard", "static"):

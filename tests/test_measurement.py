@@ -3,29 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqtomo.estimators import (
-    HermitianBasis,
-    InformationIncompleteError,
-    _default_plan,
-    operator_design,
-)
+from aqtomo.estimators import InformationIncompleteError, _default_plan
 from aqtomo.measurement import (
     PauliCube,
     SeededRng,
     cube_povm,
+    detector_sampler,
     draw_counts,
+    exact_detector_sampler,
     exact_state_sampler,
     frequencies,
     outcome_table,
     pauli_cube,
     pure_probe_states,
-    random_unit_vectors,
     sample_counts,
     state_sampler,
+    unit_rows,
 )
 from aqtomo.linalg import DimensionError, haar_unitary
 from aqtomo.quantum_objects import DensityMatrix, born_probabilities, pure_state
-from test_estimators import random_pseudo_state
+from test_estimators import random_povm, random_pseudo_state
 
 
 class TestSampleCounts:
@@ -148,6 +145,39 @@ class TestPauliCube:
         with pytest.raises(DimensionError):
             oracle.counts(pauli_cube(2), [7] * 9, SeededRng(23))
 
+    def test_detector_oracle_computes_the_cube_table_once(self, monkeypatch):
+        povm = random_povm(np.random.default_rng(24), 8, 3)
+        cube = pauli_cube(3)
+        # probe (s, b) is the product eigenstate Pi_{s,b}, row s * 8 + b
+        probes = np.stack([e for p in cube_povm(3) for e in p.elements])
+        want = outcome_table(born_probabilities(probes, povm))
+        calls = []
+        original = PauliCube.probabilities
+
+        def counted(self, m):
+            calls.append(self)
+            return original(self, m)
+
+        monkeypatch.setattr(PauliCube, "probabilities", counted)
+        oracle = detector_sampler(povm)
+        assert calls == []  # nothing is computed before the first draw
+        table = oracle.table(cube)
+        assert table.shape == (216, 4) and not table.flags.writeable
+        assert np.max(np.abs(table - want)) <= 1e-15
+        shots = [3] * 216
+        for stream in range(3):
+            rng = SeededRng(25, stream)
+            counts = oracle.counts(cube, shots, rng)
+            assert np.array_equal(counts, draw_counts(table, shots, rng))
+        assert calls == [cube] * 3  # one Born table per element, once
+        exact = exact_detector_sampler(povm)
+        assert exact.counts(cube) is exact.counts(cube)
+        assert len(calls) == 6
+        # stacked probes are evaluated on every call, uncached
+        assert np.array_equal(oracle.table(probes), want)
+        with pytest.raises(DimensionError):
+            oracle.counts(pauli_cube(2), [7] * 36, SeededRng(26))
+
 
 class TestBasisMeasurement:
     @settings(max_examples=40, deadline=None)
@@ -234,20 +264,11 @@ class TestMeasureState:
 
 class TestRandomPureProbes:
     def test_rank_one_unit_trace(self):
-        probes = pure_probe_states(random_unit_vectors(5, 4, SeededRng(13)))
+        z = SeededRng(13).generator().standard_normal((5, 2, 4))
+        probes = pure_probe_states(unit_rows(z[:, 0] + 1j * z[:, 1]))
         for p in probes:
             w = np.linalg.eigvalsh(p)
             assert abs(w[-1] - 1.0) < 1e-10 and abs(w[:-1]).max() < 1e-10
-
-    def test_informationally_complete_battery(self):
-        probes = pure_probe_states(random_unit_vectors(24, 4, SeededRng(14)))
-        design = operator_design(probes, HermitianBasis(4))
-        assert np.linalg.matrix_rank(design) == 16
-
-    def test_determinism(self):
-        a = pure_probe_states(random_unit_vectors(3, 4, SeededRng(15, 2)))
-        b = pure_probe_states(random_unit_vectors(3, 4, SeededRng(15, 2)))
-        assert np.array_equal(a, b)
 
 
 class TestExactOracle:
