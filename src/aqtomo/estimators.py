@@ -14,7 +14,10 @@ cube's closed-form linear inversion (:meth:`PauliCube.invert`): a state is
 measured in the cube's ``3^n`` settings, and a detector is probed with its
 ``6^n`` product eigenstates, whose click table of element ``P_i`` is the
 cube's Born table of ``P_i``.  No design matrix, rank check or
-pseudo-inverse is built, and every dimension must be a power of two.
+pseudo-inverse is built, and every dimension must be a power of two.  A
+detector's elements travel as one ``(K, d, d)`` stack: one PSD projection,
+one renormalization and one eigensolve per step, and the adaptive step
+probes with the columns of the stacked eigenbases.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from . import linalg
 from .linalg import (
     DimensionError,
+    _eigh,
     dagger,
     eig_reconstruct,
     hermitian_eig,
@@ -37,14 +41,7 @@ from .linalg import (
     partial_trace_1,
     project_psd,
 )
-from .measurement import (
-    Frequencies,
-    PauliCube,
-    frequencies,
-    pauli_cube,
-    pure_probe_states,
-    unit_rows,
-)
+from .measurement import Frequencies, PauliCube, frequencies, pauli_cube
 from .quantum_objects import (
     BipartitePureState,
     DegenerateInputError,
@@ -272,15 +269,16 @@ def static_qst(sampler, d: int, n_total: int, rng) -> TomographyEstimate:
 # ---------------------------------------------------------------------------
 
 
-def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> list:
+def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> np.ndarray:
     """Static detector estimate from the click frequencies of the cube's probes.
 
     ``freqs`` holds one row per probe state ``Pi_{s,b}`` of ``cube``, in cube
     order (row ``s * 2^n + b``), and one column per element.  Element ``i``'s
     column, read as a ``(3^n, 2^n)`` table, estimates ``Tr(Pi_{s,b} P_i)``,
-    which :meth:`PauliCube.invert` maps back to ``P_i``.  Each inverted
-    element is projected onto the PSD cone, then :func:`_renormalize`
-    restores completeness exactly.  Every probe must have shots: a zero-shot
+    which :meth:`PauliCube.invert` maps back to ``P_i``.  The inverted
+    elements are projected onto the PSD cone as one stack, then
+    :func:`_renormalize` restores completeness exactly; the result is the
+    ``(K, d, d)`` element stack.  Every probe must have shots: a zero-shot
     probe raises :class:`InformationIncompleteError`, as in :class:`LrePlan`.
     """
     d = cube.dim
@@ -291,19 +289,19 @@ def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> list:
             "a zero-shot probe state leaves the cube's inversion incomplete"
         )
     tables = freqs.values.reshape(len(cube), d, -1)
-    return _renormalize(
-        [project_psd(cube.invert(tables[..., i])) for i in range(tables.shape[2])]
-    )
+    inverted = np.stack([cube.invert(tables[..., i]) for i in range(tables.shape[2])])
+    return _renormalize(project_psd(inverted))
 
 
-def _renormalize(elements) -> list:
+def _renormalize(elements: np.ndarray) -> np.ndarray:
     """Symmetric joint correction ``P_i -> S^-1/2 P_i S^-1/2``, ``S = sum_i P_i``.
 
-    Makes the elements sum to the identity; flooring the inverse square root
-    (logged, never fatal) keeps it finite.
+    Makes the ``(K, d, d)`` element stack sum to the identity; flooring the
+    inverse square root (logged, never fatal) keeps it finite.  ``S`` is
+    summed in element order, starting from the first.
     """
     corr = inv_sqrt(sum(elements))
-    return [hermitian_part(corr @ p @ corr, check=False) for p in elements]
+    return hermitian_part(corr @ elements @ corr, check=False)
 
 
 def adaptive_qdt(
@@ -312,11 +310,12 @@ def adaptive_qdt(
     """Two-step adaptive detector tomography with per-element O(1/N) infidelity.
 
     Step 1 runs :func:`qdt_stage1` on the Pauli cube's probe states; step 2
-    probes each estimated eigenvector (n * d adaptive probe states, equal
-    budgets, drawn at once) and adopts the observed click frequency of its
-    own element as the eigenvalue estimate.  The final correction is
-    :func:`_renormalize`'s.  The ``(N - n0) mod (n * d)`` shots that do not
-    divide evenly over the adaptive probes are left unused.
+    takes every element's eigenbasis from one stacked eigensolve, probes
+    with each basis column (n * d adaptive probe states, equal budgets,
+    drawn at once by the oracle's ``basis_counts``) and adopts the observed
+    click frequency of its own element as the eigenvalue estimate.  The
+    final correction is :func:`_renormalize`'s.  The ``(N - n0) mod (n * d)``
+    shots that do not divide evenly over the adaptive probes are left unused.
     """
     n0 = _check_alpha(n_total, alpha)
     gen = linalg.as_generator(rng)
@@ -325,19 +324,16 @@ def adaptive_qdt(
     per_probe = (n_total - n0) // (n_elements * d)
     if per_probe < 1:
         raise EstimationError("step-2 budget is below one shot per adaptive probe")
-    bases = [hermitian_eig(p_bar).eigenvectors for p_bar in stage1]
+    bases = _eigh(stage1).eigenvectors
     # probe (i, j) is eigenvector j of element i, in row i * d + j
-    adaptive = pure_probe_states(unit_rows(np.concatenate([u.T for u in bases])))
-    counts = detector_sampler.counts(adaptive, np.full(len(adaptive), per_probe), gen)
-    lam = frequencies(counts).values
-    corrected = [
-        eig_reconstruct(lam[i * d : (i + 1) * d, i], u) for i, u in enumerate(bases)
-    ]
+    counts = detector_sampler.basis_counts(bases, per_probe, gen)
+    lam = frequencies(counts).values.reshape(n_elements, d, n_elements)
+    own = np.arange(n_elements)
+    corrected = eig_reconstruct(lam[own, :, own], bases)
 
-    elements = tuple(_renormalize(corrected))
-    used = n0 + per_probe * len(adaptive)
+    used = n0 + per_probe * n_elements * d
     return TomographyEstimate(
-        value=Povm(elements, name="adaptive-qdt"),
+        value=Povm(tuple(_renormalize(corrected)), name="adaptive-qdt"),
         shots_used=used,
         method_tag="adaptive_qdt",
         extras={"step2_per_probe": per_probe, "unused_shots": n_total - used},

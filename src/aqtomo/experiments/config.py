@@ -17,6 +17,7 @@ Example::
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 
 TASKS = ("qst", "qdt", "aapt")
@@ -54,23 +55,30 @@ class ExperimentConfig:
                 "n_grid has too many points: its trial streams would reach the "
                 "target streams"
             )
-        grid = tuple(int(n) for n in self.n_grid)
+        try:  # numpy integers pass; floats and strings raise
+            grid = tuple(map(operator.index, self.n_grid))
+            reps, seed = operator.index(self.repetitions), operator.index(self.seed)
+        except TypeError as exc:
+            msg = "n_grid, repetitions and seed must be integers"
+            raise ValueError(f"{msg}: {exc}") from None
         if not grid or any(n < 1 for n in grid):
             raise ValueError("n_grid must hold positive shot counts")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        if self.repetitions < 1:
+        if reps < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.repetitions >= 1 << TRIAL_STREAM_BITS:
+        if reps >= 1 << TRIAL_STREAM_BITS:
             raise ValueError(
                 f"repetitions must be below 2**{TRIAL_STREAM_BITS}, or trial "
                 "streams of neighbouring grid points would coincide"
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "repetitions", reps)
+        object.__setattr__(self, "seed", seed)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -152,8 +152,8 @@ class _TaskContext:
 
     ``oracle`` hides the target.  A state oracle computes its Pauli-cube
     Born table on the first trial and keeps it for the rest.  The target's
-    fixed scoring constants (its rank, per-element ranks, true process matrix
-    and known output trace) are computed here.
+    fixed scoring constants (its rank, per-element ranks and stacked
+    elements, true process matrix and known output trace) are computed here.
     """
 
     target: object
@@ -161,6 +161,7 @@ class _TaskContext:
     tp_flag: bool = True
     rank: int = 0
     element_ranks: tuple = ()
+    elements: np.ndarray | None = None
     x_true: np.ndarray | None = None
     known_trace: float | None = None
 
@@ -180,6 +181,7 @@ def _context(config: ExperimentConfig) -> _TaskContext:
             target,
             detector_sampler(target.povm),
             element_ranks=target.element_ranks,
+            elements=np.stack(target.povm.elements),
         )
     assert isinstance(target, AaptTarget)
     tp = target.tp if config.tp_flag is None else config.tp_flag
@@ -198,15 +200,24 @@ def _context(config: ExperimentConfig) -> _TaskContext:
     )
 
 
-def _score(hat: np.ndarray, true: np.ndarray, scenario, rank: int) -> dict:
+def _score(hat: np.ndarray, true: np.ndarray, scenario, rank):
     """Metrics of an estimate against the truth, shared by every task.
 
     One eigendecomposition gives both the eigenvalue mass beyond the true
     rank and the PSD deviation (the most negative eigenvalue, floored at 0),
-    which starts the ``constraint_dev`` each task extends.
+    which starts the ``constraint_dev`` each task extends.  ``(K, d, d)``
+    stacks with ``K`` ranks give ``K`` dicts, each equal to its pair's own.
     """
     f, f_dp = fidelity_and_dp(hat, true, scenario)
     eigs = np.linalg.eigvalsh(hat)
+    if hat.ndim == 2:
+        return _metrics(hat, true, f, f_dp, eigs, rank)
+    return [
+        _metrics(*a) for a in zip(hat, true, f.tolist(), f_dp.tolist(), eigs, rank)
+    ]
+
+
+def _metrics(hat, true, f, f_dp, eigs, rank) -> dict:
     return {
         "infidelity": 1.0 - f,
         "infidelity_dp": 1.0 - f_dp,
@@ -238,13 +249,8 @@ def _qdt_trial(ctx: _TaskContext, config, n, gen) -> dict:
         est = adaptive_qdt(sampler, n_el, d, n, config.alpha, gen)
     else:
         est = static_qdt(sampler, n_el, d, n, gen)
-    scen = detector_scenario(d)
-    scores = [
-        _score(p_hat, p_true, scen, rank)
-        for p_hat, p_true, rank in zip(
-            est.value.elements, target.povm.elements, ctx.element_ranks
-        )
-    ]
+    hat = np.stack(est.value.elements)
+    scores = _score(hat, ctx.elements, detector_scenario(d), ctx.element_ranks)
     # summed in element order from 0.0 (Python 3.12's sum() compensates)
     mse = tail = dev = 0.0
     for score in scores:

@@ -150,6 +150,10 @@ def _qdt_three_valued_8d(seed):
     return _three_valued("qdt-three-valued-8d", 8, seed, (10, 11))
 
 
+def _qdt_three_valued_16d(seed):
+    return _three_valued("qdt-three-valued-16d", 16, seed, (12, 13))
+
+
 def _aapt_hadamard(seed):
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     return AaptTarget(
@@ -211,6 +215,7 @@ _BUILTIN = {
     "qst-rank2-degenerate": _qst_rank2_degenerate,
     "qdt-three-valued": _qdt_three_valued,
     "qdt-three-valued-8d": _qdt_three_valued_8d,
+    "qdt-three-valued-16d": _qdt_three_valued_16d,
     "aapt-hadamard": _aapt_hadamard,
     "aapt-damping-0.989": _aapt_damping_0989,
     "aapt-damping-third": _aapt_damping_third,

@@ -23,10 +23,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import DimensionError, hermitian_eig, hermitian_part, matrix_sqrt
+from .linalg import DimensionError, _any_true, _eig, hermitian_part, matrix_sqrt
 
 # eigenvalues of sqrt(A) B sqrt(A) may dip this far below zero from roundoff
 _UHLMANN_EIG_SLOP = -1e-10
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -68,28 +69,30 @@ def process_scenario(d: int) -> FidelityScenario:
     return FidelityScenario("process", d)
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray):
+def _check_pair(a: np.ndarray, b: np.ndarray, stack: bool = False):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    square = a.ndim == 2 or (stack and a.ndim > 2)
+    if a.shape != b.shape or not square or a.shape[-1] != a.shape[-2]:
         raise DimensionError("fidelity needs two square matrices of equal size")
     return a, b
 
 
-def _sqrt_eig_sum(inner: np.ndarray) -> float:
-    """Tr sqrt of a numerically-PSD matrix, robust near rank deficiency.
+def _overlap_root(a: np.ndarray, b: np.ndarray):
+    """Tr sqrt(sqrt(a) b sqrt(a)) of a pair, or of each pair of two stacks.
 
-    Eigenvalues below machine precision relative to the largest are exact
+    The one Uhlmann core: every fidelity below squares this value.  Inner
+    eigenvalues below machine precision relative to the largest are exact
     zeros up to roundoff; taking their square roots would inject O(sqrt(eps))
     bias, so they are dropped.
     """
-    w = hermitian_eig(inner).eigenvalues
-    top = max(float(w[0]), 0.0)
-    if w[-1] < _UHLMANN_EIG_SLOP * max(1.0, top):
+    ra = matrix_sqrt(a)
+    w = _eig(hermitian_part(ra @ b @ ra, check=False)).eigenvalues
+    top = np.maximum(w[..., :1], 0.0)
+    if _any_true(w[..., -1:] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)):
         raise linalg.NotPSDError("fidelity operand is not PSD")
-    cutoff = len(w) * np.finfo(float).eps * top
-    w = np.where(w > cutoff, w, 0.0)
-    return float(np.sum(np.sqrt(w)))
+    cutoff = w.shape[-1] * _EPS * top
+    return np.sqrt(np.where(w > cutoff, w, 0.0)).sum(axis=-1)
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -99,20 +102,34 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     state fidelity, symmetric in its arguments.
     """
     a, b = _check_pair(a, b)
-    ra = matrix_sqrt(a)
-    inner = hermitian_part(ra @ b @ ra, check=False)
-    return _sqrt_eig_sum(inner) ** 2
+    return float(_overlap_root(a, b)) ** 2
+
+
+def _dp_terms(hat_s: np.ndarray, s: np.ndarray, d: int, unit_trace=False) -> list:
+    """``(F_dp, [Tr(s - hat_s)]^2 / d^2)`` of a pair, or of each pair of two stacks.
+
+    One (stacked) Uhlmann overlap serves every pair; the scalar tail then
+    runs pair by pair in Python floats, so a stack's entries equal the
+    values of its pairs alone bit for bit.
+    """
+    tr_hat, tr_s, tr_diff = (
+        np.trace(m, axis1=-2, axis2=-1).real.reshape(-1).tolist()
+        for m in (hat_s, s, s - hat_s)
+    )
+    if unit_trace and max(abs(t - 1.0) for t in tr_hat + tr_s) > 1e-6:
+        raise ValueError("state-scenario fidelity needs unit traces")
+    if min(tr_hat + tr_s) <= 0.0:
+        raise ValueError("fidelity_dp needs positive traces")
+    roots = _overlap_root(hat_s, s).reshape(-1).tolist()
+    return [
+        (float(min(root**2 / (t_hat * t_s), 1.0)), t_diff**2 / d**2)
+        for root, t_hat, t_s, t_diff in zip(roots, tr_hat, tr_s, tr_diff)
+    ]
 
 
 def fidelity_dp(hat_s: np.ndarray, s: np.ndarray) -> float:
     """Trace-normalized Uhlmann fidelity (the distortion-prone classic form)."""
-    hat_s, s = _check_pair(hat_s, s)
-    tr_hat = float(np.trace(hat_s).real)
-    tr_s = float(np.trace(s).real)
-    if tr_hat <= 0.0 or tr_s <= 0.0:
-        raise ValueError("fidelity_dp needs positive traces")
-    val = state_fidelity(hat_s, s) / (tr_hat * tr_s)
-    return float(min(val, 1.0))
+    return _dp_terms(*_check_pair(hat_s, s), 1)[0][0]
 
 
 def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
@@ -121,35 +138,34 @@ def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
     Equals 1 iff the arguments are equal; ``d`` sets the normalization of
     the trace-mismatch penalty (see :class:`FidelityScenario`).
     """
-    hat_s, s = _check_pair(hat_s, s)
-    return fidelity_dp(hat_s, s) - _trace_mismatch(hat_s, s, d)
-
-
-def _trace_mismatch(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
-    return float(np.trace(s - hat_s).real) ** 2 / d**2
+    f_dp, mismatch = _dp_terms(*_check_pair(hat_s, s), d)[0]
+    return f_dp - mismatch
 
 
 def fidelity_and_dp(
     hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario, clamp: bool = True
-) -> tuple[float, float]:
+):
     """``(F, F_dp)`` of one pair from a single Uhlmann overlap.
 
     The first value is :func:`fidelity`, the second :func:`fidelity_dp`, each
-    computed with exactly the arithmetic of that function.
+    computed with exactly the arithmetic of that function.  Two ``(K, d, d)``
+    stacks give two length-``K`` arrays from one stacked overlap, each entry
+    equal to the value of its pair alone.
     """
-    hat_s, s = _check_pair(hat_s, s)
-    if scenario.kind == "state":
-        if abs(np.trace(hat_s).real - 1.0) > 1e-6 or abs(np.trace(s).real - 1.0) > 1e-6:
-            raise ValueError("state-scenario fidelity needs unit traces")
-        d = hat_s.shape[0]
-    else:
-        d = scenario.dim
+    hat_s, s = _check_pair(hat_s, s, stack=True)
+    state = scenario.kind == "state"
     f = scenario.f_lower
-    f_dp = fidelity_dp(hat_s, s)
-    raw = (f_dp - _trace_mismatch(hat_s, s, d) - f) / (1.0 - f)
-    if clamp:
-        raw = min(max(raw, 0.0), 1.0)
-    return float(raw), f_dp
+    pairs = []
+    for f_dp, mismatch in _dp_terms(
+        hat_s, s, hat_s.shape[-1] if state else scenario.dim, unit_trace=state
+    ):
+        raw = (f_dp - mismatch - f) / (1.0 - f)
+        if clamp:
+            raw = min(max(raw, 0.0), 1.0)
+        pairs.append((float(raw), f_dp))
+    if hat_s.ndim == 2:
+        return pairs[0]
+    return tuple(np.array(values) for values in zip(*pairs))
 
 
 def fidelity(
@@ -190,9 +206,8 @@ def detector_fidelity_h(p, q) -> float:
         raise DimensionError("detectors must share one dimension")
     d = p.dim
     total = 0.0
-    for pj, qj in zip(p.elements, q.elements):
-        rp = matrix_sqrt(pj)
-        total += _sqrt_eig_sum(hermitian_part(rp @ qj @ rp, check=False))
+    for root in _overlap_root(np.stack(p.elements), np.stack(q.elements)).tolist():
+        total += root
     return float(min((total / d) ** 2, 1.0))
 
 

@@ -56,33 +56,53 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    return m.conj().swapaxes(-1, -2)
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
-def _require_square(m: np.ndarray) -> np.ndarray:
+def _require_square(m: np.ndarray, stack: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _any_true(cond) -> bool:
+    # a one-matrix check is a numpy bool, read far faster by bool() than .any()
+    return bool(cond.any() if cond.ndim else cond)
+
+
+def _sq_norms(m: np.ndarray):
+    """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
+    if m.ndim == 2:
+        return np.vdot(m, m).real
+    return np.einsum("...ij,...ij->...", m.conj(), m).real
 
 
 def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
     """Return (m + m^dag)/2, refusing inputs that are badly non-Hermitian.
 
     Asymmetry up to ``HERMITICITY_FAIL_RTOL * ||m||`` is treated as numerical
-    noise and symmetrized away; anything larger raises.
+    noise and symmetrized away; anything larger raises.  ``m`` may also be a
+    stack ``(..., d, d)``, each of whose matrices is checked on its own.
     """
-    m = _require_square(m)
+    m = _require_square(m, stack=True)
     sym = (m + dagger(m)) / 2.0
     if check:
-        scale = max(frobenius(m), 1.0)
-        if frobenius(m - sym) > HERMITICITY_FAIL_RTOL * scale:
+        # ||m - sym||^2 > tol^2 max(||m||^2, 1), kept on numpy scalars for one matrix
+        off, tol2 = _sq_norms(m - sym), HERMITICITY_FAIL_RTOL**2
+        if _any_true((off > tol2 * _sq_norms(m)) & (off > tol2)):
             raise NotHermitianError("matrix is not Hermitian within tolerance")
     return sym
+
+
+def _eigh(m: np.ndarray) -> HermitianEig:
+    """:func:`hermitian_eig` of each matrix of a stack ``(..., d, d)`` in one solve.
+
+    Each matrix is symmetrized and checked by :func:`hermitian_part`; the
+    result equals per-matrix solves bit for bit.
+    """
+    w, v = np.linalg.eigh(hermitian_part(m))
+    return HermitianEig(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
 def hermitian_eig(m: np.ndarray) -> HermitianEig:
@@ -91,29 +111,35 @@ def hermitian_eig(m: np.ndarray) -> HermitianEig:
     The input is symmetrized first; degenerate eigenspaces come back with an
     arbitrary orthonormal basis (callers must not rely on a particular one).
     """
-    sym = hermitian_part(m)
-    w, v = np.linalg.eigh(sym)
-    return HermitianEig(w[::-1].copy(), v[:, ::-1].copy())
+    if np.ndim(m) != 2:
+        raise DimensionError(f"expected a square matrix, got shape {np.shape(m)}")
+    return _eigh(m)
+
+
+def _eig(m: np.ndarray) -> HermitianEig:
+    """:func:`hermitian_eig` of a matrix, the stacked :func:`_eigh` of a stack."""
+    return hermitian_eig(m) if m.ndim == 2 else _eigh(m)
 
 
 def eig_reconstruct(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Assemble ``v diag(w) v^dag`` (broadcast form, symmetrized)."""
-    out = (v * w) @ dagger(v)
+    """Assemble ``v diag(w) v^dag``, symmetrized, for one matrix or a stack."""
+    out = (v * w[..., None, :]) @ dagger(v)
     return (out + dagger(out)) / 2.0
 
 
 def _psd_eigenvalues(m: np.ndarray, op: str) -> HermitianEig:
-    w, v = hermitian_eig(m)
-    scale = max(float(w[0]) if w.size else 0.0, frobenius(m), 1e-300)
-    if w[-1] < -PSD_FAIL_RTOL * scale:
+    m = np.asarray(m, dtype=complex)
+    w, v = _eig(m)
+    # ||m|| bounds every |eigenvalue|, so it is the scale of the matrix
+    if _any_true(w[..., -1] < -PSD_FAIL_RTOL * _sq_norms(m) ** 0.5):
         raise NotPSDError(
-            f"{op}: eigenvalue {w[-1]:.3e} below -{PSD_FAIL_RTOL:.0e} * ||m||"
+            f"{op}: eigenvalue {w.min():.3e} below -{PSD_FAIL_RTOL:.0e} * ||m||"
         )
     return HermitianEig(np.maximum(w, 0.0), v)
 
 
 def matrix_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix (small negatives clamped to 0)."""
+    """Principal square root of a PSD matrix or stack (small negatives clamped to 0)."""
     w, v = _psd_eigenvalues(m, "matrix_sqrt")
     return eig_reconstruct(np.sqrt(w), v)
 
@@ -186,6 +212,6 @@ def haar_unitary(d: int, rng) -> np.ndarray:
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clamp negative eigenvalues to zero."""
-    w, v = hermitian_eig(m)
+    """Frobenius-nearest PSD matrix, or stack: clamp negative eigenvalues to zero."""
+    w, v = _eig(np.asarray(m, dtype=complex))
     return eig_reconstruct(np.maximum(w, 0.0), v)

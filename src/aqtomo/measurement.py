@@ -6,7 +6,7 @@ Identical pairs reproduce identical count sequences across runs; concurrent
 trials get disjoint stream ids and never share randomness.
 
 Sampling is batched.  A measurement oracle (:func:`state_sampler`,
-:func:`detector_sampler`) turns a stack of ``S`` settings into an
+:func:`detector_sampler`) turns a battery of ``S`` settings into an
 ``(S, K+1)`` outcome table (Born probabilities plus a null column holding the
 mass a sub-unit pseudo-state lacks) and draws every setting with one
 ``Generator.multinomial(shots, table)`` call.  numpy draws the rows in order
@@ -21,13 +21,14 @@ measured in the cube's ``3^n`` settings; a detector is probed with its
 ``6^n`` product eigenstates, and element ``P_i``'s click table
 ``Tr(Pi_{s,b} P_i)`` is the cube's Born table of ``P_i``.  Either oracle
 computes the cube's table on its first draw and keeps it, so repeated draws
-only sample.  The adaptive step measures in an estimated eigenbasis ``U``,
-whose outcome probabilities are the diagonal of ``U^dag rho U``.
+only sample.  The adaptive step measures in estimated eigenbases, and both
+oracles write its probabilities as one diagonal: ``diag(U^dag rho U)`` for a
+state, ``diag(U_i^dag P_k U_i)`` for element ``P_k`` probed with the columns
+of ``U_i``.  No dense cube POVM or probe state is built; the tests keep them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -35,13 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DimensionError, as_generator
-from .quantum_objects import (
-    COMPLETENESS_ATOL,
-    TRACE_ATOL,
-    DensityMatrix,
-    Povm,
-    born_probabilities,
-)
+from .quantum_objects import COMPLETENESS_ATOL, DensityMatrix, Povm
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -92,14 +87,14 @@ def outcome_table(probs) -> np.ndarray:
     renormalized; larger violations are rejected.
     """
     p = np.asarray(probs, dtype=float)
-    if np.any(p < -1e-9):
+    if (p < -1e-9).any():
         raise ValueError(f"negative probability {p.min()}")
     p = np.clip(p, 0.0, None)
     total = p.sum(axis=-1, keepdims=True)
-    if np.any(total > 1.0 + 1e-9):
+    if (total > 1.0 + 1e-9).any():
         raise ValueError(f"probabilities sum to {total.max()} > 1")
     over = total > 1.0  # 1e-9-level float overshoot only
-    if np.any(over):
+    if over.any():
         p = np.where(over, p / total, p)
         total = np.where(over, 1.0, total)
     return np.concatenate((p, np.maximum(1.0 - total, 0.0)), axis=-1)
@@ -135,35 +130,6 @@ def _single_qubit_projectors() -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=None)
-def cube_povm(n_qubits: int):
-    """All 3^n Pauli-eigenbasis POVMs on n qubits, each with 2^n dense elements.
-
-    Settings are lexicographic over axis strings (x, y, z)^n and elements
-    lexicographic over outcome signs, so ordering is stable across runs.
-    The protocols measure :func:`pauli_cube`, the same battery in product
-    form; these dense elements are its reference.
-    """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    proj = _single_qubit_projectors()
-    singles = [
-        Povm((proj[2 * k], proj[2 * k + 1]), name=f"cube-{axis}")
-        for k, axis in enumerate("xyz")
-    ]
-    povms = []
-    for combo in itertools.product(singles, repeat=n_qubits):
-        elements = []
-        for parts in itertools.product(*(p.elements for p in combo)):
-            acc = parts[0]
-            for factor in parts[1:]:
-                acc = np.kron(acc, factor)
-            elements.append(acc)
-        name = "".join(p.name[-1] for p in combo)
-        povms.append(Povm(tuple(elements), name=f"cube-{name}"))
-    return tuple(povms)
-
-
 def _kron_power(single: np.ndarray, n: int) -> np.ndarray:
     out = np.ones((1, 1), dtype=complex)
     for _ in range(n):
@@ -174,10 +140,11 @@ def _kron_power(single: np.ndarray, n: int) -> np.ndarray:
 class PauliCube:
     """The Pauli-cube battery on ``n`` qubits in product form.
 
-    It has the settings and outcomes of :func:`cube_povm`, in the same
-    order: setting ``s = (s_1..s_n)`` measures qubit ``k`` in the eigenbasis
-    of ``sigma_{s_k}`` and outcome ``b = (b_1..b_n)`` has the projector
-    ``Pi_{s,b} = (x)_k Pi_{s_k,b_k}``.  No element is built.  Both linear
+    Setting ``s = (s_1..s_n)``, lexicographic over axis strings
+    ``(x, y, z)^n``, measures qubit ``k`` in the eigenbasis of
+    ``sigma_{s_k}``, and outcome ``b = (b_1..b_n)``, lexicographic over the
+    signs ``(+, -)^n``, has the projector ``Pi_{s,b} = (x)_k Pi_{s_k,b_k}``.
+    No element is built.  Both linear
     maps between a ``d x d`` matrix and a ``(3^n, 2^n)`` table act qubit by
     qubit: the table's (setting, outcome) axes of each qubit are paired with
     the (row, column) axes of its 2 x 2 block, and the pairs are contracted
@@ -241,68 +208,57 @@ def pauli_cube(n_qubits: int) -> PauliCube:
     return PauliCube(n_qubits)
 
 
-def unit_rows(vectors) -> np.ndarray:
-    """Rows of ``vectors`` divided by their norms (the arithmetic of ``pure_state``)."""
-    v = np.asarray(vectors, dtype=complex)
-    # per-row dot products of the real and imaginary parts, summed in the
-    # order np.linalg.norm uses for one vector
-    re, im = v.real[:, None, :], v.imag[:, None, :]
-    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    return v / np.sqrt(sq[:, 0])
+def _basis_probabilities(us, mats) -> np.ndarray:
+    """Diagonals ``(U^dag M U)_jj``, clamped into [0, 1], of bases ``U`` against ``M``.
 
-
-def pure_probe_states(unit_vectors) -> np.ndarray:
-    """Probe density matrices ``(m, d, d)`` of pure states given as unit rows.
-
-    Equal bit for bit to the matrices of ``DensityMatrix(np.outer(v, v.conj()))``.
-    A rank-1 projector is PSD by construction, so its one physical condition
-    left to check is unit trace, i.e. a unit-norm row.
+    ``us`` is a ``(..., d, d)`` stack that ``mats`` broadcasts against.  Each
+    basis is checked unitary, so that its column projectors sum to the
+    identity without being built.
     """
-    v = np.asarray(unit_vectors, dtype=complex)
-    outer = v[:, :, None] * v.conj()[:, None, :]
-    states = (outer + outer.conj().swapaxes(-1, -2)) / 2.0
-    traces = np.einsum("sii->s", states).real
-    if np.any(np.abs(traces - 1.0) > TRACE_ATOL):
-        raise ValueError("probe vectors must have unit norm")
-    return states
+    us = np.asarray(us)
+    d = mats.shape[-1]
+    if us.ndim < 2 or us.shape[-2:] != (d, d):
+        raise DimensionError("measurement bases must be d x d matrices")
+    gram = us.conj().swapaxes(-1, -2) @ us
+    if np.max(np.abs(gram - np.eye(d))) > COMPLETENESS_ATOL:
+        raise ValueError("measurement basis is not unitary")
+    p = np.einsum("...ij,...ij->...j", us.conj(), mats @ us).real
+    return np.clip(p, 0.0, 1.0)
 
 
 class _Oracle:
-    """Batch draws and the cube-caching rule shared by the two oracles.
+    """Batch draws of the Pauli cube, shared by the two oracles.
 
-    :meth:`table` of the :class:`PauliCube` of the oracle's dimension is
-    computed on first use and kept, read-only, so repeated draws only
-    sample; any other battery is evaluated on every call.
+    The outcome table of the :class:`PauliCube` of the oracle's dimension is
+    computed on first use and kept, read-only, so repeated draws only sample.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._cube_table = None
 
-    def table(self, settings) -> np.ndarray:
-        """``(S, K+1)`` outcome table of ``S`` settings."""
-        if isinstance(settings, PauliCube):
-            if settings.dim != self.dim:
-                raise DimensionError(f"oracle is {self.dim}-dimensional, cube is not")
-            if self._cube_table is None:
-                table = outcome_table(self._cube_probabilities(settings))
-                table.flags.writeable = False
-                self._cube_table = table
-            return self._cube_table
-        return outcome_table(self._probabilities(settings))
+    def table(self, cube: PauliCube) -> np.ndarray:
+        """``(S, K+1)`` outcome table of the cube's ``S`` settings or probes."""
+        if not isinstance(cube, PauliCube):
+            raise TypeError(f"oracles measure a PauliCube, not {type(cube).__name__}")
+        if cube.dim != self.dim:
+            raise DimensionError(f"oracle is {self.dim}-dimensional, cube is not")
+        if self._cube_table is None:
+            table = outcome_table(self._cube_probabilities(cube))
+            table.flags.writeable = False
+            self._cube_table = table
+        return self._cube_table
 
-    def counts(self, settings, shots, rng) -> np.ndarray:
+    def counts(self, cube: PauliCube, shots, rng) -> np.ndarray:
         """``(S, K+1)`` counts, null column last, from one multinomial draw."""
-        return draw_counts(self.table(settings), shots, rng)
+        return draw_counts(self.table(cube), shots, rng)
 
 
 class StateOracle(_Oracle):
     """Measurement oracle hiding a (pseudo-)state ``rho``.
 
-    :meth:`counts` measures ``S`` settings at once: the :class:`PauliCube`
-    of ``rho``'s dimension (table cached), or a sequence of settings, each a
-    POVM or a stack of its ``K`` elements (all settings with one outcome
-    count), evaluated by :func:`born_probabilities`.  :meth:`basis_counts`
+    :meth:`counts` measures the ``3^n`` settings of the :class:`PauliCube`
+    of ``rho``'s dimension at once (table cached); :meth:`basis_counts`
     measures in the orthonormal basis of a unitary's columns.
     """
 
@@ -313,23 +269,14 @@ class StateOracle(_Oracle):
     def _cube_probabilities(self, cube: PauliCube) -> np.ndarray:
         return cube.probabilities(self.rho.mat)
 
-    def _probabilities(self, settings) -> np.ndarray:
-        return np.stack([born_probabilities(self.rho, setting) for setting in settings])
-
     def basis_table(self, u) -> np.ndarray:
         """``(1, d+1)`` outcome table of a measurement in the columns of ``u``.
 
-        Outcome ``j`` has probability ``(U^dag rho U)_jj``.  The projectors
-        onto the columns sum to the identity exactly when ``u`` is unitary,
-        which is checked instead of building them.
+        Outcome ``j`` has probability ``(U^dag rho U)_jj``.
         """
-        u, rho = np.asarray(u), self.rho.mat
-        if u.shape != rho.shape:
+        if np.ndim(u) != 2:
             raise DimensionError("measurement basis must be a d x d matrix")
-        if np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) > COMPLETENESS_ATOL:
-            raise ValueError("measurement basis is not unitary")
-        p = np.einsum("ij,ij->j", u.conj(), rho @ u).real
-        return outcome_table(np.clip(p, 0.0, 1.0)[None])
+        return outcome_table(_basis_probabilities(u, self.rho.mat)[None])
 
     def basis_counts(self, u, shots: int, rng) -> np.ndarray:
         """``(1, d+1)`` counts of ``shots`` measurements in the columns of ``u``."""
@@ -339,25 +286,40 @@ class StateOracle(_Oracle):
 class DetectorOracle(_Oracle):
     """Probe oracle hiding a detector ``povm``.
 
-    :meth:`counts` probes the detector with ``S`` states at once: the
-    ``6^n`` product eigenstates ``Pi_{s,b}`` of the :class:`PauliCube` of
-    its dimension, row ``s * 2^n + b`` in cube order (table cached), or a
-    stack of probe density matrices ``(S, d, d)``.  Element ``i``'s click
+    :meth:`counts` probes the detector with the ``6^n`` product eigenstates
+    ``Pi_{s,b}`` of the :class:`PauliCube` of its dimension, row
+    ``s * 2^n + b`` in cube order (table cached).  Element ``i``'s click
     probabilities under the cube, ``Tr(Pi_{s,b} P_i)``, are its
-    :meth:`PauliCube.probabilities` table.
+    :meth:`PauliCube.probabilities` table.  :meth:`basis_counts` probes with
+    the columns of a stack of unitaries.
     """
 
     def __init__(self, povm: Povm):
         super().__init__(povm.dim)
-        self.povm = povm
         self._elements = np.stack(povm.elements)
 
     def _cube_probabilities(self, cube: PauliCube) -> np.ndarray:
         tables = np.stack([cube.probabilities(e) for e in self._elements], axis=-1)
         return tables.reshape(-1, len(self._elements))
 
-    def _probabilities(self, probes) -> np.ndarray:
-        return born_probabilities(probes, self._elements)
+    def basis_table(self, us) -> np.ndarray:
+        """``(n d, K+1)`` outcome table of probing with the columns of ``n`` bases.
+
+        ``us`` is an ``(n, d, d)`` stack of unitaries; probe ``(i, j)``, the
+        pure state of column ``j`` of ``U_i``, is row ``i * d + j``, and it
+        clicks element ``k`` with probability ``(U_i^dag P_k U_i)_jj``, the
+        diagonal a state oracle measures, with state and effect swapped.
+        """
+        us = np.asarray(us)
+        if us.ndim != 3:
+            raise DimensionError("probe bases must be an (n, d, d) stack")
+        p = _basis_probabilities(us[:, None], self._elements)  # [i, k, j]
+        return outcome_table(p.swapaxes(1, 2).reshape(-1, len(self._elements)))
+
+    def basis_counts(self, us, shots: int, rng) -> np.ndarray:
+        """``(n d, K+1)`` counts of ``shots`` probes with each column of ``us``."""
+        table = self.basis_table(us)
+        return draw_counts(table, np.full(len(table), shots), rng)
 
 
 def state_sampler(rho: DensityMatrix) -> StateOracle:
@@ -370,12 +332,9 @@ def detector_sampler(povm: Povm) -> DetectorOracle:
     return DetectorOracle(povm)
 
 
-class ExactStateOracle(StateOracle):
-    """Zero-noise state oracle: ignores the shot budget.
-
-    Its "counts" are the outcome table itself, so every setting's
-    frequencies are the Born probabilities, zero-shot settings included.
-    """
+class _Exact:
+    """Zero-noise counts: the outcome table itself, whatever the shot budget,
+    so every setting's frequencies are its probabilities, zero-shot ones too."""
 
     def counts(self, settings, shots=None, rng=None) -> np.ndarray:
         return self.table(settings)
@@ -384,11 +343,12 @@ class ExactStateOracle(StateOracle):
         return self.basis_table(u)
 
 
-class ExactDetectorOracle(DetectorOracle):
-    """Zero-noise probe oracle for detector tomography."""
+class ExactStateOracle(_Exact, StateOracle):
+    """Zero-noise state oracle: ignores the shot budget."""
 
-    def counts(self, settings, shots=None, rng=None) -> np.ndarray:
-        return self.table(settings)
+
+class ExactDetectorOracle(_Exact, DetectorOracle):
+    """Zero-noise probe oracle for detector tomography."""
 
 
 def exact_state_sampler(rho: DensityMatrix) -> ExactStateOracle:

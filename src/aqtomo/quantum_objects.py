@@ -87,20 +87,21 @@ class Povm:
     name: str = ""
 
     def __post_init__(self):
-        elems = tuple(hermitian_part(np.asarray(e, dtype=complex)) for e in self.elements)
+        elems = [np.asarray(e, dtype=complex) for e in self.elements]
         if not elems:
             raise ValueError("a POVM needs at least one element")
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in elems:
-            if e.shape != (d, d):
-                raise DimensionError("POVM elements must share one dimension")
-            if np.linalg.eigvalsh(e)[0] < -PSD_ATOL:
-                raise linalg.NotPSDError("POVM element is not PSD")
+        if elems[0].ndim != 2 or any(e.shape != elems[0].shape for e in elems):
+            raise DimensionError("POVM elements must share one dimension")
+        # one stacked symmetrization and eigensolve, checked element by element
+        stack = hermitian_part(np.stack(elems))
+        if np.min(np.linalg.eigvalsh(stack)[:, 0]) < -PSD_ATOL:
+            raise linalg.NotPSDError("POVM element is not PSD")
+        total = np.zeros_like(stack[0])
+        for e in stack:
             total += e
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_ATOL:
+        if np.max(np.abs(total - np.eye(len(total)))) > COMPLETENESS_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -290,22 +291,3 @@ def choi_state(ch: KrausChannel) -> DensityMatrix:
     """
     probe = maximally_entangled_input(ch.dim)
     return apply_extended_channel(ch, probe.density())
-
-
-def born_probabilities(rho, povm) -> np.ndarray:
-    """Outcome probabilities p_i = Tr(P_i rho), clamped into [0, 1].
-
-    They sum to the trace of ``rho`` (below 1 for pseudo-states).  ``rho``
-    may also be a state matrix, or a stack of ``S`` states ``(S, d, d)``
-    giving an ``(S, K)`` table whose rows equal the one-state results bit for
-    bit; ``povm`` may also be a stack of elements ``(K, d, d)``.
-    """
-    states = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    elems = np.stack(povm.elements) if isinstance(povm, Povm) else np.asarray(povm)
-    if states.shape[-1] != elems.shape[-1]:
-        raise DimensionError("state and POVM dimensions differ")
-    if states.ndim == 2:
-        p = np.einsum("aij,ji->a", elems, states).real
-    else:  # one contraction per element keeps each trace in one-state order
-        p = np.stack([np.einsum("ij,sji->s", e, states) for e in elems], axis=-1).real
-    return np.clip(p, 0.0, 1.0)

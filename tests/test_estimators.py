@@ -37,7 +37,6 @@ from aqtomo.linalg import (
 )
 from aqtomo.measurement import (
     SeededRng,
-    cube_povm,
     detector_sampler,
     exact_detector_sampler,
     exact_state_sampler,
@@ -59,6 +58,7 @@ from aqtomo.quantum_objects import (
 from aqtomo.experiments import ExperimentConfig
 from aqtomo.experiments.harness import _context, gm_bound, run_trial
 from aqtomo.fidelity import fidelity, state_scenario
+from dense_reference import cube_povm, dense_counts, dense_table
 from test_quantum_objects import lossy_dephasing, random_channel, random_density
 
 
@@ -215,7 +215,7 @@ class TestLre:
     def test_frequency_shape_mismatch_rejected(self):
         gen = SeededRng(94).generator()
         rho = random_density(gen, 4)
-        freqs = frequencies(exact_state_sampler(rho).counts(cube_povm(2)[:-1]))
+        freqs = frequencies(dense_table(rho, cube_povm(2)[:-1]))
         with pytest.raises(DimensionError):
             LrePlan(pauli_cube(2), constrain_trace=True).solve(freqs)
 
@@ -259,6 +259,12 @@ class TestNoDenseCubeInProduction:
         adaptive_qst(state_sampler(rho), 4, 400, 0.5, SeededRng(101))
         static_qst(state_sampler(rho), 4, 400, SeededRng(102))
         assert cube_povm.cache_info().currsize == 0
+        # the dense reference lives in the tests only
+        import aqtomo
+
+        moved = ("cube_povm", "born_probabilities", "pure_probe_states", "unit_rows")
+        for name in moved:
+            assert not any(hasattr(m, name) for m in vars(aqtomo).values())
 
 
 @lru_cache(maxsize=None)
@@ -286,9 +292,7 @@ class TestCubeInversion:
         gen = np.random.default_rng(seed)
         povms = cube_povm(n)
         shots = gen.integers(1, 200, size=len(povms))  # unequal per setting
-        counts = state_sampler(random_pseudo_state(gen, d, trace)).counts(
-            povms, shots, gen
-        )
+        counts = dense_counts(random_pseudo_state(gen, d, trace), povms, shots, gen)
         freqs = frequencies(counts)
         got = LrePlan(pauli_cube(n), constrain).solve(freqs, trace)
 
@@ -310,9 +314,7 @@ class TestCubeInversion:
         povms = cube_povm(n)
         shots = gen.integers(0, 3, size=len(povms))
         shots[gen.integers(len(povms))] = 0
-        counts = state_sampler(random_pseudo_state(gen, d, 1.0)).counts(
-            povms, shots, gen
-        )
+        counts = dense_counts(random_pseudo_state(gen, d, 1.0), povms, shots, gen)
         freqs = frequencies(counts)
         # the dense design loses rank too: the rule is the least-squares one
         rows = np.repeat(freqs.mask, d)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import logging
 import subprocess
@@ -105,6 +106,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="too many points"):
             ExperimentConfig("qst", "adaptive", "qst-rank1-8d", LongGrid(), 1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("repetitions", 2.5),
+            ("repetitions", 2.0),
+            ("seed", 3.5),
+            ("seed", "3"),
+            ("n_grid", (100, 200.5)),
+            ("n_grid", (100.0, 200)),
+        ],
+    )
+    def test_non_integral_values_rejected(self, field, value):
+        kwargs = dict(n_grid=(100, 200), repetitions=2, seed=3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="must be integers"):
+            ExperimentConfig("qst", "adaptive", "qst-rank1-8d", **kwargs)
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        cfg = ExperimentConfig(
+            "qst", "adaptive", "qst-rank1-8d",
+            (np.int64(100), np.int32(200)), np.int64(2), seed=np.uint64(3),
+        )
+        assert cfg == ExperimentConfig(
+            "qst", "adaptive", "qst-rank1-8d", (100, 200), 2, seed=3
+        )
+        assert all(type(v) is int for v in (*cfg.n_grid, cfg.repetitions, cfg.seed))
+        json.dumps(cfg.to_dict())
+
 
 class TestTargets:
     def test_builtin_names(self):
@@ -117,6 +146,7 @@ class TestTargets:
             "qst-rank2-degenerate",
             "qdt-three-valued",
             "qdt-three-valued-8d",
+            "qdt-three-valued-16d",
             "aapt-hadamard",
             "aapt-damping-0.989",
             "aapt-damping-third",
@@ -328,6 +358,51 @@ class TestRunScaling(object):
         slope_s, _, _ = fit_loglog_slope(tail_rows)
         assert -1.2 <= slope_a <= -0.8
         assert -0.7 <= slope_s <= -0.3
+
+
+class TestBenchmarkSurface:
+    """What the benchmark's child process and tracer drive, from the outside.
+
+    ``perfbench/child.py`` sets each config up with one ``run_trial`` call,
+    runs ``run_scaling(cfg, workers=1)`` and reads its slope, exclusions and
+    constraint deviations; ``perfbench/tracing.py`` counts trials at
+    ``run_trial(config, n, n_index, trial)``, reads the smallest eigenvalue
+    of every ``hermitian_eig`` result as ``float(eigenvalues[-1])``, and
+    wraps ``LrePlan.__init__``/``solve`` and the public ``qdt_stage1``.
+    """
+
+    def test_trial_and_scaling_calls(self, tmp_path):
+        params = list(inspect.signature(harness.run_trial).parameters)
+        assert params == ["config", "n", "n_index", "trial"]
+        for task, target in (("qst", "qst-rank1-8d"), ("qdt", "qdt-three-valued")):
+            grid = (1000, 4000, 16000)
+            cfg = ExperimentConfig(task, "adaptive", target, grid, 2, seed=5)
+            metrics = harness.run_trial(cfg, cfg.n_grid[0], 0, 0)
+            names = {"infidelity", "infidelity_dp", "mse", "tail_eigensum"}
+            assert names <= set(metrics)
+            assert all(isinstance(v, (float, tuple)) for v in metrics.values())
+            result = harness.run_scaling(cfg, workers=1)
+            assert isinstance(result.slope, float)
+            assert sum(row.excluded_trials for row in result.rows) == 0
+            assert max(result.extras["max_constraint_dev"]) < 1e-8
+            csv_path, _ = emit_results(result, str(tmp_path / task), "both")
+            assert csv_path.endswith(".csv")
+
+    def test_traced_library_names(self):
+        from aqtomo import estimators, linalg
+        from aqtomo.measurement import pauli_cube
+
+        eig = linalg.hermitian_eig(np.diag([2.0, -1.0, 0.5]).astype(complex))
+        assert eig.eigenvalues.shape == (3,)
+        assert float(eig.eigenvalues[-1]) == -1.0
+        assert list(inspect.signature(linalg.inv_sqrt).parameters) == ["m", "clamp"]
+        plan = estimators.LrePlan(pauli_cube(1), True)
+        assert list(inspect.signature(estimators.LrePlan.solve).parameters) == [
+            "self", "freqs", "trace_value"
+        ]
+        assert plan.solve.__func__ is estimators.LrePlan.solve
+        stage1 = vars(estimators)["qdt_stage1"]
+        assert callable(stage1) and stage1.__module__ == estimators.__name__
 
 
 class TestTrialExclusion:

@@ -6,6 +6,7 @@ from aqtomo.fidelity import (
     detector_fidelity_h,
     detector_scenario,
     fidelity,
+    fidelity_and_dp,
     fidelity_dp,
     fidelity_f1,
     fuchs_check,
@@ -15,7 +16,7 @@ from aqtomo.fidelity import (
     state_scenario,
     trace_distance,
 )
-from aqtomo.linalg import NotPSDError
+from aqtomo.linalg import DimensionError, NotPSDError
 from aqtomo.measurement import SeededRng
 from aqtomo.quantum_objects import Povm, pure_state
 
@@ -32,6 +33,57 @@ def random_psd(gen, d, scale=1.0):
     a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     m = a @ a.conj().T
     return scale * m / np.linalg.norm(m)
+
+
+def random_element(gen, d, scale):
+    """A random PSD matrix with eigenvalues in [0, scale]."""
+    a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    m = a @ a.conj().T
+    return scale * m / np.linalg.eigvalsh(m)[-1]
+
+
+class TestStackedOverlap:
+    """Stacks of pairs share the one-pair core and equal it bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @pytest.mark.parametrize("kind", ["state", "detector_element", "process"])
+    def test_stack_equals_pairs(self, d, kind):
+        gen = SeededRng(120, d).generator()
+        if kind == "state":
+            hat = np.stack([random_density(gen, d) for _ in range(4)])
+            true = np.stack([random_density(gen, d) for _ in range(4)])
+            scen = state_scenario()
+        else:
+            hat = np.stack([random_element(gen, d, 0.9) for _ in range(4)])
+            true = np.stack([random_element(gen, d, 0.9) for _ in range(4)])
+            # one rank-deficient pair, where the eigenvalue cutoff acts
+            true[1] = np.outer(true[1][:, 0], true[1][:, 0].conj())
+            true[1] *= 0.5 / np.trace(true[1]).real
+            scen = FidelityScenario(kind, d)
+        f, f_dp = fidelity_and_dp(hat, true, scen)
+        assert f.shape == f_dp.shape == (4,)
+        for k in range(4):
+            one = fidelity_and_dp(hat[k], true[k], scen)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert f[k] == one[0] and f_dp[k] == one[1]
+            assert f[k] == fidelity(hat[k], true[k], scen)
+            assert f_dp[k] == fidelity_dp(hat[k], true[k])
+
+    def test_one_non_psd_pair_fails_the_stack(self):
+        gen = SeededRng(121).generator()
+        hat = np.stack([random_element(gen, 4, 0.5) for _ in range(3)])
+        true = np.stack([random_element(gen, 4, 0.5) for _ in range(3)])
+        hat[2] = np.diag([0.5, 0.5, 0.1, -0.2])
+        with pytest.raises(NotPSDError):
+            fidelity_and_dp(hat, true, detector_scenario(4))
+
+    def test_stacks_need_matching_shapes(self):
+        with pytest.raises(DimensionError):
+            fidelity_and_dp(
+                np.stack([I2] * 2), np.stack([I2] * 3), detector_scenario(2)
+            )
+        with pytest.raises(DimensionError):
+            state_fidelity(np.stack([I2 / 2] * 2), np.stack([I2 / 2] * 2))
 
 
 class TestStateFidelity:

@@ -9,7 +9,9 @@ from aqtomo.linalg import (
     DimensionError,
     NotHermitianError,
     NotPSDError,
+    eig_reconstruct,
     haar_unitary,
+    hermitian_part,
     hermitian_eig,
     inv_sqrt,
     kron,
@@ -238,6 +240,73 @@ class TestProjectPsd:
             assert np.allclose(project_psd(p), p, atol=1e-10)
             q = rand_psd(gen, 5)
             assert np.linalg.norm(p - q) <= np.linalg.norm(h - q) + 1e-9
+
+
+def hermitian_stack(gen, d, k=3):
+    return np.stack([rand_hermitian(gen, d) for _ in range(k)])
+
+
+class TestStackedKernel:
+    """A stack goes through one solve and equals per-matrix calls bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_eigensolver(self, d):
+        stack = hermitian_stack(SeededRng(110, d).generator(), d)
+        w, v = linalg._eigh(stack)
+        assert w.shape == (3, d) and v.shape == (3, d, d)
+        for m, wk, vk in zip(stack, w, v):
+            one = hermitian_eig(m)
+            assert one.eigenvalues.ndim == 1
+            assert np.array_equal(one.eigenvalues, wk)
+            assert np.array_equal(one.eigenvectors, vk)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_eig_reconstruct(self, d):
+        gen = SeededRng(111, d).generator()
+        w = gen.standard_normal((3, d))
+        v = np.stack([haar_unitary(d, gen) for _ in range(3)])
+        stacked = eig_reconstruct(w, v)
+        for out, wk, vk in zip(stacked, w, v):
+            assert np.array_equal(out, eig_reconstruct(wk, vk))
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_project_psd(self, d):
+        stack = hermitian_stack(SeededRng(112, d).generator(), d)
+        stacked = project_psd(stack)
+        for out, m in zip(stacked, stack):
+            assert np.array_equal(out, project_psd(m))
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_matrix_sqrt(self, d):
+        gen = SeededRng(113, d).generator()
+        stack = np.stack([rand_psd(gen, d) for _ in range(3)])
+        for out, m in zip(matrix_sqrt(stack), stack):
+            assert np.array_equal(out, matrix_sqrt(m))
+
+    def test_one_non_hermitian_matrix_fails_the_stack(self):
+        stack = hermitian_stack(SeededRng(114).generator(), 4)
+        stack[1, 0, 1] += 0.5
+        with pytest.raises(NotHermitianError):
+            hermitian_part(stack)
+        with pytest.raises(NotHermitianError):
+            linalg._eigh(stack)
+        with pytest.raises(NotHermitianError):
+            project_psd(stack)
+        # the check is per matrix: a large neighbour does not hide it
+        stack[0] *= 1e9
+        with pytest.raises(NotHermitianError):
+            hermitian_part(stack)
+
+    def test_one_non_psd_matrix_fails_the_stack(self):
+        gen = SeededRng(115).generator()
+        stack = np.stack([rand_psd(gen, 4) for _ in range(3)])
+        stack[2] = np.diag([1.0, 0.5, 0.0, -0.1])
+        with pytest.raises(NotPSDError):
+            matrix_sqrt(stack)
+
+    def test_public_eig_takes_one_matrix(self):
+        with pytest.raises(DimensionError):
+            hermitian_eig(np.stack([np.eye(2)] * 2))
 
 
 class TestSpectralPerturbationBounds:

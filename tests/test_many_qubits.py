@@ -1,5 +1,6 @@
 """Scaling on targets beyond two qubits: 6- and 8-qubit state tomography,
-3-qubit detector tomography and 3-qubit ancilla-assisted process tomography.
+3- and 4-qubit detector tomography and 3-qubit ancilla-assisted process
+tomography.
 
 Every run goes through the harness, so the Pauli cube is measured and solved
 in product form.  The bands are the acceptance suite's.
@@ -72,6 +73,20 @@ def test_three_qubit_detector():
     assert all(in_band(s, ADAPTIVE_BAND) for s in adaptive), adaptive
     assert all(in_band(s, STATIC_BAND) for s in static[:2]), static
     assert max(runs["adaptive"].extras["max_constraint_dev"]) < 1e-8
+
+
+def test_four_qubit_detector():
+    # 1296 cube probes, so the grid starts where stage 1 gives each one shots
+    # (n0 = 5000 at N = 1e4); same bands as the 3-qubit detector
+    tick = time.perf_counter()
+    runs = slopes("qdt", "qdt-three-valued-16d", (10**4, 10**5, 10**6, 10**7, 10**8), 10, 3)
+    assert time.perf_counter() - tick < 60.0
+    adaptive = runs["adaptive"].element_slopes()
+    static = runs["static"].element_slopes()
+    assert all(in_band(s, ADAPTIVE_BAND) for s in adaptive), adaptive
+    assert all(in_band(s, STATIC_BAND) for s in static[:2]), static
+    assert max(runs["adaptive"].extras["max_constraint_dev"]) < 1e-8
+    assert max(runs["static"].extras["max_constraint_dev"]) < 1e-8
 
 
 def test_three_qubit_aapt_toffoli():

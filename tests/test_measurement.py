@@ -7,7 +7,6 @@ from aqtomo.estimators import InformationIncompleteError, _default_plan
 from aqtomo.measurement import (
     PauliCube,
     SeededRng,
-    cube_povm,
     detector_sampler,
     draw_counts,
     exact_detector_sampler,
@@ -15,13 +14,18 @@ from aqtomo.measurement import (
     frequencies,
     outcome_table,
     pauli_cube,
-    pure_probe_states,
     sample_counts,
     state_sampler,
-    unit_rows,
 )
 from aqtomo.linalg import DimensionError, haar_unitary
-from aqtomo.quantum_objects import DensityMatrix, born_probabilities, pure_state
+from aqtomo.quantum_objects import DensityMatrix, pure_state
+from dense_reference import (
+    born_probabilities,
+    cube_povm,
+    dense_counts,
+    pure_probe_states,
+    unit_rows,
+)
 from test_estimators import random_povm, random_pseudo_state
 
 
@@ -173,8 +177,9 @@ class TestPauliCube:
         exact = exact_detector_sampler(povm)
         assert exact.counts(cube) is exact.counts(cube)
         assert len(calls) == 6
-        # stacked probes are evaluated on every call, uncached
-        assert np.array_equal(oracle.table(probes), want)
+        # the cube is the one battery an oracle takes
+        with pytest.raises(TypeError):
+            oracle.table(probes)
         with pytest.raises(DimensionError):
             oracle.counts(pauli_cube(2), [7] * 36, SeededRng(26))
 
@@ -215,9 +220,53 @@ class TestBasisMeasurement:
         assert np.allclose(exact, [[0.3, 0.7, 0.0, 0.0, 0.0]], atol=1e-15)
 
 
+class TestDetectorBasisMeasurement:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_table_equals_dense_probe_born_probabilities(self, d):
+        gen = np.random.default_rng(130 + d)
+        povm = random_povm(gen, d, 3)
+        us = np.stack([haar_unitary(d, gen) for _ in range(3)])
+        # probe (i, j) is the pure state of column j of basis i, row i * d + j
+        probes = pure_probe_states(unit_rows(np.concatenate([u.T for u in us])))
+        want = outcome_table(born_probabilities(probes, povm))
+        got = detector_sampler(povm).basis_table(us)
+        assert got.shape == (3 * d, 4)
+        assert np.max(np.abs(got[:, :-1] - want[:, :-1])) <= 1e-15
+        # the null column is 1 minus a row's sum, so its rounding adds up
+        assert np.max(np.abs(got[:, -1] - want[:, -1])) <= 4e-15
+
+    def test_counts_draw_every_probe_at_once(self):
+        povm = random_povm(np.random.default_rng(135), 4, 3)
+        us = np.stack([haar_unitary(4, SeededRng(136, k).generator()) for k in range(2)])
+        oracle = detector_sampler(povm)
+        table = oracle.basis_table(us)
+        counts = oracle.basis_counts(us, 50, SeededRng(137))
+        assert np.array_equal(counts, draw_counts(table, [50] * 8, SeededRng(137)))
+        assert np.array_equal(counts.sum(axis=1), [50] * 8)
+        exact = exact_detector_sampler(povm).basis_counts(us)
+        assert np.array_equal(exact, table)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_unitary_basis_rejected(self, slot):
+        povm = random_povm(np.random.default_rng(140), 4, 3)
+        us = np.stack([haar_unitary(4, SeededRng(141, k).generator()) for k in range(3)])
+        us[slot][:, 1] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            detector_sampler(povm).basis_counts(us, 10, SeededRng(142))
+        with pytest.raises(ValueError, match="not unitary"):
+            exact_detector_sampler(povm).basis_counts(us)
+
+    def test_basis_shapes_checked(self):
+        oracle = detector_sampler(random_povm(np.random.default_rng(143), 4, 3))
+        with pytest.raises(DimensionError):
+            oracle.basis_table(np.eye(4))  # one basis, not a stack
+        with pytest.raises(DimensionError):
+            oracle.basis_table(np.stack([np.eye(2)] * 3))
+
+
 def measure_one(rho, povm, shots, rng):
-    """Counts ``(K+1,)`` of one setting drawn through the batch oracle."""
-    return state_sampler(rho).counts([povm], [shots], rng)[0]
+    """Counts ``(K+1,)`` of one dense setting drawn as a batch of one."""
+    return dense_counts(rho, [povm], [shots], rng)[0]
 
 
 class TestMeasureState:
@@ -238,7 +287,7 @@ class TestMeasureState:
 
     def test_zero_shots(self):
         rho = DensityMatrix(np.eye(2) / 2)
-        counts = state_sampler(rho).counts([cube_povm(1)[0]], [0], SeededRng(10))
+        counts = dense_counts(rho, [cube_povm(1)[0]], [0], SeededRng(10))
         assert counts.sum() == 0
         freqs = frequencies(counts)
         assert freqs.values[0].tolist() == [0.0, 0.0] and not freqs.mask[0]
@@ -274,7 +323,7 @@ class TestRandomPureProbes:
 class TestExactOracle:
     def test_counts_are_probabilities(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        counts = exact_state_sampler(rho).counts([cube_povm(1)[2]], [1000], None)
+        counts = exact_state_sampler(rho).counts(pauli_cube(1), [1000] * 3, None)[2:]
         assert np.allclose(counts[0], [0.25, 0.75, 0.0])
         assert np.array_equal(counts[0, :-1], born_probabilities(rho, cube_povm(1)[2]))
         assert np.allclose(frequencies(counts).values[0], [0.25, 0.75])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aqtomo.linalg import DimensionError, kron, partial_trace_1, partial_trace_2
-from aqtomo.measurement import SeededRng, cube_povm
+from aqtomo.measurement import SeededRng
 from aqtomo.quantum_objects import (
     BipartitePureState,
     DegenerateInputError,
@@ -12,13 +12,13 @@ from aqtomo.quantum_objects import (
     apply_channel,
     apply_extended_channel,
     apply_process_matrix,
-    born_probabilities,
     choi_state,
     kraus_to_process,
     maximally_entangled_input,
     pure_state,
     schmidt_decompose,
 )
+from dense_reference import born_probabilities, cube_povm
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
