@@ -61,11 +61,9 @@ class InformationIncompleteError(EstimationError):
 
 @dataclass(frozen=True)
 class TomographyEstimate:
-    """A physical estimate, the shots spent on it, and protocol extras."""
+    """A physical estimate and protocol extras."""
 
     value: object  # DensityMatrix | Povm | ProcessMatrix
-    shots_used: int
-    method_tag: str
     extras: dict = field(default_factory=dict, repr=False)
 
 
@@ -241,7 +239,7 @@ def adaptive_qst(
     unit trace by construction.
     """
     rho_hat = _two_step_state(sampler, d, n_total, alpha, rng, sub_unit=False)
-    return TomographyEstimate(rho_hat, n_total, "adaptive_qst")
+    return TomographyEstimate(rho_hat)
 
 
 def adaptive_qpst(
@@ -254,14 +252,14 @@ def adaptive_qpst(
     step 2, so the estimated eigenvalues sum below one.
     """
     sigma_hat = _two_step_state(sampler, dim, n_total, alpha, rng, sub_unit=True)
-    return TomographyEstimate(sigma_hat, n_total, "adaptive_qpst")
+    return TomographyEstimate(sigma_hat)
 
 
 def static_qst(sampler, d: int, n_total: int, rng) -> TomographyEstimate:
     """Static baseline: full-budget least squares plus physical projection."""
     rho_tilde = _static_solve(sampler, d, n_total, rng, constrain_trace=True)
     rho_hat = physical_projection_fast(rho_tilde)
-    return TomographyEstimate(rho_hat, n_total, "static_qst")
+    return TomographyEstimate(rho_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +329,10 @@ def adaptive_qdt(
     own = np.arange(n_elements)
     corrected = eig_reconstruct(lam[own, :, own], bases)
 
-    used = n0 + per_probe * n_elements * d
+    unused = n_total - n0 - per_probe * n_elements * d
     return TomographyEstimate(
-        value=Povm(tuple(_renormalize(corrected)), name="adaptive-qdt"),
-        shots_used=used,
-        method_tag="adaptive_qdt",
-        extras={"step2_per_probe": per_probe, "unused_shots": n_total - used},
+        Povm(_renormalize(corrected), name="adaptive-qdt"),
+        {"step2_per_probe": per_probe, "unused_shots": unused},
     )
 
 
@@ -346,9 +342,7 @@ def static_qdt(
     """Static detector baseline: the whole budget goes into stage 1."""
     gen = linalg.as_generator(rng)
     elements = _cube_stage1(detector_sampler, n_elements, d, n_total, gen)
-    return TomographyEstimate(
-        Povm(tuple(elements), name="static-qdt"), n_total, "static_qdt"
-    )
+    return TomographyEstimate(Povm(elements, name="static-qdt"))
 
 
 def _cube_stage1(detector_sampler, n_elements: int, d: int, shots: int, gen):
@@ -459,7 +453,7 @@ def adaptive_aapt(
     state_protocol = adaptive_qst if tp_flag else adaptive_qpst
     state_est = state_protocol(channel_sampler, d * d, n_total, alpha, rng)
     sigma_hat = state_est.value
-    return _process_estimate(sigma_hat, input_state, tp_flag, n_total, "adaptive_aapt")
+    return _process_estimate(sigma_hat, input_state, tp_flag, n_total)
 
 
 def nonadaptive_aapt(
@@ -491,14 +485,12 @@ def nonadaptive_aapt(
             raise EstimationError("no positive eigenvalue mass to rescale")
         lam = np.where(keep, w, 0.0) * (known_trace / kept_sum)
         sigma_hat = DensityMatrix(eig_reconstruct(lam, v), sub_unit=True)
-    return _process_estimate(
-        sigma_hat, input_state, tp_flag, n_total, "nonadaptive_aapt"
-    )
+    return _process_estimate(sigma_hat, input_state, tp_flag, n_total)
 
 
-def _process_estimate(sigma_hat, input_state, tp_flag, n_total, method_tag):
+def _process_estimate(sigma_hat, input_state, tp_flag, n_total):
     """Last AAPT step: invert the input probe, then correct the partial trace."""
     d = input_state.dim_a
     x0 = aapt_reconstruct(sigma_hat, input_state)
     x_hat = qpt_stage2_tp(x0, d) if tp_flag else qpt_stage2_ntp(x0, d, n_total)
-    return TomographyEstimate(x_hat, n_total, method_tag, {"sigma_out": sigma_hat})
+    return TomographyEstimate(x_hat, {"sigma_out": sigma_hat})

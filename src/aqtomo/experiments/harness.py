@@ -8,12 +8,14 @@ as a name -> value mapping.  ``run_scaling`` reduces each metric over the
 kept trials of a grid point by one generic loop and fits a log-log slope
 through the per-N mean infidelities.  Trial randomness is keyed by (seed,
 grid index, trial index), so results are identical for any worker count and
-any execution order.
+any execution order.  A trial reads its oracle and the truth it is scored
+against from the config's target, resolved once per process (``_context``).
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -37,7 +39,7 @@ from ..fidelity import (
     pseudo_state_fidelity,
     state_scenario,
 )
-from ..measurement import SeededRng, detector_sampler, state_sampler
+from ..measurement import SeededRng
 from .config import TRIAL_STREAM_BITS, ExperimentConfig
 from .targets import AaptTarget, QdtTarget, QstTarget, expected_task, resolve_target
 
@@ -61,6 +63,11 @@ def gm_bound(d: int, n: int) -> float:
     return (d + 1) ** 2 * (d - 1) / (4.0 * n)
 
 
+def _require_slope_points(count: int) -> None:
+    if count < 3:
+        raise ValueError("need at least 3 rows above 1e-12 to fit a slope")
+
+
 def fit_loglog_slope(rows) -> tuple[float, float, float]:
     """Least-squares slope of log10(mean infidelity) against log10(N).
 
@@ -69,8 +76,7 @@ def fit_loglog_slope(rows) -> tuple[float, float, float]:
     Returns (slope, intercept, r_squared).
     """
     pts = [(n, y) for n, y in rows if y > SLOPE_FLOOR]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 rows above 1e-12 to fit a slope")
+    _require_slope_points(len(pts))
     x = np.log10([n for n, _ in pts])
     y = np.log10([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -146,58 +152,24 @@ def _trial_stream(n_index: int, trial: int) -> int:
     return ((n_index + 1) << TRIAL_STREAM_BITS) + trial
 
 
-@dataclass
-class _TaskContext:
-    """Per-config state built once and shared by every trial.
-
-    ``oracle`` hides the target.  A state oracle computes its Pauli-cube
-    Born table on the first trial and keeps it for the rest.  The target's
-    fixed scoring constants (its rank, per-element ranks and stacked
-    elements, true process matrix and known output trace) are computed here.
-    """
-
-    target: object
-    oracle: object
-    tp_flag: bool = True
-    rank: int = 0
-    element_ranks: tuple = ()
-    elements: np.ndarray | None = None
-    x_true: np.ndarray | None = None
-    known_trace: float | None = None
-
-
 @lru_cache(maxsize=16)
-def _context(config: ExperimentConfig) -> _TaskContext:
+def _context(config: ExperimentConfig):
+    """The config's target, checked against the task and ``tp_flag``.
+
+    Cached per config, so every trial in a process shares one target and,
+    with it, the oracle and scoring constants the target computes once.
+    """
     target = resolve_target(config.target, config.seed)
     task = expected_task(target)
     if task != config.task:
         raise ValueError(
             f"target {config.target!r} belongs to task {task}, not {config.task}"
         )
-    if isinstance(target, QstTarget):
-        return _TaskContext(target, state_sampler(target.rho), rank=target.rank)
-    if isinstance(target, QdtTarget):
-        return _TaskContext(
-            target,
-            detector_sampler(target.povm),
-            element_ranks=target.element_ranks,
-            elements=np.stack(target.povm.elements),
-        )
-    assert isinstance(target, AaptTarget)
-    tp = target.tp if config.tp_flag is None else config.tp_flag
-    if config.tp_flag is not None and config.tp_flag != target.tp:
+    if task == "aapt" and config.tp_flag not in (None, target.tp):
         raise ValueError(
             f"tp_flag={config.tp_flag} contradicts the channel of {config.target!r}"
         )
-    oracle = state_sampler(target.sigma_out)
-    return _TaskContext(
-        target,
-        oracle,
-        tp_flag=tp,
-        rank=target.rank,
-        x_true=target.process.x,
-        known_trace=oracle.rho.trace,
-    )
+    return target
 
 
 def _score(hat: np.ndarray, true: np.ndarray, scenario, rank):
@@ -227,30 +199,26 @@ def _metrics(hat, true, f, f_dp, eigs, rank) -> dict:
     }
 
 
-def _qst_trial(ctx: _TaskContext, config, n, gen) -> dict:
-    target: QstTarget = ctx.target
-    sampler = ctx.oracle
+def _qst_trial(target: QstTarget, config, n, gen) -> dict:
     if config.method == "adaptive":
-        est = adaptive_qst(sampler, target.dim, n, config.alpha, gen)
+        est = adaptive_qst(target.oracle, target.dim, n, config.alpha, gen)
     else:
-        est = static_qst(sampler, target.dim, n, gen)
+        est = static_qst(target.oracle, target.dim, n, gen)
     rho_hat = est.value.mat
-    metrics = _score(rho_hat, target.rho.mat, state_scenario(), ctx.rank)
+    metrics = _score(rho_hat, target.rho.mat, state_scenario(), target.rank)
     trace_dev = abs(float(np.trace(rho_hat).real) - 1.0)
     metrics["constraint_dev"] = max(trace_dev, metrics["constraint_dev"])
     return metrics
 
 
-def _qdt_trial(ctx: _TaskContext, config, n, gen) -> dict:
-    target: QdtTarget = ctx.target
-    sampler = ctx.oracle
+def _qdt_trial(target: QdtTarget, config, n, gen) -> dict:
     n_el, d = len(target.povm), target.dim
     if config.method == "adaptive":
-        est = adaptive_qdt(sampler, n_el, d, n, config.alpha, gen)
+        est = adaptive_qdt(target.oracle, n_el, d, n, config.alpha, gen)
     else:
-        est = static_qdt(sampler, n_el, d, n, gen)
-    hat = np.stack(est.value.elements)
-    scores = _score(hat, ctx.elements, detector_scenario(d), ctx.element_ranks)
+        est = static_qdt(target.oracle, n_el, d, n, gen)
+    hat, true = est.value.elements, target.povm.elements
+    scores = _score(hat, true, detector_scenario(d), target.element_ranks)
     # summed in element order from 0.0 (Python 3.12's sum() compensates)
     mse = tail = dev = 0.0
     for score in scores:
@@ -258,7 +226,7 @@ def _qdt_trial(ctx: _TaskContext, config, n, gen) -> dict:
         tail += score["tail_eigensum"]
         dev = max(dev, score["constraint_dev"])
     per_el = tuple(score["infidelity"] for score in scores)
-    total = sum(est.value.elements)
+    total = sum(hat)
     return {
         "infidelity": float(np.mean(per_el)),
         "infidelity_dp": float(np.mean([score["infidelity_dp"] for score in scores])),
@@ -269,38 +237,31 @@ def _qdt_trial(ctx: _TaskContext, config, n, gen) -> dict:
     }
 
 
-def _aapt_trial(ctx: _TaskContext, config, n, gen) -> dict:
-    target: AaptTarget = ctx.target
-    sampler = ctx.oracle
+def _aapt_trial(target: AaptTarget, config, n, gen) -> dict:
+    d = target.dim
     if config.method == "adaptive":
         est = adaptive_aapt(
-            sampler,
-            target.dim,
-            n,
-            config.alpha,
-            ctx.tp_flag,
-            target.input_state,
-            gen,
+            target.oracle, d, n, config.alpha, target.tp, target.input_state, gen
         )
     else:
         est = nonadaptive_aapt(
-            sampler,
-            target.dim,
+            target.oracle,
+            d,
             n,
-            ctx.tp_flag,
+            target.tp,
             target.input_state,
             gen,
-            known_trace=None if ctx.tp_flag else ctx.known_trace,
+            known_trace=None if target.tp else target.known_trace,
         )
     x_hat = est.value.x
-    metrics = _score(x_hat, ctx.x_true, process_scenario(target.dim), ctx.rank)
+    metrics = _score(x_hat, target.process.x, process_scenario(d), target.rank)
     sigma_hat = est.extras["sigma_out"]
     metrics["sigma_out_infidelity"] = 1.0 - pseudo_state_fidelity(
-        sigma_hat.mat, sampler.rho.mat
+        sigma_hat.mat, target.sigma_out.mat
     )
-    q = partial_trace_1(x_hat, target.dim, target.dim)
-    if ctx.tp_flag:
-        dev = float(np.max(np.abs(q - np.eye(target.dim))))
+    q = partial_trace_1(x_hat, d, d)
+    if target.tp:
+        dev = float(np.max(np.abs(q - np.eye(d))))
     else:
         dev = max(0.0, float(np.linalg.eigvalsh(q)[-1]) - 1.0)
     metrics["constraint_dev"] = max(dev, metrics["constraint_dev"])
@@ -312,10 +273,10 @@ _TRIALS = {"qst": _qst_trial, "qdt": _qdt_trial, "aapt": _aapt_trial}
 
 def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int):
     """Run one seeded trial; returns its metrics by name, or None when excluded."""
-    ctx = _context(config)
+    target = _context(config)
     gen = SeededRng(config.seed, stream_id=_trial_stream(n_index, trial)).generator()
     try:
-        return _TRIALS[config.task](ctx, config, n, gen)
+        return _TRIALS[config.task](target, config, n, gen)
     except (EstimationError, np.linalg.LinAlgError) as exc:
         log.warning("excluding trial=%d N=%d reason=%s", trial, n, exc)
         return None
@@ -330,11 +291,14 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
     at any grid point aborts the run.  Output is byte-stable for a fixed
     config regardless of ``workers``.
     """
-    ctx = _context(config)  # validate config/target pairing before spawning
+    target = _context(config)  # validate config/target pairing before spawning
+    _require_slope_points(len(config.n_grid))
     reps = config.repetitions
     jobs = [
         (config, n, ni, t) for ni, n in enumerate(config.n_grid) for t in range(reps)
     ]
+    # a forked pool starts all its processes at the first submit
+    workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers <= 1:
         outcomes = [run_trial(*job) for job in jobs]
     else:
@@ -367,7 +331,7 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
         rows.append(
             ScalingRow(
                 n=n,
-                gm_bound=gm_bound(ctx.target.dim, n) if config.task == "qst" else None,
+                gm_bound=gm_bound(target.dim, n) if config.task == "qst" else None,
                 excluded_trials=excluded,
                 **{key: stats.pop(key) for key in _ROW_FIELDS & stats.keys()},
             )

@@ -4,6 +4,10 @@ Every built-in target that involves randomness draws its unitaries (or its
 probe input state) from dedicated streams of the given seed, so a target is
 fixed across all repetitions of a run and reproducible across machines.
 Shot noise is then the only randomness inside a trial.
+
+A target holds its ``task``, the ``oracle`` that hides it and the constants
+a trial scores against; each is computed on first access and kept, so every
+trial of a run shares them.
 """
 
 from __future__ import annotations
@@ -11,11 +15,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..linalg import eig_reconstruct, haar_unitary
-from ..measurement import SeededRng
+from ..measurement import SeededRng, detector_sampler, state_sampler
 from ..quantum_objects import (
     BipartitePureState,
     DensityMatrix,
@@ -32,34 +37,49 @@ DEFAULT_TARGET_SEED = 20240901
 _RANK_TOL = 1e-10
 
 
+def _ranks(mats: np.ndarray) -> np.ndarray:
+    """Numerical rank of a Hermitian matrix, or of each matrix of a stack."""
+    return np.sum(np.linalg.eigvalsh(mats) > _RANK_TOL, axis=-1)
+
+
 @dataclass(frozen=True)
 class QstTarget:
     name: str
     rho: DensityMatrix
+    task = "qst"
 
     @property
     def dim(self) -> int:
         return self.rho.dim
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return int(np.sum(np.linalg.eigvalsh(self.rho.mat) > _RANK_TOL))
+        return int(_ranks(self.rho.mat))
+
+    @cached_property
+    def oracle(self):
+        """Oracle of ``rho``; it computes its cube table once and keeps it."""
+        return state_sampler(self.rho)
 
 
 @dataclass(frozen=True)
 class QdtTarget:
     name: str
     povm: Povm
+    task = "qdt"
 
     @property
     def dim(self) -> int:
         return self.povm.dim
 
-    @property
+    @cached_property
     def element_ranks(self) -> tuple:
-        return tuple(
-            int(np.sum(np.linalg.eigvalsh(e) > _RANK_TOL)) for e in self.povm.elements
-        )
+        return tuple(_ranks(self.povm.elements).tolist())
+
+    @cached_property
+    def oracle(self):
+        """Oracle of ``povm``; it computes its cube table once and keeps it."""
+        return detector_sampler(self.povm)
 
 
 @dataclass(frozen=True)
@@ -67,6 +87,7 @@ class AaptTarget:
     name: str
     channel: KrausChannel
     input_state: BipartitePureState
+    task = "aapt"
 
     @property
     def dim(self) -> int:
@@ -76,21 +97,26 @@ class AaptTarget:
     def tp(self) -> bool:
         return self.channel.tp_flag
 
-    @property
+    @cached_property
     def process(self) -> ProcessMatrix:
         return kraus_to_process(self.channel)
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return int(np.sum(np.linalg.eigvalsh(self.process.x) > _RANK_TOL))
+        return int(_ranks(self.process.x))
 
-    @property
+    @cached_property
     def sigma_out(self) -> DensityMatrix:
         return apply_extended_channel(self.channel, self.input_state.density())
 
     @property
     def known_trace(self) -> float:
         return self.sigma_out.trace
+
+    @cached_property
+    def oracle(self):
+        """Oracle of ``sigma_out``; it computes its cube table once and keeps it."""
+        return state_sampler(self.sigma_out)
 
 
 def _target_rng(seed: int, index: int) -> np.random.Generator:
@@ -287,10 +313,7 @@ def resolve_target(spec: str, seed: int = DEFAULT_TARGET_SEED):
 
 
 def expected_task(target) -> str:
-    if isinstance(target, QstTarget):
-        return "qst"
-    if isinstance(target, QdtTarget):
-        return "qdt"
-    if isinstance(target, AaptTarget):
-        return "aapt"
-    raise TypeError(f"not a target: {target!r}")
+    """The task a target belongs to: its ``task``."""
+    if not isinstance(target, (QstTarget, QdtTarget, AaptTarget)):
+        raise TypeError(f"not a target: {target!r}")
+    return target.task

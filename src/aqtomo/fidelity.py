@@ -142,9 +142,7 @@ def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
     return f_dp - mismatch
 
 
-def fidelity_and_dp(
-    hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario, clamp: bool = True
-):
+def fidelity_and_dp(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario):
     """``(F, F_dp)`` of one pair from a single Uhlmann overlap.
 
     The first value is :func:`fidelity`, the second :func:`fidelity_dp`, each
@@ -160,25 +158,21 @@ def fidelity_and_dp(
         hat_s, s, hat_s.shape[-1] if state else scenario.dim, unit_trace=state
     ):
         raw = (f_dp - mismatch - f) / (1.0 - f)
-        if clamp:
-            raw = min(max(raw, 0.0), 1.0)
-        pairs.append((float(raw), f_dp))
+        pairs.append((float(min(max(raw, 0.0), 1.0)), f_dp))
     if hat_s.ndim == 2:
         return pairs[0]
     return tuple(np.array(values) for values in zip(*pairs))
 
 
-def fidelity(
-    hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario, clamp: bool = True
-) -> float:
+def fidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> float:
     """Scenario-normalized fidelity (F_1 - f) / (1 - f), clamped into [0, 1].
 
     For the state scenario both arguments must have unit trace, and the value
-    coincides with :func:`state_fidelity` exactly.  ``clamp=False`` skips the
-    final clamp that absorbs 1e-10-level roundoff overshoot, which is useful
-    when diagnosing near-boundary values.
+    coincides with :func:`state_fidelity` exactly.  The clamp absorbs
+    1e-10-level roundoff overshoot; :func:`fidelity_f1` gives the unclamped
+    F_1.
     """
-    return fidelity_and_dp(hat_s, s, scenario, clamp)[0]
+    return fidelity_and_dp(hat_s, s, scenario)[0]
 
 
 def pseudo_state_fidelity(hat_s: np.ndarray, s: np.ndarray) -> float:
@@ -206,7 +200,7 @@ def detector_fidelity_h(p, q) -> float:
         raise DimensionError("detectors must share one dimension")
     d = p.dim
     total = 0.0
-    for root in _overlap_root(np.stack(p.elements), np.stack(q.elements)).tolist():
+    for root in _overlap_root(p.elements, q.elements).tolist():
         total += root
     return float(min((total / d) ** 2, 1.0))
 

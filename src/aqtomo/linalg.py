@@ -17,9 +17,7 @@ log = logging.getLogger(__name__)
 
 # Relative tolerance below which an input is accepted as Hermitian / PSD, and
 # the larger threshold beyond which we refuse to silently repair it.
-HERMITICITY_RTOL = 1e-9
 HERMITICITY_FAIL_RTOL = 1e-6
-PSD_RTOL = 1e-9
 PSD_FAIL_RTOL = 1e-6
 
 

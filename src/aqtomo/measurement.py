@@ -296,7 +296,7 @@ class DetectorOracle(_Oracle):
 
     def __init__(self, povm: Povm):
         super().__init__(povm.dim)
-        self._elements = np.stack(povm.elements)
+        self._elements = povm.elements
 
     def _cube_probabilities(self, cube: PauliCube) -> np.ndarray:
         tables = np.stack([cube.probabilities(e) for e in self._elements], axis=-1)

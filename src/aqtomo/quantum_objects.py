@@ -81,19 +81,23 @@ def pure_state(psi: np.ndarray) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered list of PSD elements summing to the identity."""
+    """Ordered PSD elements summing to the identity.
 
-    elements: tuple
+    ``elements`` is one read-only ``(K, d, d)`` stack, element ``i`` at
+    index ``i``; any sequence of equal-shape matrices is accepted.
+    """
+
+    elements: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        elems = [np.asarray(e, dtype=complex) for e in self.elements]
-        if not elems:
+        shapes = {np.shape(e) for e in self.elements}
+        if not shapes:
             raise ValueError("a POVM needs at least one element")
-        if elems[0].ndim != 2 or any(e.shape != elems[0].shape for e in elems):
+        if len(shapes) > 1 or len(shapes.pop()) != 2:
             raise DimensionError("POVM elements must share one dimension")
         # one stacked symmetrization and eigensolve, checked element by element
-        stack = hermitian_part(np.stack(elems))
+        stack = hermitian_part(np.asarray(self.elements, dtype=complex))
         if np.min(np.linalg.eigvalsh(stack)[:, 0]) < -PSD_ATOL:
             raise linalg.NotPSDError("POVM element is not PSD")
         total = np.zeros_like(stack[0])
@@ -101,11 +105,12 @@ class Povm:
             total += e
         if np.max(np.abs(total - np.eye(len(total)))) > COMPLETENESS_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(stack))
+        stack.flags.writeable = False
+        object.__setattr__(self, "elements", stack)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -57,7 +57,7 @@ def born_probabilities(rho, povm) -> np.ndarray:
     bit; ``povm`` may also be a stack of elements ``(K, d, d)``.
     """
     states = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    elems = np.stack(povm.elements) if isinstance(povm, Povm) else np.asarray(povm)
+    elems = povm.elements if isinstance(povm, Povm) else np.asarray(povm)
     if states.shape[-1] != elems.shape[-1]:
         raise DimensionError("state and POVM dimensions differ")
     if states.ndim == 2:

@@ -431,7 +431,7 @@ class TestAdaptiveQst:
         rho = random_density(gen, 4)
         est = adaptive_qst(exact_state_sampler(rho), 4, 1000, 0.5, SeededRng(61))
         assert np.linalg.norm(est.value.mat - rho.mat) < 1e-8
-        assert est.method_tag == "adaptive_qst"
+        assert est.extras == {} and not est.value.sub_unit
 
     def test_physicality_and_determinism(self):
         u = haar_unitary(8, SeededRng(62).generator())
@@ -615,7 +615,7 @@ class TestQdt:
         est = adaptive_qdt(detector_sampler(povm), 3, 4, 100_009, 0.5, SeededRng(75))
         assert est.extras["step2_per_probe"] == 4167
         assert est.extras["unused_shots"] == 1
-        assert est.shots_used == 50_004 + 4167 * 12 == 100_009 - 1
+        assert 50_004 + 4167 * 12 + est.extras["unused_shots"] == 100_009
 
     def test_step2_budget_guard(self):
         povm = three_valued_detector()

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -22,9 +23,15 @@ from aqtomo.experiments import (
     resolve_target,
     run_scaling,
 )
-from aqtomo.experiments import harness
+from aqtomo.experiments import harness, targets
 from aqtomo.experiments.io import CSV_HEADER, result_to_dict, write_csv, write_json
-from aqtomo.experiments.targets import AaptTarget, QstTarget, load_target
+from aqtomo.experiments.targets import (
+    AaptTarget,
+    QdtTarget,
+    QstTarget,
+    expected_task,
+    load_target,
+)
 from aqtomo.linalg import NotPSDError
 
 CONFIG_TEXT = """
@@ -156,6 +163,21 @@ class TestTargets:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown target"):
             builtin_target("qst-rank3-8d")
+
+    @pytest.mark.parametrize(
+        "name, cls, task",
+        [
+            ("qst-rank1-8d", QstTarget, "qst"),
+            ("qdt-three-valued", QdtTarget, "qdt"),
+            ("aapt-hadamard", AaptTarget, "aapt"),
+        ],
+    )
+    def test_expected_task(self, name, cls, task):
+        target = builtin_target(name)
+        assert isinstance(target, cls) and cls.task == task
+        assert expected_task(target) == task
+        with pytest.raises(TypeError, match="not a target"):
+            expected_task(target.name)
 
     def test_qst_profiles(self):
         for name, profile in [
@@ -323,6 +345,58 @@ class TestRunScaling(object):
         )
         with pytest.raises(ValueError, match="contradicts"):
             run_scaling(cfg)
+
+    def test_short_grid_fails_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *job: calls.append(job))
+        cfg = ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (1000, 2000), 50)
+        with pytest.raises(ValueError, match="at least 3 rows"):
+            run_scaling(cfg)
+        assert calls == []
+
+    def test_pool_capped_at_cores_and_jobs(self, monkeypatch):
+        # a fake pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(
+            "qst", "adaptive", "qst-rank1-8d", (1000, 4000, 16000), 1, seed=8
+        )
+        serial = run_scaling(cfg, workers=1)
+        assert run_scaling(cfg, workers=10_000).rows == serial.rows
+        assert all(size <= min(os.cpu_count() or 1, 3) for size in sizes)
+
+    def test_process_matrix_built_once_per_target(self, monkeypatch):
+        original, built = targets.kraus_to_process, []
+
+        def counting(channel):
+            built.append(channel)
+            return original(channel)
+
+        monkeypatch.setattr(targets, "kraus_to_process", counting)
+        harness._context.cache_clear()
+        try:
+            for method in ("adaptive", "static"):
+                cfg = ExperimentConfig(
+                    "aapt", method, "aapt-hadamard", (400, 1600, 6400), 3, seed=5
+                )
+                run_scaling(cfg)
+        finally:
+            harness._context.cache_clear()
+        assert len(built) == 2  # one target object per config
 
     def test_single_repetition_has_zero_std(self):
         cfg = ExperimentConfig(

@@ -228,7 +228,7 @@ class TestUnifiedFidelity:
     def test_unclamped_diagnostic_value(self):
         gen = SeededRng(47).generator()
         rho = random_density(gen, 2)
-        raw = fidelity(rho, rho, state_scenario(), clamp=False)
+        raw = fidelity_f1(rho, rho, 2)  # the state scenario's F before its clamp
         assert abs(raw - 1.0) < 1e-10  # may legitimately exceed 1 by roundoff
         assert fidelity(rho, rho, state_scenario()) <= 1.0
 

@@ -29,6 +29,13 @@ from dense_reference import (
 from test_estimators import random_povm, random_pseudo_state
 
 
+class TestDetectorOracleElements:
+    def test_oracle_shares_the_povm_stack(self):
+        povm = random_povm(SeededRng(150).generator(), 4, 3)
+        for oracle in (detector_sampler(povm), exact_detector_sampler(povm)):
+            assert np.shares_memory(oracle._elements, povm.elements)
+
+
 class TestSampleCounts:
     def test_deterministic_outcome(self):
         counts = sample_counts([1.0, 0.0], 500, SeededRng(1))

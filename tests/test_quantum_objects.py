@@ -89,6 +89,25 @@ class TestPovm:
         with pytest.raises(Exception):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
+    def test_elements_are_one_read_only_stack(self):
+        p0, p1 = np.diag([1.0, 0.25]), np.diag([0.0, 0.75])
+        povm = Povm((p0, p1))
+        assert isinstance(povm.elements, np.ndarray)
+        assert povm.elements.shape == (2, 2, 2) and povm.elements.dtype == complex
+        with pytest.raises(ValueError):
+            povm.elements[0, 0, 0] = 0.5
+        # indexing, iteration, unpacking and sum() see the elements in order
+        e0, e1 = povm.elements
+        assert np.array_equal(e0, p0) and np.array_equal(povm.elements[1], p1)
+        assert len(povm) == 2 and povm.dim == 2
+        assert np.array_equal(sum(povm.elements), np.eye(2))
+
+    def test_unequal_or_missing_elements_rejected(self):
+        with pytest.raises(DimensionError):
+            Povm((np.eye(2) / 2, np.eye(3) / 2))
+        with pytest.raises(ValueError, match="at least one"):
+            Povm(())
+
 
 class TestKrausToProcess:
     def test_identity_channel(self):
