@@ -9,22 +9,22 @@ near-zero-probability outcomes concentrate at O(1/N) instead of the O(1/sqrt N)
 floor of generic estimators, which is what moves the infidelity from
 O(1/sqrt N) to O(1/N) on rank-deficient targets.
 
-Every first pass spends its copies on the Pauli cube and solves it by the
-cube's closed-form linear inversion (:meth:`PauliCube.invert`): a state is
-measured in the cube's ``3^n`` settings, and a detector is probed with its
-``6^n`` product eigenstates, whose click table of element ``P_i`` is the
-cube's Born table of ``P_i``.  No design matrix, rank check or
-pseudo-inverse is built, and every dimension must be a power of two.  A
-detector's elements travel as one ``(K, d, d)`` stack: one PSD projection,
-one renormalization and one eigensolve per step, and the adaptive step
-probes with the columns of the stacked eigenbases.
+Every protocol reads its dimensions, and a detector its element count, from
+its oracle.  Every first pass spends its copies on the oracle's Pauli cube
+(``oracle.cube``) and solves it by the cube's closed-form linear inversion
+(:meth:`PauliCube.invert`): a state is measured in the cube's ``3^n``
+settings, and a detector is probed with its ``6^n`` product eigenstates,
+whose click table of element ``P_i`` is the cube's Born table of ``P_i``.
+No design matrix, rank check or pseudo-inverse is built.  A detector's
+elements travel as one ``(K, d, d)`` stack: one PSD projection, one
+renormalization and one eigensolve per step, and the adaptive step probes
+with the columns of the stacked eigenbases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .linalg import (
     partial_trace_1,
     project_psd,
 )
-from .measurement import Frequencies, PauliCube, frequencies, pauli_cube
+from .measurement import Frequencies, PauliCube, frequencies
 from .quantum_objects import (
     BipartitePureState,
     DegenerateInputError,
@@ -87,6 +87,8 @@ class LrePlan:
     the trace is re-pinned to ``trace_value``.  Setting ``s`` is the only one
     that measures the weight-n Pauli ``sigma_s1 (x) ... (x) sigma_sn``, so a
     zero-shot setting always raises :class:`InformationIncompleteError`.
+    Building a plan only stores the cube and the flag, so each protocol
+    solve builds its own from its oracle's cube.
     """
 
     def __init__(self, cube: PauliCube, constrain_trace: bool):
@@ -157,37 +159,16 @@ def _split_shots(total: int, parts: int) -> list:
     return out
 
 
-def _cube(dim: int) -> PauliCube:
-    """The Pauli cube of ``dim``; a dimension that is no power of two has none."""
-    n_qubits = int(round(math.log2(dim)))
-    if 2**n_qubits != dim:
-        raise DimensionError(f"no Pauli cube has dimension {dim}")
-    return pauli_cube(n_qubits)
+def _cube_frequencies(oracle, shots: int, gen) -> Frequencies:
+    """Split ``shots`` over the oracle's cube settings or probes, drawn at once."""
+    split = _split_shots(shots, len(oracle.table()))
+    return frequencies(oracle.counts(split, gen))
 
 
-def _default_plan(dim: int, constrain_trace: bool) -> LrePlan:
-    """The Pauli-cube plan of ``dim``, one object per ``(dim, constrain_trace)``.
-
-    The flag is normalized before the cache, so passing it by position or by
-    keyword returns the same plan.
-    """
-    return _cube_plan(dim, bool(constrain_trace))
-
-
-@lru_cache(maxsize=None)
-def _cube_plan(dim: int, constrain_trace: bool) -> LrePlan:
-    return LrePlan(_cube(dim), constrain_trace)
-
-
-def _cube_frequencies(sampler, plan: LrePlan, shots: int, gen) -> Frequencies:
-    """Split ``shots`` over the cube's settings and draw them all at once."""
-    split = _split_shots(shots, len(plan.cube))
-    return frequencies(sampler.counts(plan.cube, split, gen))
-
-
-def _eigenbasis_frequencies(sampler, u: np.ndarray, shots: int, gen) -> np.ndarray:
-    """Outcome frequencies of ``shots`` measurements in the columns of ``u``."""
-    return frequencies(sampler.basis_counts(u, shots, gen)).values[0]
+def _cube_solve(sampler, shots: int, gen, constrain_trace) -> np.ndarray:
+    """Least-squares estimate from ``shots`` copies spent on the sampler's cube."""
+    plan = LrePlan(sampler.cube, bool(constrain_trace))
+    return plan.solve(_cube_frequencies(sampler, shots, gen))
 
 
 def _check_alpha(n_total: int, alpha: float) -> int:
@@ -199,7 +180,7 @@ def _check_alpha(n_total: int, alpha: float) -> int:
     return n0
 
 
-def _two_step_state(sampler, dim, n_total, alpha, rng, sub_unit: bool):
+def _two_step_state(sampler, n_total, alpha, rng, sub_unit: bool):
     """The two-step state core: buy an eigenbasis, then count in it.
 
     Step 1 spends ``floor(alpha * N)`` copies on the Pauli cube and a
@@ -210,25 +191,15 @@ def _two_step_state(sampler, dim, n_total, alpha, rng, sub_unit: bool):
     """
     n0 = _check_alpha(n_total, alpha)
     gen = linalg.as_generator(rng)
-    plan = _default_plan(dim, constrain_trace=not sub_unit)
-    rho_tilde = plan.solve(_cube_frequencies(sampler, plan, n0, gen))
+    rho_tilde = _cube_solve(sampler, n0, gen, constrain_trace=not sub_unit)
     u = hermitian_eig(rho_tilde).eigenvectors
-    lam = _eigenbasis_frequencies(sampler, u, n_total - n0, gen)
+    lam = frequencies(sampler.basis_counts(u, n_total - n0, gen)).values[0]
     if sub_unit and lam.sum() <= 0.0:
         raise EstimationError("every adaptive-step outcome fell in the null bin")
     return DensityMatrix(eig_reconstruct(lam, u), sub_unit=sub_unit)
 
 
-def _static_solve(sampler, dim, n_total, rng, constrain_trace: bool):
-    """Least-squares estimate from the whole budget spent on the Pauli cube."""
-    gen = linalg.as_generator(rng)
-    plan = _default_plan(dim, constrain_trace)
-    return plan.solve(_cube_frequencies(sampler, plan, n_total, gen))
-
-
-def adaptive_qst(
-    sampler, d: int, n_total: int, alpha: float, rng
-) -> TomographyEstimate:
+def adaptive_qst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
     """Two-step adaptive state tomography achieving O(1/N) infidelity.
 
     Step 1 spends ``floor(alpha * N)`` copies on the Pauli cube and a
@@ -238,26 +209,25 @@ def adaptive_qst(
     outcome frequencies as eigenvalues, which makes the estimate PSD with
     unit trace by construction.
     """
-    rho_hat = _two_step_state(sampler, d, n_total, alpha, rng, sub_unit=False)
+    rho_hat = _two_step_state(sampler, n_total, alpha, rng, sub_unit=False)
     return TomographyEstimate(rho_hat)
 
 
-def adaptive_qpst(
-    sampler, dim: int, n_total: int, alpha: float, rng
-) -> TomographyEstimate:
+def adaptive_qpst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
     """Adaptive pseudo-state tomography for sub-unit-trace reconstructions.
 
     Same two steps as :func:`adaptive_qst` but with the trace constraint
     dropped in step 1 and a null outcome absorbing the missing mass in
     step 2, so the estimated eigenvalues sum below one.
     """
-    sigma_hat = _two_step_state(sampler, dim, n_total, alpha, rng, sub_unit=True)
+    sigma_hat = _two_step_state(sampler, n_total, alpha, rng, sub_unit=True)
     return TomographyEstimate(sigma_hat)
 
 
-def static_qst(sampler, d: int, n_total: int, rng) -> TomographyEstimate:
+def static_qst(sampler, n_total: int, rng) -> TomographyEstimate:
     """Static baseline: full-budget least squares plus physical projection."""
-    rho_tilde = _static_solve(sampler, d, n_total, rng, constrain_trace=True)
+    gen = linalg.as_generator(rng)
+    rho_tilde = _cube_solve(sampler, n_total, gen, constrain_trace=True)
     rho_hat = physical_projection_fast(rho_tilde)
     return TomographyEstimate(rho_hat)
 
@@ -303,7 +273,7 @@ def _renormalize(elements: np.ndarray) -> np.ndarray:
 
 
 def adaptive_qdt(
-    detector_sampler, n_elements: int, d: int, n_total: int, alpha: float, rng
+    detector_sampler, n_total: int, alpha: float, rng
 ) -> TomographyEstimate:
     """Two-step adaptive detector tomography with per-element O(1/N) infidelity.
 
@@ -314,10 +284,13 @@ def adaptive_qdt(
     click frequency of its own element as the eigenvalue estimate.  The
     final correction is :func:`_renormalize`'s.  The ``(N - n0) mod (n * d)``
     shots that do not divide evenly over the adaptive probes are left unused.
+    ``n`` and ``d`` are read from the ``(n, d, d)`` stage-1 stack.
     """
     n0 = _check_alpha(n_total, alpha)
     gen = linalg.as_generator(rng)
-    stage1 = _cube_stage1(detector_sampler, n_elements, d, n0, gen)
+    freqs = _cube_frequencies(detector_sampler, n0, gen)
+    stage1 = qdt_stage1(freqs, detector_sampler.cube)
+    n_elements, d = stage1.shape[:2]
 
     per_probe = (n_total - n0) // (n_elements * d)
     if per_probe < 1:
@@ -336,22 +309,12 @@ def adaptive_qdt(
     )
 
 
-def static_qdt(
-    detector_sampler, n_elements: int, d: int, n_total: int, rng
-) -> TomographyEstimate:
+def static_qdt(detector_sampler, n_total: int, rng) -> TomographyEstimate:
     """Static detector baseline: the whole budget goes into stage 1."""
     gen = linalg.as_generator(rng)
-    elements = _cube_stage1(detector_sampler, n_elements, d, n_total, gen)
+    freqs = _cube_frequencies(detector_sampler, n_total, gen)
+    elements = qdt_stage1(freqs, detector_sampler.cube)
     return TomographyEstimate(Povm(elements, name="static-qdt"))
-
-
-def _cube_stage1(detector_sampler, n_elements: int, d: int, shots: int, gen):
-    """:func:`qdt_stage1` on the cube's ``6^n`` probes, ``shots`` split in one draw."""
-    cube = _cube(d)
-    counts = detector_sampler.counts(cube, _split_shots(shots, len(cube) * d), gen)
-    if counts.shape[1] - 1 != n_elements:
-        raise DimensionError("detector counts have the wrong outcome count")
-    return qdt_stage1(frequencies(counts), cube)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +398,6 @@ def aapt_reconstruct(
 
 def adaptive_aapt(
     channel_sampler,
-    d: int,
     n_total: int,
     alpha: float,
     tp_flag: bool,
@@ -451,14 +413,13 @@ def adaptive_aapt(
     the O(1/N) decay of the estimated zero eigenvalues.
     """
     state_protocol = adaptive_qst if tp_flag else adaptive_qpst
-    state_est = state_protocol(channel_sampler, d * d, n_total, alpha, rng)
+    state_est = state_protocol(channel_sampler, n_total, alpha, rng)
     sigma_hat = state_est.value
     return _process_estimate(sigma_hat, input_state, tp_flag, n_total)
 
 
 def nonadaptive_aapt(
     channel_sampler,
-    d: int,
     n_total: int,
     tp_flag: bool,
     input_state: BipartitePureState,
@@ -474,7 +435,8 @@ def nonadaptive_aapt(
     """
     if not tp_flag and known_trace is None:
         raise ValueError("non-trace-preserving baseline needs known_trace")
-    sigma_tilde = _static_solve(channel_sampler, d * d, n_total, rng, tp_flag)
+    gen = linalg.as_generator(rng)
+    sigma_tilde = _cube_solve(channel_sampler, n_total, gen, tp_flag)
     if tp_flag:
         sigma_hat = physical_projection_fast(sigma_tilde)
     else:

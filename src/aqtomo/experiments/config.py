@@ -74,6 +74,8 @@ class ExperimentConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        if self.tp_flag is not None and self.task != "aapt":
+            raise ValueError(f"tp_flag applies to aapt only, not to {self.task}")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "n_grid", grid)

@@ -154,7 +154,7 @@ def _trial_stream(n_index: int, trial: int) -> int:
 
 @lru_cache(maxsize=16)
 def _context(config: ExperimentConfig):
-    """The config's target, checked against the task and ``tp_flag``.
+    """The config's target, checked against the task, ``tp_flag`` and the cube.
 
     Cached per config, so every trial in a process shares one target and,
     with it, the oracle and scoring constants the target computes once.
@@ -169,6 +169,7 @@ def _context(config: ExperimentConfig):
         raise ValueError(
             f"tp_flag={config.tp_flag} contradicts the channel of {config.target!r}"
         )
+    target.oracle.cube  # a target with no Pauli cube fails here, before any trial
     return target
 
 
@@ -201,9 +202,9 @@ def _metrics(hat, true, f, f_dp, eigs, rank) -> dict:
 
 def _qst_trial(target: QstTarget, config, n, gen) -> dict:
     if config.method == "adaptive":
-        est = adaptive_qst(target.oracle, target.dim, n, config.alpha, gen)
+        est = adaptive_qst(target.oracle, n, config.alpha, gen)
     else:
-        est = static_qst(target.oracle, target.dim, n, gen)
+        est = static_qst(target.oracle, n, gen)
     rho_hat = est.value.mat
     metrics = _score(rho_hat, target.rho.mat, state_scenario(), target.rank)
     trace_dev = abs(float(np.trace(rho_hat).real) - 1.0)
@@ -212,11 +213,11 @@ def _qst_trial(target: QstTarget, config, n, gen) -> dict:
 
 
 def _qdt_trial(target: QdtTarget, config, n, gen) -> dict:
-    n_el, d = len(target.povm), target.dim
+    d = target.dim
     if config.method == "adaptive":
-        est = adaptive_qdt(target.oracle, n_el, d, n, config.alpha, gen)
+        est = adaptive_qdt(target.oracle, n, config.alpha, gen)
     else:
-        est = static_qdt(target.oracle, n_el, d, n, gen)
+        est = static_qdt(target.oracle, n, gen)
     hat, true = est.value.elements, target.povm.elements
     scores = _score(hat, true, detector_scenario(d), target.element_ranks)
     # summed in element order from 0.0 (Python 3.12's sum() compensates)
@@ -241,12 +242,11 @@ def _aapt_trial(target: AaptTarget, config, n, gen) -> dict:
     d = target.dim
     if config.method == "adaptive":
         est = adaptive_aapt(
-            target.oracle, d, n, config.alpha, target.tp, target.input_state, gen
+            target.oracle, n, config.alpha, target.tp, target.input_state, gen
         )
     else:
         est = nonadaptive_aapt(
             target.oracle,
-            d,
             n,
             target.tp,
             target.input_state,

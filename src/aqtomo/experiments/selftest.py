@@ -11,6 +11,8 @@ import numpy as np
 from .. import linalg
 from ..estimators import (
     LrePlan,
+    adaptive_qdt,
+    adaptive_qst,
     physical_projection_fast,
     qdt_stage1,
     qpt_stage2_tp,
@@ -85,7 +87,7 @@ def _checks():
     pseudo = DensityMatrix(0.6 * rho.mat, sub_unit=True)
     recovered = True
     for state, constrain in ((rho, True), (pseudo, False)):
-        freqs = frequencies(exact_state_sampler(state).counts(cube))
+        freqs = frequencies(exact_state_sampler(state).counts())
         est = LrePlan(cube, constrain).solve(freqs)
         recovered &= bool(np.allclose(est, state.mat, atol=1e-12))
     yield "cube inversion recovers a noiseless state", recovered
@@ -94,12 +96,20 @@ def _checks():
     # each element's Born table, which the same inversion maps back
     half = rho.mat / 2.0
     detector = Povm((half, np.eye(4) - rho.mat, half))
-    freqs = frequencies(exact_detector_sampler(detector).counts(cube))
+    freqs = frequencies(exact_detector_sampler(detector).counts())
     elements = qdt_stage1(freqs, cube)
     recovered = all(
         np.allclose(e, p, atol=1e-12) for e, p in zip(elements, detector.elements)
     )
     yield "detector cube inversion recovers a noiseless POVM", recovered
+
+    # the protocols end to end, on zero-noise oracles
+    est = adaptive_qst(exact_state_sampler(rho), 1000, 0.5, SeededRng(5)).value
+    recovered = np.allclose(est.mat, rho.mat, atol=1e-8)
+    yield "adaptive QST recovers a noiseless state", recovered
+    est = adaptive_qdt(exact_detector_sampler(detector), 1000, 0.5, SeededRng(6)).value
+    recovered = np.allclose(est.elements, detector.elements, atol=1e-8)
+    yield "adaptive QDT recovers a noiseless POVM", recovered
 
     c1 = sample_counts([0.25, 0.25, 0.5], 10_000, SeededRng(9, 3))
     c2 = sample_counts([0.25, 0.25, 0.5], 10_000, SeededRng(9, 3))

@@ -16,9 +16,10 @@ the one-setting case of the same routine.
 
 The Pauli cube, the protocols' one static battery, is held in product form
 (:class:`PauliCube`): its Born table and its linear inversion are computed
-qubit by qubit and none of its ``6^n`` projectors is built.  A state is
-measured in the cube's ``3^n`` settings; a detector is probed with its
-``6^n`` product eigenstates, and element ``P_i``'s click table
+qubit by qubit and none of its ``6^n`` projectors is built.  Each oracle owns
+the cube of its dimension (``oracle.cube``), so no draw takes a battery.  A
+state is measured in the cube's ``3^n`` settings; a detector is probed with
+its ``6^n`` product eigenstates, and element ``P_i``'s click table
 ``Tr(Pi_{s,b} P_i)`` is the cube's Born table of ``P_i``.  Either oracle
 computes the cube's table on its first draw and keeps it, so repeated draws
 only sample.  The adaptive step measures in estimated eigenbases, and both
@@ -107,7 +108,10 @@ def draw_counts(table, shots, rng) -> np.ndarray:
     zero-shot row consumes no randomness, so the result and the generator
     state afterwards equal those of one draw per row.
     """
-    return as_generator(rng).multinomial(np.asarray(shots, dtype=np.int64), table)
+    shots = np.asarray(shots, dtype=np.int64)
+    if shots.shape != np.shape(table)[:-1]:
+        raise DimensionError("one shot count per outcome-table row is required")
+    return as_generator(rng).multinomial(shots, table)
 
 
 def sample_counts(probs, shots: int, rng) -> np.ndarray:
@@ -227,39 +231,48 @@ def _basis_probabilities(us, mats) -> np.ndarray:
 
 
 class _Oracle:
-    """Batch draws of the Pauli cube, shared by the two oracles.
+    """Draws of the Pauli cube and of eigenbases, shared by the two oracles.
 
-    The outcome table of the :class:`PauliCube` of the oracle's dimension is
-    computed on first use and kept, read-only, so repeated draws only sample.
+    The outcome table of the oracle's own :attr:`cube` is computed on first
+    use and kept, read-only, so repeated draws only sample.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._cube_table = None
 
-    def table(self, cube: PauliCube) -> np.ndarray:
+    @property
+    def cube(self) -> PauliCube:
+        """The :class:`PauliCube` of the oracle's dimension, step 1's battery."""
+        n_qubits = self.dim.bit_length() - 1
+        if self.dim != 1 << n_qubits:
+            raise DimensionError(f"no Pauli cube has dimension {self.dim}")
+        return pauli_cube(n_qubits)
+
+    def table(self) -> np.ndarray:
         """``(S, K+1)`` outcome table of the cube's ``S`` settings or probes."""
-        if not isinstance(cube, PauliCube):
-            raise TypeError(f"oracles measure a PauliCube, not {type(cube).__name__}")
-        if cube.dim != self.dim:
-            raise DimensionError(f"oracle is {self.dim}-dimensional, cube is not")
         if self._cube_table is None:
-            table = outcome_table(self._cube_probabilities(cube))
+            table = outcome_table(self._cube_probabilities(self.cube))
             table.flags.writeable = False
             self._cube_table = table
         return self._cube_table
 
-    def counts(self, cube: PauliCube, shots, rng) -> np.ndarray:
-        """``(S, K+1)`` counts, null column last, from one multinomial draw."""
-        return draw_counts(self.table(cube), shots, rng)
+    def counts(self, shots, rng) -> np.ndarray:
+        """``(S, K+1)`` counts of the cube, null column last, from one draw."""
+        return draw_counts(self.table(), shots, rng)
+
+    def basis_counts(self, us, shots: int, rng) -> np.ndarray:
+        """Counts of ``shots`` draws of every row of ``basis_table(us)``."""
+        table = self.basis_table(us)
+        return draw_counts(table, np.full(len(table), shots), rng)
 
 
 class StateOracle(_Oracle):
     """Measurement oracle hiding a (pseudo-)state ``rho``.
 
-    :meth:`counts` measures the ``3^n`` settings of the :class:`PauliCube`
-    of ``rho``'s dimension at once (table cached); :meth:`basis_counts`
-    measures in the orthonormal basis of a unitary's columns.
+    :meth:`counts` measures the ``3^n`` settings of its :attr:`cube` at
+    once (table cached); :meth:`basis_counts` measures in the orthonormal
+    basis of a unitary's columns.
     """
 
     def __init__(self, rho: DensityMatrix):
@@ -278,20 +291,15 @@ class StateOracle(_Oracle):
             raise DimensionError("measurement basis must be a d x d matrix")
         return outcome_table(_basis_probabilities(u, self.rho.mat)[None])
 
-    def basis_counts(self, u, shots: int, rng) -> np.ndarray:
-        """``(1, d+1)`` counts of ``shots`` measurements in the columns of ``u``."""
-        return draw_counts(self.basis_table(u), [shots], rng)
-
 
 class DetectorOracle(_Oracle):
     """Probe oracle hiding a detector ``povm``.
 
     :meth:`counts` probes the detector with the ``6^n`` product eigenstates
-    ``Pi_{s,b}`` of the :class:`PauliCube` of its dimension, row
-    ``s * 2^n + b`` in cube order (table cached).  Element ``i``'s click
-    probabilities under the cube, ``Tr(Pi_{s,b} P_i)``, are its
-    :meth:`PauliCube.probabilities` table.  :meth:`basis_counts` probes with
-    the columns of a stack of unitaries.
+    ``Pi_{s,b}`` of its :attr:`cube`, row ``s * 2^n + b`` in cube order
+    (table cached).  Element ``i``'s click probabilities under the cube,
+    ``Tr(Pi_{s,b} P_i)``, are its :meth:`PauliCube.probabilities` table.
+    :meth:`basis_counts` probes with the columns of a stack of unitaries.
     """
 
     def __init__(self, povm: Povm):
@@ -316,11 +324,6 @@ class DetectorOracle(_Oracle):
         p = _basis_probabilities(us[:, None], self._elements)  # [i, k, j]
         return outcome_table(p.swapaxes(1, 2).reshape(-1, len(self._elements)))
 
-    def basis_counts(self, us, shots: int, rng) -> np.ndarray:
-        """``(n d, K+1)`` counts of ``shots`` probes with each column of ``us``."""
-        table = self.basis_table(us)
-        return draw_counts(table, np.full(len(table), shots), rng)
-
 
 def state_sampler(rho: DensityMatrix) -> StateOracle:
     """Measurement oracle hiding ``rho``; see :class:`StateOracle`."""
@@ -336,8 +339,8 @@ class _Exact:
     """Zero-noise counts: the outcome table itself, whatever the shot budget,
     so every setting's frequencies are its probabilities, zero-shot ones too."""
 
-    def counts(self, settings, shots=None, rng=None) -> np.ndarray:
-        return self.table(settings)
+    def counts(self, shots=None, rng=None) -> np.ndarray:
+        return self.table()
 
     def basis_counts(self, u, shots=None, rng=None) -> np.ndarray:
         return self.basis_table(u)

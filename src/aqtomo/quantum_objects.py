@@ -12,6 +12,8 @@ Conventions fixed here and relied on everywhere else:
 * a process matrix ``X`` lives on (output system) (x) (index system) and
   satisfies ``X >= 0`` and ``Tr_1(X) <= I``, with equality exactly for
   trace-preserving channels.
+
+The value classes hold arrays, so they compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class DegenerateInputError(ValueError):
     """A Schmidt coefficient is (numerically) zero where positivity is required."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A PSD operator with unit trace, or sub-unit trace for pseudo-states."""
 
@@ -79,7 +81,7 @@ def pure_state(psi: np.ndarray) -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered PSD elements summing to the identity.
 
@@ -116,7 +118,7 @@ class Povm:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A completely positive map given by Kraus operators A_i.
 
@@ -147,7 +149,7 @@ class KrausChannel:
         return self.operators[0].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessMatrix:
     """d^2 x d^2 PSD process matrix X with Tr_1(X) <= I_d."""
 
@@ -172,7 +174,7 @@ class ProcessMatrix:
         return bool(np.max(np.abs(q - np.eye(self.dim))) <= 1e-8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartitePureState:
     """Unit vector on A (x) B together with its Schmidt decomposition.
 

@@ -26,7 +26,6 @@ from aqtomo.estimators import (
     static_qdt,
     static_qst,
 )
-from aqtomo.estimators import _default_plan
 from aqtomo.linalg import (
     DimensionError,
     eig_reconstruct,
@@ -161,7 +160,7 @@ class TestLre:
         gen = SeededRng(51).generator()
         rho = random_density(gen, 4)
         cube = pauli_cube(2)
-        freqs = frequencies(exact_state_sampler(rho).counts(cube))
+        freqs = frequencies(exact_state_sampler(rho).counts())
         est = LrePlan(cube, constrain_trace=True).solve(freqs)
         assert np.linalg.norm(est - rho.mat) < 1e-8
 
@@ -170,7 +169,7 @@ class TestLre:
         rho = random_density(gen, 4)
         sub = DensityMatrix(0.7 * rho.mat, sub_unit=True)
         cube = pauli_cube(2)
-        freqs = frequencies(exact_state_sampler(sub).counts(cube))
+        freqs = frequencies(exact_state_sampler(sub).counts())
         est = LrePlan(cube, constrain_trace=False).solve(freqs)
         assert np.linalg.norm(est - sub.mat) < 1e-8
 
@@ -183,7 +182,7 @@ class TestLre:
         n_total = 10**6
         shots = [n_total // len(cube)] * len(cube)
         gen = SeededRng(54).generator()
-        est = plan.solve(frequencies(state_sampler(target).counts(cube, shots, gen)))
+        est = plan.solve(frequencies(state_sampler(target).counts(shots, gen)))
         bound = lre_mse_bound(cube_povm(3), HermitianBasis(8), n_total)
         assert np.linalg.norm(est - target.mat) ** 2 < bound
 
@@ -198,7 +197,7 @@ class TestLre:
         traces = []
         for t in range(40):
             g = SeededRng(56, t).generator()
-            freqs = frequencies(sampler.counts(cube, shots, g))
+            freqs = frequencies(sampler.counts(shots, g))
             traces.append(float(np.trace(plan.solve(freqs)).real))
         se = np.std(traces, ddof=1) / np.sqrt(len(traces))
         assert abs(np.mean(traces) - 0.75) < 3 * se + 1e-12
@@ -208,7 +207,7 @@ class TestLre:
         rho = random_density(SeededRng(93).generator(), 4)
         cube = pauli_cube(2)
         shots = [100] * 2 + [0] * 7
-        freqs = frequencies(state_sampler(rho).counts(cube, shots, SeededRng(93)))
+        freqs = frequencies(state_sampler(rho).counts(shots, SeededRng(93)))
         with pytest.raises(InformationIncompleteError):
             LrePlan(cube, constrain_trace=True).solve(freqs)
 
@@ -224,23 +223,27 @@ class TestLre:
             LrePlan(cube_povm(2), True)
 
 
-class TestDefaultPlan:
-    def test_one_plan_per_dimension_and_flag(self):
-        plan = _default_plan(8, True)
-        assert plan is _default_plan(8, constrain_trace=True)
-        assert plan is _default_plan(8, np.True_)
-        assert plan.cube is pauli_cube(3) and plan.constrain_trace
-        unconstrained = _default_plan(8, constrain_trace=False)
-        assert unconstrained is _default_plan(8, False) and unconstrained is not plan
-        assert _default_plan(16, True).cube is pauli_cube(4)
+class TestOracleCube:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cube_of_each_dimension(self, n):
+        d = 2**n
+        rho = DensityMatrix(np.eye(d) / d)
+        assert state_sampler(rho).cube is pauli_cube(n)
+        povm = Povm((np.eye(d) / 2, np.eye(d) / 2))
+        assert detector_sampler(povm).cube is pauli_cube(n)
 
     @pytest.mark.parametrize("dim", [3, 6, 12])
     def test_non_power_of_two_dimension_rejected(self, dim):
-        with pytest.raises(DimensionError):
-            _default_plan(dim, True)
         rho = DensityMatrix(np.eye(dim) / dim)
+        povm = Povm((np.eye(dim) / 2, np.eye(dim) / 2))
         with pytest.raises(DimensionError):
-            adaptive_qst(state_sampler(rho), dim, 1000, 0.5, SeededRng(95))
+            state_sampler(rho).cube
+        with pytest.raises(DimensionError):
+            detector_sampler(povm).cube
+        with pytest.raises(DimensionError):
+            adaptive_qst(state_sampler(rho), 1000, 0.5, SeededRng(95))
+        with pytest.raises(DimensionError):
+            static_qdt(detector_sampler(povm), 1000, SeededRng(95))
 
 
 class TestNoDenseCubeInProduction:
@@ -256,8 +259,8 @@ class TestNoDenseCubeInProduction:
                 cfg = ExperimentConfig(task, method, target, (400,), 1)
                 assert run_trial(cfg, 400, 0, 0) is not None
         rho = random_density(SeededRng(100).generator(), 4)
-        adaptive_qst(state_sampler(rho), 4, 400, 0.5, SeededRng(101))
-        static_qst(state_sampler(rho), 4, 400, SeededRng(102))
+        adaptive_qst(state_sampler(rho), 400, 0.5, SeededRng(101))
+        static_qst(state_sampler(rho), 400, SeededRng(102))
         assert cube_povm.cache_info().currsize == 0
         # the dense reference lives in the tests only
         import aqtomo
@@ -328,10 +331,10 @@ class TestCubeInversion:
         u = haar_unitary(32, SeededRng(96).generator())
         rho = DensityMatrix(eig_reconstruct(np.array([1.0] + [0.0] * 31), u))
         tick = time.perf_counter()
-        _default_plan(32, True)  # the plan adaptive_qst measures below
+        LrePlan(pauli_cube(5), True)  # the plan adaptive_qst measures below
         assert time.perf_counter() - tick < 1.0
         n = 10**6
-        est = adaptive_qst(state_sampler(rho), 32, n, 0.5, SeededRng(97))
+        est = adaptive_qst(state_sampler(rho), n, 0.5, SeededRng(97))
         assert abs(est.value.trace - 1.0) < 1e-12
         assert np.linalg.eigvalsh(est.value.mat)[0] > -1e-12
         infid = 1.0 - fidelity(est.value.mat, rho.mat, state_scenario())
@@ -429,7 +432,7 @@ class TestAdaptiveQst:
     def test_noiseless_exact(self):
         gen = SeededRng(60).generator()
         rho = random_density(gen, 4)
-        est = adaptive_qst(exact_state_sampler(rho), 4, 1000, 0.5, SeededRng(61))
+        est = adaptive_qst(exact_state_sampler(rho), 1000, 0.5, SeededRng(61))
         assert np.linalg.norm(est.value.mat - rho.mat) < 1e-8
         assert est.extras == {} and not est.value.sub_unit
 
@@ -437,8 +440,8 @@ class TestAdaptiveQst:
         u = haar_unitary(8, SeededRng(62).generator())
         rho = DensityMatrix(eig_reconstruct(np.array([1.0] + [0.0] * 7), u))
         sampler = state_sampler(rho)
-        a = adaptive_qst(sampler, 8, 5000, 0.5, SeededRng(63, 1))
-        b = adaptive_qst(sampler, 8, 5000, 0.5, SeededRng(63, 1))
+        a = adaptive_qst(sampler, 5000, 0.5, SeededRng(63, 1))
+        b = adaptive_qst(sampler, 5000, 0.5, SeededRng(63, 1))
         assert np.array_equal(a.value.mat, b.value.mat)
         assert abs(a.value.trace - 1.0) < 1e-12
         assert np.linalg.eigvalsh(a.value.mat)[0] > -1e-12
@@ -446,14 +449,14 @@ class TestAdaptiveQst:
     def test_alpha_bounds(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
-            adaptive_qst(state_sampler(rho), 2, 100, 1.0, SeededRng(64))
+            adaptive_qst(state_sampler(rho), 100, 1.0, SeededRng(64))
         with pytest.raises(ValueError):
-            adaptive_qst(state_sampler(rho), 2, 100, 0.0, SeededRng(64))
+            adaptive_qst(state_sampler(rho), 100, 0.0, SeededRng(64))
 
     def test_static_noiseless_exact(self):
         gen = SeededRng(65).generator()
         rho = random_density(gen, 4)
-        est = static_qst(exact_state_sampler(rho), 4, 1000, SeededRng(66))
+        est = static_qst(exact_state_sampler(rho), 1000, SeededRng(66))
         assert np.linalg.norm(est.value.mat - rho.mat) < 1e-8
 
     def test_static_full_rank_reaches_inverse_scaling(self):
@@ -471,7 +474,7 @@ class TestAdaptiveQst:
             infs = [
                 1.0
                 - state_fidelity(
-                    static_qst(sampler, 8, n, SeededRng(92, (ni << 8) + t)).value.mat,
+                    static_qst(sampler, n, SeededRng(92, (ni << 8) + t)).value.mat,
                     rho.mat,
                 )
                 for t in range(10)
@@ -485,13 +488,13 @@ class TestQpst:
     def test_noiseless_exact_sub_unit(self):
         gen = SeededRng(67).generator()
         sub = DensityMatrix(0.8 * random_density(gen, 4).mat, sub_unit=True)
-        est = adaptive_qpst(exact_state_sampler(sub), 4, 1000, 0.5, SeededRng(68))
+        est = adaptive_qpst(exact_state_sampler(sub), 1000, 0.5, SeededRng(68))
         assert np.linalg.norm(est.value.mat - sub.mat) < 1e-8
         assert est.value.sub_unit
 
     def test_estimated_trace_below_one(self):
         sub = DensityMatrix(np.diag([0.4, 0.3, 0.1, 0.05]).astype(complex), sub_unit=True)
-        est = adaptive_qpst(state_sampler(sub), 4, 20000, 0.5, SeededRng(69))
+        est = adaptive_qpst(state_sampler(sub), 20000, 0.5, SeededRng(69))
         assert est.value.trace < 1.0
         assert abs(est.value.trace - 0.85) < 0.05
 
@@ -519,7 +522,7 @@ class TestQdt:
     def test_stage1_noiseless_exact(self):
         povm = three_valued_detector()
         cube = pauli_cube(2)
-        freqs = frequencies(exact_detector_sampler(povm).counts(cube))
+        freqs = frequencies(exact_detector_sampler(povm).counts())
         elements = qdt_stage1(freqs, cube)
         for est, true in zip(elements, povm.elements):
             assert np.linalg.norm(est - true) < 1e-8
@@ -527,7 +530,7 @@ class TestQdt:
     def test_stage1_frequency_probe_mismatch_rejected(self):
         povm = three_valued_detector()
         cube = pauli_cube(2)
-        counts = exact_detector_sampler(povm).counts(cube)
+        counts = exact_detector_sampler(povm).counts()
         with pytest.raises(DimensionError):
             qdt_stage1(frequencies(counts[:-1]), cube)
 
@@ -535,7 +538,7 @@ class TestQdt:
         povm = three_valued_detector()
         gen = SeededRng(72).generator()
         cube = pauli_cube(2)
-        counts = detector_sampler(povm).counts(cube, [2000] * 36, gen)
+        counts = detector_sampler(povm).counts([2000] * 36, gen)
         elements = qdt_stage1(frequencies(counts), cube)
         assert np.max(np.abs(sum(elements) - np.eye(4))) < 1e-8
         for e in elements:
@@ -546,7 +549,7 @@ class TestQdt:
     def test_stage1_recovers_random_povms(self, n, n_elements, seed):
         povm = random_povm(np.random.default_rng(seed), 2**n, n_elements)
         cube = pauli_cube(n)
-        freqs = frequencies(exact_detector_sampler(povm).counts(cube))
+        freqs = frequencies(exact_detector_sampler(povm).counts())
         elements = qdt_stage1(freqs, cube)
         assert len(elements) == n_elements
         for est, true in zip(elements, povm.elements):
@@ -557,22 +560,22 @@ class TestQdt:
         cube = pauli_cube(2)
         shots = [50] * 36
         shots[7] = 0
-        counts = detector_sampler(povm).counts(cube, shots, SeededRng(98))
+        counts = detector_sampler(povm).counts(shots, SeededRng(98))
         with pytest.raises(InformationIncompleteError):
             qdt_stage1(frequencies(counts), cube)
         # a budget below one shot per probe leaves the first 35 probes empty
         with pytest.raises(InformationIncompleteError):
-            static_qdt(detector_sampler(povm), 3, 4, 35, SeededRng(99))
+            static_qdt(detector_sampler(povm), 35, SeededRng(99))
         with pytest.raises(InformationIncompleteError):
-            adaptive_qdt(detector_sampler(povm), 3, 4, 70, 0.5, SeededRng(99))
+            adaptive_qdt(detector_sampler(povm), 70, 0.5, SeededRng(99))
 
     def test_non_power_of_two_detector_rejected(self):
         povm = Povm((np.diag([1.0, 0.0, 0.5]), np.diag([0.0, 1.0, 0.5])))
         sampler = detector_sampler(povm)
         with pytest.raises(DimensionError):
-            static_qdt(sampler, 2, 3, 1000, SeededRng(100))
+            static_qdt(sampler, 1000, SeededRng(100))
         with pytest.raises(DimensionError):
-            adaptive_qdt(sampler, 2, 3, 1000, 0.5, SeededRng(100))
+            adaptive_qdt(sampler, 1000, 0.5, SeededRng(100))
 
     def test_stage1_mse_scales_inversely(self):
         povm = three_valued_detector()
@@ -581,7 +584,7 @@ class TestQdt:
         def mse_at(n_total, trials=12):
             out = []
             for t in range(trials):
-                est = static_qdt(sampler, 3, 4, n_total, SeededRng(73, t))
+                est = static_qdt(sampler, n_total, SeededRng(73, t))
                 out.append(
                     sum(
                         np.linalg.norm(e - p) ** 2
@@ -595,15 +598,13 @@ class TestQdt:
 
     def test_adaptive_noiseless_exact(self):
         povm = three_valued_detector()
-        est = adaptive_qdt(
-            exact_detector_sampler(povm), 3, 4, 10**4, 0.5, SeededRng(74)
-        )
+        est = adaptive_qdt(exact_detector_sampler(povm), 10**4, 0.5, SeededRng(74))
         for e, p in zip(est.value.elements, povm.elements):
             assert np.linalg.norm(e - p) < 1e-8
 
     def test_adaptive_uses_nd_probes_and_is_complete(self):
         povm = three_valued_detector()
-        est = adaptive_qdt(detector_sampler(povm), 3, 4, 10**5, 0.5, SeededRng(75))
+        est = adaptive_qdt(detector_sampler(povm), 10**5, 0.5, SeededRng(75))
         assert est.extras["step2_per_probe"] == (10**5 - 5 * 10**4) // 12
         total = sum(est.value.elements)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
@@ -612,7 +613,7 @@ class TestQdt:
         # step 2 spreads N - n0 = 50005 shots over 3 * 4 probes: 4167 each,
         # and the 1 left over is reported as unused
         povm = three_valued_detector()
-        est = adaptive_qdt(detector_sampler(povm), 3, 4, 100_009, 0.5, SeededRng(75))
+        est = adaptive_qdt(detector_sampler(povm), 100_009, 0.5, SeededRng(75))
         assert est.extras["step2_per_probe"] == 4167
         assert est.extras["unused_shots"] == 1
         assert 50_004 + 4167 * 12 + est.extras["unused_shots"] == 100_009
@@ -620,7 +621,18 @@ class TestQdt:
     def test_step2_budget_guard(self):
         povm = three_valued_detector()
         with pytest.raises(EstimationError):
-            adaptive_qdt(detector_sampler(povm), 3, 4, 60, 0.9, SeededRng(76))
+            adaptive_qdt(detector_sampler(povm), 60, 0.9, SeededRng(76))
+
+    @pytest.mark.parametrize("n, n_elements", [(1, 2), (2, 4)])
+    def test_element_count_and_dimension_come_from_the_oracle(self, n, n_elements):
+        povm = random_povm(np.random.default_rng(150 + n), 2**n, n_elements)
+        oracle = exact_detector_sampler(povm)
+        for est in (
+            adaptive_qdt(oracle, 10**4, 0.5, SeededRng(151)),
+            static_qdt(oracle, 10**4, SeededRng(152)),
+        ):
+            assert est.value.elements.shape == povm.elements.shape
+            assert np.max(np.abs(est.value.elements - povm.elements)) < 1e-8
 
 
 class TestStage2Corrections:
@@ -709,7 +721,7 @@ class TestAdaptiveAapt:
         probe = maximally_entangled_input(2)
         sigma = apply_extended_channel(ch, probe.density())
         est = adaptive_aapt(
-            exact_state_sampler(sigma), 2, 1000, 0.5, True, probe, SeededRng(80)
+            exact_state_sampler(sigma), 1000, 0.5, True, probe, SeededRng(80)
         )
         assert np.linalg.norm(est.value.x - kraus_to_process(ch).x) < 1e-8
         assert np.allclose(partial_trace_1(est.value.x, 2, 2), np.eye(2), atol=1e-8)
@@ -719,7 +731,7 @@ class TestAdaptiveAapt:
         probe = random_full_schmidt(SeededRng(81).generator(), 2, min_coeff=0.3)
         sigma = apply_extended_channel(ch, probe.density())
         est = adaptive_aapt(
-            exact_state_sampler(sigma), 2, 1000, 0.5, False, probe, SeededRng(82)
+            exact_state_sampler(sigma), 1000, 0.5, False, probe, SeededRng(82)
         )
         assert np.linalg.norm(est.value.x - kraus_to_process(ch).x) < 1e-8
         assert est.extras["sigma_out"].sub_unit
@@ -729,7 +741,7 @@ class TestAdaptiveAapt:
         probe = random_full_schmidt(SeededRng(83).generator(), 2, min_coeff=0.3)
         sigma = apply_extended_channel(ch, probe.density())
         est = nonadaptive_aapt(
-            exact_state_sampler(sigma), 2, 1000, False, probe, SeededRng(84),
+            exact_state_sampler(sigma), 1000, False, probe, SeededRng(84),
             known_trace=sigma.trace,
         )
         assert np.linalg.norm(est.value.x - kraus_to_process(ch).x) < 1e-8
@@ -740,7 +752,7 @@ class TestAdaptiveAapt:
         probe = maximally_entangled_input(2)
         sigma = apply_extended_channel(ch, probe.density())
         est = nonadaptive_aapt(
-            exact_state_sampler(sigma), 2, 1000, True, probe, SeededRng(93)
+            exact_state_sampler(sigma), 1000, True, probe, SeededRng(93)
         )
         assert np.linalg.norm(est.value.x - kraus_to_process(ch).x) < 1e-8
 
@@ -750,7 +762,7 @@ class TestAdaptiveAapt:
         sigma = apply_extended_channel(ch, probe.density())
         with pytest.raises(ValueError):
             nonadaptive_aapt(
-                state_sampler(sigma), 2, 1000, False, probe, SeededRng(85)
+                state_sampler(sigma), 1000, False, probe, SeededRng(85)
             )
 
 
@@ -769,14 +781,14 @@ class TestPhysicalityAcrossMethods:
         probe = maximally_entangled_input(2)
         sigma = apply_extended_channel(ch, probe.density())
         for t in range(25):
-            est = adaptive_qst(state_sampler(rho), 4, 4000, 0.5, SeededRng(87, t))
+            est = adaptive_qst(state_sampler(rho), 4000, 0.5, SeededRng(87, t))
             assert isinstance(est.value, DensityMatrix)
-            est = static_qst(state_sampler(rho), 4, 4000, SeededRng(88, t))
+            est = static_qst(state_sampler(rho), 4000, SeededRng(88, t))
             assert isinstance(est.value, DensityMatrix)
-            est = adaptive_qdt(detector_sampler(povm), 3, 4, 4000, 0.5, SeededRng(89, t))
+            est = adaptive_qdt(detector_sampler(povm), 4000, 0.5, SeededRng(89, t))
             assert isinstance(est.value, Povm)
             est = adaptive_aapt(
-                state_sampler(sigma), 2, 4000, 0.5, False, probe, SeededRng(90, t)
+                state_sampler(sigma), 4000, 0.5, False, probe, SeededRng(90, t)
             )
             assert np.linalg.eigvalsh(est.value.x)[0] > -1e-8
             q = partial_trace_1(est.value.x, 2, 2)

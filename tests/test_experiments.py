@@ -32,7 +32,7 @@ from aqtomo.experiments.targets import (
     expected_task,
     load_target,
 )
-from aqtomo.linalg import NotPSDError
+from aqtomo.linalg import DimensionError, NotPSDError
 
 CONFIG_TEXT = """
 # demo config
@@ -60,6 +60,14 @@ class TestConfig:
             "n_grid = [100, 200]\nrepetitions = 2\ntp_flag = false\n"
         )
         assert cfg.n_grid == (100, 200) and cfg.tp_flag is False
+
+    @pytest.mark.parametrize("task", ["qst", "qdt"])
+    def test_tp_flag_only_for_aapt(self, task):
+        with pytest.raises(ValueError, match="tp_flag"):
+            ExperimentConfig(task, "adaptive", "qst-rank1-8d", (100,), 1, tp_flag=True)
+        text = CONFIG_TEXT.replace("task = qst", f"task = {task}")
+        with pytest.raises(ValueError, match="tp_flag"):
+            parse_config(text + "tp_flag = true\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -354,6 +362,23 @@ class TestRunScaling(object):
             run_scaling(cfg)
         assert calls == []
 
+    def test_no_pauli_cube_fails_before_any_trial(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *job: calls.append(job))
+        third = [[[1 / 3 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+        eye3 = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+        specs = {
+            "qst": {"task": "qst", "density": third},  # d = 3
+            "aapt": {"task": "aapt", "kraus": [eye3]},  # d_out = 9
+        }
+        for task, spec in specs.items():
+            path = tmp_path / f"{task}.json"
+            path.write_text(json.dumps(spec))
+            cfg = ExperimentConfig(task, "adaptive", str(path), (1000, 2000, 4000), 5)
+            with pytest.raises(DimensionError, match="no Pauli cube"):
+                run_scaling(cfg)
+        assert calls == []
+
     def test_pool_capped_at_cores_and_jobs(self, monkeypatch):
         # a fake pool that records its size and maps in this process
         sizes = []
@@ -630,6 +655,9 @@ class TestCli:
         proc = run_cli("selftest")
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
+        for check in ("adaptive QST recovers a noiseless state",
+                      "adaptive QDT recovers a noiseless POVM"):
+            assert f"PASS  {check}" in proc.stdout
 
 
 # SHA-256 of the CSV that each small seeded config writes.  The digests pin

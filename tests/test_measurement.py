@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqtomo.estimators import InformationIncompleteError, _default_plan
+from aqtomo.estimators import InformationIncompleteError, LrePlan
 from aqtomo.measurement import (
     PauliCube,
     SeededRng,
@@ -124,9 +124,10 @@ class TestPauliCube:
         cube = pauli_cube(3)
         oracle = state_sampler(rho)
         want = outcome_table(cube.probabilities(rho.mat))
-        assert np.array_equal(oracle.table(cube), want)
-        assert np.array_equal(exact_state_sampler(rho).counts(cube), want)
-        counts = oracle.counts(cube, [5] * 27, SeededRng(17))
+        assert oracle.cube is cube
+        assert np.array_equal(oracle.table(), want)
+        assert np.array_equal(exact_state_sampler(rho).counts(), want)
+        counts = oracle.counts([5] * 27, SeededRng(17))
         assert np.array_equal(counts, draw_counts(want, [5] * 27, SeededRng(17)))
 
     def test_oracle_computes_the_cube_table_once(self, monkeypatch):
@@ -146,15 +147,15 @@ class TestPauliCube:
         shots = [7] * 27
         for stream in range(3):
             rng = SeededRng(22, stream)  # each use starts a fresh generator
-            counts = oracle.counts(cube, shots, rng)
+            counts = oracle.counts(shots, rng)
             assert np.array_equal(counts, draw_counts(want, shots, rng))
         assert calls == [cube]
         exact = exact_state_sampler(rho)
-        table = exact.counts(cube)
-        assert np.array_equal(table, want) and exact.counts(cube) is table
+        table = exact.counts()
+        assert np.array_equal(table, want) and exact.counts() is table
         assert len(calls) == 2 and not table.flags.writeable
         with pytest.raises(DimensionError):
-            oracle.counts(pauli_cube(2), [7] * 9, SeededRng(23))
+            oracle.counts([7] * 9, SeededRng(23))
 
     def test_detector_oracle_computes_the_cube_table_once(self, monkeypatch):
         povm = random_povm(np.random.default_rng(24), 8, 3)
@@ -172,23 +173,20 @@ class TestPauliCube:
         monkeypatch.setattr(PauliCube, "probabilities", counted)
         oracle = detector_sampler(povm)
         assert calls == []  # nothing is computed before the first draw
-        table = oracle.table(cube)
+        table = oracle.table()
         assert table.shape == (216, 4) and not table.flags.writeable
         assert np.max(np.abs(table - want)) <= 1e-15
         shots = [3] * 216
         for stream in range(3):
             rng = SeededRng(25, stream)
-            counts = oracle.counts(cube, shots, rng)
+            counts = oracle.counts(shots, rng)
             assert np.array_equal(counts, draw_counts(table, shots, rng))
         assert calls == [cube] * 3  # one Born table per element, once
         exact = exact_detector_sampler(povm)
-        assert exact.counts(cube) is exact.counts(cube)
+        assert exact.counts() is exact.counts()
         assert len(calls) == 6
-        # the cube is the one battery an oracle takes
-        with pytest.raises(TypeError):
-            oracle.table(probes)
         with pytest.raises(DimensionError):
-            oracle.counts(pauli_cube(2), [7] * 36, SeededRng(26))
+            oracle.counts([7] * 36, SeededRng(26))
 
 
 class TestBasisMeasurement:
@@ -330,7 +328,7 @@ class TestRandomPureProbes:
 class TestExactOracle:
     def test_counts_are_probabilities(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        counts = exact_state_sampler(rho).counts(pauli_cube(1), [1000] * 3, None)[2:]
+        counts = exact_state_sampler(rho).counts([1000] * 3, None)[2:]
         assert np.allclose(counts[0], [0.25, 0.75, 0.0])
         assert np.array_equal(counts[0, :-1], born_probabilities(rho, cube_povm(1)[2]))
         assert np.allclose(frequencies(counts).values[0], [0.25, 0.75])
@@ -373,6 +371,13 @@ class TestBatchedDraws:
         assert np.array_equal(counts.sum(axis=1), shots)
         assert _generator_state(batched_gen) == _generator_state(serial_gen)
 
+    def test_shot_vector_must_match_the_rows(self):
+        table = outcome_table(np.full((3, 2), 0.25))
+        assert draw_counts(table, [5] * 3, SeededRng(27)).shape == (3, 3)
+        for shots in ([5] * 2, [5] * 4, 5, [[5] * 3]):
+            with pytest.raises(DimensionError):
+                draw_counts(table, shots, SeededRng(27))
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
@@ -391,7 +396,7 @@ class TestBatchedDraws:
         oracle = state_sampler(rho)
         batched_gen = np.random.default_rng(seed + 1)
         serial_gen = np.random.default_rng(seed + 1)
-        counts = oracle.counts(pauli_cube(3), shots, batched_gen)
+        counts = oracle.counts(shots, batched_gen)
         # the sequential reference: one dense Born evaluation and one draw
         # per setting
         serial = np.stack([
@@ -408,4 +413,4 @@ class TestBatchedDraws:
         # zero-shot settings drop out and leave the cube rank deficient
         if not freqs.mask.all():
             with pytest.raises(InformationIncompleteError):
-                _default_plan(8, True).solve(freqs)
+                LrePlan(pauli_cube(3), True).solve(freqs)

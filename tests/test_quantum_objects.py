@@ -304,3 +304,40 @@ class TestTracePreservation:
             else:
                 w = np.linalg.eigvalsh(q)
                 assert w[-1] <= 1.0 + 1e-8 and w[0] < 1.0 - 1e-6
+
+
+class TestIdentitySemantics:
+    """Value objects hold arrays, so they compare and hash by identity."""
+
+    @staticmethod
+    def _twins():
+        eye = np.eye(2, dtype=complex)
+        bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        return {
+            "DensityMatrix": lambda: DensityMatrix(eye / 2),
+            "Povm": lambda: Povm((eye / 2, eye / 2)),
+            "KrausChannel": lambda: KrausChannel((HADAMARD,)),
+            "ProcessMatrix": lambda: kraus_to_process(KrausChannel((HADAMARD,))),
+            "BipartitePureState": lambda: BipartitePureState(bell, 2, 2),
+        }
+
+    @pytest.mark.parametrize(
+        "cls",
+        ["DensityMatrix", "Povm", "KrausChannel", "ProcessMatrix", "BipartitePureState"],
+    )
+    def test_equal_content_compares_unequal_without_raising(self, cls):
+        make = self._twins()[cls]
+        a, b = make(), make()
+        assert type(a).__name__ == cls
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+    @pytest.mark.parametrize(
+        "name", ["qst-rank1-8d", "qdt-three-valued", "aapt-damping-third"]
+    )
+    def test_targets_hash(self, name):
+        from aqtomo.experiments import builtin_target
+
+        target = builtin_target(name)
+        assert hash(target) == hash(target) and target == target
