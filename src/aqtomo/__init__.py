@@ -7,6 +7,8 @@ process tomography, the distortion-free fidelity family, and a seeded
 Monte-Carlo harness that measures infidelity-versus-copies scaling.
 """
 
+__version__ = "0.1.0"  # read by the harness; set before the submodules import it
+
 from . import estimators, fidelity, linalg, measurement, quantum_objects
 from .experiments import (
     ExperimentConfig,
@@ -16,8 +18,6 @@ from .experiments import (
     gm_bound,
     run_scaling,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ExperimentConfig",

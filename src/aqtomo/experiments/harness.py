@@ -8,20 +8,23 @@ as a name -> value mapping.  ``run_scaling`` reduces each metric over the
 kept trials of a grid point by one generic loop and fits a log-log slope
 through the per-N mean infidelities.  Trial randomness is keyed by (seed,
 grid index, trial index), so results are identical for any worker count and
-any execution order.  A trial reads its oracle and the truth it is scored
-against from the config's target, resolved once per process (``_context``).
+any execution order.  A trial reads its oracle, the truth it is scored
+against (with the truth's square root) and the fidelity scenario from the
+config's target, resolved once per process (``_context``); the estimate's
+spectrum comes from the validation of its value object.
 """
 
 from __future__ import annotations
 
+import concurrent.futures as futures
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
+from .. import __version__ as VERSION
 from ..linalg import partial_trace_1
 from ..estimators import (
     EstimationError,
@@ -32,23 +35,10 @@ from ..estimators import (
     static_qdt,
     static_qst,
 )
-from ..fidelity import (
-    detector_scenario,
-    fidelity_and_dp,
-    process_scenario,
-    pseudo_state_fidelity,
-    state_scenario,
-)
+from ..fidelity import rooted_fidelity_and_dp, rooted_pseudo_state_fidelity
 from ..measurement import SeededRng
 from .config import TRIAL_STREAM_BITS, ExperimentConfig
 from .targets import AaptTarget, QdtTarget, QstTarget, expected_task, resolve_target
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("aqtomo")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0.1.0"
 
 log = logging.getLogger(__name__)
 
@@ -173,16 +163,18 @@ def _context(config: ExperimentConfig):
     return target
 
 
-def _score(hat: np.ndarray, true: np.ndarray, scenario, rank):
+def _score(hat: np.ndarray, eigs: np.ndarray, truth, scenario, rank):
     """Metrics of an estimate against the truth, shared by every task.
 
-    One eigendecomposition gives both the eigenvalue mass beyond the true
-    rank and the PSD deviation (the most negative eigenvalue, floored at 0),
-    which starts the ``constraint_dev`` each task extends.  ``(K, d, d)``
-    stacks with ``K`` ranks give ``K`` dicts, each equal to its pair's own.
+    ``eigs`` is the estimate's ascending spectrum, kept by its value object
+    from validation; it gives both the eigenvalue mass beyond the true rank
+    and the PSD deviation (the most negative eigenvalue, floored at 0),
+    which starts the ``constraint_dev`` each task extends.  ``truth`` is
+    the target's rooted truth.  ``(K, d, d)`` stacks with ``K`` ranks give
+    ``K`` dicts, each equal to its pair's own.
     """
-    f, f_dp = fidelity_and_dp(hat, true, scenario)
-    eigs = np.linalg.eigvalsh(hat)
+    f, f_dp = rooted_fidelity_and_dp(hat, eigs, truth, scenario)
+    true = truth.mat
     if hat.ndim == 2:
         return _metrics(hat, true, f, f_dp, eigs, rank)
     return [
@@ -205,9 +197,11 @@ def _qst_trial(target: QstTarget, config, n, gen) -> dict:
         est = adaptive_qst(target.oracle, n, config.alpha, gen)
     else:
         est = static_qst(target.oracle, n, gen)
-    rho_hat = est.value.mat
-    metrics = _score(rho_hat, target.rho.mat, state_scenario(), target.rank)
-    trace_dev = abs(float(np.trace(rho_hat).real) - 1.0)
+    rho_hat = est.value
+    metrics = _score(
+        rho_hat.mat, rho_hat.eigenvalues, target.truth, target.scenario, target.rank
+    )
+    trace_dev = abs(rho_hat.trace - 1.0)
     metrics["constraint_dev"] = max(trace_dev, metrics["constraint_dev"])
     return metrics
 
@@ -218,8 +212,10 @@ def _qdt_trial(target: QdtTarget, config, n, gen) -> dict:
         est = adaptive_qdt(target.oracle, n, config.alpha, gen)
     else:
         est = static_qdt(target.oracle, n, gen)
-    hat, true = est.value.elements, target.povm.elements
-    scores = _score(hat, true, detector_scenario(d), target.element_ranks)
+    hat = est.value.elements
+    scores = _score(
+        hat, est.value.eigenvalues, target.truth, target.scenario, target.element_ranks
+    )
     # summed in element order from 0.0 (Python 3.12's sum() compensates)
     mse = tail = dev = 0.0
     for score in scores:
@@ -254,10 +250,12 @@ def _aapt_trial(target: AaptTarget, config, n, gen) -> dict:
             known_trace=None if target.tp else target.known_trace,
         )
     x_hat = est.value.x
-    metrics = _score(x_hat, target.process.x, process_scenario(d), target.rank)
+    metrics = _score(
+        x_hat, est.value.eigenvalues, target.truth, target.scenario, target.rank
+    )
     sigma_hat = est.extras["sigma_out"]
-    metrics["sigma_out_infidelity"] = 1.0 - pseudo_state_fidelity(
-        sigma_hat.mat, target.sigma_out.mat
+    metrics["sigma_out_infidelity"] = 1.0 - rooted_pseudo_state_fidelity(
+        sigma_hat.mat, sigma_hat.eigenvalues, target.sigma_out_truth
     )
     q = partial_trace_1(x_hat, d, d)
     if target.tp:
@@ -303,7 +301,7 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
         outcomes = [run_trial(*job) for job in jobs]
     else:
         chunk = max(1, len(jobs) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             # map returns results in job order, so grid point ni owns one slice
             outcomes = list(pool.map(run_trial, *zip(*jobs), chunksize=chunk))
 

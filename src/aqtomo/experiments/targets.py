@@ -6,7 +6,8 @@ fixed across all repetitions of a run and reproducible across machines.
 Shot noise is then the only randomness inside a trial.
 
 A target holds its ``task``, the ``oracle`` that hides it and the constants
-a trial scores against; each is computed on first access and kept, so every
+a trial scores against (true ranks, the truth with its square root, the
+fidelity scenario); each is computed on first access and kept, so every
 trial of a run shares them.
 """
 
@@ -19,10 +20,18 @@ from functools import cached_property
 
 import numpy as np
 
-from ..linalg import eig_reconstruct, haar_unitary
+from ..fidelity import (
+    FidelityScenario,
+    Truth,
+    detector_scenario,
+    process_scenario,
+    state_scenario,
+)
+from ..linalg import DimensionError, eig_reconstruct, haar_unitary
 from ..measurement import SeededRng, detector_sampler, state_sampler
 from ..quantum_objects import (
     BipartitePureState,
+    DegenerateInputError,
     DensityMatrix,
     KrausChannel,
     Povm,
@@ -57,6 +66,14 @@ class QstTarget:
         return int(_ranks(self.rho.mat))
 
     @cached_property
+    def truth(self) -> Truth:
+        return Truth.of(self.rho.mat)
+
+    @cached_property
+    def scenario(self) -> FidelityScenario:
+        return state_scenario()
+
+    @cached_property
     def oracle(self):
         """Oracle of ``rho``; it computes its cube table once and keeps it."""
         return state_sampler(self.rho)
@@ -77,6 +94,14 @@ class QdtTarget:
         return tuple(_ranks(self.povm.elements).tolist())
 
     @cached_property
+    def truth(self) -> Truth:
+        return Truth.of(self.povm.elements)
+
+    @cached_property
+    def scenario(self) -> FidelityScenario:
+        return detector_scenario(self.dim)
+
+    @cached_property
     def oracle(self):
         """Oracle of ``povm``; it computes its cube table once and keeps it."""
         return detector_sampler(self.povm)
@@ -88,6 +113,17 @@ class AaptTarget:
     channel: KrausChannel
     input_state: BipartitePureState
     task = "aapt"
+
+    def __post_init__(self):
+        probe = self.input_state
+        if probe.dim_a != self.dim or probe.dim_b != self.dim:
+            raise DimensionError(
+                "input state must be on channel (x) ancilla of equal dimensions"
+            )
+        if probe.schmidt_number < self.dim:
+            raise DegenerateInputError(
+                "input state is not full-Schmidt; the probe cannot be inverted"
+            )
 
     @property
     def dim(self) -> int:
@@ -106,8 +142,20 @@ class AaptTarget:
         return int(_ranks(self.process.x))
 
     @cached_property
+    def truth(self) -> Truth:
+        return Truth.of(self.process.x)
+
+    @cached_property
+    def scenario(self) -> FidelityScenario:
+        return process_scenario(self.dim)
+
+    @cached_property
     def sigma_out(self) -> DensityMatrix:
         return apply_extended_channel(self.channel, self.input_state.density())
+
+    @cached_property
+    def sigma_out_truth(self) -> Truth:
+        return Truth.of(self.sigma_out.mat)
 
     @property
     def known_trace(self) -> float:
@@ -292,8 +340,7 @@ def load_target(path: str):
         if "input_amplitudes" in data:
             amp = np.asarray(data["input_amplitudes"], dtype=float)
             amp = amp[:, 0] + 1j * amp[:, 1]
-            d = channel.dim
-            probe = BipartitePureState(amp, d, amp.size // d)
+            probe = BipartitePureState(amp, channel.dim, channel.dim)
         else:
             probe = maximally_entangled_input(channel.dim)
         return AaptTarget(name, channel, probe)

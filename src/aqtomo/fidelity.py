@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import DimensionError, _any_true, _eig, hermitian_part, matrix_sqrt
+from .linalg import DimensionError, _any_true, _sq_norms, hermitian_part, matrix_sqrt
 
-# eigenvalues of sqrt(A) B sqrt(A) may dip this far below zero from roundoff
+# eigenvalues of sqrt(B) A sqrt(B) may dip this far below zero from roundoff
 _UHLMANN_EIG_SLOP = -1e-10
 _EPS = np.finfo(float).eps
 
@@ -78,40 +78,71 @@ def _check_pair(a: np.ndarray, b: np.ndarray, stack: bool = False):
     return a, b
 
 
-def _overlap_root(a: np.ndarray, b: np.ndarray):
-    """Tr sqrt(sqrt(a) b sqrt(a)) of a pair, or of each pair of two stacks.
+class Truth(NamedTuple):
+    """A truth operator, or ``(K, d, d)`` stack, with its principal square root.
 
-    The one Uhlmann core: every fidelity below squares this value.  Inner
-    eigenvalues below machine precision relative to the largest are exact
-    zeros up to roundoff; taking their square roots would inject O(sqrt(eps))
-    bias, so they are dropped.
+    Uhlmann fidelity is symmetric, so every overlap here roots the truth;
+    a caller that scores many estimates against one truth builds this once
+    (``Truth.of``) and pays one small ``eigvalsh`` per scored estimate.
     """
-    ra = matrix_sqrt(a)
-    w = _eig(hermitian_part(ra @ b @ ra, check=False)).eigenvalues
-    top = np.maximum(w[..., :1], 0.0)
-    if _any_true(w[..., -1:] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)):
+
+    mat: np.ndarray
+    root: np.ndarray
+
+    @classmethod
+    def of(cls, s: np.ndarray) -> "Truth":
+        """Root ``s``; raises ``NotPSDError`` for a non-PSD truth."""
+        s = np.asarray(s, dtype=complex)
+        return cls(s, matrix_sqrt(s))
+
+
+def _spectrum(a: np.ndarray):
+    """The symmetrized estimate and its ascending spectrum (``eigvalsh``)."""
+    a = hermitian_part(a)
+    return a, np.linalg.eigvalsh(a)
+
+
+def _overlap_root(a: np.ndarray, spectrum: np.ndarray, root_b: np.ndarray):
+    """Tr sqrt(root_b a root_b) of a pair, or of each pair of two stacks.
+
+    The one Uhlmann core: every fidelity below squares this value.  ``a``
+    is the estimate with its ascending ``spectrum``, rejected when an
+    eigenvalue lies below ``-1e-6 ||a||`` (the rule of ``matrix_sqrt``);
+    ``root_b`` is the square root of the truth.  Inner eigenvalues below
+    machine precision relative to the largest are exact zeros up to
+    roundoff; taking their square roots would inject O(sqrt(eps)) bias, so
+    they are dropped.
+    """
+    if _any_true(spectrum[..., 0] < -linalg.PSD_FAIL_RTOL * _sq_norms(a) ** 0.5):
+        raise linalg.NotPSDError("fidelity operand is not PSD")
+    w = np.linalg.eigvalsh(root_b @ a @ root_b)
+    top = np.maximum(w[..., -1:], 0.0)
+    if _any_true(w[..., :1] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)):
         raise linalg.NotPSDError("fidelity operand is not PSD")
     cutoff = w.shape[-1] * _EPS * top
     return np.sqrt(np.where(w > cutoff, w, 0.0)).sum(axis=-1)
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Raw Uhlmann overlap [Tr sqrt(sqrt(a) b sqrt(a))]^2 for PSD a, b.
+    """Raw Uhlmann overlap [Tr sqrt(sqrt(b) a sqrt(b))]^2 for PSD a, b.
 
     Unit traces are not required; for density matrices this is the standard
     state fidelity, symmetric in its arguments.
     """
     a, b = _check_pair(a, b)
-    return float(_overlap_root(a, b)) ** 2
+    return float(_overlap_root(*_spectrum(a), matrix_sqrt(b))) ** 2
 
 
-def _dp_terms(hat_s: np.ndarray, s: np.ndarray, d: int, unit_trace=False) -> list:
+def _dp_terms(hat_s, spectrum, truth: Truth, d: int, unit_trace=False) -> list:
     """``(F_dp, [Tr(s - hat_s)]^2 / d^2)`` of a pair, or of each pair of two stacks.
 
     One (stacked) Uhlmann overlap serves every pair; the scalar tail then
     runs pair by pair in Python floats, so a stack's entries equal the
     values of its pairs alone bit for bit.
     """
+    s = truth.mat
+    if hat_s.shape != s.shape:
+        raise DimensionError("estimate and truth shapes differ")
     tr_hat, tr_s, tr_diff = (
         np.trace(m, axis1=-2, axis2=-1).real.reshape(-1).tolist()
         for m in (hat_s, s, s - hat_s)
@@ -120,16 +151,22 @@ def _dp_terms(hat_s: np.ndarray, s: np.ndarray, d: int, unit_trace=False) -> lis
         raise ValueError("state-scenario fidelity needs unit traces")
     if min(tr_hat + tr_s) <= 0.0:
         raise ValueError("fidelity_dp needs positive traces")
-    roots = _overlap_root(hat_s, s).reshape(-1).tolist()
+    roots = _overlap_root(hat_s, spectrum, truth.root).reshape(-1).tolist()
     return [
         (float(min(root**2 / (t_hat * t_s), 1.0)), t_diff**2 / d**2)
         for root, t_hat, t_s, t_diff in zip(roots, tr_hat, tr_s, tr_diff)
     ]
 
 
+def _rooted_pair(hat_s, s, stack: bool = False):
+    """An estimate with its spectrum and a rooted truth, checked as a pair."""
+    hat_s, s = _check_pair(hat_s, s, stack)
+    return *_spectrum(hat_s), Truth.of(s)
+
+
 def fidelity_dp(hat_s: np.ndarray, s: np.ndarray) -> float:
     """Trace-normalized Uhlmann fidelity (the distortion-prone classic form)."""
-    return _dp_terms(*_check_pair(hat_s, s), 1)[0][0]
+    return _dp_terms(*_rooted_pair(hat_s, s), 1)[0][0]
 
 
 def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
@@ -138,8 +175,31 @@ def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
     Equals 1 iff the arguments are equal; ``d`` sets the normalization of
     the trace-mismatch penalty (see :class:`FidelityScenario`).
     """
-    f_dp, mismatch = _dp_terms(*_check_pair(hat_s, s), d)[0]
+    f_dp, mismatch = _dp_terms(*_rooted_pair(hat_s, s), d)[0]
     return f_dp - mismatch
+
+
+def rooted_fidelity_and_dp(
+    hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth, scenario: FidelityScenario
+):
+    """:func:`fidelity_and_dp` of an estimate against a truth rooted once.
+
+    ``spectrum`` is the ascending ``eigvalsh`` of ``hat_s`` (one row per
+    matrix of a stack), such as a validated value object keeps; it serves
+    the PSD check, so a scored estimate costs one ``eigvalsh`` of
+    ``sqrt(s) hat_s sqrt(s)``.
+    """
+    state = scenario.kind == "state"
+    f = scenario.f_lower
+    pairs = []
+    for f_dp, mismatch in _dp_terms(
+        hat_s, spectrum, truth, hat_s.shape[-1] if state else scenario.dim, state
+    ):
+        raw = (f_dp - mismatch - f) / (1.0 - f)
+        pairs.append((float(min(max(raw, 0.0), 1.0)), f_dp))
+    if hat_s.ndim == 2:
+        return pairs[0]
+    return tuple(np.array(values) for values in zip(*pairs))
 
 
 def fidelity_and_dp(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario):
@@ -150,18 +210,7 @@ def fidelity_and_dp(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario
     stacks give two length-``K`` arrays from one stacked overlap, each entry
     equal to the value of its pair alone.
     """
-    hat_s, s = _check_pair(hat_s, s, stack=True)
-    state = scenario.kind == "state"
-    f = scenario.f_lower
-    pairs = []
-    for f_dp, mismatch in _dp_terms(
-        hat_s, s, hat_s.shape[-1] if state else scenario.dim, unit_trace=state
-    ):
-        raw = (f_dp - mismatch - f) / (1.0 - f)
-        pairs.append((float(min(max(raw, 0.0), 1.0)), f_dp))
-    if hat_s.ndim == 2:
-        return pairs[0]
-    return tuple(np.array(values) for values in zip(*pairs))
+    return rooted_fidelity_and_dp(*_rooted_pair(hat_s, s, stack=True), scenario)
 
 
 def fidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> float:
@@ -175,6 +224,18 @@ def fidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> fl
     return fidelity_and_dp(hat_s, s, scenario)[0]
 
 
+def rooted_pseudo_state_fidelity(
+    hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth
+) -> float:
+    """:func:`pseudo_state_fidelity` against a truth rooted once.
+
+    ``spectrum`` is the ascending ``eigvalsh`` of ``hat_s``, as in
+    :func:`rooted_fidelity_and_dp`.
+    """
+    f_dp, mismatch = _dp_terms(hat_s, spectrum, truth, hat_s.shape[0])[0]
+    return float(min(f_dp - mismatch, 1.0))
+
+
 def pseudo_state_fidelity(hat_s: np.ndarray, s: np.ndarray) -> float:
     """F_1 with f = 0 for (possibly sub-unit-trace) reconstructed states.
 
@@ -182,8 +243,7 @@ def pseudo_state_fidelity(hat_s: np.ndarray, s: np.ndarray) -> float:
     pseudo-state reconstructions where neither the detector nor the process
     lower bound applies.
     """
-    hat_s, s = _check_pair(hat_s, s)
-    return float(min(fidelity_f1(hat_s, s, hat_s.shape[0]), 1.0))
+    return rooted_pseudo_state_fidelity(*_rooted_pair(hat_s, s))
 
 
 def detector_fidelity_h(p, q) -> float:
@@ -192,7 +252,7 @@ def detector_fidelity_h(p, q) -> float:
     Both detectors are embedded as block-diagonal states
     ``sigma = (1/d) diag(P_1, ..., P_n)`` and compared with the Uhlmann
     fidelity, which factorizes over blocks:
-    ``F_H = [sum_j Tr sqrt(sqrt(P_j) Q_j sqrt(P_j)) / d]^2``.
+    ``F_H = [sum_j Tr sqrt(sqrt(Q_j) P_j sqrt(Q_j)) / d]^2``.
     """
     if len(p) != len(q):
         raise DimensionError("detectors must have equal element counts")
@@ -200,7 +260,8 @@ def detector_fidelity_h(p, q) -> float:
         raise DimensionError("detectors must share one dimension")
     d = p.dim
     total = 0.0
-    for root in _overlap_root(p.elements, q.elements).tolist():
+    roots = _overlap_root(p.elements, p.eigenvalues, matrix_sqrt(q.elements))
+    for root in roots.tolist():
         total += root
     return float(min((total / d) ** 2, 1.0))
 

@@ -44,10 +44,15 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A PSD operator with unit trace, or sub-unit trace for pseudo-states."""
+    """A PSD operator with unit trace, or sub-unit trace for pseudo-states.
+
+    ``eigenvalues`` is the ascending spectrum of ``mat`` that validation
+    computed.
+    """
 
     mat: np.ndarray
     sub_unit: bool = False
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = hermitian_part(np.asarray(self.mat, dtype=complex))
@@ -61,6 +66,7 @@ class DensityMatrix:
         elif abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} != 1")
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def dim(self) -> int:
@@ -87,10 +93,13 @@ class Povm:
 
     ``elements`` is one read-only ``(K, d, d)`` stack, element ``i`` at
     index ``i``; any sequence of equal-shape matrices is accepted.
+    ``eigenvalues`` is the ``(K, d)`` stack of their ascending spectra that
+    validation computed.
     """
 
     elements: np.ndarray
     name: str = ""
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         shapes = {np.shape(e) for e in self.elements}
@@ -100,7 +109,8 @@ class Povm:
             raise DimensionError("POVM elements must share one dimension")
         # one stacked symmetrization and eigensolve, checked element by element
         stack = hermitian_part(np.asarray(self.elements, dtype=complex))
-        if np.min(np.linalg.eigvalsh(stack)[:, 0]) < -PSD_ATOL:
+        w = np.linalg.eigvalsh(stack)
+        if np.min(w[:, 0]) < -PSD_ATOL:
             raise linalg.NotPSDError("POVM element is not PSD")
         total = np.zeros_like(stack[0])
         for e in stack:
@@ -109,6 +119,7 @@ class Povm:
             raise ValueError("POVM elements do not sum to the identity")
         stack.flags.writeable = False
         object.__setattr__(self, "elements", stack)
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def dim(self) -> int:
@@ -151,22 +162,29 @@ class KrausChannel:
 
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
-    """d^2 x d^2 PSD process matrix X with Tr_1(X) <= I_d."""
+    """d^2 x d^2 PSD process matrix X with Tr_1(X) <= I_d.
+
+    ``eigenvalues`` is the ascending spectrum of ``x`` that validation
+    computed.
+    """
 
     x: np.ndarray
     dim: int
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = hermitian_part(np.asarray(self.x, dtype=complex))
         d = self.dim
         if x.shape != (d * d, d * d):
             raise DimensionError(f"process matrix must be {d * d} x {d * d}")
-        if np.linalg.eigvalsh(x)[0] < -1e-8:
+        w = np.linalg.eigvalsh(x)
+        if w[0] < -1e-8:
             raise linalg.NotPSDError("process matrix is not PSD")
         q = hermitian_part(partial_trace_1(x, d, d))
         if np.linalg.eigvalsh(q)[-1] > 1.0 + 1e-8:
             raise ValueError("Tr_1(X) exceeds the identity")
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def trace_preserving(self) -> bool:

@@ -1,10 +1,13 @@
-"""Dense reference for the product-form measurement code.
+"""Dense reference for the product-form measurement code and the fidelity core.
 
 The library never builds a Pauli-cube element, a probe density matrix or a
 Born table from dense POVM elements.  The tests check it against the dense
 arithmetic kept here: the ``3^n`` cube POVMs with their ``2^n`` elements
 each, Born probabilities ``Tr(P_i rho)``, pure probe states from unit rows,
 and the counts of an arbitrary sequence of POVMs drawn with one multinomial.
+
+The library's Uhlmann overlap roots the truth once; ``estimate_rooted_overlap``
+keeps the route that roots the estimate on every call.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from aqtomo.linalg import DimensionError
+from aqtomo.linalg import DimensionError, hermitian_eig, hermitian_part, matrix_sqrt
 from aqtomo.measurement import SIGMA_X, SIGMA_Y, SIGMA_Z, draw_counts, outcome_table
 from aqtomo.quantum_objects import TRACE_ATOL, DensityMatrix, Povm
 
@@ -99,3 +102,16 @@ def dense_table(rho, povms) -> np.ndarray:
 def dense_counts(rho, povms, shots, rng) -> np.ndarray:
     """``(S, K+1)`` counts of a sequence of POVMs from one multinomial draw."""
     return draw_counts(dense_table(rho, povms), shots, rng)
+
+
+def estimate_rooted_overlap(a, b) -> float:
+    """Tr sqrt(sqrt(a) b sqrt(a)) of one pair: the estimate is rooted, the
+    full eigendecomposition of the product is taken, and inner eigenvalues up
+    to ``d eps`` of the largest are dropped, as in the library's core."""
+    ra = matrix_sqrt(a)
+    w = hermitian_eig(hermitian_part(ra @ b @ ra, check=False)).eigenvalues
+    top = max(w[0], 0.0)
+    if w[-1] < -1e-10 * max(1.0, top):
+        raise ValueError("fidelity operand is not PSD")
+    cutoff = len(w) * np.finfo(float).eps * top
+    return float(np.sqrt(np.where(w > cutoff, w, 0.0)).sum())

@@ -33,6 +33,7 @@ from aqtomo.experiments.targets import (
     load_target,
 )
 from aqtomo.linalg import DimensionError, NotPSDError
+from aqtomo.quantum_objects import DegenerateInputError
 
 CONFIG_TEXT = """
 # demo config
@@ -379,6 +380,29 @@ class TestRunScaling(object):
                 run_scaling(cfg)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "amplitudes,error",
+        [
+            ([[1 / np.sqrt(8), 0.0]] * 8, DimensionError),  # ancilla of dimension 4
+            ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], DegenerateInputError),
+        ],
+        ids=["ancilla-dimension", "product-input"],
+    )
+    def test_bad_aapt_input_fails_before_any_trial(
+        self, monkeypatch, tmp_path, amplitudes, error
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *job: calls.append(job))
+        eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        path = tmp_path / "chan.json"
+        path.write_text(
+            json.dumps({"task": "aapt", "kraus": [eye], "input_amplitudes": amplitudes})
+        )
+        cfg = ExperimentConfig("aapt", "adaptive", str(path), (1000, 2000, 4000), 5)
+        with pytest.raises(error):
+            run_scaling(cfg)
+        assert calls == []
+
     def test_pool_capped_at_cores_and_jobs(self, monkeypatch):
         # a fake pool that records its size and maps in this process
         sizes = []
@@ -396,7 +420,7 @@ class TestRunScaling(object):
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", SerialPool)
         cfg = ExperimentConfig(
             "qst", "adaptive", "qst-rank1-8d", (1000, 4000, 16000), 1, seed=8
         )
@@ -502,6 +526,76 @@ class TestBenchmarkSurface:
         assert plan.solve.__func__ is estimators.LrePlan.solve
         stage1 = vars(estimators)["qdt_stage1"]
         assert callable(stage1) and stage1.__module__ == estimators.__name__
+
+
+class TestScoringSolves:
+    """A scored estimate costs one ``eigvalsh``: the truth is rooted once per
+    target and the estimate's spectrum comes from its validation."""
+
+    @staticmethod
+    def _count(monkeypatch, counts, inside=None):
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                if inside is None or inside:
+                    counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+
+    def test_adaptive_qst_trial(self, monkeypatch):
+        cfg = ExperimentConfig(
+            "qst", "adaptive", "qst-rank1-8d", (1000, 4000, 16000), 2
+        )
+        harness.run_trial(cfg, 4000, 1, 0)  # builds the target's constants
+        counts = {"eigh": 0, "eigvalsh": 0}
+        self._count(monkeypatch, counts)
+        assert harness.run_trial(cfg, 4000, 1, 1) is not None
+        # the protocol's eigenbasis, the estimate's validation, the overlap
+        assert counts == {"eigh": 1, "eigvalsh": 2}
+
+    def test_adaptive_aapt_scoring_takes_no_eigh(self, monkeypatch):
+        cfg = ExperimentConfig(
+            "aapt", "adaptive", "aapt-hadamard", (400, 1600, 6400), 2
+        )
+        harness.run_trial(cfg, 1600, 1, 0)
+        counts, inside = {"eigh": 0, "eigvalsh": 0}, []
+        self._count(monkeypatch, counts, inside)
+        for name in ("_score", "rooted_pseudo_state_fidelity"):
+            original = getattr(harness, name)
+
+            def scoring(*args, _original=original):
+                inside.append(True)
+                try:
+                    return _original(*args)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(harness, name, scoring)
+        assert harness.run_trial(cfg, 1600, 1, 1) is not None
+        # one overlap of the process matrix and one of the output state
+        assert counts == {"eigh": 0, "eigvalsh": 2}
+
+
+class TestImports:
+    def test_harness_imports_neither_pool_nor_metadata(self):
+        code = (
+            "import sys, aqtomo.experiments.harness; "
+            "print(sorted({'concurrent.futures.process', 'importlib.metadata'} "
+            "& set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert harness.VERSION == project["version"]
 
 
 class TestTrialExclusion:
@@ -665,21 +759,21 @@ class TestCli:
 # that reorders random draws or arithmetic shows up here as a changed digest.
 GOLDEN_CSV_SHA256 = {
     ("qst", "qst-rank1-8d", "adaptive"):
-        "e9a20c8a0625d44cc0754cf9be138c473e109308121ba335d64a6a1d6f4b7995",
+        "8e46a3a0dc87ab74900237b6b0c6a13c0d345fac4f6eca1131532e5fbc68bc05",
     ("qst", "qst-rank1-8d", "static"):
-        "b53ac1e7eadb10caaeb0d47af598a99cbf80aa81725f7521719869173ed5e747",
+        "7990d0c0f7b6067a7691c257c486497d27f21b06ec889a724cdb7a68d3872816",
     ("qdt", "qdt-three-valued", "adaptive"):
-        "37576fb8413b7763057a3823d6499fa844380956ce0f780e567d9538536634f5",
+        "d964a05c54e1fee34a58e09bb27e4017bb3ef89762fee81ac79e30c0e896922c",
     ("qdt", "qdt-three-valued", "static"):
-        "e16095341580efe5c873ef295f2ae4a6a958289efc16c071c53975f09fa8c2a9",
+        "d897f34aee8967caaf6d9b7d595d7f943f891d6aa6c3fa8fe30143d8c5c379c9",
     ("aapt", "aapt-hadamard", "adaptive"):
-        "4a7022ed84b96c90aa015d879add6d32b7f6632c0f30b872a34035c89f9657e9",
+        "6e0ae8d1a5af33368ce2c5ea7f092eaaf9e3e7425ad05c59d7266b3d8628d06b",
     ("aapt", "aapt-hadamard", "static"):
-        "367f763a57d693d44de75ebca5b0458093845df2ccd34991ac561740910a945e",
+        "573aa3741e3071f8cf21f26396b908b3f815cbb3c46774637aa579628a0af5a1",
     ("aapt", "aapt-damping-third", "adaptive"):
-        "a604f79561a38ccf85d1487ae3dcee18557418142f5d4e1512d49240ef0e0fc1",
+        "24f887961a162e6a971432142be11e1f3f502868cf6d0d7ebabd088d376d87b3",
     ("aapt", "aapt-damping-third", "static"):
-        "ceb1e04a034a41be487251335bc5efc3cce7aaf79f5ba3f70ab3bff9238395c9",
+        "1e7a0a98a262eb6a393d6f0ad025825064752762e509c035679e16a9f8aa2853",
 }
 
 
@@ -688,21 +782,21 @@ GOLDEN_CSV_SHA256 = {
 # per-element means.
 GOLDEN_JSON_SHA256 = {
     ("qst", "qst-rank1-8d", "adaptive"):
-        "6dd190f1afa85be0ab55cab86fcf030af6bc738ae1964057c35714c9a43f6787",
+        "28463465979dcfc4b9ecd72ea8b8510a0d9b90cf15b573f3f1dcaa26f0b51d22",
     ("qst", "qst-rank1-8d", "static"):
-        "9f4b6f91d60f7444b49da1f2590757a49b6c5a8b7e4e59833e30207319a23439",
+        "e5176638f6a5d363e2e4e104f9ae0e18023875fa8c39719f88e69be43ae35e06",
     ("qdt", "qdt-three-valued", "adaptive"):
-        "99aa8b351f1c22c5cc91329a025a3dbedef07d9acbff48714612dcfdcabe67a9",
+        "aa87a4dcab53cc800669f8209c9a769bfee70467fc765235c64f7c11c152cbae",
     ("qdt", "qdt-three-valued", "static"):
-        "06b0db9716b3933354da5ef1001968aa3b53621c1e9fde98ba16f362979bc23e",
+        "fe94cf74e39e2e4001f9b07305ffcd37642f5e6231861b0d01dcafec877da63d",
     ("aapt", "aapt-hadamard", "adaptive"):
-        "9bd2ff0a7b97c778dd7995db7d1ce1f92439580750319938316f0437da775065",
+        "b2429e37d1913dd1c5776d529493f0e432662b5d3dc0a1957eb09207a6650b02",
     ("aapt", "aapt-hadamard", "static"):
-        "1d2e41640e85c59869d46a87731ae36f49ce7056a9de8619cb39f3581325922a",
+        "bf9a52a3c762b95fc7e3a6b3dfd07be3e72f32765abcbc7c510d281f21708d77",
     ("aapt", "aapt-damping-third", "adaptive"):
-        "e61596f35c9dd321870a5bafc48d0cb7ec8ae5be3ea710d9980342d7edf0ec9b",
+        "d32ecf9ea68735e771ef915b3cbd6ac126c3130f81d0479a90facfdf7b7a6033",
     ("aapt", "aapt-damping-third", "static"):
-        "3047e717c16142d9279665c580b567c756d2cfe1058a279b2f1ddedfa7bafbd8",
+        "aa706ec36e024588fc748b32fa96c76d19597f13309f43d439ba7b1232661012",
 }
 
 

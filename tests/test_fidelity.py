@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aqtomo.experiments import harness
+from aqtomo.experiments.targets import QdtTarget, QstTarget
 from aqtomo.fidelity import (
     FidelityScenario,
+    Truth,
     detector_fidelity_h,
     detector_scenario,
     fidelity,
@@ -12,13 +17,15 @@ from aqtomo.fidelity import (
     fuchs_check,
     process_scenario,
     pseudo_state_fidelity,
+    rooted_pseudo_state_fidelity,
     state_fidelity,
     state_scenario,
     trace_distance,
 )
-from aqtomo.linalg import DimensionError, NotPSDError
+from aqtomo.linalg import DimensionError, NotPSDError, eig_reconstruct, haar_unitary
 from aqtomo.measurement import SeededRng
-from aqtomo.quantum_objects import Povm, pure_state
+from aqtomo.quantum_objects import DensityMatrix, Povm, pure_state
+from dense_reference import estimate_rooted_overlap
 
 I2 = np.eye(2, dtype=complex)
 
@@ -40,6 +47,139 @@ def random_element(gen, d, scale):
     a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     m = a @ a.conj().T
     return scale * m / np.linalg.eigvalsh(m)[-1]
+
+
+def random_rank(gen, d, rank, trace):
+    """A random PSD matrix of the given rank and trace, zeros exact up to roundoff."""
+    w = np.zeros(d)
+    w[:rank] = gen.uniform(0.1, 1.0, rank)
+    return eig_reconstruct(trace * w / w.sum(), haar_unitary(d, gen))
+
+
+def random_povm(gen, d, ranks):
+    """Random elements of the given ranks, each at most ``0.9 / len(ranks)``,
+    and the full-rank rest of the identity last."""
+    parts = []
+    for rank in ranks:
+        w = np.zeros(d)
+        w[:rank] = gen.uniform(0.1, 1.0, rank) * 0.9 / len(ranks)
+        parts.append(eig_reconstruct(w, haar_unitary(d, gen)))
+    return Povm((*parts, np.eye(d) - sum(parts)))
+
+
+def reference_dp(a, b, d):
+    """``(F_dp, F_1)`` by the estimate-rooted route."""
+    tr_a, tr_b = np.trace(a).real, np.trace(b).real
+    f_dp = min(estimate_rooted_overlap(a, b) ** 2 / (tr_a * tr_b), 1.0)
+    return f_dp, f_dp - (tr_b - tr_a) ** 2 / d**2
+
+
+def reference_f(a, b, scenario):
+    d = a.shape[0] if scenario.kind == "state" else scenario.dim
+    f = scenario.f_lower
+    return min(max((reference_dp(a, b, d)[1] - f) / (1.0 - f), 0.0), 1.0)
+
+
+class TestTruthRootedCore:
+    """Rooting the truth once gives the values of rooting each estimate.
+
+    Estimates are mixtures ``(1 - mix) truth + mix random`` with ``mix`` up
+    to 1/2, as a tomography run produces them.  Far from a rank-deficient
+    truth, inner eigenvalues at the roundoff scale ``eps ||a|| ||b||`` can
+    pass the ``d eps top`` cutoff in either route, and the two routes then
+    differ by the square root of roundoff (up to ~2e-8 at d = 2 and mix = 1).
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 16),
+        st.data(),
+        st.sampled_from([1.0, 0.9, 0.35]),
+        st.floats(0.0, 0.5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pairs_equal_estimate_rooted_route(self, d, data, trace, mix, seed):
+        rank = data.draw(st.integers(1, d))
+        gen = np.random.default_rng(seed)
+        true = random_rank(gen, d, rank, trace)
+        hat = (1.0 - mix) * true + mix * random_rank(gen, d, d, trace)
+        root = estimate_rooted_overlap(hat, true)
+        f_dp, f_1 = reference_dp(hat, true, d)
+        assert state_fidelity(hat, true) == pytest.approx(root**2, abs=1e-12)
+        assert fidelity_dp(hat, true) == pytest.approx(f_dp, abs=1e-12)
+        assert fidelity_f1(hat, true, d) == pytest.approx(f_1, abs=1e-12)
+        pseudo = pytest.approx(min(f_1, 1.0), abs=1e-12)
+        assert pseudo_state_fidelity(hat, true) == pseudo
+        spectrum = np.linalg.eigvalsh(hat)
+        assert rooted_pseudo_state_fidelity(hat, spectrum, Truth.of(true)) == pseudo
+        for scen in (detector_scenario(d), process_scenario(d)):
+            f, dp = fidelity_and_dp(hat, true, scen)
+            assert f == pytest.approx(reference_f(hat, true, scen), abs=1e-12)
+            assert dp == pytest.approx(f_dp, abs=1e-12)
+        if trace == 1.0:
+            scen = state_scenario()
+            assert fidelity(hat, true, scen) == pytest.approx(
+                reference_f(hat, true, scen), abs=1e-12
+            )
+            rho_hat = DensityMatrix(hat)
+            target = QstTarget("truth", DensityMatrix(true))
+            metrics = harness._score(
+                rho_hat.mat, rho_hat.eigenvalues, target.truth, target.scenario, rank
+            )
+            ref = reference_f(rho_hat.mat, target.rho.mat, scen)
+            assert 1.0 - metrics["infidelity"] == pytest.approx(ref, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 16),
+        st.integers(1, 3),
+        st.data(),
+        st.floats(0.0, 0.5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_equal_estimate_rooted_route(self, d, k, data, mix, seed):
+        ranks = data.draw(st.lists(st.integers(1, d), min_size=k, max_size=k)) + [d]
+        k += 1
+        gen = np.random.default_rng(seed)
+        true = random_povm(gen, d, ranks[:-1])
+        noise = random_povm(gen, d, [d] * (k - 1))
+        hat = Povm((1.0 - mix) * true.elements + mix * noise.elements)
+        scen = detector_scenario(d)
+        f, f_dp = fidelity_and_dp(hat.elements, true.elements, scen)
+        target = QdtTarget("truth", true)
+        scores = harness._score(
+            hat.elements, hat.eigenvalues, target.truth, target.scenario, ranks
+        )
+        total = 0.0
+        for j in range(k):
+            a, b = hat.elements[j], true.elements[j]
+            assert f[j] == pytest.approx(reference_f(a, b, scen), abs=1e-12)
+            assert f_dp[j] == pytest.approx(reference_dp(a, b, d)[0], abs=1e-12)
+            assert 1.0 - scores[j]["infidelity"] == pytest.approx(f[j], abs=1e-12)
+            total += estimate_rooted_overlap(b, a)
+        assert detector_fidelity_h(true, hat) == pytest.approx(
+            min((total / d) ** 2, 1.0), abs=1e-12
+        )
+
+    def test_non_psd_estimate_rejected_against_rank_deficient_truth(self):
+        ket0 = pure_state(np.array([1.0, 0.0])).mat
+        bad = np.diag([1.0, -0.5]).astype(complex)
+        with pytest.raises(NotPSDError):
+            state_fidelity(bad, ket0)
+        with pytest.raises(NotPSDError):
+            fidelity_and_dp(bad, ket0, detector_scenario(2))
+        with pytest.raises(NotPSDError):
+            pseudo_state_fidelity(bad, ket0)
+        with pytest.raises(NotPSDError):
+            rooted_pseudo_state_fidelity(bad, np.linalg.eigvalsh(bad), Truth.of(ket0))
+
+    def test_non_psd_truth_rejected(self):
+        with pytest.raises(NotPSDError):
+            Truth.of(np.diag([1.0, -0.5]))
+        with pytest.raises(NotPSDError):
+            state_fidelity(I2 / 2, np.diag([1.0, -0.5]))
+        with pytest.raises(NotPSDError):
+            fidelity_and_dp(I2 / 2, np.diag([1.0, -0.5]), detector_scenario(2))
 
 
 class TestStackedOverlap:

@@ -341,3 +341,18 @@ class TestIdentitySemantics:
 
         target = builtin_target(name)
         assert hash(target) == hash(target) and target == target
+
+
+class TestValidatedSpectrum:
+    """Validation keeps the ascending spectrum of the array it stores."""
+
+    def test_spectrum_equals_eigvalsh_of_the_stored_array(self):
+        gen = SeededRng(140).generator()
+        a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+        rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        povm = Povm((np.diag([0.2, 0.0, 0.5, 1.0]), np.diag([0.8, 1.0, 0.5, 0.0])))
+        process = kraus_to_process(KrausChannel((HADAMARD,)))
+        for value, mat in ((rho, rho.mat), (povm, povm.elements), (process, process.x)):
+            assert np.array_equal(value.eigenvalues, np.linalg.eigvalsh(mat))
+        assert povm.eigenvalues.shape == (2, 4)
+        assert np.all(np.diff(povm.eigenvalues, axis=-1) >= 0.0)
