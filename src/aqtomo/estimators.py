@@ -30,6 +30,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (
+    INV_SQRT_FLOOR,
     DimensionError,
     _eigh,
     dagger,
@@ -304,7 +305,7 @@ def adaptive_qdt(
 
     unused = n_total - n0 - per_probe * n_elements * d
     return TomographyEstimate(
-        Povm(_renormalize(corrected), name="adaptive-qdt"),
+        Povm(_renormalize(corrected)),
         {"step2_per_probe": per_probe, "unused_shots": unused},
     )
 
@@ -314,7 +315,7 @@ def static_qdt(detector_sampler, n_total: int, rng) -> TomographyEstimate:
     gen = linalg.as_generator(rng)
     freqs = _cube_frequencies(detector_sampler, n_total, gen)
     elements = qdt_stage1(freqs, detector_sampler.cube)
-    return TomographyEstimate(Povm(elements, name="static-qdt"))
+    return TomographyEstimate(Povm(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +354,7 @@ def qpt_stage2_ntp(g: np.ndarray, dim: int, n_shots: int) -> ProcessMatrix:
         raise DimensionError("stage-2 input must be d^2 x d^2")
     q = partial_trace_1(g, dim, dim)
     w, vecs = hermitian_eig(q)
-    tol = 1e-12 * dim  # inv_sqrt's default floor
+    tol = INV_SQRT_FLOOR * dim
     positive = int(np.sum(w > tol))
     f_bar = w.copy()
     if positive == 0:
@@ -386,11 +387,11 @@ def aapt_reconstruct(
         raise DimensionError("ancilla and principal dimensions must match")
     if sigma_out_hat.dim != d * d:
         raise DimensionError("output-state dimension must be d^2")
-    h = input_state.coefficients
-    if np.min(h) <= 1e-10:
+    if input_state.schmidt_number < d:
         raise DegenerateInputError(
             "input state is not full-Schmidt; the probe cannot be inverted"
         )
+    h = input_state.coefficients
     k = input_state.basis_a.conj() @ np.diag(1.0 / h) @ dagger(input_state.basis_b)
     corr = kron(np.eye(d), k)
     return hermitian_part(corr @ sigma_out_hat.mat @ dagger(corr), check=False)

@@ -17,7 +17,7 @@ from .config import load_config
 from .harness import VERSION, fit_loglog_slope, run_scaling
 from .io import emit_results, read_result_csv, write_csv
 from .selftest import run_selftest
-from .targets import BUILTIN_TARGET_NAMES, builtin_target, expected_task
+from .targets import BUILTIN_TARGET_NAMES, builtin_target
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +65,7 @@ def _cmd_run(args) -> int:
 def _cmd_targets() -> int:
     for name in BUILTIN_TARGET_NAMES:
         target = builtin_target(name)
-        print(f"{name}\t{expected_task(target)}\td={target.dim}")
+        print(f"{name}\t{target.task}\td={target.dim}")
     return 0
 
 

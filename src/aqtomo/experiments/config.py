@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 TASKS = ("qst", "qdt", "aapt")
 METHODS = ("adaptive", "static")
 
-_KEYS = ("task", "method", "target", "n_grid", "repetitions", "alpha", "seed", "tp_flag")
+_KEYS = ("task", "method", "target", "n_grid", "repetitions", "alpha", "seed")
 
 # Random-stream layout under one seed: trial ``t`` at grid index ``i`` draws
 # from stream ``((i + 1) << TRIAL_STREAM_BITS) + t`` and built-in targets from
@@ -43,7 +43,6 @@ class ExperimentConfig:
     repetitions: int
     alpha: float = 0.5
     seed: int = 0
-    tp_flag: bool | None = None  # aapt only; None means "infer from the target"
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -74,8 +73,6 @@ class ExperimentConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.tp_flag is not None and self.task != "aapt":
-            raise ValueError(f"tp_flag applies to aapt only, not to {self.task}")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "n_grid", grid)
@@ -86,15 +83,6 @@ class ExperimentConfig:
         d = asdict(self)
         d["n_grid"] = list(self.n_grid)
         return d
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -129,8 +117,6 @@ def parse_config(text: str) -> ExperimentConfig:
         kwargs["alpha"] = float(values["alpha"])
     if "seed" in values:
         kwargs["seed"] = int(values["seed"])
-    if "tp_flag" in values:
-        kwargs["tp_flag"] = _parse_bool(values["tp_flag"])
     return ExperimentConfig(**kwargs)
 
 

@@ -9,9 +9,10 @@ kept trials of a grid point by one generic loop and fits a log-log slope
 through the per-N mean infidelities.  Trial randomness is keyed by (seed,
 grid index, trial index), so results are identical for any worker count and
 any execution order.  A trial reads its oracle, the truth it is scored
-against (with the truth's square root) and the fidelity scenario from the
-config's target, resolved once per process (``_context``); the estimate's
-spectrum comes from the validation of its value object.
+against (with the truth's square root), the fidelity scenario and, for
+AAPT, whether the channel is trace-preserving from the config's target,
+resolved once per process (``_context``); the estimate's spectra come from
+the validation of its value object.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..estimators import (
 from ..fidelity import rooted_fidelity_and_dp, rooted_pseudo_state_fidelity
 from ..measurement import SeededRng
 from .config import TRIAL_STREAM_BITS, ExperimentConfig
-from .targets import AaptTarget, QdtTarget, QstTarget, expected_task, resolve_target
+from .targets import AaptTarget, QdtTarget, QstTarget, resolve_target
 
 log = logging.getLogger(__name__)
 
@@ -144,20 +145,15 @@ def _trial_stream(n_index: int, trial: int) -> int:
 
 @lru_cache(maxsize=16)
 def _context(config: ExperimentConfig):
-    """The config's target, checked against the task, ``tp_flag`` and the cube.
+    """The config's target, checked against the task and for a Pauli cube.
 
     Cached per config, so every trial in a process shares one target and,
     with it, the oracle and scoring constants the target computes once.
     """
     target = resolve_target(config.target, config.seed)
-    task = expected_task(target)
-    if task != config.task:
+    if target.task != config.task:
         raise ValueError(
-            f"target {config.target!r} belongs to task {task}, not {config.task}"
-        )
-    if task == "aapt" and config.tp_flag not in (None, target.tp):
-        raise ValueError(
-            f"tp_flag={config.tp_flag} contradicts the channel of {config.target!r}"
+            f"target {config.target!r} belongs to task {target.task}, not {config.task}"
         )
     target.oracle.cube  # a target with no Pauli cube fails here, before any trial
     return target
@@ -257,11 +253,11 @@ def _aapt_trial(target: AaptTarget, config, n, gen) -> dict:
     metrics["sigma_out_infidelity"] = 1.0 - rooted_pseudo_state_fidelity(
         sigma_hat.mat, sigma_hat.eigenvalues, target.sigma_out_truth
     )
-    q = partial_trace_1(x_hat, d, d)
     if target.tp:
+        q = partial_trace_1(x_hat, d, d)
         dev = float(np.max(np.abs(q - np.eye(d))))
     else:
-        dev = max(0.0, float(np.linalg.eigvalsh(q)[-1]) - 1.0)
+        dev = max(0.0, float(est.value.partial_trace_eigenvalues[-1]) - 1.0)
     metrics["constraint_dev"] = max(dev, metrics["constraint_dev"])
     return metrics
 

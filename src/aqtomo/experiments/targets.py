@@ -46,9 +46,9 @@ DEFAULT_TARGET_SEED = 20240901
 _RANK_TOL = 1e-10
 
 
-def _ranks(mats: np.ndarray) -> np.ndarray:
-    """Numerical rank of a Hermitian matrix, or of each matrix of a stack."""
-    return np.sum(np.linalg.eigvalsh(mats) > _RANK_TOL, axis=-1)
+def _ranks(eigenvalues: np.ndarray) -> np.ndarray:
+    """Numerical rank from a spectrum, or from each row of a stack of spectra."""
+    return np.sum(eigenvalues > _RANK_TOL, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class QstTarget:
 
     @cached_property
     def rank(self) -> int:
-        return int(_ranks(self.rho.mat))
+        return int(_ranks(self.rho.eigenvalues))
 
     @cached_property
     def truth(self) -> Truth:
@@ -91,7 +91,7 @@ class QdtTarget:
 
     @cached_property
     def element_ranks(self) -> tuple:
-        return tuple(_ranks(self.povm.elements).tolist())
+        return tuple(_ranks(self.povm.eigenvalues).tolist())
 
     @cached_property
     def truth(self) -> Truth:
@@ -139,7 +139,7 @@ class AaptTarget:
 
     @cached_property
     def rank(self) -> int:
-        return int(_ranks(self.process.x))
+        return int(_ranks(self.process.eigenvalues))
 
     @cached_property
     def truth(self) -> Truth:
@@ -213,7 +213,7 @@ def _three_valued(name, d, seed, streams) -> QdtTarget:
     p1 = eig_reconstruct(np.array([0.4] + [0.0] * (d - 1)), u1)
     p2 = u2 @ np.diag([0.0, 0.5] + [0.0] * (d - 2)).astype(complex) @ u2.conj().T
     p3 = np.eye(d) - p1 - p2
-    return QdtTarget(name, Povm((p1, p2, p3), name="three-valued"))
+    return QdtTarget(name, Povm((p1, p2, p3)))
 
 
 def _qdt_three_valued(seed):
@@ -333,7 +333,7 @@ def load_target(path: str):
         return QstTarget(name, DensityMatrix(_complex_matrix(data["density"])))
     if task == "qdt":
         elems = tuple(_complex_matrix(m) for m in data["elements"])
-        return QdtTarget(name, Povm(elems, name=name))
+        return QdtTarget(name, Povm(elems))
     if task == "aapt":
         ops = tuple(_complex_matrix(m) for m in data["kraus"])
         channel = KrausChannel(ops)
@@ -349,18 +349,8 @@ def load_target(path: str):
 
 def resolve_target(spec: str, seed: int = DEFAULT_TARGET_SEED):
     """Builtin name, or a path to a JSON target file."""
-    if spec in _BUILTIN:
-        return builtin_target(spec, seed)
-    if spec.endswith(".json") or os.path.sep in spec:
+    if spec not in _BUILTIN and (spec.endswith(".json") or os.path.sep in spec):
         if not os.path.exists(spec):
             raise FileNotFoundError(f"target file {spec} does not exist")
         return load_target(spec)
-    known = ", ".join(BUILTIN_TARGET_NAMES)
-    raise ValueError(f"unknown target {spec!r}; built-ins: {known}")
-
-
-def expected_task(target) -> str:
-    """The task a target belongs to: its ``task``."""
-    if not isinstance(target, (QstTarget, QdtTarget, AaptTarget)):
-        raise TypeError(f"not a target: {target!r}")
-    return target.task
+    return builtin_target(spec, seed)

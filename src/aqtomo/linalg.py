@@ -19,6 +19,8 @@ log = logging.getLogger(__name__)
 # the larger threshold beyond which we refuse to silently repair it.
 HERMITICITY_FAIL_RTOL = 1e-6
 PSD_FAIL_RTOL = 1e-6
+# Default floor of inv_sqrt's eigenvalues, per unit of dimension.
+INV_SQRT_FLOOR = 1e-12
 
 
 class DimensionError(ValueError):
@@ -114,11 +116,6 @@ def hermitian_eig(m: np.ndarray) -> HermitianEig:
     return _eigh(m)
 
 
-def _eig(m: np.ndarray) -> HermitianEig:
-    """:func:`hermitian_eig` of a matrix, the stacked :func:`_eigh` of a stack."""
-    return hermitian_eig(m) if m.ndim == 2 else _eigh(m)
-
-
 def eig_reconstruct(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Assemble ``v diag(w) v^dag``, symmetrized, for one matrix or a stack."""
     out = (v * w[..., None, :]) @ dagger(v)
@@ -127,7 +124,7 @@ def eig_reconstruct(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _psd_eigenvalues(m: np.ndarray, op: str) -> HermitianEig:
     m = np.asarray(m, dtype=complex)
-    w, v = _eig(m)
+    w, v = _eigh(m)
     # ||m|| bounds every |eigenvalue|, so it is the scale of the matrix
     if _any_true(w[..., -1] < -PSD_FAIL_RTOL * _sq_norms(m) ** 0.5):
         raise NotPSDError(
@@ -151,7 +148,7 @@ def inv_sqrt(m: np.ndarray, clamp: float | None = None) -> np.ndarray:
     """
     m = _require_square(m)
     if clamp is None:
-        clamp = 1e-12 * m.shape[0]
+        clamp = INV_SQRT_FLOOR * m.shape[0]
     w, v = hermitian_eig(m)
     if w[-1] < clamp:
         log.warning("inv_sqrt: eigenvalue %.3e floored at %.3e", w[-1], clamp)
@@ -211,5 +208,5 @@ def haar_unitary(d: int, rng) -> np.ndarray:
 
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix, or stack: clamp negative eigenvalues to zero."""
-    w, v = _eig(np.asarray(m, dtype=complex))
+    w, v = _eigh(np.asarray(m, dtype=complex))
     return eig_reconstruct(np.maximum(w, 0.0), v)

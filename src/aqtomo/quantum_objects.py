@@ -26,7 +26,6 @@ from . import linalg
 from .linalg import (
     DimensionError,
     dagger,
-    hermitian_eig,
     hermitian_part,
     kron,
     partial_trace_1,
@@ -76,9 +75,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
-    def eig(self) -> linalg.HermitianEig:
-        return hermitian_eig(self.mat)
-
 
 def pure_state(psi: np.ndarray) -> DensityMatrix:
     """|psi><psi| for a (re)normalized state vector."""
@@ -98,7 +94,6 @@ class Povm:
     """
 
     elements: np.ndarray
-    name: str = ""
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -164,13 +159,14 @@ class KrausChannel:
 class ProcessMatrix:
     """d^2 x d^2 PSD process matrix X with Tr_1(X) <= I_d.
 
-    ``eigenvalues`` is the ascending spectrum of ``x`` that validation
-    computed.
+    ``eigenvalues`` and ``partial_trace_eigenvalues`` are the ascending
+    spectra of ``x`` and of ``Tr_1(X)`` that validation computed.
     """
 
     x: np.ndarray
     dim: int
     eigenvalues: np.ndarray = field(init=False, repr=False)
+    partial_trace_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = hermitian_part(np.asarray(self.x, dtype=complex))
@@ -180,11 +176,12 @@ class ProcessMatrix:
         w = np.linalg.eigvalsh(x)
         if w[0] < -1e-8:
             raise linalg.NotPSDError("process matrix is not PSD")
-        q = hermitian_part(partial_trace_1(x, d, d))
-        if np.linalg.eigvalsh(q)[-1] > 1.0 + 1e-8:
+        wq = np.linalg.eigvalsh(hermitian_part(partial_trace_1(x, d, d)))
+        if wq[-1] > 1.0 + 1e-8:
             raise ValueError("Tr_1(X) exceeds the identity")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "partial_trace_eigenvalues", wq)
 
     @property
     def trace_preserving(self) -> bool:

@@ -32,11 +32,8 @@ def cube_povm(n_qubits: int):
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     singles = [
-        Povm(
-            tuple((np.eye(2) + sign * sigma) / 2.0 for sign in (1, -1)),
-            name=f"cube-{axis}",
-        )
-        for axis, sigma in zip("xyz", (SIGMA_X, SIGMA_Y, SIGMA_Z))
+        Povm(tuple((np.eye(2) + sign * sigma) / 2.0 for sign in (1, -1)))
+        for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)
     ]
     povms = []
     for combo in itertools.product(singles, repeat=n_qubits):
@@ -46,8 +43,7 @@ def cube_povm(n_qubits: int):
             for factor in parts[1:]:
                 acc = np.kron(acc, factor)
             elements.append(acc)
-        name = "".join(p.name[-1] for p in combo)
-        povms.append(Povm(tuple(elements), name=f"cube-{name}"))
+        povms.append(Povm(tuple(elements)))
     return tuple(povms)
 
 

@@ -504,7 +504,7 @@ def three_valued_detector(seed=70):
     u2 = haar_unitary(4, SeededRng(seed, 2).generator())
     p1 = eig_reconstruct(np.array([0.4, 0, 0, 0]), u1)
     p2 = u2 @ np.diag([0.0, 0.5, 0.0, 0.0]).astype(complex) @ u2.conj().T
-    return Povm((p1, p2, np.eye(4) - p1 - p2), name="three-valued")
+    return Povm((p1, p2, np.eye(4) - p1 - p2))
 
 
 def random_povm(gen, d, n_elements):

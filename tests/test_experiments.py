@@ -29,7 +29,6 @@ from aqtomo.experiments.targets import (
     AaptTarget,
     QdtTarget,
     QstTarget,
-    expected_task,
     load_target,
 )
 from aqtomo.linalg import DimensionError, NotPSDError
@@ -53,22 +52,23 @@ class TestConfig:
         assert cfg.task == "qst" and cfg.method == "adaptive"
         assert cfg.n_grid == (1000, 4000, 16000)
         assert cfg.repetitions == 4 and cfg.seed == 21
-        assert cfg.tp_flag is None
 
     def test_bracketed_grid_and_bool(self):
         cfg = parse_config(
             "task = aapt\nmethod = static\ntarget = aapt-damping-third\n"
-            "n_grid = [100, 200]\nrepetitions = 2\ntp_flag = false\n"
+            "n_grid = [100, 200]\nrepetitions = 2\n"
         )
-        assert cfg.n_grid == (100, 200) and cfg.tp_flag is False
+        assert cfg.n_grid == (100, 200)
 
-    @pytest.mark.parametrize("task", ["qst", "qdt"])
-    def test_tp_flag_only_for_aapt(self, task):
-        with pytest.raises(ValueError, match="tp_flag"):
-            ExperimentConfig(task, "adaptive", "qst-rank1-8d", (100,), 1, tp_flag=True)
-        text = CONFIG_TEXT.replace("task = qst", f"task = {task}")
-        with pytest.raises(ValueError, match="tp_flag"):
+    def test_tp_flag_is_unknown_key(self):
+        # AAPT reads trace preservation from the target's channel
+        text = CONFIG_TEXT.replace("task = qst", "task = aapt").replace(
+            "qst-rank1-8d", "aapt-hadamard"
+        )
+        with pytest.raises(ValueError, match="unknown key 'tp_flag'"):
             parse_config(text + "tp_flag = true\n")
+        with pytest.raises(TypeError, match="tp_flag"):
+            ExperimentConfig("aapt", "adaptive", "aapt-hadamard", (100,), 1, tp_flag=True)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -184,9 +184,7 @@ class TestTargets:
     def test_expected_task(self, name, cls, task):
         target = builtin_target(name)
         assert isinstance(target, cls) and cls.task == task
-        assert expected_task(target) == task
-        with pytest.raises(TypeError, match="not a target"):
-            expected_task(target.name)
+        assert target.task == task
 
     def test_qst_profiles(self):
         for name, profile in [
@@ -346,13 +344,6 @@ class TestRunScaling(object):
     def test_task_target_mismatch(self):
         cfg = ExperimentConfig("qdt", "adaptive", "qst-rank1-8d", (1000,), 1)
         with pytest.raises(ValueError, match="belongs to task"):
-            run_scaling(cfg)
-
-    def test_tp_flag_contradiction(self):
-        cfg = ExperimentConfig(
-            "aapt", "adaptive", "aapt-hadamard", (1000, 2000), 2, tp_flag=False
-        )
-        with pytest.raises(ValueError, match="contradicts"):
             run_scaling(cfg)
 
     def test_short_grid_fails_before_any_trial(self, monkeypatch):
@@ -577,6 +568,18 @@ class TestScoringSolves:
         # one overlap of the process matrix and one of the output state
         assert counts == {"eigh": 0, "eigvalsh": 2}
 
+    def test_non_tp_aapt_trial_reads_the_validated_partial_trace(self, monkeypatch):
+        cfg = ExperimentConfig(
+            "aapt", "adaptive", "aapt-damping-third", (400, 1600, 6400), 2
+        )
+        harness.run_trial(cfg, 1600, 1, 0)
+        counts = {"eigh": 0, "eigvalsh": 0}
+        self._count(monkeypatch, counts)
+        assert harness.run_trial(cfg, 1600, 1, 1) is not None
+        # validation of the output state and of the process matrix with its
+        # partial trace, then one overlap each; constraint_dev solves nothing
+        assert counts["eigvalsh"] == 5
+
 
 class TestImports:
     def test_harness_imports_neither_pool_nor_metadata(self):
@@ -782,21 +785,21 @@ GOLDEN_CSV_SHA256 = {
 # per-element means.
 GOLDEN_JSON_SHA256 = {
     ("qst", "qst-rank1-8d", "adaptive"):
-        "28463465979dcfc4b9ecd72ea8b8510a0d9b90cf15b573f3f1dcaa26f0b51d22",
+        "b2a1f3ccc77ebf306d2d5b3645000e1620c69fe1b5cd8180792652826f3d84fa",
     ("qst", "qst-rank1-8d", "static"):
-        "e5176638f6a5d363e2e4e104f9ae0e18023875fa8c39719f88e69be43ae35e06",
+        "9cded303bbe79a84d6d3dbe595eb10518e312365d3d122934eb256c6ed57d412",
     ("qdt", "qdt-three-valued", "adaptive"):
-        "aa87a4dcab53cc800669f8209c9a769bfee70467fc765235c64f7c11c152cbae",
+        "5d66bc71b35a1ae75b89538d62aa18afb26518928910dbea11de8de7b5fd3c47",
     ("qdt", "qdt-three-valued", "static"):
-        "fe94cf74e39e2e4001f9b07305ffcd37642f5e6231861b0d01dcafec877da63d",
+        "fe1407a2777ec7352fe5c1ce8448c97a6aea7aa95b9532e3930729ad45fae3c1",
     ("aapt", "aapt-hadamard", "adaptive"):
-        "b2429e37d1913dd1c5776d529493f0e432662b5d3dc0a1957eb09207a6650b02",
+        "3172b15c405cd05512c761ddbd5a9d8c46a2f009d46536cfae8044c29b50f635",
     ("aapt", "aapt-hadamard", "static"):
-        "bf9a52a3c762b95fc7e3a6b3dfd07be3e72f32765abcbc7c510d281f21708d77",
+        "b2842428adaa4e6340e9c35a1b0a873095efdc5f5bc9615ac1ed76fe09001e24",
     ("aapt", "aapt-damping-third", "adaptive"):
-        "d32ecf9ea68735e771ef915b3cbd6ac126c3130f81d0479a90facfdf7b7a6033",
+        "11823b354697f832b796c6c6d6ec78d9d4dea1865ece9572d2034661ade60236",
     ("aapt", "aapt-damping-third", "static"):
-        "aa706ec36e024588fc748b32fa96c76d19597f13309f43d439ba7b1232661012",
+        "efa75f7b847d7cc45aa81cd9ef2746b11b44d3621726f4d294ec25cbe5dc8113",
 }
 
 
