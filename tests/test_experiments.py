@@ -70,6 +70,15 @@ class TestConfig:
         with pytest.raises(TypeError, match="tp_flag"):
             ExperimentConfig("aapt", "adaptive", "aapt-hadamard", (100,), 1, tp_flag=True)
 
+    @pytest.mark.parametrize("task", ["qst", "qdt"])
+    def test_tp_flag_only_for_aapt(self, task):
+        # no task takes the setting, so a qst or qdt config cannot set it either
+        with pytest.raises(TypeError, match="tp_flag"):
+            ExperimentConfig(task, "adaptive", "qst-rank1-8d", (100,), 1, tp_flag=True)
+        text = CONFIG_TEXT.replace("task = qst", f"task = {task}")
+        with pytest.raises(ValueError, match="unknown key 'tp_flag'"):
+            parse_config(text + "tp_flag = true\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(CONFIG_TEXT + "\nworkers = 4\n")
@@ -345,6 +354,34 @@ class TestRunScaling(object):
         cfg = ExperimentConfig("qdt", "adaptive", "qst-rank1-8d", (1000,), 1)
         with pytest.raises(ValueError, match="belongs to task"):
             run_scaling(cfg)
+
+    def test_tp_flag_contradiction(self, monkeypatch):
+        # a config cannot contradict the channel: every AAPT trial takes trace
+        # preservation from the target, and a config that sets it is refused
+        seen = []
+        # position of tp_flag among the positional arguments
+        for name, at in [("adaptive_aapt", 3), ("nonadaptive_aapt", 2)]:
+            real = getattr(harness, name)
+
+            def record(*args, _real=real, _at=at, **kwargs):
+                seen.append(args[_at])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, record)
+        for target, tp in [("aapt-hadamard", True), ("aapt-damping-third", False)]:
+            assert builtin_target(target).channel.tp_flag is tp
+            for method in ("adaptive", "static"):
+                seen.clear()
+                cfg = ExperimentConfig("aapt", method, target, (1000, 2000, 4000), 2)
+                assert harness.run_trial(cfg, 1000, 1, 0) is not None
+                assert seen == [tp]
+            text = (
+                f"task = aapt\nmethod = adaptive\ntarget = {target}\n"
+                f"n_grid = 1000, 2000, 4000\nrepetitions = 2\n"
+                f"tp_flag = {str(not tp).lower()}\n"
+            )
+            with pytest.raises(ValueError, match="unknown key 'tp_flag'"):
+                parse_config(text)
 
     def test_short_grid_fails_before_any_trial(self, monkeypatch):
         calls = []
