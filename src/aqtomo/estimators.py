@@ -45,7 +45,6 @@ from .linalg import (
 from .measurement import Frequencies, PauliCube, frequencies
 from .quantum_objects import (
     BipartitePureState,
-    DegenerateInputError,
     DensityMatrix,
     Povm,
     ProcessMatrix,
@@ -379,21 +378,16 @@ def aapt_reconstruct(
 
     For input Schmidt data (h, U, V), conjugating the reconstructed output
     state by ``I (x) U* H^-1 V^dag`` undoes the probe exactly, so feeding the
-    true output state returns the true process matrix.  Requires every
-    Schmidt coefficient to be strictly positive (a full-Schmidt input).
+    true output state returns the true process matrix.  That operator is the
+    input's cached ``probe_inverse``, which requires every Schmidt
+    coefficient to be strictly positive (a full-Schmidt input).
     """
     d = input_state.dim_a
     if input_state.dim_b != d:
         raise DimensionError("ancilla and principal dimensions must match")
     if sigma_out_hat.dim != d * d:
         raise DimensionError("output-state dimension must be d^2")
-    if input_state.schmidt_number < d:
-        raise DegenerateInputError(
-            "input state is not full-Schmidt; the probe cannot be inverted"
-        )
-    h = input_state.coefficients
-    k = input_state.basis_a.conj() @ np.diag(1.0 / h) @ dagger(input_state.basis_b)
-    corr = kron(np.eye(d), k)
+    corr = input_state.probe_inverse
     return hermitian_part(corr @ sigma_out_hat.mat @ dagger(corr), check=False)
 
 

@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .. import __version__ as VERSION
-from ..linalg import partial_trace_1
 from ..estimators import (
     EstimationError,
     adaptive_aapt,
@@ -254,8 +253,7 @@ def _aapt_trial(target: AaptTarget, config, n, gen) -> dict:
         sigma_hat.mat, sigma_hat.eigenvalues, target.sigma_out_truth
     )
     if target.tp:
-        q = partial_trace_1(x_hat, d, d)
-        dev = float(np.max(np.abs(q - np.eye(d))))
+        dev = float(np.max(np.abs(est.value.partial_trace - np.eye(d))))
     else:
         dev = max(0.0, float(est.value.partial_trace_eigenvalues[-1]) - 1.0)
     metrics["constraint_dev"] = max(dev, metrics["constraint_dev"])

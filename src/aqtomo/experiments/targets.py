@@ -31,7 +31,6 @@ from ..linalg import DimensionError, eig_reconstruct, haar_unitary
 from ..measurement import SeededRng, detector_sampler, state_sampler
 from ..quantum_objects import (
     BipartitePureState,
-    DegenerateInputError,
     DensityMatrix,
     KrausChannel,
     Povm,
@@ -120,10 +119,7 @@ class AaptTarget:
             raise DimensionError(
                 "input state must be on channel (x) ancilla of equal dimensions"
             )
-        if probe.schmidt_number < self.dim:
-            raise DegenerateInputError(
-                "input state is not full-Schmidt; the probe cannot be inverted"
-            )
+        probe.probe_inverse  # raises DegenerateInputError unless full-Schmidt
 
     @property
     def dim(self) -> int:

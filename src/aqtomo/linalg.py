@@ -186,8 +186,12 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, index convention matching the partial traces."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, equal to ``numpy.kron`` bit for bit."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"expected two matrices, got shapes {a.shape}, {b.shape}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def haar_unitary(d: int, rng) -> np.ndarray:

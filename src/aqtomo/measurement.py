@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionError, as_generator
+from .linalg import DimensionError, as_generator, kron
 from .quantum_objects import COMPLETENESS_ATOL, DensityMatrix, Povm
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,7 +137,7 @@ def _single_qubit_projectors() -> np.ndarray:
 def _kron_power(single: np.ndarray, n: int) -> np.ndarray:
     out = np.ones((1, 1), dtype=complex)
     for _ in range(n):
-        out = np.kron(out, single)
+        out = kron(out, single)
     return out
 
 

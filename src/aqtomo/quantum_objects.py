@@ -19,6 +19,7 @@ The value classes hold arrays, so they compare and hash by identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +160,7 @@ class KrausChannel:
 class ProcessMatrix:
     """d^2 x d^2 PSD process matrix X with Tr_1(X) <= I_d.
 
+    ``partial_trace`` is the read-only ``Tr_1(X)`` that validation formed;
     ``eigenvalues`` and ``partial_trace_eigenvalues`` are the ascending
     spectra of ``x`` and of ``Tr_1(X)`` that validation computed.
     """
@@ -166,6 +168,7 @@ class ProcessMatrix:
     x: np.ndarray
     dim: int
     eigenvalues: np.ndarray = field(init=False, repr=False)
+    partial_trace: np.ndarray = field(init=False, repr=False)
     partial_trace_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -176,17 +179,19 @@ class ProcessMatrix:
         w = np.linalg.eigvalsh(x)
         if w[0] < -1e-8:
             raise linalg.NotPSDError("process matrix is not PSD")
-        wq = np.linalg.eigvalsh(hermitian_part(partial_trace_1(x, d, d)))
+        q = partial_trace_1(x, d, d)
+        wq = np.linalg.eigvalsh(hermitian_part(q))
         if wq[-1] > 1.0 + 1e-8:
             raise ValueError("Tr_1(X) exceeds the identity")
+        q.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "partial_trace", q)
         object.__setattr__(self, "partial_trace_eigenvalues", wq)
 
     @property
     def trace_preserving(self) -> bool:
-        q = partial_trace_1(self.x, self.dim, self.dim)
-        return bool(np.max(np.abs(q - np.eye(self.dim))) <= 1e-8)
+        return bool(np.max(np.abs(self.partial_trace - np.eye(self.dim))) <= 1e-8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +225,18 @@ class BipartitePureState:
     @property
     def schmidt_number(self) -> int:
         return int(np.sum(self.coefficients > 1e-10))
+
+    @cached_property
+    def probe_inverse(self) -> np.ndarray:
+        """Read-only ``I (x) U* H^-1 V^dag``, which undoes this state as a probe."""
+        if self.schmidt_number < max(self.dim_a, self.dim_b):
+            raise DegenerateInputError(
+                "input state is not full-Schmidt; the probe cannot be inverted"
+            )
+        k = self.basis_a.conj() @ np.diag(1.0 / self.coefficients) @ dagger(self.basis_b)
+        inverse = kron(np.eye(self.dim_a), k)
+        inverse.flags.writeable = False
+        return inverse
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))

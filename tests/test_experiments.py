@@ -525,7 +525,11 @@ class TestBenchmarkSurface:
     def test_trial_and_scaling_calls(self, tmp_path):
         params = list(inspect.signature(harness.run_trial).parameters)
         assert params == ["config", "n", "n_index", "trial"]
-        for task, target in (("qst", "qst-rank1-8d"), ("qdt", "qdt-three-valued")):
+        for task, target in (
+            ("qst", "qst-rank1-8d"),
+            ("qdt", "qdt-three-valued"),
+            ("aapt", "aapt-hadamard"),
+        ):
             grid = (1000, 4000, 16000)
             cfg = ExperimentConfig(task, "adaptive", target, grid, 2, seed=5)
             metrics = harness.run_trial(cfg, cfg.n_grid[0], 0, 0)
@@ -616,6 +620,30 @@ class TestScoringSolves:
         # validation of the output state and of the process matrix with its
         # partial trace, then one overlap each; constraint_dev solves nothing
         assert counts["eigvalsh"] == 5
+
+
+class TestAaptKernels:
+    """An AAPT trial reuses its input's inverse probe and builds every
+    ``I (x) M`` correction without ``numpy.kron``."""
+
+    @pytest.mark.parametrize("target", ["aapt-hadamard", "aapt-damping-third"])
+    def test_trials_call_no_numpy_kron(self, monkeypatch, target):
+        cfgs = [
+            ExperimentConfig("aapt", method, target, (400, 1600, 6400), 2)
+            for method in ("adaptive", "static")
+        ]
+        for cfg in cfgs:
+            harness.run_trial(cfg, 1600, 1, 0)  # builds the target's constants
+        calls, original = [], np.kron
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "kron", counting)
+        for cfg in cfgs:
+            assert harness.run_trial(cfg, 1600, 1, 1) is not None
+        assert calls == []
 
 
 class TestImports:
@@ -861,3 +889,51 @@ def test_golden_csv_digest(task, target, method, tmp_path):
 def test_golden_json_digest(task, target, method, tmp_path):
     path = write_json(_golden_run(task, target, method), str(tmp_path / "out.json"))
     assert _sha256(path) == GOLDEN_JSON_SHA256[(task, target, method)]
+
+
+GOLDEN_TRIALS_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_trials.json")
+
+
+def _golden_trials(task, target, method):
+    """Every trial's metric dict of a golden config, ``None`` when excluded,
+    in job order (grid point first, then repetition)."""
+    cfg = ExperimentConfig(task, method, target, (300, 1000, 3000), 3, seed=11)
+    return [
+        harness.run_trial(cfg, n, ni, t)
+        for ni, n in enumerate(cfg.n_grid)
+        for t in range(cfg.repetitions)
+    ]
+
+
+def _write_golden_trials():
+    # json writes each float by repr, so the file keeps every bit
+    data = {" ".join(key): _golden_trials(*key) for key in sorted(GOLDEN_CSV_SHA256)}
+    with open(GOLDEN_TRIALS_PATH, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("task,target,method", sorted(GOLDEN_CSV_SHA256))
+def test_golden_trial_values(task, target, method):
+    """Each trial's metrics match the committed fixture, value by value.
+
+    The digests above pin the per-grid-point reductions; this pins every
+    trial's own values, ``constraint_dev`` included.  Regenerate the fixture
+    (only with a change that is meant to move the numbers) with::
+
+        PYTHONPATH=src python3 tests/test_experiments.py
+    """
+    with open(GOLDEN_TRIALS_PATH) as fh:
+        expected = json.load(fh)[f"{task} {target} {method}"]
+    actual = _golden_trials(task, target, method)
+    assert [m is None for m in actual] == [m is None for m in expected]
+    for got, want in zip(actual, expected):
+        if want is None:
+            continue
+        assert set(got) == set(want)
+        for name, value in want.items():
+            np.testing.assert_allclose(got[name], value, rtol=1e-9, atol=1e-14)
+
+
+if __name__ == "__main__":
+    _write_golden_trials()

@@ -183,6 +183,30 @@ class TestKron:
         a, b, c, d = (rand_complex(gen, 2) for _ in range(4))
         assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-9)
 
+    def test_equals_numpy_kron_bit_for_bit(self):
+        gen = SeededRng(15).generator()
+        pairs = [
+            (gen.standard_normal((3, 3)), gen.standard_normal((2, 2))),
+            (rand_complex(gen, 2), rand_complex(gen, 4)),
+            (np.eye(3), rand_complex(gen, 2)),
+            (rand_complex(gen, 2), np.eye(2)),
+            (rand_complex(gen, 2, 3), gen.standard_normal((4, 1))),
+            (np.array([[-1.0, 0.0]]), np.array([[-0.0], [-2.0]])),
+        ]
+        for a, b in pairs:
+            got = kron(a, b)
+            want = np.kron(np.asarray(a, complex), np.asarray(b, complex))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_only_matrices(self, shape):
+        with pytest.raises(DimensionError):
+            kron(np.ones(shape), np.eye(2))
+        with pytest.raises(DimensionError):
+            kron(np.eye(2), np.ones(shape))
+
 
 class TestHaarUnitary:
     def test_scalar(self):

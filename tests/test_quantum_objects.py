@@ -245,6 +245,28 @@ class TestSchmidt:
             schmidt_decompose(np.array([1.0, 1.0, 0, 0]), 2, 2)
 
 
+class TestProbeInverse:
+    """``I (x) U* H^-1 V^dag``, which undoes the entangled input of AAPT."""
+
+    def test_equals_the_formula_once_and_read_only(self):
+        gen = SeededRng(31).generator()
+        psi = gen.standard_normal(9) + 1j * gen.standard_normal(9)
+        state = BipartitePureState(psi / np.linalg.norm(psi), 3, 3)
+        h, u, v = state.coefficients, state.basis_a, state.basis_b
+        k = u.conj() @ np.diag(1.0 / h) @ v.conj().T
+        inverse = state.probe_inverse
+        assert np.array_equal(inverse, np.kron(np.eye(3, dtype=complex), k))
+        assert state.probe_inverse is inverse
+        assert not inverse.flags.writeable
+        with pytest.raises(ValueError):
+            inverse[0, 0] = 1.0
+
+    def test_product_state_rejected(self):
+        state = BipartitePureState(np.array([1.0, 0, 0, 0]), 2, 2)
+        with pytest.raises(DegenerateInputError):
+            state.probe_inverse
+
+
 class TestBornProbabilities:
     def test_z_basis_on_ground_state(self):
         povm = cube_povm(1)[2]  # z setting
@@ -356,3 +378,12 @@ class TestValidatedSpectrum:
             assert np.array_equal(value.eigenvalues, np.linalg.eigvalsh(mat))
         assert povm.eigenvalues.shape == (2, 4)
         assert np.all(np.diff(povm.eigenvalues, axis=-1) >= 0.0)
+
+    def test_process_keeps_its_partial_trace(self):
+        process = kraus_to_process(lossy_dephasing())
+        q = process.partial_trace
+        assert np.array_equal(q, partial_trace_1(process.x, 2, 2))
+        assert not q.flags.writeable
+        assert np.array_equal(process.partial_trace_eigenvalues, np.linalg.eigvalsh(q))
+        assert not process.trace_preserving
+        assert kraus_to_process(KrausChannel((HADAMARD,))).trace_preserving
