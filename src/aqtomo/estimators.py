@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,10 +153,11 @@ def project_eigenvalues_simplex(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _split_shots(total: int, parts: int) -> list:
-    base = total // parts
-    out = [base] * parts
-    out[-1] += total - base * parts
+@lru_cache(maxsize=64)
+def _split_shots(total: int, parts: int) -> np.ndarray:  # read-only int64
+    out = np.full(parts, total // parts, dtype=np.int64)
+    out[-1] += total % parts
+    out.flags.writeable = False
     return out
 
 
@@ -243,11 +245,11 @@ def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> np.ndarray:
     ``freqs`` holds one row per probe state ``Pi_{s,b}`` of ``cube``, in cube
     order (row ``s * 2^n + b``), and one column per element.  Element ``i``'s
     column, read as a ``(3^n, 2^n)`` table, estimates ``Tr(Pi_{s,b} P_i)``,
-    which :meth:`PauliCube.invert` maps back to ``P_i``.  The inverted
-    elements are projected onto the PSD cone as one stack, then
-    :func:`_renormalize` restores completeness exactly; the result is the
-    ``(K, d, d)`` element stack.  Every probe must have shots: a zero-shot
-    probe raises :class:`InformationIncompleteError`, as in :class:`LrePlan`.
+    which one stacked :meth:`PauliCube.invert` maps back to every ``P_i``.
+    The inverted elements are projected onto the PSD cone as one stack, then
+    :func:`_renormalize` restores completeness; the result is the
+    ``(K, d, d)`` element stack, Hermitian up to roundoff.  Every probe must
+    have shots: a zero-shot probe raises :class:`InformationIncompleteError`.
     """
     d = cube.dim
     if len(freqs.mask) != len(cube) * d:
@@ -257,8 +259,7 @@ def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> np.ndarray:
             "a zero-shot probe state leaves the cube's inversion incomplete"
         )
     tables = freqs.values.reshape(len(cube), d, -1)
-    inverted = np.stack([cube.invert(tables[..., i]) for i in range(tables.shape[2])])
-    return _renormalize(project_psd(inverted))
+    return _renormalize(project_psd(cube.invert(np.moveaxis(tables, -1, 0))))
 
 
 def _renormalize(elements: np.ndarray) -> np.ndarray:
@@ -266,10 +267,11 @@ def _renormalize(elements: np.ndarray) -> np.ndarray:
 
     Makes the ``(K, d, d)`` element stack sum to the identity; flooring the
     inverse square root (logged, never fatal) keeps it finite.  ``S`` is
-    summed in element order, starting from the first.
+    summed in element order, starting from the first.  The result is left
+    unsymmetrized for the caller's checked :func:`hermitian_part`.
     """
     corr = inv_sqrt(sum(elements))
-    return hermitian_part(corr @ elements @ corr, check=False)
+    return corr @ elements @ corr
 
 
 def adaptive_qdt(
@@ -328,9 +330,9 @@ def qpt_stage2_tp(g: np.ndarray, dim: int) -> ProcessMatrix:
     ``X = (I (x) Q^-1/2) G (I (x) Q^-1/2)`` with ``Q = Tr_1(G)``; invariant
     under positive rescaling of ``G``.  The inverse square root is clamped,
     so a (rare, logged) nearly singular ``Q`` degrades gracefully instead of
-    failing.
+    failing.  ``G`` must be Hermitian; the result's validation checks it.
     """
-    g = hermitian_part(np.asarray(g, complex), check=False)
+    g = np.asarray(g, complex)
     if g.shape[0] != dim * dim:
         raise DimensionError("stage-2 input must be d^2 x d^2")
     q = partial_trace_1(g, dim, dim)
@@ -348,7 +350,7 @@ def qpt_stage2_ntp(g: np.ndarray, dim: int, n_shots: int) -> ProcessMatrix:
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
-    g = hermitian_part(np.asarray(g, complex), check=False)
+    g = np.asarray(g, complex)
     if g.shape[0] != dim * dim:
         raise DimensionError("stage-2 input must be d^2 x d^2")
     q = partial_trace_1(g, dim, dim)
@@ -379,16 +381,16 @@ def aapt_reconstruct(
     For input Schmidt data (h, U, V), conjugating the reconstructed output
     state by ``I (x) U* H^-1 V^dag`` undoes the probe exactly, so feeding the
     true output state returns the true process matrix.  That operator is the
-    input's cached ``probe_inverse``, which requires every Schmidt
-    coefficient to be strictly positive (a full-Schmidt input).
+    input's cached ``probe_inverse`` (adjoint cached too), which requires
+    every Schmidt coefficient to be strictly positive (a full-Schmidt input).
     """
     d = input_state.dim_a
     if input_state.dim_b != d:
         raise DimensionError("ancilla and principal dimensions must match")
     if sigma_out_hat.dim != d * d:
         raise DimensionError("output-state dimension must be d^2")
-    corr = input_state.probe_inverse
-    return hermitian_part(corr @ sigma_out_hat.mat @ dagger(corr), check=False)
+    corr, adjoint = input_state.probe_inverse, input_state.probe_inverse_adjoint
+    return hermitian_part(corr @ sigma_out_hat.mat @ adjoint, check=False)
 
 
 def adaptive_aapt(

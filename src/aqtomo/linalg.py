@@ -72,10 +72,10 @@ def _any_true(cond) -> bool:
 
 
 def _sq_norms(m: np.ndarray):
-    """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
+    """Squared Frobenius norm of a matrix or of each of a stack, for thresholds."""
     if m.ndim == 2:
         return np.vdot(m, m).real
-    return np.einsum("...ij,...ij->...", m.conj(), m).real
+    return np.square(np.abs(m)).sum(axis=(-2, -1))
 
 
 def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
@@ -88,10 +88,12 @@ def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
     m = _require_square(m, stack=True)
     sym = (m + dagger(m)) / 2.0
     if check:
-        # ||m - sym||^2 > tol^2 max(||m||^2, 1), kept on numpy scalars for one matrix
-        off, tol2 = _sq_norms(m - sym), HERMITICITY_FAIL_RTOL**2
-        if _any_true((off > tol2 * _sq_norms(m)) & (off > tol2)):
-            raise NotHermitianError("matrix is not Hermitian within tolerance")
+        # fails if ||m - sym||^2 > tol^2 max(||m||^2, 1); the stack's total bounds each
+        diff, tol2 = m - sym, HERMITICITY_FAIL_RTOL**2
+        if np.vdot(diff, diff).real > tol2:
+            off = _sq_norms(diff)
+            if _any_true((off > tol2 * _sq_norms(m)) & (off > tol2)):
+                raise NotHermitianError("matrix is not Hermitian within tolerance")
     return sym
 
 

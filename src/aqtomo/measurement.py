@@ -177,9 +177,9 @@ class PauliCube:
             np.ascontiguousarray(_kron_power(inverse, half).T),  # (4^h, 6^h)
             _kron_power(inverse, n - half),  # (6^(n-h), 4^(n-h))
         )
-        # axes (a_1..a_n, c_1..c_n) -> (a_1, c_1, ..., a_n, c_n) and back
-        self._interleave = [a for k in range(n) for a in (k, n + k)]
-        self._split = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+        # axes (a_1..a_n, c_1..c_n) -> (a_1, c_1, ..., a_n, c_n) and back, from the end
+        self._interleave = [a - 2 * n for k in range(n) for a in (k, n + k)]
+        self._split = list(range(-2 * n, 0, 2)) + list(range(1 - 2 * n, 0, 2))
 
     def __len__(self) -> int:
         """Number of settings, ``3^n``."""
@@ -198,12 +198,18 @@ class PauliCube:
         return np.clip(p, 0.0, 1.0)
 
     def invert(self, values) -> np.ndarray:
-        """Linear-inversion ``d x d`` Hermitian matrix of a ``(3^n, 2^n)`` table."""
+        """Linear-inversion ``d x d`` Hermitian matrix of a ``(3^n, 2^n)`` table.
+
+        With leading axes ``(..., 3^n, 2^n)``, each table maps as alone, bit for bit.
+        """
         n, d = self.n_qubits, self.dim
         left, right = self._inverse
-        f = np.asarray(values).reshape((3,) * n + (2,) * n).transpose(self._interleave)
-        r = left @ f.reshape(left.shape[1], -1) @ right
-        return r.reshape((2, 2) * n).transpose(self._split).reshape(d, d)
+        v = np.asarray(values)
+        lead, front = v.shape[:-2], list(range(v.ndim - 2))
+        f = v.reshape(lead + (3,) * n + (2,) * n).transpose(front + self._interleave)
+        r = left @ f.reshape(lead + (left.shape[1], -1)) @ right
+        r = r.reshape(lead + (2, 2) * n).transpose(front + self._split)
+        return r.reshape(lead + (d, d))
 
 
 @lru_cache(maxsize=None)

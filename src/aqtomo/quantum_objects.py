@@ -90,32 +90,36 @@ class Povm:
 
     ``elements`` is one read-only ``(K, d, d)`` stack, element ``i`` at
     index ``i``; any sequence of equal-shape matrices is accepted.
-    ``eigenvalues`` is the ``(K, d)`` stack of their ascending spectra that
-    validation computed.
+    ``eigenvalues`` is the ``(K, d)`` stack of their ascending spectra and
+    ``completeness_dev`` the ``max |sum_i P_i - I|`` that validation
+    computed, the sum taken in element order.
     """
 
     elements: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
+    completeness_dev: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes = {np.shape(e) for e in self.elements}
-        if not shapes:
+        try:
+            stack = np.asarray(self.elements, dtype=complex)
+        except ValueError:  # numpy refuses ragged elements
+            raise DimensionError("POVM elements must be equal-shape matrices") from None
+        if stack.size == 0:
             raise ValueError("a POVM needs at least one element")
-        if len(shapes) > 1 or len(shapes.pop()) != 2:
-            raise DimensionError("POVM elements must share one dimension")
+        if stack.ndim != 3:
+            raise DimensionError("POVM elements must be equal-shape matrices")
         # one stacked symmetrization and eigensolve, checked element by element
-        stack = hermitian_part(np.asarray(self.elements, dtype=complex))
+        stack = hermitian_part(stack)
         w = np.linalg.eigvalsh(stack)
         if np.min(w[:, 0]) < -PSD_ATOL:
             raise linalg.NotPSDError("POVM element is not PSD")
-        total = np.zeros_like(stack[0])
-        for e in stack:
-            total += e
-        if np.max(np.abs(total - np.eye(len(total)))) > COMPLETENESS_ATOL:
+        dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1]))))
+        if dev > COMPLETENESS_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
         stack.flags.writeable = False
         object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "completeness_dev", dev)
 
     @property
     def dim(self) -> int:
@@ -237,6 +241,13 @@ class BipartitePureState:
         inverse = kron(np.eye(self.dim_a), k)
         inverse.flags.writeable = False
         return inverse
+
+    @cached_property
+    def probe_inverse_adjoint(self) -> np.ndarray:
+        """Read-only adjoint of :attr:`probe_inverse`, also formed once."""
+        adjoint = dagger(self.probe_inverse)
+        adjoint.flags.writeable = False
+        return adjoint
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))

@@ -12,6 +12,7 @@ from aqtomo.estimators import (
     InformationIncompleteError,
     LrePlan,
     TomographyEstimate,
+    _split_shots,
     aapt_reconstruct,
     adaptive_aapt,
     adaptive_qdt,
@@ -28,6 +29,7 @@ from aqtomo.estimators import (
 )
 from aqtomo.linalg import (
     DimensionError,
+    dagger,
     eig_reconstruct,
     haar_unitary,
     hermitian_part,
@@ -518,6 +520,19 @@ def random_povm(gen, d, n_elements):
     return Povm(tuple(s_inv @ p @ s_inv for p in parts))
 
 
+class TestSplitShots:
+    def test_cached_read_only_int64_split(self):
+        split = _split_shots(1003, 36)
+        assert split.dtype == np.int64 and split.shape == (36,)
+        assert split.sum() == 1003
+        assert np.array_equal(split, [27] * 35 + [1003 - 27 * 35])
+        assert _split_shots(1003, 36) is split
+        with pytest.raises(ValueError):
+            split[0] = 0
+        few = _split_shots(5, 9)
+        assert few.sum() == 5 and np.array_equal(few[:-1], np.zeros(8))
+
+
 class TestQdt:
     def test_stage1_noiseless_exact(self):
         povm = three_valued_detector()
@@ -712,6 +727,16 @@ class TestAaptReconstruct:
         sigma = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(DegenerateInputError):
             aapt_reconstruct(sigma, product)
+
+    def test_output_is_exactly_hermitian(self):
+        # the stage-2 corrections take it as it is, with no second symmetrization
+        gen = SeededRng(80).generator()
+        for tp in (True, False):
+            ch = random_channel(gen, 2, 2, tp=tp)
+            probe = random_full_schmidt(gen, 2)
+            x0 = aapt_reconstruct(apply_extended_channel(ch, probe.density()), probe)
+            assert np.array_equal(x0, dagger(x0))
+            assert np.array_equal(hermitian_part(x0, check=False), x0)
 
 
 class TestAdaptiveAapt:

@@ -32,6 +32,7 @@ from aqtomo.experiments.targets import (
     load_target,
 )
 from aqtomo.linalg import DimensionError, NotPSDError
+from aqtomo.measurement import PauliCube
 from aqtomo.quantum_objects import DegenerateInputError
 
 CONFIG_TEXT = """
@@ -620,6 +621,40 @@ class TestScoringSolves:
         # validation of the output state and of the process matrix with its
         # partial trace, then one overlap each; constraint_dev solves nothing
         assert counts["eigvalsh"] == 5
+
+    @pytest.mark.parametrize("method,eigh", [("adaptive", 4), ("static", 2)])
+    def test_qdt_trial(self, monkeypatch, method, eigh):
+        cfg = ExperimentConfig(
+            "qdt", method, "qdt-three-valued", (1000, 4000, 16000), 2
+        )
+        harness.run_trial(cfg, 4000, 1, 0)
+        counts = {"eigh": 0, "eigvalsh": 0}
+        self._count(monkeypatch, counts)
+        assert harness.run_trial(cfg, 4000, 1, 1) is not None
+        # each step: one stacked PSD projection or eigenbasis solve, and one
+        # inv_sqrt; then the estimate's validation and one stacked overlap
+        assert counts == {"eigh": eigh, "eigvalsh": 2}
+
+
+class TestStackedDetectorTrial:
+    """A detector trial inverts its K click tables in one stacked call."""
+
+    @pytest.mark.parametrize("method", ["adaptive", "static"])
+    def test_one_cube_inversion_per_trial(self, monkeypatch, method):
+        cfg = ExperimentConfig(
+            "qdt", method, "qdt-three-valued", (1000, 4000, 16000), 2
+        )
+        harness.run_trial(cfg, 4000, 1, 0)
+        shapes = []
+        original = PauliCube.invert
+
+        def counted(self, values):
+            shapes.append(np.shape(values))
+            return original(self, values)
+
+        monkeypatch.setattr(PauliCube, "invert", counted)
+        assert harness.run_trial(cfg, 4000, 1, 1) is not None
+        assert shapes == [(3, 9, 4)]  # K = 3 elements, 3^2 settings, 2^2 outcomes
 
 
 class TestAaptKernels:

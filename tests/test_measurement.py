@@ -110,6 +110,24 @@ class TestPauliCube:
         assert table.shape == dense.shape == (3**n, 2**n)
         assert np.max(np.abs(table - dense)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_invert_equals_each_table_bit_for_bit(self, n):
+        cube, d, k = pauli_cube(n), 2**n, 4
+        tables = np.random.default_rng(40 + n).random((3**n, d, k))
+        tables /= tables.sum(axis=1, keepdims=True)
+        tables[:, :, 0] = np.round(tables[:, :, 0] * 3) / 3  # exact zeros and ties
+        want = [cube.invert(tables[..., i]) for i in range(k)]
+        moved = np.moveaxis(tables, -1, 0)
+        assert not moved.flags.c_contiguous
+        for stack in (moved, np.ascontiguousarray(moved), moved.reshape(2, 2, 3**n, d)):
+            got = cube.invert(stack)
+            assert got.shape == stack.shape[:-2] + (d, d)
+            for a, b in zip(got.reshape(k, d, d), want):
+                assert np.array_equal(a, b)
+                for part in ("real", "imag"):
+                    sign_a = np.signbit(getattr(a, part))
+                    assert np.array_equal(sign_a, np.signbit(getattr(b, part)))
+
     def test_shape_and_validation(self):
         cube = pauli_cube(3)
         assert len(cube) == 27 and cube.dim == 8

@@ -1,7 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from aqtomo.linalg import DimensionError, kron, partial_trace_1, partial_trace_2
+from aqtomo.linalg import (
+    DimensionError,
+    dagger,
+    haar_unitary,
+    kron,
+    partial_trace_1,
+    partial_trace_2,
+)
 from aqtomo.measurement import SeededRng
 from aqtomo.quantum_objects import (
     BipartitePureState,
@@ -107,6 +116,26 @@ class TestPovm:
             Povm((np.eye(2) / 2, np.eye(3) / 2))
         with pytest.raises(ValueError, match="at least one"):
             Povm(())
+        with pytest.raises(ValueError, match="at least one"):
+            Povm(np.zeros((0, 2, 2)))
+
+    def test_vectors_and_non_square_elements_rejected(self):
+        with pytest.raises(DimensionError):
+            Povm((np.array([0.5, 0.5]), np.array([0.5, 0.5])))
+        with pytest.raises(DimensionError):
+            Povm(np.eye(2))
+        with pytest.raises(DimensionError):
+            Povm(np.zeros((2, 2, 3)))
+
+    def test_completeness_dev_is_the_validated_read_only_deviation(self):
+        u = haar_unitary(3, SeededRng(42).generator())
+        povm = Povm(tuple(np.outer(u[:, j], u[:, j].conj()) for j in range(3)))
+        want = float(np.max(np.abs(sum(povm.elements) - np.eye(3))))
+        assert povm.completeness_dev == want and 0.0 < want < 1e-14
+        exact = Povm((np.diag([1.0, 0.25]), np.diag([0.0, 0.75])))
+        assert exact.completeness_dev == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            povm.completeness_dev = 0.0
 
 
 class TestKrausToProcess:
@@ -261,6 +290,13 @@ class TestProbeInverse:
         with pytest.raises(ValueError):
             inverse[0, 0] = 1.0
 
+    def test_adjoint_is_cached_read_only(self):
+        state = maximally_entangled_input(3)
+        adjoint = state.probe_inverse_adjoint
+        assert np.array_equal(adjoint, dagger(state.probe_inverse))
+        assert state.probe_inverse_adjoint is adjoint
+        assert not adjoint.flags.writeable
+
     def test_product_state_rejected(self):
         state = BipartitePureState(np.array([1.0, 0, 0, 0]), 2, 2)
         with pytest.raises(DegenerateInputError):
@@ -292,7 +328,6 @@ class TestBornProbabilities:
 
     def test_three_valued_detector_complete_on_random_pure_state(self):
         from aqtomo.experiments.targets import builtin_target
-        from aqtomo.linalg import haar_unitary
 
         detector = builtin_target("qdt-three-valued").povm
         psi = haar_unitary(4, SeededRng(30).generator())[:, 0]
