@@ -33,6 +33,7 @@ from . import linalg
 from .linalg import (
     INV_SQRT_FLOOR,
     DimensionError,
+    _eig_product,
     _eigh,
     dagger,
     eig_reconstruct,
@@ -109,7 +110,7 @@ class LrePlan:
             )
         rho = self.cube.invert(freqs.values)
         if self.constrain_trace:
-            rho.flat[:: d + 1] += (trace_value - np.trace(rho).real) / d
+            rho.flat[:: d + 1] += (trace_value - rho.trace().real) / d
         return rho
 
 
@@ -126,23 +127,22 @@ def physical_projection_fast(h: np.ndarray) -> DensityMatrix:
     non-negative.  Equivalent to the Euclidean projection of the eigenvalue
     vector onto the probability simplex; the trace is preserved exactly.
     """
-    tr = float(np.trace(np.asarray(h)).real)
+    tr = float(np.asarray(h).trace().real)
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"projection expects unit trace, got {tr}")
     w, v = hermitian_eig(h)
     lam = project_eigenvalues_simplex(w)
-    return DensityMatrix(eig_reconstruct(lam, v))
+    return DensityMatrix(_eig_product(lam, v))  # validation symmetrizes the product
 
 
 def project_eigenvalues_simplex(w: np.ndarray) -> np.ndarray:
     """Project a non-increasing eigenvalue vector onto {x >= 0, sum fixed}."""
-    d = w.shape[0]
-    total = float(w.sum())
-    cumulative = np.cumsum(w)
-    lam = np.zeros(d)
-    for k in range(d, 0, -1):
+    total = float(np.add.reduce(w))
+    cumulative, values = w.cumsum().tolist(), w.tolist()
+    lam = np.zeros(len(values))
+    for k in range(len(values), 0, -1):
         shift = (total - cumulative[k - 1]) / k
-        if w[k - 1] + shift >= 0.0:
+        if values[k - 1] + shift >= 0.0:
             lam[:k] = w[:k] + shift
             break
     return lam
@@ -198,7 +198,7 @@ def _two_step_state(sampler, n_total, alpha, rng, sub_unit: bool):
     lam = frequencies(sampler.basis_counts(u, n_total - n0, gen)).values[0]
     if sub_unit and lam.sum() <= 0.0:
         raise EstimationError("every adaptive-step outcome fell in the null bin")
-    return DensityMatrix(eig_reconstruct(lam, u), sub_unit=sub_unit)
+    return DensityMatrix(_eig_product(lam, u), sub_unit=sub_unit)
 
 
 def adaptive_qst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
@@ -443,7 +443,7 @@ def nonadaptive_aapt(
         if kept_sum <= 0.0:
             raise EstimationError("no positive eigenvalue mass to rescale")
         lam = np.where(keep, w, 0.0) * (known_trace / kept_sum)
-        sigma_hat = DensityMatrix(eig_reconstruct(lam, v), sub_unit=True)
+        sigma_hat = DensityMatrix(_eig_product(lam, v), sub_unit=True)
     return _process_estimate(sigma_hat, input_state, tp_flag, n_total)
 
 

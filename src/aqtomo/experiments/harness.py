@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures as futures
 import logging
+import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -178,11 +179,12 @@ def _score(hat: np.ndarray, eigs: np.ndarray, truth, scenario, rank):
 
 
 def _metrics(hat, true, f, f_dp, eigs, rank) -> dict:
+    diff = (hat - true).ravel()  # np.linalg.norm's arithmetic: sqrt(re.re + im.im)
     return {
         "infidelity": 1.0 - f,
         "infidelity_dp": 1.0 - f_dp,
-        "mse": float(np.linalg.norm(hat - true) ** 2),
-        "tail_eigensum": float(np.sum(eigs[::-1][rank:])),
+        "mse": math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) ** 2,
+        "tail_eigensum": float(np.add.reduce(eigs[::-1][rank:])),
         "constraint_dev": max(0.0, -float(eigs[0])),
     }
 

@@ -84,16 +84,18 @@ class Truth(NamedTuple):
     Uhlmann fidelity is symmetric, so every overlap here roots the truth;
     a caller that scores many estimates against one truth builds this once
     (``Truth.of``) and pays one small ``eigvalsh`` per scored estimate.
+    ``traces`` lists the trace of each matrix, also formed once.
     """
 
     mat: np.ndarray
     root: np.ndarray
+    traces: list
 
     @classmethod
     def of(cls, s: np.ndarray) -> "Truth":
         """Root ``s``; raises ``NotPSDError`` for a non-PSD truth."""
         s = np.asarray(s, dtype=complex)
-        return cls(s, matrix_sqrt(s))
+        return cls(s, matrix_sqrt(s), s.trace(0, -2, -1).real.reshape(-1).tolist())
 
 
 def _spectrum(a: np.ndarray):
@@ -111,16 +113,21 @@ def _overlap_root(a: np.ndarray, spectrum: np.ndarray, root_b: np.ndarray):
     ``root_b`` is the square root of the truth.  Inner eigenvalues below
     machine precision relative to the largest are exact zeros up to
     roundoff; taking their square roots would inject O(sqrt(eps)) bias, so
-    they are dropped.
+    they are dropped.  The checks of a single pair read Python floats.
     """
     if _any_true(spectrum[..., 0] < -linalg.PSD_FAIL_RTOL * _sq_norms(a) ** 0.5):
         raise linalg.NotPSDError("fidelity operand is not PSD")
     w = np.linalg.eigvalsh(root_b @ a @ root_b)
-    top = np.maximum(w[..., -1:], 0.0)
-    if _any_true(w[..., :1] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)):
+    if w.ndim == 1:  # one pair: its extremes as Python floats
+        top = max(float(w[-1]), 0.0)
+        bad = w[0] < _UHLMANN_EIG_SLOP * max(1.0, top)
+    else:
+        top = np.maximum(w[..., -1:], 0.0)
+        bad = (w[..., :1] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)).any()
+    if bad:
         raise linalg.NotPSDError("fidelity operand is not PSD")
     cutoff = w.shape[-1] * _EPS * top
-    return np.sqrt(np.where(w > cutoff, w, 0.0)).sum(axis=-1)
+    return np.add.reduce(np.sqrt(np.where(w > cutoff, w, 0.0)), -1)
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -143,13 +150,13 @@ def _dp_terms(hat_s, spectrum, truth: Truth, d: int, unit_trace=False) -> list:
     s = truth.mat
     if hat_s.shape != s.shape:
         raise DimensionError("estimate and truth shapes differ")
-    tr_hat, tr_s, tr_diff = (
-        np.trace(m, axis1=-2, axis2=-1).real.reshape(-1).tolist()
-        for m in (hat_s, s, s - hat_s)
-    )
-    if unit_trace and max(abs(t - 1.0) for t in tr_hat + tr_s) > 1e-6:
+    tr_hat, tr_s = hat_s.trace(0, -2, -1).real.reshape(-1).tolist(), truth.traces
+    # Tr(s - hat_s) sums the differences of the diagonals, as np.trace does
+    diff = np.add.reduce(s.diagonal(0, -2, -1) - hat_s.diagonal(0, -2, -1), -1)
+    tr_diff, traces = diff.real.reshape(-1).tolist(), tr_hat + tr_s
+    if unit_trace and max(max(traces) - 1.0, 1.0 - min(traces)) > 1e-6:
         raise ValueError("state-scenario fidelity needs unit traces")
-    if min(tr_hat + tr_s) <= 0.0:
+    if min(traces) <= 0.0:
         raise ValueError("fidelity_dp needs positive traces")
     roots = _overlap_root(hat_s, spectrum, truth.root).reshape(-1).tolist()
     return [

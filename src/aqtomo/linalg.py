@@ -86,7 +86,8 @@ def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
     stack ``(..., d, d)``, each of whose matrices is checked on its own.
     """
     m = _require_square(m, stack=True)
-    sym = (m + dagger(m)) / 2.0
+    sym = m + dagger(m)
+    sym /= 2.0
     if check:
         # fails if ||m - sym||^2 > tol^2 max(||m||^2, 1); the stack's total bounds each
         diff, tol2 = m - sym, HERMITICITY_FAIL_RTOL**2
@@ -113,15 +114,17 @@ def hermitian_eig(m: np.ndarray) -> HermitianEig:
     The input is symmetrized first; degenerate eigenspaces come back with an
     arbitrary orthonormal basis (callers must not rely on a particular one).
     """
-    if np.ndim(m) != 2:
-        raise DimensionError(f"expected a square matrix, got shape {np.shape(m)}")
-    return _eigh(m)
+    return _eigh(_require_square(m))
+
+
+def _eig_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v diag(w) v^dag`` before :func:`eig_reconstruct` symmetrizes it."""
+    return (v * w[..., None, :]) @ dagger(v)
 
 
 def eig_reconstruct(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Assemble ``v diag(w) v^dag``, symmetrized, for one matrix or a stack."""
-    out = (v * w[..., None, :]) @ dagger(v)
-    return (out + dagger(out)) / 2.0
+    return hermitian_part(_eig_product(w, v), check=False)
 
 
 def _psd_eigenvalues(m: np.ndarray, op: str) -> HermitianEig:

@@ -71,33 +71,35 @@ class Frequencies(NamedTuple):
 def frequencies(counts) -> Frequencies:
     """Frequencies of an oracle's ``(S, K+1)`` counts (null column last).
 
-    Each row is divided by its total, which is the setting's shot count.
+    Each row is divided by its total, the setting's shot count (inf if zero).
     """
     counts = np.asarray(counts)
-    shots = counts.sum(axis=1, keepdims=True)
-    values = np.zeros((counts.shape[0], counts.shape[1] - 1))
-    np.divide(counts[:, :-1], shots, out=values, where=shots > 0)
-    return Frequencies(values, shots[:, 0] > 0)
+    shots = np.add.reduce(counts, 1, keepdims=True)
+    drawn = shots > 0
+    values = counts[:, :-1] / np.where(drawn, shots, np.inf)
+    return Frequencies(values, drawn[:, 0])
 
 
 def outcome_table(probs) -> np.ndarray:
     """Multinomial table ``(..., K+1)`` of outcome probabilities ``(..., K)``.
 
     Each row may sum to less than 1; the residual mass goes to an appended
-    null outcome.  Rows overshooting 1 by float noise (up to 1e-9) are
-    renormalized; larger violations are rejected.
+    null outcome.  Entries below 0 and rows above 1 by float noise (up to
+    1e-9 each) are clamped and renormalized, larger violations rejected: one
+    reduction each reads the smallest entry, the row sums and their largest.
     """
     p = np.asarray(probs, dtype=float)
-    if (p < -1e-9).any():
-        raise ValueError(f"negative probability {p.min()}")
-    p = np.clip(p, 0.0, None)
-    total = p.sum(axis=-1, keepdims=True)
-    if (total > 1.0 + 1e-9).any():
-        raise ValueError(f"probabilities sum to {total.max()} > 1")
-    over = total > 1.0  # 1e-9-level float overshoot only
-    if over.any():
-        p = np.where(over, p / total, p)
-        total = np.where(over, 1.0, total)
+    low = np.minimum.reduce(p, None, initial=0.0)
+    if low < -1e-9:
+        raise ValueError(f"negative probability {low}")
+    if low < 0.0:
+        p = np.maximum(p, 0.0)
+    total = np.add.reduce(p, -1, keepdims=True)
+    high = np.maximum.reduce(total, None, initial=1.0)
+    if high > 1.0 + 1e-9:
+        raise ValueError(f"probabilities sum to {high} > 1")
+    if high > 1.0:  # 1e-9-level float overshoot only; the null mass is 0 there
+        p = p / np.where(total > 1.0, total, 1.0)
     return np.concatenate((p, np.maximum(1.0 - total, 0.0)), axis=-1)
 
 
@@ -106,12 +108,16 @@ def draw_counts(table, shots, rng) -> np.ndarray:
 
     ``shots`` gives one count per row.  Rows are drawn in order and a
     zero-shot row consumes no randomness, so the result and the generator
-    state afterwards equal those of one draw per row.
+    state afterwards equal those of one draw per row.  A single row takes
+    numpy's one-vector path, which draws the same counts several times faster.
     """
-    shots = np.asarray(shots, dtype=np.int64)
-    if shots.shape != np.shape(table)[:-1]:
+    table, shots = np.asarray(table), np.asarray(shots, dtype=np.int64)
+    if shots.shape != table.shape[:-1]:
         raise DimensionError("one shot count per outcome-table row is required")
-    return as_generator(rng).multinomial(shots, table)
+    gen = as_generator(rng)
+    if shots.size == 1:
+        return gen.multinomial(shots.item(), table.ravel()).reshape(table.shape)
+    return gen.multinomial(shots, table)
 
 
 def sample_counts(probs, shots: int, rng) -> np.ndarray:
@@ -229,11 +235,12 @@ def _basis_probabilities(us, mats) -> np.ndarray:
     d = mats.shape[-1]
     if us.ndim < 2 or us.shape[-2:] != (d, d):
         raise DimensionError("measurement bases must be d x d matrices")
-    gram = us.conj().swapaxes(-1, -2) @ us
-    if np.max(np.abs(gram - np.eye(d))) > COMPLETENESS_ATOL:
+    conj = us.conj()
+    gram = conj.swapaxes(-1, -2) @ us
+    gram.reshape(gram.shape[:-2] + (d * d,))[..., :: d + 1] -= 1.0  # U^dag U - I
+    if np.maximum.reduce(np.abs(gram), None) > COMPLETENESS_ATOL:
         raise ValueError("measurement basis is not unitary")
-    p = np.einsum("...ij,...ij->...j", us.conj(), mats @ us).real
-    return np.clip(p, 0.0, 1.0)
+    return np.einsum("...ij,...ij->...j", conj, mats @ us).real.clip(0.0, 1.0)
 
 
 class _Oracle:
@@ -270,7 +277,7 @@ class _Oracle:
     def basis_counts(self, us, shots: int, rng) -> np.ndarray:
         """Counts of ``shots`` draws of every row of ``basis_table(us)``."""
         table = self.basis_table(us)
-        return draw_counts(table, np.full(len(table), shots), rng)
+        return draw_counts(table, [shots] * len(table), rng)
 
 
 class StateOracle(_Oracle):
@@ -293,7 +300,8 @@ class StateOracle(_Oracle):
 
         Outcome ``j`` has probability ``(U^dag rho U)_jj``.
         """
-        if np.ndim(u) != 2:
+        u = np.asarray(u)
+        if u.ndim != 2:
             raise DimensionError("measurement basis must be a d x d matrix")
         return outcome_table(_basis_probabilities(u, self.rho.mat)[None])
 

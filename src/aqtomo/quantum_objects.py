@@ -46,20 +46,21 @@ class DegenerateInputError(ValueError):
 class DensityMatrix:
     """A PSD operator with unit trace, or sub-unit trace for pseudo-states.
 
-    ``eigenvalues`` is the ascending spectrum of ``mat`` that validation
-    computed.
+    ``eigenvalues`` is the ascending spectrum of ``mat`` and ``trace`` its
+    real trace, both as validation computed them.
     """
 
     mat: np.ndarray
     sub_unit: bool = False
     eigenvalues: np.ndarray = field(init=False, repr=False)
+    trace: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = hermitian_part(np.asarray(self.mat, dtype=complex))
+        mat = hermitian_part(self.mat)
         w = np.linalg.eigvalsh(mat)
         if w[0] < -PSD_ATOL:
             raise linalg.NotPSDError(f"density matrix eigenvalue {w[0]:.3e} < 0")
-        tr = float(np.trace(mat).real)
+        tr = float(mat.trace().real)
         if self.sub_unit:
             if not (0.0 < tr <= 1.0 + TRACE_ATOL):
                 raise ValueError(f"pseudo-state trace {tr} outside (0, 1]")
@@ -67,14 +68,11 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {tr} != 1")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "trace", tr)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
 
 
 def pure_state(psi: np.ndarray) -> DensityMatrix:

@@ -7,7 +7,9 @@ each, Born probabilities ``Tr(P_i rho)``, pure probe states from unit rows,
 and the counts of an arbitrary sequence of POVMs drawn with one multinomial.
 
 The library's Uhlmann overlap roots the truth once; ``estimate_rooted_overlap``
-keeps the route that roots the estimate on every call.
+keeps the route that roots the estimate on every call.  ``reference_outcome_table``
+keeps the outcome-table formula that checks, clips and sums in separate passes,
+and ``reference_frequencies`` the masked division of counts by their row sums.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from functools import lru_cache
 import numpy as np
 
 from aqtomo.linalg import DimensionError, hermitian_eig, hermitian_part, matrix_sqrt
-from aqtomo.measurement import SIGMA_X, SIGMA_Y, SIGMA_Z, draw_counts, outcome_table
+from aqtomo.measurement import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Frequencies,
+    draw_counts,
+    outcome_table,
+)
 from aqtomo.quantum_objects import TRACE_ATOL, DensityMatrix, Povm
 
 
@@ -111,3 +120,31 @@ def estimate_rooted_overlap(a, b) -> float:
         raise ValueError("fidelity operand is not PSD")
     cutoff = len(w) * np.finfo(float).eps * top
     return float(np.sqrt(np.where(w > cutoff, w, 0.0)).sum())
+
+
+def reference_outcome_table(probs) -> np.ndarray:
+    """The outcome table by separate passes: reject entries below -1e-9, clip
+    at 0, reject row sums above 1 + 1e-9, renormalize the rows above 1, then
+    append the null column.  A zero row beside an overshooting one divides 0
+    by 0 before ``np.where`` drops it, which numpy reports as invalid."""
+    p = np.asarray(probs, dtype=float)
+    if (p < -1e-9).any():
+        raise ValueError(f"negative probability {p.min()}")
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=-1, keepdims=True)
+    if (total > 1.0 + 1e-9).any():
+        raise ValueError(f"probabilities sum to {total.max()} > 1")
+    over = total > 1.0
+    if over.any():
+        p = np.where(over, p / total, p)
+        total = np.where(over, 1.0, total)
+    return np.concatenate((p, np.maximum(1.0 - total, 0.0)), axis=-1)
+
+
+def reference_frequencies(counts) -> Frequencies:
+    """Frequencies by a masked division: a row with no shots stays zero."""
+    counts = np.asarray(counts)
+    shots = counts.sum(axis=1, keepdims=True)
+    values = np.zeros((counts.shape[0], counts.shape[1] - 1))
+    np.divide(counts[:, :-1], shots, out=values, where=shots > 0)
+    return Frequencies(values, shots[:, 0] > 0)

@@ -35,6 +35,10 @@ from aqtomo.linalg import DimensionError, NotPSDError
 from aqtomo.measurement import PauliCube
 from aqtomo.quantum_objects import DegenerateInputError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# child interpreters import the package from this checkout, as the tests do
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+
 CONFIG_TEXT = """
 # demo config
 task = qst
@@ -588,6 +592,15 @@ class TestScoringSolves:
         # the protocol's eigenbasis, the estimate's validation, the overlap
         assert counts == {"eigh": 1, "eigvalsh": 2}
 
+    def test_static_qst_trial(self, monkeypatch):
+        cfg = ExperimentConfig("qst", "static", "qst-rank1-8d", (1000, 4000, 16000), 2)
+        harness.run_trial(cfg, 4000, 1, 0)
+        counts = {"eigh": 0, "eigvalsh": 0}
+        self._count(monkeypatch, counts)
+        assert harness.run_trial(cfg, 4000, 1, 1) is not None
+        # the projection's eigenbasis, the estimate's validation, the overlap
+        assert counts == {"eigh": 1, "eigvalsh": 2}
+
     def test_adaptive_aapt_scoring_takes_no_eigh(self, monkeypatch):
         cfg = ExperimentConfig(
             "aapt", "adaptive", "aapt-hadamard", (400, 1600, 6400), 2
@@ -634,6 +647,21 @@ class TestScoringSolves:
         # each step: one stacked PSD projection or eigenbasis solve, and one
         # inv_sqrt; then the estimate's validation and one stacked overlap
         assert counts == {"eigh": eigh, "eigvalsh": 2}
+
+
+class TestMetricArithmetic:
+    """The scorer's MSE and tail sum equal their numpy formulas bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 64])
+    def test_mse_is_the_squared_norm(self, d):
+        gen = np.random.default_rng(d)
+        for rank in (1, d // 2):
+            re, im = gen.standard_normal((2, 2, d, d))
+            hat, true = re + 1j * im
+            eigs = np.linalg.eigvalsh(hat + hat.conj().T)
+            metrics = harness._metrics(hat, true, 0.5, 0.5, eigs, rank)
+            assert metrics["mse"] == float(np.linalg.norm(hat - true) ** 2)
+            assert metrics["tail_eigensum"] == float(np.sum(eigs[::-1][rank:]))
 
 
 class TestStackedDetectorTrial:
@@ -689,7 +717,11 @@ class TestImports:
             "& set(sys.modules)))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=CHILD_ENV,
         )
         assert proc.stdout.strip() == "[]"
 
@@ -797,6 +829,7 @@ def run_cli(*args, text=True):
         [sys.executable, "-m", "aqtomo.experiments.cli", *args],
         capture_output=True,
         text=text,
+        env=CHILD_ENV,
     )
 
 

@@ -8,6 +8,7 @@ from aqtomo.experiments.targets import QdtTarget, QstTarget
 from aqtomo.fidelity import (
     FidelityScenario,
     Truth,
+    _dp_terms,
     detector_fidelity_h,
     detector_scenario,
     fidelity,
@@ -180,6 +181,31 @@ class TestTruthRootedCore:
             state_fidelity(I2 / 2, np.diag([1.0, -0.5]))
         with pytest.raises(NotPSDError):
             fidelity_and_dp(I2 / 2, np.diag([1.0, -0.5]), detector_scenario(2))
+
+
+class TestTraces:
+    """The truth's traces are formed once, and the trace-mismatch term sums
+    the differences of the diagonals; each equals ``np.trace`` bit for bit."""
+
+    def test_truth_of_fills_the_traces(self):
+        gen = SeededRng(131).generator()
+        rho = random_density(gen, 4)
+        assert Truth.of(rho).traces == [float(np.trace(rho).real)]
+        stack = np.stack([random_element(gen, 4, 0.3) for _ in range(3)])
+        assert Truth.of(stack).traces == [float(np.trace(m).real) for m in stack]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 64])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_mismatch_term_is_the_trace_of_the_difference(self, d, k):
+        gen = SeededRng(132, d).generator()
+        count = 1 if k is None else k
+        hat = np.stack([random_density(gen, d) for _ in range(count)])
+        true = np.stack([random_density(gen, d) for _ in range(count)])
+        if k is None:
+            hat, true = hat[0], true[0]
+        terms = _dp_terms(hat, np.linalg.eigvalsh(hat), Truth.of(true), d)
+        want = np.trace(true - hat, axis1=-2, axis2=-1).real.reshape(-1).tolist()
+        assert [mismatch for _, mismatch in terms] == [t**2 / d**2 for t in want]
 
 
 class TestStackedOverlap:

@@ -7,6 +7,7 @@ in product form.  The bands are the acceptance suite's.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -53,8 +54,12 @@ print(json.dumps(out))
 def test_eight_qubit_rank1_qst_in_its_own_process():
     # a fresh process, so that its peak resident set is this run's alone
     tick = time.perf_counter()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _EIGHT_QUBITS], capture_output=True, text=True
+        [sys.executable, "-c", _EIGHT_QUBITS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
     )
     assert proc.returncode == 0, proc.stderr
     assert time.perf_counter() - tick < 60.0

@@ -24,6 +24,8 @@ from dense_reference import (
     cube_povm,
     dense_counts,
     pure_probe_states,
+    reference_frequencies,
+    reference_outcome_table,
     unit_rows,
 )
 from test_estimators import random_povm, random_pseudo_state
@@ -70,6 +72,86 @@ class TestSampleCounts:
         c = sample_counts([0.2, 0.3, 0.5], 1000, SeededRng(7, 10))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def edge_table(gen, kinds, outcomes):
+    """A seeded probability table with one row per entry of ``kinds``.
+
+    A ``plain`` row sums to at most 1; a ``negative`` row also holds entries
+    in [-1e-9, 0); an ``overshoot`` row sums into (1, 1 + 1e-9]; a ``zero``
+    row is all zeros.
+    """
+    table = gen.dirichlet(np.ones(outcomes), size=len(kinds))
+    table *= gen.uniform(0.5, 1.0, (len(kinds), 1))
+    for row, kind in zip(table, kinds):
+        if kind == "negative":
+            picked = gen.random(outcomes) < 0.5
+            row[picked] = -1e-9 * gen.uniform(1e-3, 1.0, picked.sum())
+        elif kind == "overshoot":
+            row *= (1.0 + gen.uniform(0.05, 0.95) * 1e-9) / row.sum()
+            assert 1.0 < row.sum() <= 1.0 + 1e-9
+        elif kind == "zero":
+            row[:] = 0.0
+    return table
+
+
+class TestOutcomeTable:
+    """One pass of checks gives the table of the separate-pass reference."""
+
+    KINDS = ("plain", "negative", "overshoot", "zero")
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("outcomes", [2, 3, 8])
+    def test_edge_rows_equal_the_reference_bit_for_bit(self, seed, outcomes):
+        gen = np.random.default_rng(seed)
+        for kinds in [(kind,) for kind in self.KINDS] + [self.KINDS * 3]:
+            table = edge_table(gen, kinds, outcomes)
+            got = outcome_table(table)
+            with np.errstate(invalid="ignore"):
+                want = reference_outcome_table(table)
+            assert got.tobytes() == want.tobytes()
+            clipped = np.maximum(table, 0.0)
+            total = clipped.sum(axis=1)
+            over = total > 1.0
+            # only the overshooting rows are renormalized, and lose their null mass
+            assert np.array_equal(got[~over, :-1], clipped[~over])
+            assert np.array_equal(got[over, :-1], clipped[over] / total[over, None])
+            assert np.all(got[over, -1] == 0.0)
+            assert over.tolist() == [kind == "overshoot" for kind in kinds]
+
+    def test_a_one_setting_vector_equals_the_reference(self):
+        gen = np.random.default_rng(7)
+        for kind in self.KINDS:
+            probs = edge_table(gen, (kind,), 5)[0]
+            got = outcome_table(probs)
+            assert got.shape == (6,)
+            assert got.tobytes() == reference_outcome_table(probs).tobytes()
+
+    @pytest.mark.parametrize("settings", [1, 5])
+    def test_violations_beyond_the_float_noise_are_rejected(self, settings):
+        gen = np.random.default_rng(settings)
+        table = edge_table(gen, ("plain",) * settings, 4)
+        negative = table.copy()
+        negative[-1, 0] = -2e-9 * 1.25
+        excess = table.copy()
+        excess[-1] *= (1.0 + 2e-9 * 1.5) / excess[-1].sum()
+        for bad in (negative, excess):
+            with pytest.raises(ValueError):
+                reference_outcome_table(bad)
+            with pytest.raises(ValueError):
+                outcome_table(bad)
+
+
+class TestFrequencies:
+    def test_counts_and_exact_tables_equal_the_masked_division(self):
+        gen = np.random.default_rng(5)
+        counts = gen.multinomial(np.array([0, 7, 0, 1000, 3]), np.full(4, 0.25))
+        table = outcome_table(0.8 * gen.dirichlet(np.ones(3), size=4))
+        table[1] = 0.0  # an exact oracle passes probabilities, zero rows too
+        for rows in (counts, table):
+            got, want = frequencies(rows), reference_frequencies(rows)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.mask.tolist() == want.mask.tolist()
 
 
 class TestCubePovm:
@@ -388,6 +470,17 @@ class TestBatchedDraws:
         assert np.array_equal(counts[:, :-1], np.stack(serial))
         assert np.array_equal(counts.sum(axis=1), shots)
         assert _generator_state(batched_gen) == _generator_state(serial_gen)
+
+    @pytest.mark.parametrize("shots", [0, 1, 9, 10**6])
+    def test_one_row_equals_numpy_batched_draw(self, shots):
+        probs = 0.9 * np.random.default_rng(3).dirichlet(np.ones(5))
+        table = outcome_table(probs[None])
+        batched_gen, gen = np.random.default_rng(11), np.random.default_rng(11)
+        want = batched_gen.multinomial(np.array([shots]), table)
+        got = draw_counts(table, [shots], gen)
+        assert got.shape == want.shape == (1, 6)
+        assert np.array_equal(got, want)
+        assert _generator_state(gen) == _generator_state(batched_gen)
 
     def test_shot_vector_must_match_the_rows(self):
         table = outcome_table(np.full((3, 2), 0.25))

@@ -88,6 +88,20 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.zeros((2, 2)), sub_unit=True)
 
+    @pytest.mark.parametrize("sub_unit,scale", [(False, 1.0), (True, 0.7)])
+    def test_trace_is_the_validated_read_only_value(self, sub_unit, scale):
+        gen = SeededRng(160, int(sub_unit)).generator()
+        for d in (2, 3, 8):
+            m = scale * random_density(gen, d).mat
+            rho = DensityMatrix(m, sub_unit=sub_unit)
+            assert type(rho.trace) is float
+            assert rho.trace == float(np.trace(rho.mat).real)
+            assert rho.trace == float(np.trace(m).real)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rho.trace = 1.0
+        with pytest.raises(TypeError):
+            DensityMatrix(m, sub_unit, trace=1.0)
+
 
 class TestPovm:
     def test_completeness_enforced(self):
