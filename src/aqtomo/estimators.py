@@ -2,23 +2,23 @@
 the two-step adaptive state/detector protocols, process-matrix corrections,
 and the three-step adaptive ancilla-assisted process tomography pipeline.
 
-The adaptive protocols share one idea: a first pass buys an accurate
-eigenbasis, a second pass measures in (or probes with) that eigenbasis so the
-estimated eigenvalues are plain outcome frequencies.  Frequencies of
-near-zero-probability outcomes concentrate at O(1/N) instead of the O(1/sqrt N)
-floor of generic estimators, which is what moves the infidelity from
-O(1/sqrt N) to O(1/N) on rank-deficient targets.
+Every protocol's first step is one function, :func:`_stage1`: it spends its
+copies on the oracle's Pauli cube (``oracle.cube``) in one draw and solves
+it by the cube's closed-form linear inversion (:meth:`PauliCube.invert`).  A
+state or pseudo-state is measured in the cube's ``3^n`` settings; a detector
+is probed with its ``6^n`` product eigenstates, whose click table of element
+``P_i`` is the cube's Born table of ``P_i``.  Either way the estimate is one
+``(K, d, d)`` stack (``K = 1`` for a state); a static protocol keeps it.
 
-Every protocol reads its dimensions, and a detector its element count, from
-its oracle.  Every first pass spends its copies on the oracle's Pauli cube
-(``oracle.cube``) and solves it by the cube's closed-form linear inversion
-(:meth:`PauliCube.invert`): a state is measured in the cube's ``3^n``
-settings, and a detector is probed with its ``6^n`` product eigenstates,
-whose click table of element ``P_i`` is the cube's Born table of ``P_i``.
-No design matrix, rank check or pseudo-inverse is built.  A detector's
-elements travel as one ``(K, d, d)`` stack: one PSD projection, one
-renormalization and one eigensolve per step, and the adaptive step probes
-with the columns of the stacked eigenbases.
+The adaptive protocols share one core, :func:`_two_step`: step 1 buys an
+accurate eigenbasis (one stacked eigensolve of the stage-1 stack), step 2
+measures in (or probes with) those eigenbases so the estimated eigenvalues
+are plain outcome frequencies.  Frequencies of near-zero-probability
+outcomes concentrate at O(1/N) instead of the O(1/sqrt N) floor of generic
+estimators, which is what moves the infidelity from O(1/sqrt N) to O(1/N)
+on rank-deficient targets.  Each protocol then applies only its own last
+step: a state, a pseudo-state or a renormalized POVM from the eigenvalues,
+and for AAPT the pull-back through the entangled input.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .linalg import (
     partial_trace_1,
     project_psd,
 )
-from .measurement import Frequencies, PauliCube, frequencies
+from .measurement import DetectorOracle, Frequencies, PauliCube, frequencies
 from .quantum_objects import (
     BipartitePureState,
     DensityMatrix,
@@ -149,7 +149,7 @@ def project_eigenvalues_simplex(w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Two-step adaptive quantum state tomography
+# The shared core (static step 1, the adaptive two steps) and state tomography
 # ---------------------------------------------------------------------------
 
 
@@ -161,16 +161,17 @@ def _split_shots(total: int, parts: int) -> np.ndarray:  # read-only int64
     return out
 
 
-def _cube_frequencies(oracle, shots: int, gen) -> Frequencies:
-    """Split ``shots`` over the oracle's cube settings or probes, drawn at once."""
-    split = _split_shots(shots, len(oracle.table()))
-    return frequencies(oracle.counts(split, gen))
+def _stage1(oracle, shots: int, gen, constrain_trace: bool = True) -> np.ndarray:
+    """Step 1: ``shots`` copies split over the oracle's cube, drawn at once.
 
-
-def _cube_solve(sampler, shots: int, gen, constrain_trace) -> np.ndarray:
-    """Least-squares estimate from ``shots`` copies spent on the sampler's cube."""
-    plan = LrePlan(sampler.cube, bool(constrain_trace))
-    return plan.solve(_cube_frequencies(sampler, shots, gen))
+    Returns the ``(K, d, d)`` static estimate: a state's least-squares fit
+    (``K = 1``, trace pinned to one if ``constrain_trace``) or a detector's
+    :func:`qdt_stage1` element stack.
+    """
+    freqs = frequencies(oracle.counts(_split_shots(shots, len(oracle.table())), gen))
+    if isinstance(oracle, DetectorOracle):
+        return qdt_stage1(freqs, oracle.cube)
+    return LrePlan(oracle.cube, constrain_trace).solve(freqs)[None]
 
 
 def _check_alpha(n_total: int, alpha: float) -> int:
@@ -182,23 +183,32 @@ def _check_alpha(n_total: int, alpha: float) -> int:
     return n0
 
 
-def _two_step_state(sampler, n_total, alpha, rng, sub_unit: bool):
-    """The two-step state core: buy an eigenbasis, then count in it.
+def _two_step(oracle, n_total, alpha, rng, constrain_trace: bool = True):
+    """The adaptive core: buy an eigenbasis, then count in it.
 
-    Step 1 spends ``floor(alpha * N)`` copies on the Pauli cube and a
-    least-squares fit (trace-constrained unless ``sub_unit``), used only for
-    its eigenbasis.  Step 2 measures that eigenbasis with the remaining copies
-    and adopts the outcome frequencies as eigenvalues; a pseudo-state's null
-    outcome absorbs its missing mass.
+    Step 1 is :func:`_stage1` with ``floor(alpha * N)`` copies, used only for
+    its eigenbases.  Step 2 measures a state's one basis with every remaining
+    copy, or probes every column of a detector's ``K`` bases with equal
+    shares (``extras``: ``step2_per_probe``, ``unused_shots``).  Returns
+    ``(lam, bases, extras)``; ``lam[i, j]`` is the step-2 frequency of
+    outcome ``j`` of a state (``K = 1``), or of element ``i`` on probe ``(i, j)``.
     """
     n0 = _check_alpha(n_total, alpha)
     gen = linalg.as_generator(rng)
-    rho_tilde = _cube_solve(sampler, n0, gen, constrain_trace=not sub_unit)
-    u = hermitian_eig(rho_tilde).eigenvectors
-    lam = frequencies(sampler.basis_counts(u, n_total - n0, gen)).values[0]
-    if sub_unit and lam.sum() <= 0.0:
-        raise EstimationError("every adaptive-step outcome fell in the null bin")
-    return DensityMatrix(_eig_product(lam, u), sub_unit=sub_unit)
+    stage1 = _stage1(oracle, n0, gen, constrain_trace)
+    k, d = stage1.shape[:2]
+    detector = isinstance(oracle, DetectorOracle)
+    shots, extras = n_total - n0, {}
+    if detector:
+        shots = extras["step2_per_probe"] = shots // (k * d)
+        if shots < 1:
+            raise EstimationError("step-2 budget is below one shot per adaptive probe")
+        extras["unused_shots"] = n_total - n0 - shots * k * d
+    bases = _eigh(stage1).eigenvectors
+    counts = oracle.basis_counts(bases if detector else bases[0], shots, gen)
+    # probe (i, j) is eigenvector j of element i, in row i * d + j; a state has K = 1
+    own = np.arange(k)
+    return frequencies(counts).values.reshape(k, d, k)[own, :, own], bases, extras
 
 
 def adaptive_qst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
@@ -211,8 +221,8 @@ def adaptive_qst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate
     outcome frequencies as eigenvalues, which makes the estimate PSD with
     unit trace by construction.
     """
-    rho_hat = _two_step_state(sampler, n_total, alpha, rng, sub_unit=False)
-    return TomographyEstimate(rho_hat)
+    lam, u, _ = _two_step(sampler, n_total, alpha, rng)
+    return TomographyEstimate(DensityMatrix(_eig_product(lam[0], u[0])))
 
 
 def adaptive_qpst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
@@ -222,16 +232,17 @@ def adaptive_qpst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimat
     dropped in step 1 and a null outcome absorbing the missing mass in
     step 2, so the estimated eigenvalues sum below one.
     """
-    sigma_hat = _two_step_state(sampler, n_total, alpha, rng, sub_unit=True)
+    lam, u, _ = _two_step(sampler, n_total, alpha, rng, constrain_trace=False)
+    if lam.sum() <= 0.0:
+        raise EstimationError("every adaptive-step outcome fell in the null bin")
+    sigma_hat = DensityMatrix(_eig_product(lam[0], u[0]), sub_unit=True)
     return TomographyEstimate(sigma_hat)
 
 
 def static_qst(sampler, n_total: int, rng) -> TomographyEstimate:
     """Static baseline: full-budget least squares plus physical projection."""
-    gen = linalg.as_generator(rng)
-    rho_tilde = _cube_solve(sampler, n_total, gen, constrain_trace=True)
-    rho_hat = physical_projection_fast(rho_tilde)
-    return TomographyEstimate(rho_hat)
+    rho_tilde = _stage1(sampler, n_total, linalg.as_generator(rng))[0]
+    return TomographyEstimate(physical_projection_fast(rho_tilde))
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +292,20 @@ def adaptive_qdt(
 
     Step 1 runs :func:`qdt_stage1` on the Pauli cube's probe states; step 2
     takes every element's eigenbasis from one stacked eigensolve, probes
-    with each basis column (n * d adaptive probe states, equal budgets,
-    drawn at once by the oracle's ``basis_counts``) and adopts the observed
-    click frequency of its own element as the eigenvalue estimate.  The
-    final correction is :func:`_renormalize`'s.  The ``(N - n0) mod (n * d)``
-    shots that do not divide evenly over the adaptive probes are left unused.
-    ``n`` and ``d`` are read from the ``(n, d, d)`` stage-1 stack.
+    with each basis column (K * d adaptive probe states for K elements,
+    equal budgets, drawn at once) and adopts the observed click frequency of
+    its own element as the eigenvalue estimate.  The final correction is
+    :func:`_renormalize`'s.  The ``(N - n0) mod (K * d)`` shots that do not
+    divide evenly over the probes are left unused (``extras``:
+    ``step2_per_probe``, ``unused_shots``).  K and d come from the oracle.
     """
-    n0 = _check_alpha(n_total, alpha)
-    gen = linalg.as_generator(rng)
-    freqs = _cube_frequencies(detector_sampler, n0, gen)
-    stage1 = qdt_stage1(freqs, detector_sampler.cube)
-    n_elements, d = stage1.shape[:2]
-
-    per_probe = (n_total - n0) // (n_elements * d)
-    if per_probe < 1:
-        raise EstimationError("step-2 budget is below one shot per adaptive probe")
-    bases = _eigh(stage1).eigenvectors
-    # probe (i, j) is eigenvector j of element i, in row i * d + j
-    counts = detector_sampler.basis_counts(bases, per_probe, gen)
-    lam = frequencies(counts).values.reshape(n_elements, d, n_elements)
-    own = np.arange(n_elements)
-    corrected = eig_reconstruct(lam[own, :, own], bases)
-
-    unused = n_total - n0 - per_probe * n_elements * d
-    return TomographyEstimate(
-        Povm(_renormalize(corrected)),
-        {"step2_per_probe": per_probe, "unused_shots": unused},
-    )
+    lam, bases, extras = _two_step(detector_sampler, n_total, alpha, rng)
+    return TomographyEstimate(Povm(_renormalize(eig_reconstruct(lam, bases))), extras)
 
 
 def static_qdt(detector_sampler, n_total: int, rng) -> TomographyEstimate:
     """Static detector baseline: the whole budget goes into stage 1."""
-    gen = linalg.as_generator(rng)
-    freqs = _cube_frequencies(detector_sampler, n_total, gen)
-    elements = qdt_stage1(freqs, detector_sampler.cube)
+    elements = _stage1(detector_sampler, n_total, linalg.as_generator(rng))
     return TomographyEstimate(Povm(elements))
 
 
@@ -433,7 +423,7 @@ def nonadaptive_aapt(
     if not tp_flag and known_trace is None:
         raise ValueError("non-trace-preserving baseline needs known_trace")
     gen = linalg.as_generator(rng)
-    sigma_tilde = _cube_solve(channel_sampler, n_total, gen, tp_flag)
+    sigma_tilde = _stage1(channel_sampler, n_total, gen, tp_flag)[0]
     if tp_flag:
         sigma_hat = physical_projection_fast(sigma_tilde)
     else:

@@ -56,7 +56,7 @@ class DensityMatrix:
     trace: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = hermitian_part(self.mat)
+        mat = hermitian_part(linalg._require_square(self.mat))  # one d x d matrix
         w = np.linalg.eigvalsh(mat)
         if w[0] < -PSD_ATOL:
             raise linalg.NotPSDError(f"density matrix eigenvalue {w[0]:.3e} < 0")

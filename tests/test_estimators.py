@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqtomo import measurement
 from aqtomo.estimators import (
     EstimationError,
     InformationIncompleteError,
     LrePlan,
     TomographyEstimate,
     _split_shots,
+    _stage1,
     aapt_reconstruct,
     adaptive_aapt,
     adaptive_qdt,
@@ -500,6 +502,12 @@ class TestQpst:
         assert est.value.trace < 1.0
         assert abs(est.value.trace - 0.85) < 0.05
 
+    def test_all_null_adaptive_step_raises(self):
+        tiny = DensityMatrix(np.diag([1e-12, 0.0]).astype(complex), sub_unit=True)
+        match = "every adaptive-step outcome fell in the null bin"
+        with pytest.raises(EstimationError, match=match):
+            adaptive_qpst(state_sampler(tiny), 20, 0.5, np.random.default_rng(0))
+
 
 def three_valued_detector(seed=70):
     u1 = haar_unitary(4, SeededRng(seed, 1).generator())
@@ -531,6 +539,53 @@ class TestSplitShots:
             split[0] = 0
         few = _split_shots(5, 9)
         assert few.sum() == 5 and np.array_equal(few[:-1], np.zeros(8))
+
+
+class TestSharedCore:
+    """Every protocol's step 1 is one cube draw and solve; an adaptive trial
+    adds exactly one step-2 draw, on the same generator."""
+
+    @pytest.mark.parametrize("constrain", [True, False])
+    def test_state_stage1_is_the_cube_fit(self, constrain):
+        oracle = state_sampler(random_density(SeededRng(171).generator(), 4))
+        got = _stage1(oracle, 901, np.random.default_rng(5), constrain)
+        # two qubits: 9 cube settings
+        counts = oracle.counts(_split_shots(901, 9), np.random.default_rng(5))
+        want = LrePlan(oracle.cube, constrain).solve(frequencies(counts))
+        assert got.shape == (1, 4, 4)
+        assert np.array_equal(got, want[None])
+
+    def test_detector_stage1_is_qdt_stage1(self):
+        oracle = detector_sampler(three_valued_detector())
+        got = _stage1(oracle, 7201, np.random.default_rng(6))
+        # two qubits: 36 cube probe states
+        counts = oracle.counts(_split_shots(7201, 36), np.random.default_rng(6))
+        assert np.array_equal(got, qdt_stage1(frequencies(counts), oracle.cube))
+
+    @pytest.mark.parametrize(
+        "task,target",
+        [
+            ("qst", "qst-rank1-8d"),
+            ("qdt", "qdt-three-valued"),
+            ("aapt", "aapt-hadamard"),
+            ("aapt", "aapt-damping-third"),
+        ],
+    )
+    @pytest.mark.parametrize("method,draws", [("adaptive", 2), ("static", 1)])
+    def test_draws_per_trial(self, monkeypatch, task, target, method, draws):
+        cfg = ExperimentConfig(task, method, target, (1000, 4000, 16000), 4)
+        run_trial(cfg, 4000, 1, 0)  # builds the target's constants
+        calls, original = [], measurement.draw_counts
+
+        def counting(table, shots, rng):
+            calls.append(shots)
+            return original(table, shots, rng)
+
+        monkeypatch.setattr(measurement, "draw_counts", counting)
+        for trial in range(1, 4):
+            calls.clear()
+            assert run_trial(cfg, 4000, 1, trial) is not None
+            assert len(calls) == draws
 
 
 class TestQdt:

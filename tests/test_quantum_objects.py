@@ -82,6 +82,14 @@ class TestDensityMatrix:
         with pytest.raises(Exception):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_stacks_and_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            DensityMatrix(np.stack([np.eye(2) / 2] * 3))
+        with pytest.raises(DimensionError):
+            DensityMatrix(np.eye(2)[None] / 2)
+        with pytest.raises(DimensionError):
+            DensityMatrix(np.zeros((2, 3)))
+
     def test_sub_unit(self):
         s = DensityMatrix(np.diag([0.5, 0.25]).astype(complex), sub_unit=True)
         assert abs(s.trace - 0.75) < 1e-12
