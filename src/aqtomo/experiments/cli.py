@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import load_config
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = type(config)(**{**config.to_dict(), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     result = run_scaling(config, workers=args.workers)
     print(
         f"# slope={result.slope:.4f} intercept={result.intercept:.4f} "

@@ -9,10 +9,11 @@ kept trials of a grid point by one generic loop and fits a log-log slope
 through the per-N mean infidelities.  Trial randomness is keyed by (seed,
 grid index, trial index), so results are identical for any worker count and
 any execution order.  A trial reads its oracle, the truth it is scored
-against (with the truth's square root), the fidelity scenario and, for
-AAPT, whether the channel is trace-preserving from the config's target,
-resolved once per process (``_context``); the estimate's spectra come from
-the validation of its value object.
+against (rooted once, with its fidelity scenario) and, for AAPT, whether
+the channel is trace-preserving from the config's target, resolved once per
+process (``_context``); the estimate's spectra come from the validation of
+its value object.  AAPT's output state is scored by the same
+``rooted_fidelity_and_dp``, against a truth in the pseudo-state scenario.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..estimators import (
     static_qdt,
     static_qst,
 )
-from ..fidelity import rooted_fidelity_and_dp, rooted_pseudo_state_fidelity
+from ..fidelity import rooted_fidelity_and_dp
 from ..measurement import SeededRng
 from .config import TRIAL_STREAM_BITS, ExperimentConfig
 from .targets import AaptTarget, QdtTarget, QstTarget, resolve_target
@@ -159,17 +160,18 @@ def _context(config: ExperimentConfig):
     return target
 
 
-def _score(hat: np.ndarray, eigs: np.ndarray, truth, scenario, rank):
+def _score(hat: np.ndarray, eigs: np.ndarray, truth, rank):
     """Metrics of an estimate against the truth, shared by every task.
 
     ``eigs`` is the estimate's ascending spectrum, kept by its value object
     from validation; it gives both the eigenvalue mass beyond the true rank
     and the PSD deviation (the most negative eigenvalue, floored at 0),
     which starts the ``constraint_dev`` each task extends.  ``truth`` is
-    the target's rooted truth.  ``(K, d, d)`` stacks with ``K`` ranks give
-    ``K`` dicts, each equal to its pair's own.
+    the target's rooted truth, which carries its fidelity scenario.
+    ``(K, d, d)`` stacks with ``K`` ranks give ``K`` dicts, each equal to
+    its pair's own.
     """
-    f, f_dp = rooted_fidelity_and_dp(hat, eigs, truth, scenario)
+    f, f_dp = rooted_fidelity_and_dp(hat, eigs, truth)
     true = truth.mat
     if hat.ndim == 2:
         return _metrics(hat, true, f, f_dp, eigs, rank)
@@ -195,9 +197,7 @@ def _qst_trial(target: QstTarget, config, n, gen) -> dict:
     else:
         est = static_qst(target.oracle, n, gen)
     rho_hat = est.value
-    metrics = _score(
-        rho_hat.mat, rho_hat.eigenvalues, target.truth, target.scenario, target.rank
-    )
+    metrics = _score(rho_hat.mat, rho_hat.eigenvalues, target.truth, target.rank)
     trace_dev = abs(rho_hat.trace - 1.0)
     metrics["constraint_dev"] = max(trace_dev, metrics["constraint_dev"])
     return metrics
@@ -209,9 +209,7 @@ def _qdt_trial(target: QdtTarget, config, n, gen) -> dict:
     else:
         est = static_qdt(target.oracle, n, gen)
     hat = est.value.elements
-    scores = _score(
-        hat, est.value.eigenvalues, target.truth, target.scenario, target.element_ranks
-    )
+    scores = _score(hat, est.value.eigenvalues, target.truth, target.element_ranks)
     # summed in element order from 0.0 (Python 3.12's sum() compensates)
     infid = infid_dp = mse = tail = dev = 0.0
     for score in scores:
@@ -246,13 +244,11 @@ def _aapt_trial(target: AaptTarget, config, n, gen) -> dict:
             known_trace=None if target.tp else target.known_trace,
         )
     x_hat = est.value.x
-    metrics = _score(
-        x_hat, est.value.eigenvalues, target.truth, target.scenario, target.rank
-    )
+    metrics = _score(x_hat, est.value.eigenvalues, target.truth, target.rank)
     sigma_hat = est.extras["sigma_out"]
-    metrics["sigma_out_infidelity"] = 1.0 - rooted_pseudo_state_fidelity(
+    metrics["sigma_out_infidelity"] = 1.0 - rooted_fidelity_and_dp(
         sigma_hat.mat, sigma_hat.eigenvalues, target.sigma_out_truth
-    )
+    )[0]
     if target.tp:
         dev = float(np.max(np.abs(est.value.partial_trace - np.eye(d))))
     else:

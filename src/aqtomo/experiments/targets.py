@@ -1,12 +1,15 @@
 """Benchmark targets for the scaling experiments.
 
-Every built-in target that involves randomness draws its unitaries (or its
-probe input state) from dedicated streams of the given seed, so a target is
-fixed across all repetitions of a run and reproducible across machines.
-Shot noise is then the only randomness inside a trial.
+The built-in targets are one table, ``_BUILTIN``: each row names a target
+once and gives its builder with the builder's arguments, among them the
+streams of the target seed it draws from.  Every built-in target that
+involves randomness draws its unitaries (or its probe input state) from
+those dedicated streams, so a target is fixed across all repetitions of a
+run and reproducible across machines.  Shot noise is then the only
+randomness inside a trial.
 
 A target holds its ``task``, the ``oracle`` that hides it and the constants
-a trial scores against (true ranks, the truth with its square root, the
+a trial scores against (true ranks, and the truth rooted together with its
 fidelity scenario); each is computed on first access and kept, so every
 trial of a run shares them.
 """
@@ -43,6 +46,7 @@ from .config import TARGET_STREAM_BASE
 
 DEFAULT_TARGET_SEED = 20240901
 _RANK_TOL = 1e-10
+_MIN_SCHMIDT = 0.35  # smallest Schmidt coefficient of a random AAPT probe
 
 
 def _ranks(eigenvalues: np.ndarray) -> np.ndarray:
@@ -66,11 +70,7 @@ class QstTarget:
 
     @cached_property
     def truth(self) -> Truth:
-        return Truth.of(self.rho.mat)
-
-    @cached_property
-    def scenario(self) -> FidelityScenario:
-        return state_scenario()
+        return Truth.of(self.rho.mat, state_scenario())
 
     @cached_property
     def oracle(self):
@@ -94,11 +94,7 @@ class QdtTarget:
 
     @cached_property
     def truth(self) -> Truth:
-        return Truth.of(self.povm.elements)
-
-    @cached_property
-    def scenario(self) -> FidelityScenario:
-        return detector_scenario(self.dim)
+        return Truth.of(self.povm.elements, detector_scenario(self.dim))
 
     @cached_property
     def oracle(self):
@@ -139,11 +135,7 @@ class AaptTarget:
 
     @cached_property
     def truth(self) -> Truth:
-        return Truth.of(self.process.x)
-
-    @cached_property
-    def scenario(self) -> FidelityScenario:
-        return process_scenario(self.dim)
+        return Truth.of(self.process.x, process_scenario(self.dim))
 
     @cached_property
     def sigma_out(self) -> DensityMatrix:
@@ -151,7 +143,7 @@ class AaptTarget:
 
     @cached_property
     def sigma_out_truth(self) -> Truth:
-        return Truth.of(self.sigma_out.mat)
+        return Truth.of(self.sigma_out.mat, FidelityScenario("pseudo_state"))
 
     @property
     def known_trace(self) -> float:
@@ -163,45 +155,17 @@ class AaptTarget:
         return state_sampler(self.sigma_out)
 
 
-def _target_rng(seed: int, index: int) -> np.random.Generator:
-    return SeededRng(seed, stream_id=TARGET_STREAM_BASE + index).generator()
+def _target_rng(seed: int, stream: int) -> np.random.Generator:
+    return SeededRng(seed, stream_id=TARGET_STREAM_BASE + stream).generator()
 
 
-def _qst_from_profile(name, eigenvalues, seed, stream) -> QstTarget:
-    d = len(eigenvalues)
-    u = haar_unitary(d, _target_rng(seed, stream))
-    rho = DensityMatrix(eig_reconstruct(np.asarray(eigenvalues, float), u))
+def _qst(name, seed, spectrum, stream) -> QstTarget:
+    u = haar_unitary(len(spectrum), _target_rng(seed, stream))
+    rho = DensityMatrix(eig_reconstruct(np.asarray(spectrum, float), u))
     return QstTarget(name, rho)
 
 
-def _qst_rank1(seed):
-    return _qst_from_profile("qst-rank1-8d", [1.0] + [0.0] * 7, seed, 1)
-
-
-def _qst_rank1_64d(seed):
-    return _qst_from_profile("qst-rank1-64d", [1.0] + [0.0] * 63, seed, 8)
-
-
-def _qst_rank1_256d(seed):
-    return _qst_from_profile("qst-rank1-256d", [1.0] + [0.0] * 255, seed, 9)
-
-
-def _qst_rank2(seed):
-    return _qst_from_profile("qst-rank2-8d", [0.5, 0.5] + [0.0] * 6, seed, 2)
-
-
-def _qst_rank4(seed):
-    return _qst_from_profile("qst-rank4-8d", [0.25] * 4 + [0.0] * 4, seed, 3)
-
-
-def _qst_rank2_degenerate(seed):
-    # same degenerate spectrum as qst-rank2-8d under an independent unitary;
-    # exercises estimators that must not depend on any eigenbasis choice
-    # inside the degenerate block
-    return _qst_from_profile("qst-rank2-degenerate", [0.5, 0.5] + [0.0] * 6, seed, 4)
-
-
-def _three_valued(name, d, seed, streams) -> QdtTarget:
+def _three_valued(name, seed, d, streams) -> QdtTarget:
     # a rank-1 element 0.4 |u><u|, a rank-1 element 0.5 |v><v| and the
     # full-rank rest
     u1 = haar_unitary(d, _target_rng(seed, streams[0]))
@@ -212,38 +176,7 @@ def _three_valued(name, d, seed, streams) -> QdtTarget:
     return QdtTarget(name, Povm((p1, p2, p3)))
 
 
-def _qdt_three_valued(seed):
-    return _three_valued("qdt-three-valued", 4, seed, (5, 6))
-
-
-def _qdt_three_valued_8d(seed):
-    return _three_valued("qdt-three-valued-8d", 8, seed, (10, 11))
-
-
-def _qdt_three_valued_16d(seed):
-    return _three_valued("qdt-three-valued-16d", 16, seed, (12, 13))
-
-
-def _aapt_hadamard(seed):
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-    return AaptTarget(
-        "aapt-hadamard", KrausChannel((h,)), maximally_entangled_input(2)
-    )
-
-
-def _phase_damping(lam: float) -> KrausChannel:
-    a1 = np.diag([1.0, np.sqrt(1.0 - lam)]).astype(complex)
-    a2 = np.diag([0.0, np.sqrt(lam)]).astype(complex)
-    return KrausChannel((a1, a2))
-
-
-def _aapt_damping_0989(seed):
-    return AaptTarget(
-        "aapt-damping-0.989", _phase_damping(0.989), maximally_entangled_input(2)
-    )
-
-
-def _random_full_schmidt_probe(gen, d: int, min_coeff: float = 0.35) -> BipartitePureState:
+def _random_full_schmidt_probe(gen, d: int) -> BipartitePureState:
     """Seeded random pure probe, conditioned away from Schmidt degeneracy.
 
     The ancilla inversion divides by the Schmidt coefficients, so a draw with
@@ -254,42 +187,53 @@ def _random_full_schmidt_probe(gen, d: int, min_coeff: float = 0.35) -> Bipartit
     for _ in range(1000):
         amp = gen.standard_normal(d * d) + 1j * gen.standard_normal(d * d)
         probe = BipartitePureState(amp / np.linalg.norm(amp), d, d)
-        if probe.coefficients[-1] >= min_coeff:
+        if probe.coefficients[-1] >= _MIN_SCHMIDT:
             return probe
     raise RuntimeError("could not draw a well-conditioned full-Schmidt probe")
 
 
-def _aapt_damping_third(seed):
+def _aapt(name, seed, kraus, probe_stream=None) -> AaptTarget:
+    """A channel probed through the maximally entangled input, or through a
+    random full-Schmidt input drawn from ``probe_stream``."""
+    channel = KrausChannel(tuple(np.array(a, dtype=complex) for a in kraus))
+    if probe_stream is None:
+        probe = maximally_entangled_input(channel.dim)
+    else:
+        gen = _target_rng(seed, probe_stream)
+        probe = _random_full_schmidt_probe(gen, channel.dim)
+    return AaptTarget(name, channel, probe)
+
+
+# name -> (builder, the builder's arguments after the name and the seed);
+# the integers are the target-seed streams each row draws from
+_BUILTIN = {
+    "qst-rank1-8d": (_qst, [1.0] + [0.0] * 7, 1),
+    "qst-rank1-64d": (_qst, [1.0] + [0.0] * 63, 8),
+    "qst-rank1-256d": (_qst, [1.0] + [0.0] * 255, 9),
+    "qst-rank2-8d": (_qst, [0.5, 0.5] + [0.0] * 6, 2),
+    "qst-rank4-8d": (_qst, [0.25] * 4 + [0.0] * 4, 3),
+    # same degenerate spectrum as qst-rank2-8d under an independent unitary;
+    # exercises estimators that must not depend on any eigenbasis choice
+    # inside the degenerate block
+    "qst-rank2-degenerate": (_qst, [0.5, 0.5] + [0.0] * 6, 4),
+    "qdt-three-valued": (_three_valued, 4, (5, 6)),
+    "qdt-three-valued-8d": (_three_valued, 8, (10, 11)),
+    "qdt-three-valued-16d": (_three_valued, 16, (12, 13)),
+    "aapt-hadamard": (_aapt, [np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)]),
+    "aapt-damping-0.989": (
+        _aapt,
+        [np.diag([1.0, np.sqrt(1.0 - 0.989)]), np.diag([0.0, np.sqrt(0.989)])],
+    ),
     # lossy dephasing: both Kraus operators damp the |1> amplitude by
     # sqrt(1/3), so the channel is completely positive but not
     # trace-preserving (sum A^dag A = diag(1, 2/3))
-    a1 = np.diag([1.0, np.sqrt(1.0 / 3.0)]).astype(complex)
-    a2 = np.diag([0.0, np.sqrt(1.0 / 3.0)]).astype(complex)
-    probe = _random_full_schmidt_probe(_target_rng(seed, 7), 2)
-    return AaptTarget("aapt-damping-third", KrausChannel((a1, a2)), probe)
-
-
-def _aapt_toffoli(seed):
+    "aapt-damping-third": (
+        _aapt,
+        [np.diag([1.0, np.sqrt(1.0 / 3.0)]), np.diag([0.0, np.sqrt(1.0 / 3.0)])],
+        7,
+    ),
     # a 3-qubit unitary channel: d_out = 64 and a rank-1 process matrix
-    u = np.eye(8, dtype=complex)
-    u[6:, 6:] = [[0, 1], [1, 0]]
-    return AaptTarget("aapt-toffoli", KrausChannel((u,)), maximally_entangled_input(8))
-
-
-_BUILTIN = {
-    "qst-rank1-8d": _qst_rank1,
-    "qst-rank1-64d": _qst_rank1_64d,
-    "qst-rank1-256d": _qst_rank1_256d,
-    "qst-rank2-8d": _qst_rank2,
-    "qst-rank4-8d": _qst_rank4,
-    "qst-rank2-degenerate": _qst_rank2_degenerate,
-    "qdt-three-valued": _qdt_three_valued,
-    "qdt-three-valued-8d": _qdt_three_valued_8d,
-    "qdt-three-valued-16d": _qdt_three_valued_16d,
-    "aapt-hadamard": _aapt_hadamard,
-    "aapt-damping-0.989": _aapt_damping_0989,
-    "aapt-damping-third": _aapt_damping_third,
-    "aapt-toffoli": _aapt_toffoli,
+    "aapt-toffoli": (_aapt, [np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]]]),
 }
 
 BUILTIN_TARGET_NAMES = tuple(_BUILTIN)
@@ -298,11 +242,11 @@ BUILTIN_TARGET_NAMES = tuple(_BUILTIN)
 def builtin_target(name: str, seed: int = DEFAULT_TARGET_SEED):
     """Construct a named benchmark target, fixed given (name, seed)."""
     try:
-        factory = _BUILTIN[name]
+        builder, *args = _BUILTIN[name]
     except KeyError:
         known = ", ".join(BUILTIN_TARGET_NAMES)
         raise ValueError(f"unknown target {name!r}; built-ins: {known}") from None
-    return factory(seed)
+    return builder(name, seed, *args)
 
 
 def _complex_matrix(data) -> np.ndarray:

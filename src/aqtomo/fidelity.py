@@ -10,13 +10,15 @@ renormalizing the range back to [0, 1]:
     F(A, B)    = (F_1 - f) / (1 - f)
 
 where ``f`` is the tight lower bound of F_1 for the scenario at hand: 0 for
-unit-trace states, 1/d - 1 for POVM elements on a d-dimensional space, and
--1 for process matrices of a d-dimensional system.  F equals 1 exactly when
-the arguments are equal, and reduces to the Uhlmann fidelity for states.
+unit-trace states and for pseudo-states, 1/d - 1 for POVM elements on a
+d-dimensional space, and -1 for process matrices of a d-dimensional system.
+F equals 1 exactly when the arguments are equal, and reduces to the Uhlmann
+fidelity for states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,25 +38,37 @@ class FidelityScenario:
 
     ``dim`` is the POVM-element dimension for detectors and the system
     dimension d (not d^2) for processes; the trace-mismatch term divides by
-    ``dim ** 2`` in both cases, which is what makes ``f_lower`` tight.
+    ``dim ** 2`` in both cases, which is what makes ``f_lower`` tight.  A
+    state or pseudo-state leaves ``dim`` at 0 and divides by the square of
+    the estimate's own dimension.
     """
 
-    kind: str  # "state" | "detector_element" | "process"
+    kind: str  # "state" | "pseudo_state" | "detector_element" | "process"
     dim: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("state", "detector_element", "process"):
+        if self.kind not in ("state", "pseudo_state", "detector_element", "process"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.kind != "state" and self.dim < 2:
+        sized = self.kind in ("detector_element", "process")
+        if sized and self.dim < 2:
             raise ValueError("detector/process scenarios need dim >= 2")
+        if not sized and self.dim:
+            raise ValueError("a state scenario takes the estimate's own dimension")
 
     @property
     def f_lower(self) -> float:
-        if self.kind == "state":
-            return 0.0
         if self.kind == "detector_element":
             return 1.0 / self.dim - 1.0
-        return -1.0
+        return -1.0 if self.kind == "process" else 0.0
+
+    @property
+    def unit_trace(self) -> bool:
+        return self.kind == "state"
+
+    @property
+    def floor(self) -> float:
+        """Lower clamp of F: 0, but a pseudo-state keeps a negative F_1."""
+        return -math.inf if self.kind == "pseudo_state" else 0.0
 
 
 def state_scenario() -> FidelityScenario:
@@ -67,6 +81,9 @@ def detector_scenario(d: int) -> FidelityScenario:
 
 def process_scenario(d: int) -> FidelityScenario:
     return FidelityScenario("process", d)
+
+
+_PSEUDO_STATE = FidelityScenario("pseudo_state")
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray, stack: bool = False):
@@ -84,18 +101,21 @@ class Truth(NamedTuple):
     Uhlmann fidelity is symmetric, so every overlap here roots the truth;
     a caller that scores many estimates against one truth builds this once
     (``Truth.of``) and pays one small ``eigvalsh`` per scored estimate.
-    ``traces`` lists the trace of each matrix, also formed once.
+    ``traces`` lists the trace of each matrix, also formed once, and
+    ``scenario`` is the :class:`FidelityScenario` every estimate is scored in.
     """
 
     mat: np.ndarray
     root: np.ndarray
     traces: list
+    scenario: FidelityScenario
 
     @classmethod
-    def of(cls, s: np.ndarray) -> "Truth":
+    def of(cls, s: np.ndarray, scenario: FidelityScenario) -> "Truth":
         """Root ``s``; raises ``NotPSDError`` for a non-PSD truth."""
         s = np.asarray(s, dtype=complex)
-        return cls(s, matrix_sqrt(s), s.trace(0, -2, -1).real.reshape(-1).tolist())
+        traces = s.trace(0, -2, -1).real.reshape(-1).tolist()
+        return cls(s, matrix_sqrt(s), traces, scenario)
 
 
 def _spectrum(a: np.ndarray):
@@ -140,12 +160,13 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(_overlap_root(*_spectrum(a), matrix_sqrt(b))) ** 2
 
 
-def _dp_terms(hat_s, spectrum, truth: Truth, d: int, unit_trace=False) -> list:
+def _dp_terms(hat_s, spectrum, truth: Truth, d: int) -> list:
     """``(F_dp, [Tr(s - hat_s)]^2 / d^2)`` of a pair, or of each pair of two stacks.
 
     One (stacked) Uhlmann overlap serves every pair; the scalar tail then
     runs pair by pair in Python floats, so a stack's entries equal the
-    values of its pairs alone bit for bit.
+    values of its pairs alone bit for bit.  The truth's scenario says
+    whether both traces must be 1.
     """
     s = truth.mat
     if hat_s.shape != s.shape:
@@ -154,7 +175,8 @@ def _dp_terms(hat_s, spectrum, truth: Truth, d: int, unit_trace=False) -> list:
     # Tr(s - hat_s) sums the differences of the diagonals, as np.trace does
     diff = np.add.reduce(s.diagonal(0, -2, -1) - hat_s.diagonal(0, -2, -1), -1)
     tr_diff, traces = diff.real.reshape(-1).tolist(), tr_hat + tr_s
-    if unit_trace and max(max(traces) - 1.0, 1.0 - min(traces)) > 1e-6:
+    off_unit = max(max(traces) - 1.0, 1.0 - min(traces))
+    if truth.scenario.unit_trace and off_unit > 1e-6:
         raise ValueError("state-scenario fidelity needs unit traces")
     if min(traces) <= 0.0:
         raise ValueError("fidelity_dp needs positive traces")
@@ -165,10 +187,10 @@ def _dp_terms(hat_s, spectrum, truth: Truth, d: int, unit_trace=False) -> list:
     ]
 
 
-def _rooted_pair(hat_s, s, stack: bool = False):
+def _rooted_pair(hat_s, s, scenario=_PSEUDO_STATE, stack: bool = False):
     """An estimate with its spectrum and a rooted truth, checked as a pair."""
     hat_s, s = _check_pair(hat_s, s, stack)
-    return *_spectrum(hat_s), Truth.of(s)
+    return *_spectrum(hat_s), Truth.of(s, scenario)
 
 
 def fidelity_dp(hat_s: np.ndarray, s: np.ndarray) -> float:
@@ -186,24 +208,23 @@ def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
     return f_dp - mismatch
 
 
-def rooted_fidelity_and_dp(
-    hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth, scenario: FidelityScenario
-):
-    """:func:`fidelity_and_dp` of an estimate against a truth rooted once.
+def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth):
+    """:func:`fidelity_and_dp` of an estimate against a truth rooted once,
+    in the truth's scenario.
 
     ``spectrum`` is the ascending ``eigvalsh`` of ``hat_s`` (one row per
     matrix of a stack), such as a validated value object keeps; it serves
     the PSD check, so a scored estimate costs one ``eigvalsh`` of
     ``sqrt(s) hat_s sqrt(s)``.
     """
-    state = scenario.kind == "state"
-    f = scenario.f_lower
+    scenario = truth.scenario
+    f, floor = scenario.f_lower, scenario.floor
     pairs = []
     for f_dp, mismatch in _dp_terms(
-        hat_s, spectrum, truth, hat_s.shape[-1] if state else scenario.dim, state
+        hat_s, spectrum, truth, scenario.dim or hat_s.shape[-1]
     ):
         raw = (f_dp - mismatch - f) / (1.0 - f)
-        pairs.append((float(min(max(raw, 0.0), 1.0)), f_dp))
+        pairs.append((float(min(max(raw, floor), 1.0)), f_dp))
     if hat_s.ndim == 2:
         return pairs[0]
     return tuple(np.array(values) for values in zip(*pairs))
@@ -217,11 +238,12 @@ def fidelity_and_dp(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario
     stacks give two length-``K`` arrays from one stacked overlap, each entry
     equal to the value of its pair alone.
     """
-    return rooted_fidelity_and_dp(*_rooted_pair(hat_s, s, stack=True), scenario)
+    return rooted_fidelity_and_dp(*_rooted_pair(hat_s, s, scenario, stack=True))
 
 
 def fidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> float:
-    """Scenario-normalized fidelity (F_1 - f) / (1 - f), clamped into [0, 1].
+    """Scenario-normalized fidelity (F_1 - f) / (1 - f), clamped at 1 and at
+    the scenario's floor (0, except that a pseudo-state keeps its sign).
 
     For the state scenario both arguments must have unit trace, and the value
     coincides with :func:`state_fidelity` exactly.  The clamp absorbs
@@ -231,26 +253,15 @@ def fidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> fl
     return fidelity_and_dp(hat_s, s, scenario)[0]
 
 
-def rooted_pseudo_state_fidelity(
-    hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth
-) -> float:
-    """:func:`pseudo_state_fidelity` against a truth rooted once.
-
-    ``spectrum`` is the ascending ``eigvalsh`` of ``hat_s``, as in
-    :func:`rooted_fidelity_and_dp`.
-    """
-    f_dp, mismatch = _dp_terms(hat_s, spectrum, truth, hat_s.shape[0])[0]
-    return float(min(f_dp - mismatch, 1.0))
-
-
 def pseudo_state_fidelity(hat_s: np.ndarray, s: np.ndarray) -> float:
     """F_1 with f = 0 for (possibly sub-unit-trace) reconstructed states.
 
     Reduces to the Uhlmann fidelity when both traces are 1; used to score
     pseudo-state reconstructions where neither the detector nor the process
-    lower bound applies.
+    lower bound applies.  Capped at 1 but not floored: a negative value is
+    kept.
     """
-    return rooted_pseudo_state_fidelity(*_rooted_pair(hat_s, s))
+    return rooted_fidelity_and_dp(*_rooted_pair(hat_s, s))[0]
 
 
 def detector_fidelity_h(p, q) -> float:

@@ -258,7 +258,7 @@ class _Oracle:
     def cube(self) -> PauliCube:
         """The :class:`PauliCube` of the oracle's dimension, step 1's battery."""
         n_qubits = self.dim.bit_length() - 1
-        if self.dim != 1 << n_qubits:
+        if n_qubits < 1 or self.dim != 1 << n_qubits:
             raise DimensionError(f"no Pauli cube has dimension {self.dim}")
         return pauli_cube(n_qubits)
 

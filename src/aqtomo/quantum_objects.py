@@ -36,6 +36,10 @@ from .linalg import (
 TRACE_ATOL = 1e-9
 PSD_ATOL = 1e-9
 COMPLETENESS_ATOL = 1e-8
+# a process matrix's PSD check, and how far Tr_1(X) may exceed the identity
+# (or, for trace_preserving, differ from it entrywise)
+PROCESS_PSD_ATOL = 1e-8
+PARTIAL_TRACE_ATOL = 1e-8
 
 
 class DegenerateInputError(ValueError):
@@ -179,11 +183,11 @@ class ProcessMatrix:
         if x.shape != (d * d, d * d):
             raise DimensionError(f"process matrix must be {d * d} x {d * d}")
         w = np.linalg.eigvalsh(x)
-        if w[0] < -1e-8:
+        if w[0] < -PROCESS_PSD_ATOL:
             raise linalg.NotPSDError("process matrix is not PSD")
         q = partial_trace_1(x, d, d)
         wq = np.linalg.eigvalsh(hermitian_part(q))
-        if wq[-1] > 1.0 + 1e-8:
+        if wq[-1] > 1.0 + PARTIAL_TRACE_ATOL:
             raise ValueError("Tr_1(X) exceeds the identity")
         q.flags.writeable = False
         object.__setattr__(self, "x", x)
@@ -193,7 +197,8 @@ class ProcessMatrix:
 
     @property
     def trace_preserving(self) -> bool:
-        return bool(np.max(np.abs(self.partial_trace - np.eye(self.dim))) <= 1e-8)
+        dev = np.max(np.abs(self.partial_trace - np.eye(self.dim)))
+        return bool(dev <= PARTIAL_TRACE_ATOL)
 
 
 @dataclass(frozen=True, eq=False)

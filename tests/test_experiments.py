@@ -257,6 +257,115 @@ class TestTargets:
             resolve_target("nope/missing.json")
 
 
+# SHA-256 of each built-in target's name and defining arrays (rho for QST,
+# the element stack for QDT, the Kraus operators and the input amplitudes for
+# AAPT), each array with its shape, at three target seeds.  A change to how a
+# target is built or seeded shows up here as a changed digest.
+BUILTIN_TARGET_SHA256 = {
+    ("qst-rank1-8d", 0):
+        "b5ee78b9f7c1dfa9d3dac5c5322475043f222aab7d2db81948fc51cde6fb1bb1",
+    ("qst-rank1-8d", 11):
+        "7e463136f60397be3fae54ef872ffc04ebeb39343f14fb139165eedd7bb921c8",
+    ("qst-rank1-8d", targets.DEFAULT_TARGET_SEED):
+        "5c9a481f5b1cb1c9fb09ee0300a0b0df9a9686976baac22da8042886ecc58ff1",
+    ("qst-rank1-64d", 0):
+        "455dbf76acbbbc465039310701f663ead446d72a209d754f5eaa235a5c87812b",
+    ("qst-rank1-64d", 11):
+        "20427238e6905c90ee982b89f765b59d1bbb6f14112a70798cd2aa99fbf6466f",
+    ("qst-rank1-64d", targets.DEFAULT_TARGET_SEED):
+        "7fc7517f0e4918b8bfee42e86f3d0190cdf7cb167e0613ec97bb6c3dc66840cd",
+    ("qst-rank1-256d", 0):
+        "517f772ed9e11fba2c4a0aae9913fdcfaf14d77c5e4fd6f0da3c19bc2708bb53",
+    ("qst-rank1-256d", 11):
+        "9731aa15e17951737de7727cb7a970e74b4cffdce73b2b53ce0b2f5caca391c1",
+    ("qst-rank1-256d", targets.DEFAULT_TARGET_SEED):
+        "6de08f3a7324a43b0e9c259964e5d64785a122a0a94335e1ee5ae7f6f7aa36c5",
+    ("qst-rank2-8d", 0):
+        "413e7a4a18c8ad6c146fa9c838b69aa93246958f113f3fee6120eb60c2ee1a4a",
+    ("qst-rank2-8d", 11):
+        "d33d19443918d98a765562948a4c31d7483854499f0ca39ce4cc68d0d3d6f668",
+    ("qst-rank2-8d", targets.DEFAULT_TARGET_SEED):
+        "4e9770d33a78739ae859e1e85aa661bb93089f7a6a9ffa6ce6c40dbdf6bb698b",
+    ("qst-rank4-8d", 0):
+        "df5e0cdf61a7a8e1c29e4eb7977a456c8626f1d51ed015a5d2dcde8834ac6d61",
+    ("qst-rank4-8d", 11):
+        "2958606346f3927a5b5e38e950e45b58dbbd67db03cda226cd53d31802318450",
+    ("qst-rank4-8d", targets.DEFAULT_TARGET_SEED):
+        "f064d561d32f6bb39642894ac7c6d19003aa14d7ec352ae4a8eed72a872943d7",
+    ("qst-rank2-degenerate", 0):
+        "baf9e9f5f9f148497f685aff8c3c7984e6d5e59c9bec72acb9372175b196d6fd",
+    ("qst-rank2-degenerate", 11):
+        "414a2d5aeec9f87dc0b63a3340a13c943dfab2385aacb2d663f62e60c98e12d1",
+    ("qst-rank2-degenerate", targets.DEFAULT_TARGET_SEED):
+        "3f55c5cb19eea1e93849933fa1a992eab8868f09cdc73620225fb673234e6a00",
+    ("qdt-three-valued", 0):
+        "98604ec1b5371f9536033295ac3b2f5d0bc6607e75bd5407d8923c2919d03058",
+    ("qdt-three-valued", 11):
+        "4d4a8e5f52d4be7e1b0d3c7d36cac2503ba4fa04b07f01fec32eba8a81596605",
+    ("qdt-three-valued", targets.DEFAULT_TARGET_SEED):
+        "196587ff5eb6f9de13ff128bc78b94d4cea3cc8b08f3d6a31dad920b3ee17122",
+    ("qdt-three-valued-8d", 0):
+        "1fa8120603d7934f61e9ba3e9b527f9c87fcc339abae03ca5426013f70461794",
+    ("qdt-three-valued-8d", 11):
+        "73655aed9f12af7e547d4350b9e36f0abf52d7bdecdffae90f6578b1cf38186f",
+    ("qdt-three-valued-8d", targets.DEFAULT_TARGET_SEED):
+        "1b4ea27e1b4b30b688535267d3703c69bc5eb4446d82c05202162d66b069f49a",
+    ("qdt-three-valued-16d", 0):
+        "58c09c4e4dcfc585dc65bdcc8669896a46aee1b2bb31cba41039c763763625d3",
+    ("qdt-three-valued-16d", 11):
+        "2c9f18bb24171428929fcc656751d6d9b22f2c5cbf4d9170989196d5ce0da228",
+    ("qdt-three-valued-16d", targets.DEFAULT_TARGET_SEED):
+        "8edef6411c49cbe117e9ccf2883b7261ebc57cbe40c40d68dd68fc61e73c0a01",
+    ("aapt-hadamard", 0):
+        "53c3dd961c7fc69391a0f32bcde2d917c9cdd9c2f2b50756ed040a6405247084",
+    ("aapt-hadamard", 11):
+        "53c3dd961c7fc69391a0f32bcde2d917c9cdd9c2f2b50756ed040a6405247084",
+    ("aapt-hadamard", targets.DEFAULT_TARGET_SEED):
+        "53c3dd961c7fc69391a0f32bcde2d917c9cdd9c2f2b50756ed040a6405247084",
+    ("aapt-damping-0.989", 0):
+        "72003133a6f416f0665538628b9b3bb29f50f1b060273f08c911336b31f8663a",
+    ("aapt-damping-0.989", 11):
+        "72003133a6f416f0665538628b9b3bb29f50f1b060273f08c911336b31f8663a",
+    ("aapt-damping-0.989", targets.DEFAULT_TARGET_SEED):
+        "72003133a6f416f0665538628b9b3bb29f50f1b060273f08c911336b31f8663a",
+    ("aapt-damping-third", 0):
+        "d89db8b3c7748f81750735df4be749e1f0d01878dd8e2a81939784a46c162a18",
+    ("aapt-damping-third", 11):
+        "4d833b071477418d88d6682dc8b511ecf07ba20820030da072a66a7238ab47dd",
+    ("aapt-damping-third", targets.DEFAULT_TARGET_SEED):
+        "599e3848e67e44927eb8dd0a2cdb6ecd086b16af52bb08031b733a028ec0f912",
+    ("aapt-toffoli", 0):
+        "7f0f87680d3c29743a8960333189859b14b233e527edf572d2e16ddac6718360",
+    ("aapt-toffoli", 11):
+        "7f0f87680d3c29743a8960333189859b14b233e527edf572d2e16ddac6718360",
+    ("aapt-toffoli", targets.DEFAULT_TARGET_SEED):
+        "7f0f87680d3c29743a8960333189859b14b233e527edf572d2e16ddac6718360",
+}
+
+
+def _target_arrays(target):
+    if target.task == "qst":
+        return [target.rho.mat]
+    if target.task == "qdt":
+        return [target.povm.elements]
+    return [*target.channel.operators, target.input_state.amplitudes]
+
+
+@pytest.mark.parametrize("name,seed", list(BUILTIN_TARGET_SHA256))
+def test_builtin_target_digest(name, seed):
+    target = builtin_target(name, seed)
+    digest = hashlib.sha256(target.name.encode())
+    for arr in _target_arrays(target):
+        arr = np.ascontiguousarray(arr, dtype=complex)
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == BUILTIN_TARGET_SHA256[(name, seed)]
+
+
+def test_every_builtin_target_is_pinned():
+    assert {name for name, _ in BUILTIN_TARGET_SHA256} == set(BUILTIN_TARGET_NAMES)
+
+
 class TestGmBound:
     def test_values(self):
         assert gm_bound(2, 1) == pytest.approx(9 / 4)
@@ -402,13 +511,16 @@ class TestRunScaling(object):
         third = [[[1 / 3 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
         eye3 = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
         specs = {
-            "qst": {"task": "qst", "density": third},  # d = 3
-            "aapt": {"task": "aapt", "kraus": [eye3]},  # d_out = 9
+            "qst-3": {"task": "qst", "density": third},  # d = 3
+            "qst-1": {"task": "qst", "density": [[[1.0, 0.0]]]},  # d = 1
+            "aapt-9": {"task": "aapt", "kraus": [eye3]},  # d_out = 9
         }
-        for task, spec in specs.items():
-            path = tmp_path / f"{task}.json"
+        for key, spec in specs.items():
+            path = tmp_path / f"{key}.json"
             path.write_text(json.dumps(spec))
-            cfg = ExperimentConfig(task, "adaptive", str(path), (1000, 2000, 4000), 5)
+            cfg = ExperimentConfig(
+                spec["task"], "adaptive", str(path), (1000, 2000, 4000), 5
+            )
             with pytest.raises(DimensionError, match="no Pauli cube"):
                 run_scaling(cfg)
         assert calls == []
@@ -608,7 +720,7 @@ class TestScoringSolves:
         harness.run_trial(cfg, 1600, 1, 0)
         counts, inside = {"eigh": 0, "eigvalsh": 0}, []
         self._count(monkeypatch, counts, inside)
-        for name in ("_score", "rooted_pseudo_state_fidelity"):
+        for name in ("_score", "rooted_fidelity_and_dp"):
             original = getattr(harness, name)
 
             def scoring(*args, _original=original):

@@ -18,7 +18,7 @@ from aqtomo.fidelity import (
     fuchs_check,
     process_scenario,
     pseudo_state_fidelity,
-    rooted_pseudo_state_fidelity,
+    rooted_fidelity_and_dp,
     state_fidelity,
     state_scenario,
     trace_distance,
@@ -112,7 +112,8 @@ class TestTruthRootedCore:
         pseudo = pytest.approx(min(f_1, 1.0), abs=1e-12)
         assert pseudo_state_fidelity(hat, true) == pseudo
         spectrum = np.linalg.eigvalsh(hat)
-        assert rooted_pseudo_state_fidelity(hat, spectrum, Truth.of(true)) == pseudo
+        pseudo_truth = Truth.of(true, FidelityScenario("pseudo_state"))
+        assert rooted_fidelity_and_dp(hat, spectrum, pseudo_truth)[0] == pseudo
         for scen in (detector_scenario(d), process_scenario(d)):
             f, dp = fidelity_and_dp(hat, true, scen)
             assert f == pytest.approx(reference_f(hat, true, scen), abs=1e-12)
@@ -125,7 +126,7 @@ class TestTruthRootedCore:
             rho_hat = DensityMatrix(hat)
             target = QstTarget("truth", DensityMatrix(true))
             metrics = harness._score(
-                rho_hat.mat, rho_hat.eigenvalues, target.truth, target.scenario, rank
+                rho_hat.mat, rho_hat.eigenvalues, target.truth, rank
             )
             ref = reference_f(rho_hat.mat, target.rho.mat, scen)
             assert 1.0 - metrics["infidelity"] == pytest.approx(ref, abs=1e-12)
@@ -148,9 +149,7 @@ class TestTruthRootedCore:
         scen = detector_scenario(d)
         f, f_dp = fidelity_and_dp(hat.elements, true.elements, scen)
         target = QdtTarget("truth", true)
-        scores = harness._score(
-            hat.elements, hat.eigenvalues, target.truth, target.scenario, ranks
-        )
+        scores = harness._score(hat.elements, hat.eigenvalues, target.truth, ranks)
         total = 0.0
         for j in range(k):
             a, b = hat.elements[j], true.elements[j]
@@ -172,11 +171,12 @@ class TestTruthRootedCore:
         with pytest.raises(NotPSDError):
             pseudo_state_fidelity(bad, ket0)
         with pytest.raises(NotPSDError):
-            rooted_pseudo_state_fidelity(bad, np.linalg.eigvalsh(bad), Truth.of(ket0))
+            pseudo_truth = Truth.of(ket0, FidelityScenario("pseudo_state"))
+            rooted_fidelity_and_dp(bad, np.linalg.eigvalsh(bad), pseudo_truth)
 
     def test_non_psd_truth_rejected(self):
         with pytest.raises(NotPSDError):
-            Truth.of(np.diag([1.0, -0.5]))
+            Truth.of(np.diag([1.0, -0.5]), state_scenario())
         with pytest.raises(NotPSDError):
             state_fidelity(I2 / 2, np.diag([1.0, -0.5]))
         with pytest.raises(NotPSDError):
@@ -190,9 +190,10 @@ class TestTraces:
     def test_truth_of_fills_the_traces(self):
         gen = SeededRng(131).generator()
         rho = random_density(gen, 4)
-        assert Truth.of(rho).traces == [float(np.trace(rho).real)]
+        assert Truth.of(rho, state_scenario()).traces == [float(np.trace(rho).real)]
         stack = np.stack([random_element(gen, 4, 0.3) for _ in range(3)])
-        assert Truth.of(stack).traces == [float(np.trace(m).real) for m in stack]
+        truth = Truth.of(stack, detector_scenario(4))
+        assert truth.traces == [float(np.trace(m).real) for m in stack]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 64])
     @pytest.mark.parametrize("k", [None, 3])
@@ -203,7 +204,8 @@ class TestTraces:
         true = np.stack([random_density(gen, d) for _ in range(count)])
         if k is None:
             hat, true = hat[0], true[0]
-        terms = _dp_terms(hat, np.linalg.eigvalsh(hat), Truth.of(true), d)
+        truth = Truth.of(true, FidelityScenario("pseudo_state"))
+        terms = _dp_terms(hat, np.linalg.eigvalsh(hat), truth, d)
         want = np.trace(true - hat, axis1=-2, axis2=-1).real.reshape(-1).tolist()
         assert [mismatch for _, mismatch in terms] == [t**2 / d**2 for t in want]
 
@@ -390,6 +392,9 @@ class TestUnifiedFidelity:
             FidelityScenario("bogus")
         with pytest.raises(ValueError):
             FidelityScenario("process", 1)
+        for kind in ("state", "pseudo_state"):
+            with pytest.raises(ValueError, match="own dimension"):
+                FidelityScenario(kind, 4)
 
     def test_unclamped_diagnostic_value(self):
         gen = SeededRng(47).generator()
@@ -407,6 +412,11 @@ class TestPseudoStateFidelity:
 
     def test_penalizes_trace_mismatch(self):
         assert pseudo_state_fidelity(0.5 * I2 / 2, I2 / 2) < 1.0 - 1e-4
+
+    def test_keeps_a_negative_f1(self):
+        # disjoint supports: F_dp = 0 and the mismatch term 0.95^2 / 4 stays
+        hat = np.diag([0.05, 0.0]).astype(complex)
+        assert pseudo_state_fidelity(hat, np.diag([0.0, 1.0])) == -0.225625
 
 
 class TestDetectorFidelityH:

@@ -1,11 +1,14 @@
-"""The README's library example runs as printed and gives what it claims, and
-its config paragraph lists the keys the parser accepts."""
+"""The README's library example runs as printed and gives what it claims, its
+config paragraph lists the keys the parser accepts, and its protocol
+signatures are those of the estimators."""
 
+import inspect
 import os
 import re
 import subprocess
 import sys
 
+from aqtomo import estimators
 from aqtomo.experiments import config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -31,3 +34,26 @@ def test_config_keys_match_parser():
     paragraph = re.search(r"Keys: (.*?)Unknown keys are rejected", _readme(), re.DOTALL)
     assert paragraph is not None
     assert tuple(re.findall(r"`(\w+)`", paragraph.group(1))) == config._KEYS
+
+
+def _signature_line(name: str) -> str:
+    params = [
+        p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+        for p in inspect.signature(getattr(estimators, name)).parameters.values()
+    ]
+    return f"{name}({', '.join(params)})"
+
+
+def test_protocol_signatures_match_estimators():
+    block = re.search(r"from\nthe oracle:\n\n```\n(.*?)```", _readme(), re.DOTALL)
+    assert block is not None
+    lines = block.group(1).splitlines()
+    protocols = [
+        name
+        for name, fn in vars(estimators).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == estimators.__name__
+        and name.startswith(("adaptive_", "static_", "nonadaptive_"))
+    ]
+    assert sorted(line.split("(")[0] for line in lines) == sorted(protocols)
+    assert lines == [_signature_line(line.split("(")[0]) for line in lines]
