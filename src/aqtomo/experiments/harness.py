@@ -1,19 +1,20 @@
 """Monte-Carlo scaling harness.
 
 For each shot count in the grid the harness runs independent seeded trials.
-Every task scores its reconstruction with one scorer (infidelity, classic
-trace-normalized infidelity, mean squared error, the eigenvalue mass beyond
-the true rank and the constraint deviation), and a trial returns its metrics
-as a name -> value mapping.  ``run_scaling`` reduces each metric over the
-kept trials of a grid point by one generic loop and fits a log-log slope
-through the per-N mean infidelities.  Trial randomness is keyed by (seed,
-grid index, trial index), so results are identical for any worker count and
-any execution order.  A trial reads its oracle, the truth it is scored
-against (rooted once, with its fidelity scenario) and, for AAPT, whether
-the channel is trace-preserving from the config's target, resolved once per
-process (``_context``); the estimate's spectra come from the validation of
-its value object.  AAPT's output state is scored by the same
-``rooted_fidelity_and_dp``, against a truth in the pseudo-state scenario.
+One trial function runs the protocol that a ``(task, method)`` table names
+and scores its estimate, one matrix or a detector's ``(K, d, d)`` element
+stack, with one scorer (infidelity, classic trace-normalized infidelity,
+mean squared error, the eigenvalue mass beyond the true ranks and the
+constraint deviation); a trial returns its metrics as a name -> value
+mapping.  ``run_scaling`` reduces each metric over the kept trials of a grid
+point by one generic loop and fits a log-log slope through the per-N mean
+infidelities.  Trial randomness is keyed by (seed, grid index, trial index),
+so results are identical for any worker count and any execution order.  A
+trial reads its oracle, the truth it is scored against (rooted once, with
+its fidelity scenario), the true ranks and, for AAPT, whether the channel is
+trace-preserving from the config's target, resolved once per process
+(``_context``); the estimate's spectra come from the validation of its value
+object.  AAPT's output state goes through the same scorer.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..estimators import (
 from ..fidelity import rooted_fidelity_and_dp
 from ..measurement import SeededRng
 from .config import TRIAL_STREAM_BITS, ExperimentConfig
-from .targets import AaptTarget, QdtTarget, QstTarget, resolve_target
+from .targets import resolve_target
 
 log = logging.getLogger(__name__)
 
@@ -160,104 +161,83 @@ def _context(config: ExperimentConfig):
     return target
 
 
-def _score(hat: np.ndarray, eigs: np.ndarray, truth, rank):
+def _score(hat: np.ndarray, eigs: np.ndarray, truth, ranks, dev: float) -> dict:
     """Metrics of an estimate against the truth, shared by every task.
 
-    ``eigs`` is the estimate's ascending spectrum, kept by its value object
-    from validation; it gives both the eigenvalue mass beyond the true rank
-    and the PSD deviation (the most negative eigenvalue, floored at 0),
-    which starts the ``constraint_dev`` each task extends.  ``truth`` is
-    the target's rooted truth, which carries its fidelity scenario.
-    ``(K, d, d)`` stacks with ``K`` ranks give ``K`` dicts, each equal to
-    its pair's own.
+    ``hat`` is one matrix or a ``(K, d, d)`` stack, ``eigs`` its ascending
+    spectra kept from validation, ``truth`` the target's rooted truth with
+    its fidelity scenario and ``ranks`` the true rank of each row.  The rows
+    are reduced in order from 0.0 (Python 3.12's sum() compensates): mean
+    infidelity and infidelity_dp, summed MSE and tail eigenvalue mass, and
+    as ``constraint_dev`` the largest of the task's ``dev`` and each row's
+    negated smallest eigenvalue.  A stack also keeps each row's infidelity.
     """
     f, f_dp = rooted_fidelity_and_dp(hat, eigs, truth)
-    true = truth.mat
-    if hat.ndim == 2:
-        return _metrics(hat, true, f, f_dp, eigs, rank)
-    return [
-        _metrics(*a) for a in zip(hat, true, f.tolist(), f_dp.tolist(), eigs, rank)
-    ]
-
-
-def _metrics(hat, true, f, f_dp, eigs, rank) -> dict:
-    diff = (hat - true).ravel()  # np.linalg.norm's arithmetic: sqrt(re.re + im.im)
-    return {
-        "infidelity": 1.0 - f,
-        "infidelity_dp": 1.0 - f_dp,
-        "mse": math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) ** 2,
-        "tail_eigensum": float(np.add.reduce(eigs[::-1][rank:])),
-        "constraint_dev": max(0.0, -float(eigs[0])),
-    }
-
-
-def _qst_trial(target: QstTarget, config, n, gen) -> dict:
-    if config.method == "adaptive":
-        est = adaptive_qst(target.oracle, n, config.alpha, gen)
+    if hat.ndim == 2:  # one matrix: the one-pair overlap's Python floats
+        rows = [(hat, truth.mat, eigs, f, f_dp, ranks[0])]
     else:
-        est = static_qst(target.oracle, n, gen)
-    rho_hat = est.value
-    metrics = _score(rho_hat.mat, rho_hat.eigenvalues, target.truth, target.rank)
-    trace_dev = abs(rho_hat.trace - 1.0)
-    metrics["constraint_dev"] = max(trace_dev, metrics["constraint_dev"])
-    return metrics
-
-
-def _qdt_trial(target: QdtTarget, config, n, gen) -> dict:
-    if config.method == "adaptive":
-        est = adaptive_qdt(target.oracle, n, config.alpha, gen)
-    else:
-        est = static_qdt(target.oracle, n, gen)
-    hat = est.value.elements
-    scores = _score(hat, est.value.eigenvalues, target.truth, target.element_ranks)
-    # summed in element order from 0.0 (Python 3.12's sum() compensates)
-    infid = infid_dp = mse = tail = dev = 0.0
-    for score in scores:
-        infid += score["infidelity"]
-        infid_dp += score["infidelity_dp"]
-        mse += score["mse"]
-        tail += score["tail_eigensum"]
-        dev = max(dev, score["constraint_dev"])
-    return {
-        "infidelity": infid / len(scores),
-        "infidelity_dp": infid_dp / len(scores),
+        rows = zip(hat, truth.mat, eigs, f.tolist(), f_dp.tolist(), ranks)
+    infid = infid_dp = mse = tail = 0.0
+    element_infid = []
+    for h, t, w, f_j, f_dp_j, rank in rows:
+        diff = (h - t).ravel()  # np.linalg.norm's arithmetic: sqrt(re.re + im.im)
+        infid += 1.0 - f_j
+        infid_dp += 1.0 - f_dp_j
+        mse += math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) ** 2
+        tail += float(np.add.reduce(w[::-1][rank:]))
+        dev = max(dev, -float(w[0]))
+        element_infid.append(1.0 - f_j)
+    k = len(element_infid)
+    metrics = {
+        "infidelity": infid / k,
+        "infidelity_dp": infid_dp / k,
         "mse": mse,
         "tail_eigensum": tail,
-        "element_infidelities": tuple(score["infidelity"] for score in scores),
-        "constraint_dev": max(dev, est.value.completeness_dev),
+        "constraint_dev": dev,
     }
-
-
-def _aapt_trial(target: AaptTarget, config, n, gen) -> dict:
-    d = target.dim
-    if config.method == "adaptive":
-        est = adaptive_aapt(
-            target.oracle, n, config.alpha, target.tp, target.input_state, gen
-        )
-    else:
-        est = nonadaptive_aapt(
-            target.oracle,
-            n,
-            target.tp,
-            target.input_state,
-            gen,
-            known_trace=None if target.tp else target.known_trace,
-        )
-    x_hat = est.value.x
-    metrics = _score(x_hat, est.value.eigenvalues, target.truth, target.rank)
-    sigma_hat = est.extras["sigma_out"]
-    metrics["sigma_out_infidelity"] = 1.0 - rooted_fidelity_and_dp(
-        sigma_hat.mat, sigma_hat.eigenvalues, target.sigma_out_truth
-    )[0]
-    if target.tp:
-        dev = float(np.max(np.abs(est.value.partial_trace - np.eye(d))))
-    else:
-        dev = max(0.0, float(est.value.partial_trace_eigenvalues[-1]) - 1.0)
-    metrics["constraint_dev"] = max(dev, metrics["constraint_dev"])
+    if hat.ndim == 3:
+        metrics["element_infidelities"] = tuple(element_infid)
     return metrics
 
 
-_TRIALS = {"qst": _qst_trial, "qdt": _qdt_trial, "aapt": _aapt_trial}
+# (task, method) -> protocol; each looks its protocol up by module-global name
+# when called, so a rebound name (a tracer's wrapper) is the one that runs
+_PROTOCOLS = {
+    ("qst", "adaptive"): lambda t, c, n, g: adaptive_qst(t.oracle, n, c.alpha, g),
+    ("qst", "static"): lambda t, c, n, g: static_qst(t.oracle, n, g),
+    ("qdt", "adaptive"): lambda t, c, n, g: adaptive_qdt(t.oracle, n, c.alpha, g),
+    ("qdt", "static"): lambda t, c, n, g: static_qdt(t.oracle, n, g),
+    ("aapt", "adaptive"): lambda t, c, n, g: adaptive_aapt(
+        t.oracle, n, c.alpha, t.tp, t.input_state, g
+    ),
+    ("aapt", "static"): lambda t, c, n, g: nonadaptive_aapt(
+        t.oracle, n, t.tp, t.input_state, g, known_trace=None if t.tp else t.known_trace
+    ),
+}
+
+
+def _trial(target, config, n, gen) -> dict:
+    est = _PROTOCOLS[config.task, config.method](target, config, n, gen)
+    value = est.value
+    # constraints: unit trace, completeness, Tr_1(X) = I (TP) or <= I (non-TP)
+    if config.task == "qst":
+        hat, dev = value.mat, abs(value.trace - 1.0)
+    elif config.task == "qdt":
+        hat, dev = value.elements, value.completeness_dev
+    else:
+        hat = value.x
+        if target.tp:
+            dev = value.partial_trace_dev
+        else:
+            dev = max(0.0, float(value.partial_trace_eigenvalues[-1]) - 1.0)
+    metrics = _score(hat, value.eigenvalues, target.truth, target.ranks, dev)
+    if config.task == "aapt":
+        sigma = est.extras["sigma_out"]
+        # a full-Schmidt probe maps X to sigma_out invertibly: equal ranks
+        metrics["sigma_out_infidelity"] = _score(
+            sigma.mat, sigma.eigenvalues, target.sigma_out_truth, target.ranks, 0.0
+        )["infidelity"]
+    return metrics
 
 
 def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int):
@@ -265,7 +245,7 @@ def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int):
     target = _context(config)
     gen = SeededRng(config.seed, stream_id=_trial_stream(n_index, trial)).generator()
     try:
-        return _TRIALS[config.task](target, config, n, gen)
+        return _trial(target, config, n, gen)
     except (EstimationError, np.linalg.LinAlgError) as exc:
         log.warning("excluding trial=%d N=%d reason=%s", trial, n, exc)
         return None

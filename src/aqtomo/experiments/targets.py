@@ -9,9 +9,9 @@ run and reproducible across machines.  Shot noise is then the only
 randomness inside a trial.
 
 A target holds its ``task``, the ``oracle`` that hides it and the constants
-a trial scores against (true ranks, and the truth rooted together with its
-fidelity scenario); each is computed on first access and kept, so every
-trial of a run shares them.
+a trial scores against (``ranks``, one true rank per scored matrix, and the
+truth rooted with its fidelity scenario); each is computed on first access
+and kept, so every trial of a run shares them.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ _RANK_TOL = 1e-10
 _MIN_SCHMIDT = 0.35  # smallest Schmidt coefficient of a random AAPT probe
 
 
-def _ranks(eigenvalues: np.ndarray) -> np.ndarray:
-    """Numerical rank from a spectrum, or from each row of a stack of spectra."""
-    return np.sum(eigenvalues > _RANK_TOL, axis=-1)
+def _ranks(eigenvalues: np.ndarray) -> tuple:
+    """Numerical ranks of a spectrum, or of each row of a stack of spectra."""
+    return tuple(np.sum(np.atleast_2d(eigenvalues) > _RANK_TOL, axis=-1).tolist())
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class QstTarget:
         return self.rho.dim
 
     @cached_property
-    def rank(self) -> int:
-        return int(_ranks(self.rho.eigenvalues))
+    def ranks(self) -> tuple:
+        return _ranks(self.rho.eigenvalues)
 
     @cached_property
     def truth(self) -> Truth:
@@ -89,8 +89,8 @@ class QdtTarget:
         return self.povm.dim
 
     @cached_property
-    def element_ranks(self) -> tuple:
-        return tuple(_ranks(self.povm.eigenvalues).tolist())
+    def ranks(self) -> tuple:
+        return _ranks(self.povm.eigenvalues)
 
     @cached_property
     def truth(self) -> Truth:
@@ -130,8 +130,8 @@ class AaptTarget:
         return kraus_to_process(self.channel)
 
     @cached_property
-    def rank(self) -> int:
-        return int(_ranks(self.process.eigenvalues))
+    def ranks(self) -> tuple:
+        return _ranks(self.process.eigenvalues)
 
     @cached_property
     def truth(self) -> Truth:

@@ -195,10 +195,14 @@ class ProcessMatrix:
         object.__setattr__(self, "partial_trace", q)
         object.__setattr__(self, "partial_trace_eigenvalues", wq)
 
+    @cached_property
+    def partial_trace_dev(self) -> float:
+        """``max |Tr_1(X) - I|``, formed once."""
+        return float(np.max(np.abs(self.partial_trace - np.eye(self.dim))))
+
     @property
     def trace_preserving(self) -> bool:
-        dev = np.max(np.abs(self.partial_trace - np.eye(self.dim)))
-        return bool(dev <= PARTIAL_TRACE_ATOL)
+        return self.partial_trace_dev <= PARTIAL_TRACE_ATOL
 
 
 @dataclass(frozen=True, eq=False)

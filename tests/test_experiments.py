@@ -24,6 +24,7 @@ from aqtomo.experiments import (
     run_scaling,
 )
 from aqtomo.experiments import harness, targets
+from aqtomo.experiments.config import METHODS, TASKS
 from aqtomo.experiments.io import CSV_HEADER, result_to_dict, write_csv, write_json
 from aqtomo.experiments.targets import (
     AaptTarget,
@@ -31,6 +32,7 @@ from aqtomo.experiments.targets import (
     QstTarget,
     load_target,
 )
+from aqtomo.fidelity import FidelityScenario, Truth
 from aqtomo.linalg import DimensionError, NotPSDError
 from aqtomo.measurement import PauliCube
 from aqtomo.quantum_objects import DegenerateInputError
@@ -225,7 +227,7 @@ class TestTargets:
         w1 = np.linalg.eigvalsh(target.povm.elements[0])
         w2 = np.linalg.eigvalsh(target.povm.elements[1])
         assert abs(w1[-1] - 0.4) < 1e-10 and abs(w2[-1] - 0.5) < 1e-10
-        assert target.element_ranks[:2] == (1, 1)
+        assert target.ranks[:2] == (1, 1)
 
     def test_aapt_damping_kraus(self):
         target = builtin_target("aapt-damping-0.989")
@@ -762,18 +764,74 @@ class TestScoringSolves:
 
 
 class TestMetricArithmetic:
-    """The scorer's MSE and tail sum equal their numpy formulas bit for bit."""
+    """The scorer's MSE and tail sum equal their numpy formulas bit for bit,
+    and a stack's equal its rows' values summed in order from 0.0."""
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16, 64])
     def test_mse_is_the_squared_norm(self, d):
         gen = np.random.default_rng(d)
-        for rank in (1, d // 2):
-            re, im = gen.standard_normal((2, 2, d, d))
-            hat, true = re + 1j * im
-            eigs = np.linalg.eigvalsh(hat + hat.conj().T)
-            metrics = harness._metrics(hat, true, 0.5, 0.5, eigs, rank)
-            assert metrics["mse"] == float(np.linalg.norm(hat - true) ** 2)
-            assert metrics["tail_eigensum"] == float(np.sum(eigs[::-1][rank:]))
+        ranks = (1, d // 2, d)
+        re, im = gen.standard_normal((2, 2, 3, d, d))
+        hat, true = (m @ m.conj().swapaxes(1, 2) for m in re + 1j * im)  # PSD
+        eigs = np.linalg.eigvalsh(hat)
+        scenario = FidelityScenario("pseudo_state")
+        stacked = harness._score(hat, eigs, Truth.of(true, scenario), ranks, 0.0)
+        mse = tail = 0.0
+        for j, rank in enumerate(ranks):
+            truth = Truth.of(true[j], scenario)
+            metrics = harness._score(hat[j], eigs[j], truth, (rank,), 0.0)
+            assert metrics["mse"] == float(np.linalg.norm(hat[j] - true[j]) ** 2)
+            assert metrics["tail_eigensum"] == float(np.sum(eigs[j][::-1][rank:]))
+            mse += metrics["mse"]
+            tail += metrics["tail_eigensum"]
+        assert stacked["mse"] == mse and stacked["tail_eigensum"] == tail
+
+
+class TestOneTrial:
+    """One trial function runs every (task, method) protocol and reduces a
+    detector's rows in element order."""
+
+    PROTOCOLS = {
+        ("qst", "adaptive"): ("adaptive_qst", "qst-rank1-8d"),
+        ("qst", "static"): ("static_qst", "qst-rank1-8d"),
+        ("qdt", "adaptive"): ("adaptive_qdt", "qdt-three-valued"),
+        ("qdt", "static"): ("static_qdt", "qdt-three-valued"),
+        ("aapt", "adaptive"): ("adaptive_aapt", "aapt-hadamard"),
+        ("aapt", "static"): ("nonadaptive_aapt", "aapt-hadamard"),
+    }
+
+    def test_table_covers_every_task_and_method(self):
+        pairs = {(task, method) for task in TASKS for method in METHODS}
+        assert set(harness._PROTOCOLS) == pairs == set(self.PROTOCOLS)
+
+    @pytest.mark.parametrize("task,method", sorted(PROTOCOLS))
+    def test_trial_calls_the_rebound_protocol_name(self, monkeypatch, task, method):
+        # a tracer rebinds the harness's names; the table must look them up
+        calls = {name: 0 for name, _ in self.PROTOCOLS.values()}
+        for name in calls:
+            original = getattr(harness, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counting)
+        name, target = self.PROTOCOLS[task, method]
+        cfg = ExperimentConfig(task, method, target, (1000, 4000, 16000), 2)
+        assert harness.run_trial(cfg, 4000, 1, 0) is not None
+        assert calls == {other: int(other == name) for other in calls}
+
+    def test_rows_are_summed_in_order_from_zero(self, monkeypatch):
+        # 1.0 + 2**-53 + 2**-53 rounds to 1.0 at each step; math.fsum (and a
+        # compensated sum()) would give (1 + 2**-52) / 3 instead
+        near_one = 1.0 - 2.0**-53
+        f = np.array([0.0, near_one, near_one])
+        monkeypatch.setattr(harness, "rooted_fidelity_and_dp", lambda *a: (f, f))
+        cfg = ExperimentConfig("qdt", "adaptive", "qdt-three-valued", (1000,), 1)
+        metrics = harness.run_trial(cfg, 4000, 0, 0)
+        assert metrics["element_infidelities"] == (1.0, 2.0**-53, 2.0**-53)
+        assert metrics["infidelity"] == 1.0 / 3
+        assert metrics["infidelity_dp"] == 1.0 / 3
 
 
 class TestStackedDetectorTrial:
@@ -855,7 +913,7 @@ class TestTrialExclusion:
         def trial(ctx, config, n, gen):
             raise exc
 
-        monkeypatch.setitem(harness._TRIALS, "qst", trial)
+        monkeypatch.setitem(harness._PROTOCOLS, ("qst", "adaptive"), trial)
 
     @pytest.mark.parametrize(
         "exc",

@@ -126,7 +126,7 @@ class TestTruthRootedCore:
             rho_hat = DensityMatrix(hat)
             target = QstTarget("truth", DensityMatrix(true))
             metrics = harness._score(
-                rho_hat.mat, rho_hat.eigenvalues, target.truth, rank
+                rho_hat.mat, rho_hat.eigenvalues, target.truth, (rank,), 0.0
             )
             ref = reference_f(rho_hat.mat, target.rho.mat, scen)
             assert 1.0 - metrics["infidelity"] == pytest.approx(ref, abs=1e-12)
@@ -149,13 +149,14 @@ class TestTruthRootedCore:
         scen = detector_scenario(d)
         f, f_dp = fidelity_and_dp(hat.elements, true.elements, scen)
         target = QdtTarget("truth", true)
-        scores = harness._score(hat.elements, hat.eigenvalues, target.truth, ranks)
+        scores = harness._score(hat.elements, hat.eigenvalues, target.truth, ranks, 0.0)
         total = 0.0
         for j in range(k):
             a, b = hat.elements[j], true.elements[j]
             assert f[j] == pytest.approx(reference_f(a, b, scen), abs=1e-12)
             assert f_dp[j] == pytest.approx(reference_dp(a, b, d)[0], abs=1e-12)
-            assert 1.0 - scores[j]["infidelity"] == pytest.approx(f[j], abs=1e-12)
+            infidelity = scores["element_infidelities"][j]
+            assert 1.0 - infidelity == pytest.approx(f[j], abs=1e-12)
             total += estimate_rooted_overlap(b, a)
         assert detector_fidelity_h(true, hat) == pytest.approx(
             min((total / d) ** 2, 1.0), abs=1e-12

@@ -442,5 +442,6 @@ class TestValidatedSpectrum:
         assert np.array_equal(q, partial_trace_1(process.x, 2, 2))
         assert not q.flags.writeable
         assert np.array_equal(process.partial_trace_eigenvalues, np.linalg.eigvalsh(q))
+        assert process.partial_trace_dev == float(np.max(np.abs(q - np.eye(2))))
         assert not process.trace_preserving
         assert kraus_to_process(KrausChannel((HADAMARD,))).trace_preserving
