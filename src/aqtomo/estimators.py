@@ -31,7 +31,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import (
-    INV_SQRT_FLOOR,
     DimensionError,
     _eig_product,
     _eigh,
@@ -298,8 +297,12 @@ def adaptive_qdt(
     :func:`_renormalize`'s.  The ``(N - n0) mod (K * d)`` shots that do not
     divide evenly over the probes are left unused (``extras``:
     ``step2_per_probe``, ``unused_shots``).  K and d come from the oracle.
+    An element that never clicks on its own probes would be estimated as
+    zero, which cannot be scored, so it raises :class:`EstimationError`.
     """
     lam, bases, extras = _two_step(detector_sampler, n_total, alpha, rng)
+    if (lam.sum(axis=1) <= 0.0).any():
+        raise EstimationError("an element never clicked on its own adaptive probes")
     return TomographyEstimate(Povm(_renormalize(eig_reconstruct(lam, bases))), extras)
 
 
@@ -314,8 +317,8 @@ def static_qdt(detector_sampler, n_total: int, rng) -> TomographyEstimate:
 # ---------------------------------------------------------------------------
 
 
-def qpt_stage2_tp(g: np.ndarray, dim: int) -> ProcessMatrix:
-    """Rescale a PSD matrix so its partial trace equals the identity.
+def qpt_stage2_tp(g: np.ndarray) -> ProcessMatrix:
+    """Rescale a d^2 x d^2 PSD matrix so its partial trace equals the identity.
 
     ``X = (I (x) Q^-1/2) G (I (x) Q^-1/2)`` with ``Q = Tr_1(G)``; invariant
     under positive rescaling of ``G``.  The inverse square root is clamped,
@@ -323,39 +326,27 @@ def qpt_stage2_tp(g: np.ndarray, dim: int) -> ProcessMatrix:
     failing.  ``G`` must be Hermitian; the result's validation checks it.
     """
     g = np.asarray(g, complex)
-    if g.shape[0] != dim * dim:
-        raise DimensionError("stage-2 input must be d^2 x d^2")
-    q = partial_trace_1(g, dim, dim)
-    corr = kron(np.eye(dim), inv_sqrt(q))
-    return ProcessMatrix(corr @ g @ dagger(corr), dim)
+    d = linalg._system_dim(g.shape[0])
+    corr = kron(np.eye(d), inv_sqrt(partial_trace_1(g, d, d)))
+    return ProcessMatrix(corr @ g @ dagger(corr))
 
 
-def qpt_stage2_ntp(g: np.ndarray, dim: int, n_shots: int) -> ProcessMatrix:
-    """Partial-trace correction for non-trace-preserving processes.
+def qpt_stage2_ntp(g: np.ndarray) -> ProcessMatrix:
+    """Partial-trace correction of a d^2 x d^2 PSD matrix for non-TP processes.
 
-    Spectral directions of ``Q = Tr_1(G)`` with zero eigenvalue get the
-    floor ``f_c / N`` (smallest positive eigenvalue over the copy budget);
-    eigenvalues are then capped at one, and ``G`` is rescaled direction by
-    direction so the result satisfies ``X >= 0`` and ``Tr_1(X) <= I``.
+    A direction of ``Q = Tr_1(G)`` with eigenvalue ``w > 1`` is scaled by
+    ``1 / sqrt(w)`` and every other one is kept, so ``X >= 0`` and
+    ``Tr_1(X) <= I``.  That is the paper's ``sqrt(min(f, 1)) / sqrt(f)`` bit
+    for bit; its floor ``f = f_c / N`` on the zero eigenvalues of ``Q`` is
+    left out, since it also scales by exactly 1 unless ``f_c > N``.  A
+    built-in target's probe (smallest Schmidt coefficient ``h``) gives
+    ``f_c <= Tr G <= 1 / h^2 <= 8.2``, and its step 1 needs ``N >= 9``.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be at least 1")
     g = np.asarray(g, complex)
-    if g.shape[0] != dim * dim:
-        raise DimensionError("stage-2 input must be d^2 x d^2")
-    q = partial_trace_1(g, dim, dim)
-    w, vecs = hermitian_eig(q)
-    tol = INV_SQRT_FLOOR * dim
-    positive = int(np.sum(w > tol))
-    f_bar = w.copy()
-    if positive == 0:
-        f_bar[:] = 1.0 / n_shots
-    else:
-        f_bar[positive:] = w[positive - 1] / n_shots
-    f_tilde = np.minimum(f_bar, 1.0)
-    scale = np.sqrt(f_tilde) / np.sqrt(f_bar)
-    corr = kron(np.eye(dim), eig_reconstruct(scale, vecs))
-    return ProcessMatrix(corr @ g @ dagger(corr), dim)
+    d = linalg._system_dim(g.shape[0])
+    w, vecs = hermitian_eig(partial_trace_1(g, d, d))
+    corr = kron(np.eye(d), eig_reconstruct(1.0 / np.sqrt(np.maximum(w, 1.0)), vecs))
+    return ProcessMatrix(corr @ g @ dagger(corr))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +393,7 @@ def adaptive_aapt(
     state_protocol = adaptive_qst if tp_flag else adaptive_qpst
     state_est = state_protocol(channel_sampler, n_total, alpha, rng)
     sigma_hat = state_est.value
-    return _process_estimate(sigma_hat, input_state, tp_flag, n_total)
+    return _process_estimate(sigma_hat, input_state, tp_flag)
 
 
 def nonadaptive_aapt(
@@ -434,12 +425,11 @@ def nonadaptive_aapt(
             raise EstimationError("no positive eigenvalue mass to rescale")
         lam = np.where(keep, w, 0.0) * (known_trace / kept_sum)
         sigma_hat = DensityMatrix(_eig_product(lam, v), sub_unit=True)
-    return _process_estimate(sigma_hat, input_state, tp_flag, n_total)
+    return _process_estimate(sigma_hat, input_state, tp_flag)
 
 
-def _process_estimate(sigma_hat, input_state, tp_flag, n_total):
+def _process_estimate(sigma_hat, input_state, tp_flag):
     """Last AAPT step: invert the input probe, then correct the partial trace."""
-    d = input_state.dim_a
     x0 = aapt_reconstruct(sigma_hat, input_state)
-    x_hat = qpt_stage2_tp(x0, d) if tp_flag else qpt_stage2_ntp(x0, d, n_total)
+    x_hat = qpt_stage2_tp(x0) if tp_flag else qpt_stage2_ntp(x0)
     return TomographyEstimate(x_hat, {"sigma_out": sigma_hat})

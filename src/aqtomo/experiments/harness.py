@@ -285,8 +285,6 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
                 f"{excluded}/{reps} trials failed at N={n}; "
                 "the configuration is not informationally complete at this budget"
             )
-        if not kept:
-            raise RuntimeError(f"no usable trials at N={n}")
         stats = {}
         for name in kept[0]:
             values = np.array([m[name] for m in kept])

@@ -9,36 +9,27 @@ import os
 
 from .harness import ScalingResult
 
-CSV_HEADER = (
-    "task,method,target,alpha,N,repetitions,mean_infidelity,std_infidelity,"
-    "mean_infidelity_dp,mean_mse,mean_tail_eigensum,gm_bound,excluded_trials"
+# the frozen CSV schema: each column, in order, with the type it holds; an
+# empty gm_bound cell (no bound outside QST) is the only cell read as None
+CSV_COLUMNS = dict(
+    task=str, method=str, target=str, alpha=float, N=int, repetitions=int,
+    mean_infidelity=float, std_infidelity=float, mean_infidelity_dp=float,
+    mean_mse=float, mean_tail_eigensum=float, gm_bound=float, excluded_trials=int,
 )
-CSV_FIELDS = CSV_HEADER.split(",")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trips any float64 exactly
-    return format(float(x), ".17g")
+def _cell(value, kind) -> str:
+    if value is None:
+        return ""
+    # by the column's type: 17 significant digits round-trip any float64
+    return format(float(value), ".17g") if kind is float else str(value)
 
 
 def _csv_rows(result: ScalingResult):
-    cfg = result.config
     for row in result.rows:
-        yield [
-            cfg.task,
-            cfg.method,
-            cfg.target,
-            _fmt(cfg.alpha),
-            str(row.n),
-            str(cfg.repetitions),
-            _fmt(row.mean_infidelity),
-            _fmt(row.std_infidelity),
-            _fmt(row.mean_infidelity_dp),
-            _fmt(row.mean_mse),
-            _fmt(row.mean_tail_eigensum),
-            "" if row.gm_bound is None else _fmt(row.gm_bound),
-            str(row.excluded_trials),
-        ]
+        values = {**vars(result.config), **vars(row), "N": row.n}
+        yield [_cell(values[name], kind) for name, kind in CSV_COLUMNS.items()]
 
 
 def write_csv(result: ScalingResult, out):
@@ -48,7 +39,7 @@ def write_csv(result: ScalingResult, out):
             write_csv(result, fh)
         return out
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
+    writer.writerow(CSV_COLUMNS)
     writer.writerows(_csv_rows(result))
     return out
 
@@ -104,28 +95,15 @@ def read_result_csv(path: str) -> list:
     """Read rows written by :func:`write_csv` back into typed dicts."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_FIELDS:
+        if reader.fieldnames != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header in {path}")
-        rows = []
-        for rec in reader:
-            rows.append(
-                {
-                    "task": rec["task"],
-                    "method": rec["method"],
-                    "target": rec["target"],
-                    "alpha": float(rec["alpha"]),
-                    "N": int(rec["N"]),
-                    "repetitions": int(rec["repetitions"]),
-                    "mean_infidelity": float(rec["mean_infidelity"]),
-                    "std_infidelity": float(rec["std_infidelity"]),
-                    "mean_infidelity_dp": float(rec["mean_infidelity_dp"]),
-                    "mean_mse": float(rec["mean_mse"]),
-                    "mean_tail_eigensum": float(rec["mean_tail_eigensum"]),
-                    "gm_bound": float(rec["gm_bound"]) if rec["gm_bound"] else None,
-                    "excluded_trials": int(rec["excluded_trials"]),
-                }
-            )
-    return rows
+        return [
+            {
+                name: None if name == "gm_bound" and not rec[name] else kind(rec[name])
+                for name, kind in CSV_COLUMNS.items()
+            }
+            for rec in reader
+        ]
 
 
 def read_result_json(path: str) -> dict:

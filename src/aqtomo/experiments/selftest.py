@@ -66,7 +66,7 @@ def _checks():
 
     g = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
     g = g @ g.conj().T
-    q = linalg.partial_trace_1(qpt_stage2_tp(g, 2).x, 2, 2)
+    q = linalg.partial_trace_1(qpt_stage2_tp(g).x, 2, 2)
     yield "stage-2 partial trace", np.allclose(q, np.eye(2), atol=1e-8)
 
     r1, r2 = _random_density(gen, 4), _random_density(gen, 4)
@@ -74,7 +74,7 @@ def _checks():
 
     eye = np.eye(2, dtype=complex)
     distorted = fidelity_dp(eye / 3, eye / 4)
-    fixed = fidelity(eye / 3, eye / 4, detector_scenario(2))
+    fixed = fidelity(eye / 3, eye / 4, detector_scenario())
     yield "distortion fix", abs(distorted - 1.0) < 1e-10 and fixed < 1.0 - 1e-4
 
     cube = pauli_cube(2)

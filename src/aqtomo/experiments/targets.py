@@ -94,7 +94,7 @@ class QdtTarget:
 
     @cached_property
     def truth(self) -> Truth:
-        return Truth.of(self.povm.elements, detector_scenario(self.dim))
+        return Truth.of(self.povm.elements, detector_scenario())
 
     @cached_property
     def oracle(self):
@@ -135,7 +135,7 @@ class AaptTarget:
 
     @cached_property
     def truth(self) -> Truth:
-        return Truth.of(self.process.x, process_scenario(self.dim))
+        return Truth.of(self.process.x, process_scenario())
 
     @cached_property
     def sigma_out(self) -> DensityMatrix:
@@ -256,6 +256,10 @@ def _complex_matrix(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+# the key each task's target file must hold
+_FILE_KEYS = {"qst": "density", "qdt": "elements", "aapt": "kraus"}
+
+
 def load_target(path: str):
     """Load a target from a JSON file.
 
@@ -268,23 +272,26 @@ def load_target(path: str):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     task = data.get("task")
+    key = _FILE_KEYS.get(task)
+    if key is None:
+        raise ValueError(f"target file {path} has unknown task {task!r}")
+    if key not in data:
+        raise ValueError(f"{task} target file {path} lacks the key {key!r}")
     name = data.get("name", os.path.basename(path))
     if task == "qst":
         return QstTarget(name, DensityMatrix(_complex_matrix(data["density"])))
     if task == "qdt":
         elems = tuple(_complex_matrix(m) for m in data["elements"])
         return QdtTarget(name, Povm(elems))
-    if task == "aapt":
-        ops = tuple(_complex_matrix(m) for m in data["kraus"])
-        channel = KrausChannel(ops)
-        if "input_amplitudes" in data:
-            amp = np.asarray(data["input_amplitudes"], dtype=float)
-            amp = amp[:, 0] + 1j * amp[:, 1]
-            probe = BipartitePureState(amp, channel.dim, channel.dim)
-        else:
-            probe = maximally_entangled_input(channel.dim)
-        return AaptTarget(name, channel, probe)
-    raise ValueError(f"target file {path} has unknown task {task!r}")
+    ops = tuple(_complex_matrix(m) for m in data["kraus"])
+    channel = KrausChannel(ops)
+    if "input_amplitudes" in data:
+        amp = np.asarray(data["input_amplitudes"], dtype=float)
+        amp = amp[:, 0] + 1j * amp[:, 1]
+        probe = BipartitePureState(amp, channel.dim, channel.dim)
+    else:
+        probe = maximally_entangled_input(channel.dim)
+    return AaptTarget(name, channel, probe)
 
 
 def resolve_target(spec: str, seed: int = DEFAULT_TARGET_SEED):

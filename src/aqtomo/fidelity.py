@@ -36,29 +36,26 @@ _EPS = np.finfo(float).eps
 class FidelityScenario:
     """Which tomography task a fidelity is evaluated for.
 
-    ``dim`` is the POVM-element dimension for detectors and the system
-    dimension d (not d^2) for processes; the trace-mismatch term divides by
-    ``dim ** 2`` in both cases, which is what makes ``f_lower`` tight.  A
-    state or pseudo-state leaves ``dim`` at 0 and divides by the square of
-    the estimate's own dimension.
+    The trace-mismatch term divides by ``d ** 2``, and ``f_lower(d)`` is
+    tight for that ``d``, which the operands fix: the system dimension d of
+    a d^2 x d^2 process matrix (:meth:`norm_dim` raises ``DimensionError``
+    on any other size), and the operands' own dimension for a state, a
+    pseudo-state or a POVM element.
     """
 
     kind: str  # "state" | "pseudo_state" | "detector_element" | "process"
-    dim: int = 0
 
     def __post_init__(self):
         if self.kind not in ("state", "pseudo_state", "detector_element", "process"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        sized = self.kind in ("detector_element", "process")
-        if sized and self.dim < 2:
-            raise ValueError("detector/process scenarios need dim >= 2")
-        if not sized and self.dim:
-            raise ValueError("a state scenario takes the estimate's own dimension")
 
-    @property
-    def f_lower(self) -> float:
+    def norm_dim(self, size: int) -> int:
+        """The normalization d of ``size x size`` operands."""
+        return linalg._system_dim(size) if self.kind == "process" else size
+
+    def f_lower(self, d: int) -> float:
         if self.kind == "detector_element":
-            return 1.0 / self.dim - 1.0
+            return 1.0 / d - 1.0
         return -1.0 if self.kind == "process" else 0.0
 
     @property
@@ -75,12 +72,12 @@ def state_scenario() -> FidelityScenario:
     return FidelityScenario("state")
 
 
-def detector_scenario(d: int) -> FidelityScenario:
-    return FidelityScenario("detector_element", d)
+def detector_scenario() -> FidelityScenario:
+    return FidelityScenario("detector_element")
 
 
-def process_scenario(d: int) -> FidelityScenario:
-    return FidelityScenario("process", d)
+def process_scenario() -> FidelityScenario:
+    return FidelityScenario("process")
 
 
 _PSEUDO_STATE = FidelityScenario("pseudo_state")
@@ -210,7 +207,8 @@ def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
 
 def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth):
     """:func:`fidelity_and_dp` of an estimate against a truth rooted once,
-    in the truth's scenario.
+    in the truth's scenario, normalized by the d that the estimate's size
+    fixes (:meth:`FidelityScenario.norm_dim`).
 
     ``spectrum`` is the ascending ``eigvalsh`` of ``hat_s`` (one row per
     matrix of a stack), such as a validated value object keeps; it serves
@@ -218,11 +216,10 @@ def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth
     ``sqrt(s) hat_s sqrt(s)``.
     """
     scenario = truth.scenario
-    f, floor = scenario.f_lower, scenario.floor
+    d = scenario.norm_dim(hat_s.shape[-1])
+    f, floor = scenario.f_lower(d), scenario.floor
     pairs = []
-    for f_dp, mismatch in _dp_terms(
-        hat_s, spectrum, truth, scenario.dim or hat_s.shape[-1]
-    ):
+    for f_dp, mismatch in _dp_terms(hat_s, spectrum, truth, d):
         raw = (f_dp - mismatch - f) / (1.0 - f)
         pairs.append((float(min(max(raw, floor), 1.0)), f_dp))
     if hat_s.ndim == 2:

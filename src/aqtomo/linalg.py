@@ -9,6 +9,7 @@ row-major ``reshape``; every tensor operation below assumes it.
 from __future__ import annotations
 
 import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +65,14 @@ def _require_square(m: np.ndarray, stack: bool = False) -> np.ndarray:
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _system_dim(size: int) -> int:
+    """The d of a d^2 x d^2 operator on two d-dimensional systems."""
+    d = math.isqrt(size)
+    if d * d != size:
+        raise DimensionError(f"size {size} is not the square of a dimension")
+    return d
 
 
 def _any_true(cond) -> bool:

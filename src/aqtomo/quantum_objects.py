@@ -166,22 +166,22 @@ class KrausChannel:
 class ProcessMatrix:
     """d^2 x d^2 PSD process matrix X with Tr_1(X) <= I_d.
 
-    ``partial_trace`` is the read-only ``Tr_1(X)`` that validation formed;
-    ``eigenvalues`` and ``partial_trace_eigenvalues`` are the ascending
-    spectra of ``x`` and of ``Tr_1(X)`` that validation computed.
+    ``dim`` is the system dimension d that validation read from the size of
+    ``x`` (any other size raises ``DimensionError``).  ``partial_trace`` is
+    the read-only ``Tr_1(X)`` that validation formed; ``eigenvalues`` and
+    ``partial_trace_eigenvalues`` are the ascending spectra of ``x`` and of
+    ``Tr_1(X)`` that validation computed.
     """
 
     x: np.ndarray
-    dim: int
+    dim: int = field(init=False)
     eigenvalues: np.ndarray = field(init=False, repr=False)
     partial_trace: np.ndarray = field(init=False, repr=False)
     partial_trace_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = hermitian_part(np.asarray(self.x, dtype=complex))
-        d = self.dim
-        if x.shape != (d * d, d * d):
-            raise DimensionError(f"process matrix must be {d * d} x {d * d}")
+        x = hermitian_part(linalg._require_square(self.x))  # one matrix
+        d = linalg._system_dim(x.shape[0])
         w = np.linalg.eigvalsh(x)
         if w[0] < -PROCESS_PSD_ATOL:
             raise linalg.NotPSDError("process matrix is not PSD")
@@ -191,6 +191,7 @@ class ProcessMatrix:
             raise ValueError("Tr_1(X) exceeds the identity")
         q.flags.writeable = False
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "partial_trace", q)
         object.__setattr__(self, "partial_trace_eigenvalues", wq)
@@ -302,7 +303,7 @@ def kraus_to_process(ch: KrausChannel) -> ProcessMatrix:
     d = ch.dim
     c = np.array([a.reshape(d * d) for a in ch.operators])
     x = c.T @ c.conj()
-    return ProcessMatrix(x, d)
+    return ProcessMatrix(x)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

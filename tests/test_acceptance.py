@@ -217,7 +217,7 @@ def test_criterion_08_theorem_conditions_observed():
 def test_criterion_09_distortion_regression():
     eye = np.eye(2, dtype=complex)
     dp = fidelity_dp(eye / 3, eye / 4)
-    unified = fidelity(eye / 3, eye / 4, detector_scenario(2))
+    unified = fidelity(eye / 3, eye / 4, detector_scenario())
     ok = abs(dp - 1.0) < 1e-10 and unified < 1.0 - 1e-4
     report(
         "criterion 9",

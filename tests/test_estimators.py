@@ -34,6 +34,7 @@ from aqtomo.linalg import (
     dagger,
     eig_reconstruct,
     haar_unitary,
+    hermitian_eig,
     hermitian_part,
     kron,
     partial_trace_1,
@@ -53,6 +54,7 @@ from aqtomo.quantum_objects import (
     DensityMatrix,
     KrausChannel,
     Povm,
+    ProcessMatrix,
     apply_extended_channel,
     kraus_to_process,
     maximally_entangled_input,
@@ -693,6 +695,13 @@ class TestQdt:
         with pytest.raises(EstimationError):
             adaptive_qdt(detector_sampler(povm), 60, 0.9, SeededRng(76))
 
+    def test_element_that_never_clicks_raises(self):
+        # element 0 clicks with probability at most 1e-12 on any probe, so its
+        # step-2 row is all zero and the estimate would hold a zero element
+        povm = Povm((np.diag([1e-12, 0.0]), np.diag([1.0 - 1e-12, 1.0])))
+        with pytest.raises(EstimationError, match="never clicked"):
+            adaptive_qdt(detector_sampler(povm), 600, 0.5, SeededRng(77))
+
     @pytest.mark.parametrize("n, n_elements", [(1, 2), (2, 4)])
     def test_element_count_and_dimension_come_from_the_oracle(self, n, n_elements):
         povm = random_povm(np.random.default_rng(150 + n), 2**n, n_elements)
@@ -708,42 +717,70 @@ class TestQdt:
 class TestStage2Corrections:
     def test_tp_fixed_point(self):
         x = kraus_to_process(KrausChannel((np.eye(2, dtype=complex),))).x
-        out = qpt_stage2_tp(x, 2)
+        out = qpt_stage2_tp(x)
         assert np.allclose(out.x, x, atol=1e-10)
 
     def test_tp_scale_invariance(self):
         gen = SeededRng(77).generator()
         g = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         g = g @ g.conj().T
-        base = qpt_stage2_tp(g, 2).x
+        base = qpt_stage2_tp(g).x
         for c in (0.5, 2.0):
-            assert np.allclose(qpt_stage2_tp(c * g, 2).x, base, atol=1e-8)
+            assert np.allclose(qpt_stage2_tp(c * g).x, base, atol=1e-8)
 
     def test_tp_partial_trace_identity(self):
         gen = SeededRng(78).generator()
         for _ in range(20):
             g = gen.standard_normal((9, 9)) + 1j * gen.standard_normal((9, 9))
             g = g @ g.conj().T
-            out = qpt_stage2_tp(g, 3)
+            out = qpt_stage2_tp(g)
             assert np.max(np.abs(partial_trace_1(out.x, 3, 3) - np.eye(3))) < 1e-8
 
     def test_ntp_small_input_untouched(self):
         # Tr_1(g) < I and positive definite: correction is the identity
         ch = lossy_dephasing()
         x = kraus_to_process(ch).x
-        out = qpt_stage2_ntp(x, 2, 10**6)
+        out = qpt_stage2_ntp(x)
         assert np.allclose(out.x, x, atol=1e-10)
 
     def test_ntp_caps_overweight_directions(self):
         g = np.diag([2.0, 0.0, 0.0, 0.5]).astype(complex)
         # Tr_1(g) = diag(2, 0.5): the first direction is rescaled to 1
-        out = qpt_stage2_ntp(g, 2, 100)
+        out = qpt_stage2_ntp(g)
         q = partial_trace_1(out.x, 2, 2)
         assert np.allclose(np.linalg.eigvalsh(q), [0.5, 1.0], atol=1e-10)
 
+    def test_ntp_equals_the_floored_correction(self):
+        # the paper's correction floors the zero eigenvalues of Q = Tr_1(G)
+        # at f_c / N before scaling by sqrt(min(f, 1)) / sqrt(f); that floor
+        # scales by exactly 1 whenever f_c <= N, so dropping it moves no bit
+        def floored(g, d, n_shots):
+            w, vecs = hermitian_eig(partial_trace_1(g, d, d))
+            positive = int(np.sum(w > 1e-12 * d))
+            f_bar = w.copy()
+            f_bar[positive:] = w[positive - 1] / n_shots if positive else 1.0 / n_shots
+            scale = np.sqrt(np.minimum(f_bar, 1.0)) / np.sqrt(f_bar)
+            corr = kron(np.eye(d), eig_reconstruct(scale, vecs))
+            return corr @ g @ dagger(corr)
+
+        gen = SeededRng(79).generator()
+        for trial in range(300):
+            d = 2 + trial % 2
+            rank = 1 + trial % (d * d)
+            v = haar_unitary(d * d, gen)[:, :rank]
+            g = (v * gen.uniform(0.0, 1.0, rank)) @ dagger(v)
+            if trial % 3 == 0:  # a singular Q: project system 2 off one vector
+                p = kron(np.eye(d), np.diag([0.0] + [1.0] * (d - 1)))
+                g = p @ g @ p
+            g *= gen.uniform(0.1, 3.0) / max(np.trace(g).real, 1e-300)
+            g = hermitian_part(g)
+            for n_shots in (10, 1000, 10**6):
+                want = ProcessMatrix(floored(g, d, n_shots)).x
+                assert np.array_equal(qpt_stage2_ntp(g).x, want)
+
     def test_ntp_rank_deficient_partial_trace(self):
         g = np.diag([0.5, 0.0, 0.0, 0.0]).astype(complex)
-        out = qpt_stage2_ntp(g, 2, 1000)
+        out = qpt_stage2_ntp(g)
         assert np.isfinite(out.x).all()
         assert np.linalg.eigvalsh(out.x)[0] > -1e-10
         q = partial_trace_1(out.x, 2, 2)

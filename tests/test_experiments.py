@@ -254,6 +254,19 @@ class TestTargets:
         target2 = resolve_target(str(path2))
         assert isinstance(target2, AaptTarget) and target2.tp
 
+    def test_load_detector_file_and_name_a_missing_key(self, tmp_path):
+        path = tmp_path / "detector.json"
+        z0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        z1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        path.write_text(json.dumps({"task": "qdt", "name": "z", "elements": [z0, z1]}))
+        target = load_target(str(path))
+        assert isinstance(target, QdtTarget) and target.name == "z"
+        assert np.array_equal(target.povm.elements, [np.diag([1, 0]), np.diag([0, 1])])
+        for task, key in (("qst", "density"), ("qdt", "elements"), ("aapt", "kraus")):
+            path.write_text(json.dumps({"task": task}))
+            with pytest.raises(ValueError, match=f"{task} target file .* '{key}'"):
+                load_target(str(path))
+
     def test_resolve_rejects_missing_file(self):
         with pytest.raises(FileNotFoundError):
             resolve_target("nope/missing.json")
@@ -931,6 +944,17 @@ class TestTrialExclusion:
         messages = [record.getMessage() for record in caplog.records]
         assert messages == [f"excluding trial=7 N=1000 reason={exc}"]
 
+    @pytest.mark.parametrize("alpha, n, trial", [(0.5, 100, 0), (0.99, 3000, 3)])
+    def test_qdt_element_with_no_step2_click_is_excluded(self, alpha, n, trial):
+        # seeded trials where an element never clicks on its own adaptive
+        # probes: its zero estimate cannot be scored (or, with two of them,
+        # makes the renormalization singular), so the trial is excluded
+        grid = (100, 101, 102)
+        cfg = ExperimentConfig(
+            "qdt", "adaptive", "qdt-three-valued", grid, 3, alpha=alpha, seed=2
+        )
+        assert harness.run_trial(cfg, n, 0, trial) is None
+
     @pytest.mark.parametrize(
         "exc",
         [NotPSDError("density matrix eigenvalue -1e-3 < 0"), ValueError("bad input")],
@@ -956,6 +980,33 @@ class TestIo:
             assert parsed["mean_infidelity"] == row.mean_infidelity  # exact
             assert parsed["gm_bound"] == row.gm_bound
             assert parsed["task"] == "qst" and parsed["alpha"] == 0.5
+
+    def test_cells_follow_the_column_types(self, tmp_path):
+        # a float column prints float(x) to 17 digits whatever the value's
+        # type; gm_bound alone may be empty, and it reads back as None
+        cfg = ExperimentConfig(
+            "qdt", "static", "qdt-three-valued", (10, 20, 30), 2, alpha=np.float32(0.3)
+        )
+        row = harness.ScalingRow(
+            n=10,
+            mean_infidelity=np.float32(0.1),
+            std_infidelity=0.0,
+            mean_infidelity_dp=1.0,
+            mean_mse=2,
+            mean_tail_eigensum=0.5,
+            gm_bound=None,
+            excluded_trials=1,
+        )
+        path = str(tmp_path / "typed.csv")
+        write_csv(harness.ScalingResult(cfg, [row], 0.0, 0.0, 1.0), path)
+        with open(path) as fh:
+            assert fh.read().splitlines()[1] == (
+                "qdt,static,qdt-three-valued,0.30000001192092896,10,2,"
+                "0.10000000149011612,0,1,2,0.5,,1"
+            )
+        (parsed,) = read_result_csv(path)
+        assert parsed["gm_bound"] is None and parsed["excluded_trials"] == 1
+        assert type(parsed["mean_mse"]) is float and type(parsed["N"]) is int
 
     def test_json_roundtrip(self, small_result, tmp_path):
         path = str(tmp_path / "out.json")

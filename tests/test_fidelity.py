@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,8 +78,11 @@ def reference_dp(a, b, d):
 
 
 def reference_f(a, b, scenario):
-    d = a.shape[0] if scenario.kind == "state" else scenario.dim
-    f = scenario.f_lower
+    """F by the estimate-rooted route; d is the system dimension of a
+    process matrix and the operands' own dimension otherwise."""
+    n = a.shape[0]
+    d = math.isqrt(n) if scenario.kind == "process" else n
+    f = {"detector_element": 1.0 / d - 1.0, "process": -1.0}.get(scenario.kind, 0.0)
     return min(max((reference_dp(a, b, d)[1] - f) / (1.0 - f), 0.0), 1.0)
 
 
@@ -114,7 +119,11 @@ class TestTruthRootedCore:
         spectrum = np.linalg.eigvalsh(hat)
         pseudo_truth = Truth.of(true, FidelityScenario("pseudo_state"))
         assert rooted_fidelity_and_dp(hat, spectrum, pseudo_truth)[0] == pseudo
-        for scen in (detector_scenario(d), process_scenario(d)):
+        scenarios = [detector_scenario(), process_scenario()]
+        if math.isqrt(d) ** 2 != d:  # a process matrix is d_sys^2 x d_sys^2
+            with pytest.raises(DimensionError):
+                fidelity_and_dp(hat, true, scenarios.pop())
+        for scen in scenarios:
             f, dp = fidelity_and_dp(hat, true, scen)
             assert f == pytest.approx(reference_f(hat, true, scen), abs=1e-12)
             assert dp == pytest.approx(f_dp, abs=1e-12)
@@ -146,7 +155,7 @@ class TestTruthRootedCore:
         true = random_povm(gen, d, ranks[:-1])
         noise = random_povm(gen, d, [d] * (k - 1))
         hat = Povm((1.0 - mix) * true.elements + mix * noise.elements)
-        scen = detector_scenario(d)
+        scen = detector_scenario()
         f, f_dp = fidelity_and_dp(hat.elements, true.elements, scen)
         target = QdtTarget("truth", true)
         scores = harness._score(hat.elements, hat.eigenvalues, target.truth, ranks, 0.0)
@@ -168,7 +177,7 @@ class TestTruthRootedCore:
         with pytest.raises(NotPSDError):
             state_fidelity(bad, ket0)
         with pytest.raises(NotPSDError):
-            fidelity_and_dp(bad, ket0, detector_scenario(2))
+            fidelity_and_dp(bad, ket0, detector_scenario())
         with pytest.raises(NotPSDError):
             pseudo_state_fidelity(bad, ket0)
         with pytest.raises(NotPSDError):
@@ -181,7 +190,7 @@ class TestTruthRootedCore:
         with pytest.raises(NotPSDError):
             state_fidelity(I2 / 2, np.diag([1.0, -0.5]))
         with pytest.raises(NotPSDError):
-            fidelity_and_dp(I2 / 2, np.diag([1.0, -0.5]), detector_scenario(2))
+            fidelity_and_dp(I2 / 2, np.diag([1.0, -0.5]), detector_scenario())
 
 
 class TestTraces:
@@ -193,7 +202,7 @@ class TestTraces:
         rho = random_density(gen, 4)
         assert Truth.of(rho, state_scenario()).traces == [float(np.trace(rho).real)]
         stack = np.stack([random_element(gen, 4, 0.3) for _ in range(3)])
-        truth = Truth.of(stack, detector_scenario(4))
+        truth = Truth.of(stack, detector_scenario())
         assert truth.traces == [float(np.trace(m).real) for m in stack]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 64])
@@ -217,18 +226,21 @@ class TestStackedOverlap:
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     @pytest.mark.parametrize("kind", ["state", "detector_element", "process"])
     def test_stack_equals_pairs(self, d, kind):
+        # d is the normalization: a process matrix of a d-dimensional system
+        # is d^2 x d^2, every other operand d x d
         gen = SeededRng(120, d).generator()
         if kind == "state":
             hat = np.stack([random_density(gen, d) for _ in range(4)])
             true = np.stack([random_density(gen, d) for _ in range(4)])
             scen = state_scenario()
         else:
-            hat = np.stack([random_element(gen, d, 0.9) for _ in range(4)])
-            true = np.stack([random_element(gen, d, 0.9) for _ in range(4)])
+            n = d * d if kind == "process" else d
+            hat = np.stack([random_element(gen, n, 0.9) for _ in range(4)])
+            true = np.stack([random_element(gen, n, 0.9) for _ in range(4)])
             # one rank-deficient pair, where the eigenvalue cutoff acts
             true[1] = np.outer(true[1][:, 0], true[1][:, 0].conj())
             true[1] *= 0.5 / np.trace(true[1]).real
-            scen = FidelityScenario(kind, d)
+            scen = FidelityScenario(kind)
         f, f_dp = fidelity_and_dp(hat, true, scen)
         assert f.shape == f_dp.shape == (4,)
         for k in range(4):
@@ -244,12 +256,12 @@ class TestStackedOverlap:
         true = np.stack([random_element(gen, 4, 0.5) for _ in range(3)])
         hat[2] = np.diag([0.5, 0.5, 0.1, -0.2])
         with pytest.raises(NotPSDError):
-            fidelity_and_dp(hat, true, detector_scenario(4))
+            fidelity_and_dp(hat, true, detector_scenario())
 
     def test_stacks_need_matching_shapes(self):
         with pytest.raises(DimensionError):
             fidelity_and_dp(
-                np.stack([I2] * 2), np.stack([I2] * 3), detector_scenario(2)
+                np.stack([I2] * 2), np.stack([I2] * 3), detector_scenario()
             )
         with pytest.raises(DimensionError):
             state_fidelity(np.stack([I2 / 2] * 2), np.stack([I2 / 2] * 2))
@@ -337,24 +349,30 @@ class TestUnifiedFidelity:
         s = random_psd(gen, 2)
         x = random_psd(gen, 4, scale=1.5)
         assert fidelity(rho, rho, state_scenario()) == pytest.approx(1.0, abs=1e-10)
-        assert fidelity(s, s, detector_scenario(2)) == pytest.approx(1.0, abs=1e-10)
-        assert fidelity(x, x, process_scenario(2)) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(s, s, detector_scenario()) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(x, x, process_scenario()) == pytest.approx(1.0, abs=1e-10)
 
     def test_detector_distortion_fixed(self):
         # normalize the F_1 example into [0, 1]: f = 1/2 - 1 = -1/2
-        f = fidelity(I2 / 3, I2 / 4, detector_scenario(2))
+        f = fidelity(I2 / 3, I2 / 4, detector_scenario())
         assert abs(f - (1.0 - (1.0 / 144.0) / 1.5)) < 1e-12
         assert f < 1.0 - 1e-4
 
     def test_infidelity_relation(self):
         gen = SeededRng(39).generator()
-        for scen in (detector_scenario(3), process_scenario(2)):
-            d_mat = 3 if scen.kind == "detector_element" else 4
+        # (scenario, operand size, the normalization d it fixes, f = f_lower(d))
+        cases = (
+            (detector_scenario(), 3, 3, 1.0 / 3.0 - 1.0),
+            (process_scenario(), 4, 2, -1.0),
+        )
+        for scen, d_mat, d, f_lower in cases:
+            assert scen.norm_dim(d_mat) == d
+            assert scen.f_lower(d) == f_lower
             a = random_psd(gen, d_mat, scale=0.8)
             b = random_psd(gen, d_mat, scale=0.9)
             f = fidelity(a, b, scen)
-            f1 = fidelity_f1(a, b, scen.dim)
-            assert abs((1.0 - f) - (1.0 - f1) / (1.0 - scen.f_lower)) < 1e-10
+            f1 = fidelity_f1(a, b, d)
+            assert abs((1.0 - f) - (1.0 - f1) / (1.0 - f_lower)) < 1e-10
 
     def test_state_scenario_equals_uhlmann(self):
         gen = SeededRng(40).generator()
@@ -373,9 +391,9 @@ class TestUnifiedFidelity:
         for _ in range(1000):
             kind = gen.integers(2)
             if kind == 0:
-                scen, d_mat = detector_scenario(2), 2
+                scen, d_mat = detector_scenario(), 2
             else:
-                scen, d_mat = process_scenario(2), 4
+                scen, d_mat = process_scenario(), 4
             a = random_psd(gen, d_mat, scale=gen.uniform(0.05, 1.9))
             b = random_psd(gen, d_mat, scale=gen.uniform(0.05, 1.9))
             f = fidelity(a, b, scen)
@@ -383,19 +401,26 @@ class TestUnifiedFidelity:
 
     def test_unequal_operators_not_scored_one(self):
         # the two distortion families must score strictly below one
-        assert fidelity(I2 / 3, I2 / 4, detector_scenario(2)) < 1.0 - 1e-6
+        assert fidelity(I2 / 3, I2 / 4, detector_scenario()) < 1.0 - 1e-6
         gen = SeededRng(42).generator()
         x = random_psd(gen, 4, scale=1.2)
-        assert fidelity(0.5 * x, x, process_scenario(2)) < 1.0 - 1e-6
+        assert fidelity(0.5 * x, x, process_scenario()) < 1.0 - 1e-6
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             FidelityScenario("bogus")
-        with pytest.raises(ValueError):
-            FidelityScenario("process", 1)
-        for kind in ("state", "pseudo_state"):
-            with pytest.raises(ValueError, match="own dimension"):
-                FidelityScenario(kind, 4)
+        for kind in ("state", "pseudo_state", "detector_element"):
+            assert FidelityScenario(kind).norm_dim(3) == 3
+        assert process_scenario().norm_dim(9) == 3
+
+    def test_process_kind_needs_a_square_size(self):
+        with pytest.raises(DimensionError):
+            process_scenario().norm_dim(3)
+        x = random_psd(SeededRng(48).generator(), 3)
+        with pytest.raises(DimensionError):
+            fidelity(x, x, process_scenario())
+        with pytest.raises(DimensionError):
+            fidelity_and_dp(np.stack([x] * 2), np.stack([x] * 2), process_scenario())
 
     def test_unclamped_diagnostic_value(self):
         gen = SeededRng(47).generator()

@@ -124,7 +124,7 @@ class TestInvSqrt:
         # Tr_1 of diag(1, 0, 0, 0) is diag(1, 0): one floored eigenvalue
         g = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         with caplog.at_level(logging.WARNING, logger="aqtomo"):
-            qpt_stage2_tp(g, 2)
+            qpt_stage2_tp(g)
         assert len(caplog.records) == 1
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from aqtomo.estimators import qpt_stage2_ntp, qpt_stage2_tp
 from aqtomo.linalg import (
     DimensionError,
     dagger,
@@ -18,6 +19,7 @@ from aqtomo.quantum_objects import (
     DensityMatrix,
     KrausChannel,
     Povm,
+    ProcessMatrix,
     apply_channel,
     apply_extended_channel,
     apply_process_matrix,
@@ -177,7 +179,7 @@ class TestKrausToProcess:
         assert pm.trace_preserving
         from aqtomo.fidelity import fidelity, process_scenario
 
-        assert fidelity(pm.x, pm.x, process_scenario(2)) == 1.0
+        assert fidelity(pm.x, pm.x, process_scenario()) == 1.0
 
     def test_phase_damping_0989(self):
         pm = kraus_to_process(phase_damping(0.989))
@@ -188,6 +190,17 @@ class TestKrausToProcess:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             KrausChannel((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
+
+    def test_dimension_is_read_from_the_size(self):
+        x = kraus_to_process(KrausChannel((np.eye(3, dtype=complex),))).x
+        assert ProcessMatrix(x).dim == 3
+        for bad in (np.eye(3), np.eye(6)[:4], np.stack([np.eye(4)] * 2)):
+            with pytest.raises(DimensionError):
+                ProcessMatrix(bad)
+        with pytest.raises(DimensionError):
+            qpt_stage2_tp(np.eye(3))
+        with pytest.raises(DimensionError):
+            qpt_stage2_ntp(np.eye(3))
 
 
 class TestApplyChannel:
