@@ -275,9 +275,9 @@ def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> np.ndarray:
 def _renormalize(elements: np.ndarray) -> np.ndarray:
     """Symmetric joint correction ``P_i -> S^-1/2 P_i S^-1/2``, ``S = sum_i P_i``.
 
-    Makes the ``(K, d, d)`` element stack sum to the identity; flooring the
-    inverse square root (logged, never fatal) keeps it finite.  ``S`` is
-    summed in element order, starting from the first.  The result is left
+    Makes the ``(K, d, d)`` element stack sum to the identity; a singular ``S``
+    raises ``LinAlgError`` (:func:`inv_sqrt`), which excludes the trial.  ``S``
+    is summed in element order, starting from the first.  The result is left
     unsymmetrized for the caller's checked :func:`hermitian_part`.
     """
     corr = inv_sqrt(sum(elements))
@@ -307,8 +307,14 @@ def adaptive_qdt(
 
 
 def static_qdt(detector_sampler, n_total: int, rng) -> TomographyEstimate:
-    """Static detector baseline: the whole budget goes into stage 1."""
+    """Static detector baseline: the whole budget goes into stage 1.
+
+    An element whose PSD projection is zero cannot be scored, so, as in
+    :func:`adaptive_qdt`, it raises :class:`EstimationError`.
+    """
     elements = _stage1(detector_sampler, n_total, linalg.as_generator(rng))
+    if (elements.trace(0, 1, 2).real <= 0.0).any():
+        raise EstimationError("an element's static estimate is zero")
     return TomographyEstimate(Povm(elements))
 
 
@@ -321,9 +327,9 @@ def qpt_stage2_tp(g: np.ndarray) -> ProcessMatrix:
     """Rescale a d^2 x d^2 PSD matrix so its partial trace equals the identity.
 
     ``X = (I (x) Q^-1/2) G (I (x) Q^-1/2)`` with ``Q = Tr_1(G)``; invariant
-    under positive rescaling of ``G``.  The inverse square root is clamped,
-    so a (rare, logged) nearly singular ``Q`` degrades gracefully instead of
-    failing.  ``G`` must be Hermitian; the result's validation checks it.
+    under positive rescaling of ``G``.  A singular ``Q`` raises ``LinAlgError``
+    (:func:`inv_sqrt`), which excludes the trial.  ``G`` must be Hermitian;
+    the result's validation checks it.
     """
     g = np.asarray(g, complex)
     d = linalg._system_dim(g.shape[0])
@@ -391,8 +397,7 @@ def adaptive_aapt(
     the O(1/N) decay of the estimated zero eigenvalues.
     """
     state_protocol = adaptive_qst if tp_flag else adaptive_qpst
-    state_est = state_protocol(channel_sampler, n_total, alpha, rng)
-    sigma_hat = state_est.value
+    sigma_hat = state_protocol(channel_sampler, n_total, alpha, rng).value
     return _process_estimate(sigma_hat, input_state, tp_flag)
 
 
@@ -406,18 +411,18 @@ def nonadaptive_aapt(
 ) -> TomographyEstimate:
     """Static ancilla-assisted baseline (O(1/sqrt N) on rank-deficient targets).
 
-    Spends the whole budget on the Pauli cube.  Trace-preserving
-    processes go through the physical projection; otherwise the negative
-    eigenvalues are truncated and the remainder rescaled to the a-priori
-    known output trace.
+    Spends the whole budget on the Pauli cube.  A trace-preserving process's
+    output is :func:`static_qst`'s estimate (``known_trace`` unread); otherwise
+    the negative eigenvalues of a free-trace fit are truncated and the
+    remainder rescaled to the a-priori known output trace.
     """
-    if not tp_flag and known_trace is None:
-        raise ValueError("non-trace-preserving baseline needs known_trace")
     gen = linalg.as_generator(rng)
-    sigma_tilde = _stage1(channel_sampler, n_total, gen, tp_flag)[0]
     if tp_flag:
-        sigma_hat = physical_projection_fast(sigma_tilde)
+        sigma_hat = static_qst(channel_sampler, n_total, gen).value
     else:
+        if known_trace is None:
+            raise ValueError("non-trace-preserving baseline needs known_trace")
+        sigma_tilde = _stage1(channel_sampler, n_total, gen, constrain_trace=False)[0]
         w, v = hermitian_eig(sigma_tilde)
         keep = w >= 0.0
         kept_sum = float(w[keep].sum())

@@ -211,7 +211,7 @@ _PROTOCOLS = {
         t.oracle, n, c.alpha, t.tp, t.input_state, g
     ),
     ("aapt", "static"): lambda t, c, n, g: nonadaptive_aapt(
-        t.oracle, n, t.tp, t.input_state, g, known_trace=None if t.tp else t.known_trace
+        t.oracle, n, t.tp, t.input_state, g, known_trace=t.known_trace
     ),
 }
 

@@ -33,6 +33,7 @@ from ..fidelity import (
 from ..linalg import DimensionError, eig_reconstruct, haar_unitary
 from ..measurement import SeededRng, detector_sampler, state_sampler
 from ..quantum_objects import (
+    RANK_TOL,
     BipartitePureState,
     DensityMatrix,
     KrausChannel,
@@ -45,13 +46,12 @@ from ..quantum_objects import (
 from .config import TARGET_STREAM_BASE
 
 DEFAULT_TARGET_SEED = 20240901
-_RANK_TOL = 1e-10
 _MIN_SCHMIDT = 0.35  # smallest Schmidt coefficient of a random AAPT probe
 
 
 def _ranks(eigenvalues: np.ndarray) -> tuple:
     """Numerical ranks of a spectrum, or of each row of a stack of spectra."""
-    return tuple(np.sum(np.atleast_2d(eigenvalues) > _RANK_TOL, axis=-1).tolist())
+    return tuple(np.sum(np.atleast_2d(eigenvalues) > RANK_TOL, axis=-1).tolist())
 
 
 @dataclass(frozen=True)

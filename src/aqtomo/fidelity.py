@@ -30,6 +30,7 @@ from .linalg import DimensionError, _any_true, _sq_norms, hermitian_part, matrix
 # eigenvalues of sqrt(B) A sqrt(B) may dip this far below zero from roundoff
 _UHLMANN_EIG_SLOP = -1e-10
 _EPS = np.finfo(float).eps
+_FUCHS_SLACK = 1e-9  # fuchs_check's tolerance on each side of the sandwich
 
 
 @dataclass(frozen=True)
@@ -294,15 +295,15 @@ class FuchsCheck(NamedTuple):
     holds: bool
 
 
-def fuchs_check(a: np.ndarray, b: np.ndarray, slack: float = 1e-9) -> FuchsCheck:
+def fuchs_check(a: np.ndarray, b: np.ndarray) -> FuchsCheck:
     """Evaluate the Fuchs - van de Graaf sandwich for two density matrices.
 
     Returns the three chain values and whether
-    ``1 - sqrt(F) <= ||a-b||_tr / 2 <= sqrt(1-F)`` holds within ``slack``.
+    ``1 - sqrt(F) <= ||a-b||_tr / 2 <= sqrt(1-F)`` holds within ``_FUCHS_SLACK``.
     """
     f = min(state_fidelity(a, b), 1.0)
     half_tr = trace_distance(a, b) / 2.0
     lower = 1.0 - np.sqrt(f)
     upper = float(np.sqrt(max(1.0 - f, 0.0)))
-    holds = (lower <= half_tr + slack) and (half_tr <= upper + slack)
+    holds = (lower <= half_tr + _FUCHS_SLACK) and (half_tr <= upper + _FUCHS_SLACK)
     return FuchsCheck(float(lower), half_tr, upper, bool(holds))

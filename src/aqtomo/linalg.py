@@ -8,19 +8,16 @@ row-major ``reshape``; every tensor operation below assumes it.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
 # Relative tolerance below which an input is accepted as Hermitian / PSD, and
 # the larger threshold beyond which we refuse to silently repair it.
 HERMITICITY_FAIL_RTOL = 1e-6
 PSD_FAIL_RTOL = 1e-6
-# Default floor of inv_sqrt's eigenvalues, per unit of dimension.
+# Per unit of dimension, the eigenvalue at or below which inv_sqrt raises.
 INV_SQRT_FLOOR = 1e-12
 
 
@@ -153,20 +150,17 @@ def matrix_sqrt(m: np.ndarray) -> np.ndarray:
     return eig_reconstruct(np.sqrt(w), v)
 
 
-def inv_sqrt(m: np.ndarray, clamp: float | None = None) -> np.ndarray:
-    """Inverse square root with eigenvalues floored at ``clamp``.
+def inv_sqrt(m: np.ndarray) -> np.ndarray:
+    """Inverse square root of a positive-definite Hermitian matrix.
 
-    Eigenvalues below the floor are raised to it before inversion, so the
-    result is always finite; the default floor is ``1e-12 * d``.  Each call
-    that floors an eigenvalue logs one warning.
+    A matrix whose smallest eigenvalue is at or below ``INV_SQRT_FLOOR * d``
+    is singular here and raises :class:`numpy.linalg.LinAlgError`.
     """
     m = _require_square(m)
-    if clamp is None:
-        clamp = INV_SQRT_FLOOR * m.shape[0]
+    floor = INV_SQRT_FLOOR * m.shape[0]
     w, v = hermitian_eig(m)
-    if w[-1] < clamp:
-        log.warning("inv_sqrt: eigenvalue %.3e floored at %.3e", w[-1], clamp)
-    w = np.maximum(w, clamp)
+    if w[-1] <= floor:
+        raise np.linalg.LinAlgError(f"inv_sqrt: eigenvalue {w[-1]:.3e} <= {floor:.3e}")
     return eig_reconstruct(1.0 / np.sqrt(w), v)
 
 

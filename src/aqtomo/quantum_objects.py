@@ -40,6 +40,7 @@ COMPLETENESS_ATOL = 1e-8
 # (or, for trace_preserving, differ from it entrywise)
 PROCESS_PSD_ATOL = 1e-8
 PARTIAL_TRACE_ATOL = 1e-8
+RANK_TOL = 1e-10  # numerical zero of every eigenvalue and Schmidt rank count
 
 
 class DegenerateInputError(ValueError):
@@ -236,7 +237,7 @@ class BipartitePureState:
 
     @property
     def schmidt_number(self) -> int:
-        return int(np.sum(self.coefficients > 1e-10))
+        return int(np.sum(self.coefficients > RANK_TOL))
 
     @cached_property
     def probe_inverse(self) -> np.ndarray:
@@ -260,14 +261,14 @@ class BipartitePureState:
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def operator_schmidt_number(self, tol: float = 1e-10) -> int:
-        """Schmidt number of |phi><phi| in the operator sense (counts s_l > tol)."""
+    def operator_schmidt_number(self) -> int:
+        """Operator Schmidt number of |phi><phi| (counts s_l > RANK_TOL)."""
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         da, db = self.dim_a, self.dim_b
         # realign rho[(a,b),(a',b')] -> R[(a,a'),(b,b')]; singular values of R
         # are the operator-Schmidt coefficients.
         r = rho.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-        return int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
+        return int(np.sum(np.linalg.svd(r, compute_uv=False) > RANK_TOL))
 
 
 def schmidt_decompose(psi: np.ndarray, d_a: int, d_b: int):

@@ -2,12 +2,15 @@ import hashlib
 import inspect
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from aqtomo.estimators import EstimationError, InformationIncompleteError
 from aqtomo.experiments import (
@@ -682,7 +685,7 @@ class TestBenchmarkSurface:
         eig = linalg.hermitian_eig(np.diag([2.0, -1.0, 0.5]).astype(complex))
         assert eig.eigenvalues.shape == (3,)
         assert float(eig.eigenvalues[-1]) == -1.0
-        assert list(inspect.signature(linalg.inv_sqrt).parameters) == ["m", "clamp"]
+        assert list(inspect.signature(linalg.inv_sqrt).parameters) == ["m"]
         plan = estimators.LrePlan(pauli_cube(1), True)
         assert list(inspect.signature(estimators.LrePlan.solve).parameters) == [
             "self", "freqs", "trace_value"
@@ -965,6 +968,54 @@ class TestTrialExclusion:
         with pytest.raises(type(exc)):
             harness.run_trial(self.CFG, 1000, 0, 7)
         assert not caplog.records
+
+    def test_singular_tp_correction_is_excluded(self, caplog):
+        # Tr_1 of the pulled-back estimate has an eigenvalue at roundoff in
+        # trials 14 and 15, so the TP correction has no inverse square root
+        cfg = ExperimentConfig(
+            "aapt", "adaptive", "aapt-damping-0.989", (10, 20, 30), 20, alpha=0.99, seed=2
+        )
+        with caplog.at_level(logging.WARNING, logger=harness.__name__):
+            assert [harness.run_trial(cfg, 10, 0, t) for t in (14, 15)] == [None, None]
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 2
+        assert all("reason=inv_sqrt: eigenvalue" in m for m in messages)
+        assert [row.excluded_trials for row in run_scaling(cfg).rows] == [2, 0, 0]
+
+
+class TestTrialProperty:
+    """Any budget and split: a trial is excluded, or its estimate is physical."""
+
+    TARGETS = {
+        "qst": ("qst-rank1-8d", "qst-rank2-8d"),
+        "qdt": ("qdt-three-valued",),
+        "aapt": ("aapt-hadamard", "aapt-damping-0.989", "aapt-damping-third"),
+    }
+    CASES = [
+        (task, method, target)
+        for task, names in TARGETS.items()
+        for method in METHODS
+        for target in names
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(CASES),
+        st.integers(10, 1000),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(0, 2**16),
+        st.integers(0, 63),
+    )
+    @example(("aapt", "adaptive", "aapt-damping-0.989"), 10, 0.99, 2, 14)
+    @example(("qdt", "static", "qdt-three-valued"), 36, 0.5, 1, 1)
+    def test_excluded_or_physical(self, case, n, alpha, seed, trial):
+        assume(1 <= math.floor(alpha * n) < n)
+        cfg = ExperimentConfig(*case, (n,), trial + 1, alpha=alpha, seed=seed)
+        metrics = harness.run_trial(cfg, n, 0, trial)
+        if metrics is not None:
+            values = np.concatenate([np.ravel(v) for v in metrics.values()])
+            assert np.isfinite(values).all()
+            assert metrics["constraint_dev"] <= 1e-8
 
 
 class TestIo:

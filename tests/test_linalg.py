@@ -97,35 +97,36 @@ class TestInvSqrt:
     def test_identity(self):
         assert np.allclose(inv_sqrt(np.eye(3)), np.eye(3))
 
-    def test_clamp_arithmetic(self):
-        out = inv_sqrt(np.diag([1.0, 0.0]), clamp=1e-12)
-        assert np.allclose(out, np.diag([1.0, 1e6]))
+    def test_singular_matrix_raises(self):
+        # the smallest eigenvalue at or below INV_SQRT_FLOOR * d is singular
+        floor = linalg.INV_SQRT_FLOOR * 2
+        for smallest in (0.0, -1e-16, floor):
+            with pytest.raises(np.linalg.LinAlgError, match="inv_sqrt: eigenvalue"):
+                inv_sqrt(np.diag([1.0, smallest]))
+
+    def test_just_above_the_floor_is_inverted(self):
+        smallest = 2.0 * linalg.INV_SQRT_FLOOR * 2
+        out = inv_sqrt(np.diag([1.0, smallest]))
+        assert np.allclose(out, np.diag([1.0, 1.0 / np.sqrt(smallest)]), rtol=1e-12)
 
     def test_inverse_property(self):
         gen = SeededRng(8).generator()
         p = rand_psd(gen, 5) + 0.5 * np.eye(5)
-        r = inv_sqrt(p, clamp=1e-15)
+        r = inv_sqrt(p)
         assert np.linalg.norm(r @ p @ r - np.eye(5)) <= 1e-8
-
-    def test_clamp_logs_one_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="aqtomo"):
-            inv_sqrt(np.diag([1.0, 0.0]))
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "floored" in caplog.records[0].getMessage()
 
     def test_well_conditioned_input_logs_nothing(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="aqtomo"):
             inv_sqrt(np.diag([4.0, 1.0]))
         assert caplog.records == []
 
-    def test_stage2_correction_logs_its_clamp_once(self, caplog):
+    def test_singular_stage2_correction_raises(self):
         from aqtomo.estimators import qpt_stage2_tp
 
-        # Tr_1 of diag(1, 0, 0, 0) is diag(1, 0): one floored eigenvalue
+        # Tr_1 of diag(1, 0, 0, 0) is diag(1, 0): no rescaling makes it I
         g = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        with caplog.at_level(logging.WARNING, logger="aqtomo"):
+        with pytest.raises(np.linalg.LinAlgError):
             qpt_stage2_tp(g)
-        assert len(caplog.records) == 1
 
 
 class TestPartialTrace:
