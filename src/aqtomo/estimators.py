@@ -10,6 +10,10 @@ is probed with its ``6^n`` product eigenstates, whose click table of element
 ``P_i`` is the cube's Born table of ``P_i``.  Either way the estimate is one
 ``(K, d, d)`` stack (``K = 1`` for a state); a static protocol keeps it.
 
+Given a list of T generators instead of one, a protocol runs T trials at
+once: each draws from its own generator, every array gains a leading trial
+axis, and each step is one stacked call, bit for bit the T calls alone.
+
 The adaptive protocols share one core, :func:`_two_step`: step 1 buys an
 accurate eigenbasis (one stacked eigensolve of the stage-1 stack), step 2
 measures in (or probes with) those eigenbases so the estimated eigenvalues
@@ -34,12 +38,11 @@ from .linalg import (
     DimensionError,
     _eig_product,
     _eigh,
+    _kron,
     dagger,
     eig_reconstruct,
-    hermitian_eig,
     hermitian_part,
     inv_sqrt,
-    kron,
     partial_trace_1,
     project_psd,
 )
@@ -79,11 +82,11 @@ class LrePlan:
     The cube (:class:`~aqtomo.measurement.PauliCube`) is the one static
     battery of the state, pseudo-state and process protocols (detectors are
     probed with its eigenstates, see :func:`qdt_stage1`); any other battery
-    raises ``TypeError``.  ``solve`` takes the ``(3^n, 2^n)``
-    frequency table of one draw of it.  The cube's ``X^T X`` is diagonal in
-    the Pauli basis, so the least-squares solution is the cube's own linear
-    inversion (:meth:`PauliCube.invert`, two matrix products): no design
-    matrix, rank check or pseudo-inverse is built.  Its identity coefficient
+    raises ``TypeError``.  ``solve`` takes the ``(..., 3^n, 2^n)`` frequency
+    table of one draw of it, or of each trial's.  The cube's ``X^T X`` is
+    diagonal in the Pauli basis, so the least-squares solution is the cube's
+    own linear inversion (:meth:`PauliCube.invert`, two matrix products): no
+    design matrix, rank check or pseudo-inverse is built.  Its identity coefficient
     already is the unconstrained least-squares one; with ``constrain_trace``
     the trace is re-pinned to ``trace_value``.  Setting ``s`` is the only one
     that measures the weight-n Pauli ``sigma_s1 (x) ... (x) sigma_sn``, so a
@@ -101,7 +104,7 @@ class LrePlan:
     def solve(self, freqs: Frequencies, trace_value: float = 1.0) -> np.ndarray:
         """Least-squares Hermitian reconstruction from one row per setting."""
         d = self.d
-        if freqs.values.shape != (len(self.cube), d):
+        if freqs.values.shape[-2:] != (len(self.cube), d):
             raise DimensionError("frequencies do not match the cube's settings")
         if not freqs.mask.all():
             raise InformationIncompleteError(
@@ -109,7 +112,9 @@ class LrePlan:
             )
         rho = self.cube.invert(freqs.values)
         if self.constrain_trace:
-            rho.flat[:: d + 1] += (trace_value - rho.trace().real) / d
+            shift = (trace_value - rho.trace(0, -2, -1).real) / d
+            diag = np.arange(d)
+            rho[..., diag, diag] += shift[..., None]
         return rho
 
 
@@ -125,26 +130,24 @@ def physical_projection_fast(h: np.ndarray) -> DensityMatrix:
     tail, with k maximal such that the smallest kept value stays
     non-negative.  Equivalent to the Euclidean projection of the eigenvalue
     vector onto the probability simplex; the trace is preserved exactly.
+    A ``(T, d, d)`` stack gives the value of T trials.
     """
-    tr = float(np.asarray(h).trace().real)
-    if abs(tr - 1.0) > 1e-8:
+    tr = np.asarray(h).trace(0, -2, -1).real
+    if (np.abs(tr - 1.0) > 1e-8).any():
         raise ValueError(f"projection expects unit trace, got {tr}")
-    w, v = hermitian_eig(h)
+    w, v = _eigh(h)
     lam = project_eigenvalues_simplex(w)
-    return DensityMatrix(_eig_product(lam, v))  # validation symmetrizes the product
+    return DensityMatrix._of(_eig_product(lam, v))  # validation symmetrizes it
 
 
 def project_eigenvalues_simplex(w: np.ndarray) -> np.ndarray:
-    """Project a non-increasing eigenvalue vector onto {x >= 0, sum fixed}."""
-    total = float(np.add.reduce(w))
-    cumulative, values = w.cumsum().tolist(), w.tolist()
-    lam = np.zeros(len(values))
-    for k in range(len(values), 0, -1):
-        shift = (total - cumulative[k - 1]) / k
-        if values[k - 1] + shift >= 0.0:
-            lam[:k] = w[:k] + shift
-            break
-    return lam
+    """Project each non-increasing eigenvalue vector onto {x >= 0, sum fixed}."""
+    size = np.arange(1, w.shape[-1] + 1)
+    shift = (np.add.reduce(w, -1, keepdims=True) - w.cumsum(-1)) / size
+    # the largest k whose k-th value stays non-negative after the k-th shift
+    k = ((w + shift >= 0.0) * size).max(-1, keepdims=True)
+    kept = np.take_along_axis(shift, np.maximum(k - 1, 0), -1)
+    return np.where(size <= k, w + kept, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +168,12 @@ def _stage1(oracle, shots: int, gen, constrain_trace: bool = True) -> np.ndarray
 
     Returns the ``(K, d, d)`` static estimate: a state's least-squares fit
     (``K = 1``, trace pinned to one if ``constrain_trace``) or a detector's
-    :func:`qdt_stage1` element stack.
+    :func:`qdt_stage1` element stack; ``(T, K, d, d)`` for T generators.
     """
     freqs = frequencies(oracle.counts(_split_shots(shots, len(oracle.table())), gen))
     if isinstance(oracle, DetectorOracle):
         return qdt_stage1(freqs, oracle.cube)
-    return LrePlan(oracle.cube, constrain_trace).solve(freqs)[None]
+    return LrePlan(oracle.cube, constrain_trace).solve(freqs)[..., None, :, :]
 
 
 def _check_alpha(n_total: int, alpha: float) -> int:
@@ -195,7 +198,7 @@ def _two_step(oracle, n_total, alpha, rng, constrain_trace: bool = True):
     n0 = _check_alpha(n_total, alpha)
     gen = linalg.as_generator(rng)
     stage1 = _stage1(oracle, n0, gen, constrain_trace)
-    k, d = stage1.shape[:2]
+    k, d = stage1.shape[-3:-1]
     detector = isinstance(oracle, DetectorOracle)
     shots, extras = n_total - n0, {}
     if detector:
@@ -204,10 +207,10 @@ def _two_step(oracle, n_total, alpha, rng, constrain_trace: bool = True):
             raise EstimationError("step-2 budget is below one shot per adaptive probe")
         extras["unused_shots"] = n_total - n0 - shots * k * d
     bases = _eigh(stage1).eigenvectors
-    counts = oracle.basis_counts(bases if detector else bases[0], shots, gen)
+    counts = oracle.basis_counts(bases if detector else bases[..., 0, :, :], shots, gen)
     # probe (i, j) is eigenvector j of element i, in row i * d + j; a state has K = 1
-    own = np.arange(k)
-    return frequencies(counts).values.reshape(k, d, k)[own, :, own], bases, extras
+    freqs = frequencies(counts).values.reshape(stage1.shape[:-3] + (k, d, k))
+    return np.diagonal(freqs, 0, -3, -1).swapaxes(-1, -2), bases, extras
 
 
 def adaptive_qst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
@@ -221,7 +224,7 @@ def adaptive_qst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate
     unit trace by construction.
     """
     lam, u, _ = _two_step(sampler, n_total, alpha, rng)
-    return TomographyEstimate(DensityMatrix(_eig_product(lam[0], u[0])))
+    return TomographyEstimate(DensityMatrix._of(_eig_product(lam, u)[..., 0, :, :]))
 
 
 def adaptive_qpst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
@@ -232,15 +235,15 @@ def adaptive_qpst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimat
     step 2, so the estimated eigenvalues sum below one.
     """
     lam, u, _ = _two_step(sampler, n_total, alpha, rng, constrain_trace=False)
-    if lam.sum() <= 0.0:
+    if (lam.sum(axis=-1) <= 0.0).any():
         raise EstimationError("every adaptive-step outcome fell in the null bin")
-    sigma_hat = DensityMatrix(_eig_product(lam[0], u[0]), sub_unit=True)
+    sigma_hat = DensityMatrix._of(_eig_product(lam, u)[..., 0, :, :], sub_unit=True)
     return TomographyEstimate(sigma_hat)
 
 
 def static_qst(sampler, n_total: int, rng) -> TomographyEstimate:
     """Static baseline: full-budget least squares plus physical projection."""
-    rho_tilde = _stage1(sampler, n_total, linalg.as_generator(rng))[0]
+    rho_tilde = _stage1(sampler, n_total, linalg.as_generator(rng))[..., 0, :, :]
     return TomographyEstimate(physical_projection_fast(rho_tilde))
 
 
@@ -260,27 +263,28 @@ def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> np.ndarray:
     :func:`_renormalize` restores completeness; the result is the
     ``(K, d, d)`` element stack, Hermitian up to roundoff.  Every probe must
     have shots: a zero-shot probe raises :class:`InformationIncompleteError`.
+    Leading axes of ``freqs`` (one per trial) lead the result too.
     """
     d = cube.dim
-    if len(freqs.mask) != len(cube) * d:
+    if freqs.mask.shape[-1] != len(cube) * d:
         raise DimensionError("one frequency row per cube probe state is required")
     if not freqs.mask.all():
         raise InformationIncompleteError(
             "a zero-shot probe state leaves the cube's inversion incomplete"
         )
-    tables = freqs.values.reshape(len(cube), d, -1)
-    return _renormalize(project_psd(cube.invert(np.moveaxis(tables, -1, 0))))
+    tables = freqs.values.reshape(freqs.mask.shape[:-1] + (len(cube), d, -1))
+    return _renormalize(project_psd(cube.invert(np.moveaxis(tables, -1, -3))))
 
 
 def _renormalize(elements: np.ndarray) -> np.ndarray:
     """Symmetric joint correction ``P_i -> S^-1/2 P_i S^-1/2``, ``S = sum_i P_i``.
 
-    Makes the ``(K, d, d)`` element stack sum to the identity; a singular ``S``
-    raises ``LinAlgError`` (:func:`inv_sqrt`), which excludes the trial.  ``S``
-    is summed in element order, starting from the first.  The result is left
-    unsymmetrized for the caller's checked :func:`hermitian_part`.
+    Makes the ``(..., K, d, d)`` element stack sum to the identity; a singular
+    ``S`` raises ``LinAlgError`` (:func:`inv_sqrt`), which excludes the trial.
+    ``S`` is summed in element order, starting from the first.  The result is
+    left unsymmetrized for the caller's checked :func:`hermitian_part`.
     """
-    corr = inv_sqrt(sum(elements))
+    corr = inv_sqrt(sum(np.moveaxis(elements, -3, 0)))[..., None, :, :]
     return corr @ elements @ corr
 
 
@@ -301,9 +305,10 @@ def adaptive_qdt(
     zero, which cannot be scored, so it raises :class:`EstimationError`.
     """
     lam, bases, extras = _two_step(detector_sampler, n_total, alpha, rng)
-    if (lam.sum(axis=1) <= 0.0).any():
+    if (lam.sum(axis=-1) <= 0.0).any():
         raise EstimationError("an element never clicked on its own adaptive probes")
-    return TomographyEstimate(Povm(_renormalize(eig_reconstruct(lam, bases))), extras)
+    elements = _renormalize(eig_reconstruct(lam, bases))
+    return TomographyEstimate(Povm._of(elements), extras)
 
 
 def static_qdt(detector_sampler, n_total: int, rng) -> TomographyEstimate:
@@ -313,9 +318,9 @@ def static_qdt(detector_sampler, n_total: int, rng) -> TomographyEstimate:
     :func:`adaptive_qdt`, it raises :class:`EstimationError`.
     """
     elements = _stage1(detector_sampler, n_total, linalg.as_generator(rng))
-    if (elements.trace(0, 1, 2).real <= 0.0).any():
+    if (elements.trace(0, -2, -1).real <= 0.0).any():
         raise EstimationError("an element's static estimate is zero")
-    return TomographyEstimate(Povm(elements))
+    return TomographyEstimate(Povm._of(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +334,12 @@ def qpt_stage2_tp(g: np.ndarray) -> ProcessMatrix:
     ``X = (I (x) Q^-1/2) G (I (x) Q^-1/2)`` with ``Q = Tr_1(G)``; invariant
     under positive rescaling of ``G``.  A singular ``Q`` raises ``LinAlgError``
     (:func:`inv_sqrt`), which excludes the trial.  ``G`` must be Hermitian;
-    the result's validation checks it.
+    the result's validation checks it.  ``G`` may also be a ``(T, d^2, d^2)`` stack.
     """
     g = np.asarray(g, complex)
-    d = linalg._system_dim(g.shape[0])
-    corr = kron(np.eye(d), inv_sqrt(partial_trace_1(g, d, d)))
-    return ProcessMatrix(corr @ g @ dagger(corr))
+    d = linalg._system_dim(g.shape[-1])
+    corr = _kron(np.eye(d), inv_sqrt(partial_trace_1(g, d, d)))
+    return ProcessMatrix._of(corr @ g @ dagger(corr))
 
 
 def qpt_stage2_ntp(g: np.ndarray) -> ProcessMatrix:
@@ -347,12 +352,13 @@ def qpt_stage2_ntp(g: np.ndarray) -> ProcessMatrix:
     left out, since it also scales by exactly 1 unless ``f_c > N``.  A
     built-in target's probe (smallest Schmidt coefficient ``h``) gives
     ``f_c <= Tr G <= 1 / h^2 <= 8.2``, and its step 1 needs ``N >= 9``.
+    ``G`` may also be a ``(T, d^2, d^2)`` stack.
     """
     g = np.asarray(g, complex)
-    d = linalg._system_dim(g.shape[0])
-    w, vecs = hermitian_eig(partial_trace_1(g, d, d))
-    corr = kron(np.eye(d), eig_reconstruct(1.0 / np.sqrt(np.maximum(w, 1.0)), vecs))
-    return ProcessMatrix(corr @ g @ dagger(corr))
+    d = linalg._system_dim(g.shape[-1])
+    w, vecs = _eigh(partial_trace_1(g, d, d))
+    corr = _kron(np.eye(d), eig_reconstruct(1.0 / np.sqrt(np.maximum(w, 1.0)), vecs))
+    return ProcessMatrix._of(corr @ g @ dagger(corr))
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +428,15 @@ def nonadaptive_aapt(
     else:
         if known_trace is None:
             raise ValueError("non-trace-preserving baseline needs known_trace")
-        sigma_tilde = _stage1(channel_sampler, n_total, gen, constrain_trace=False)[0]
-        w, v = hermitian_eig(sigma_tilde)
+        sigma_tilde = _stage1(channel_sampler, n_total, gen, constrain_trace=False)
+        w, v = _eigh(sigma_tilde[..., 0, :, :])
         keep = w >= 0.0
-        kept_sum = float(w[keep].sum())
-        if kept_sum <= 0.0:
+        rows = w.reshape(-1, w.shape[-1])  # each trial's own kept sum, as alone
+        kept_sum = np.reshape([r[r >= 0.0].sum() for r in rows], w.shape[:-1] + (1,))
+        if (kept_sum <= 0.0).any():
             raise EstimationError("no positive eigenvalue mass to rescale")
         lam = np.where(keep, w, 0.0) * (known_trace / kept_sum)
-        sigma_hat = DensityMatrix(_eig_product(lam, v), sub_unit=True)
+        sigma_hat = DensityMatrix._of(_eig_product(lam, v), sub_unit=True)
     return _process_estimate(sigma_hat, input_state, tp_flag)
 
 

@@ -1,20 +1,21 @@
 """Monte-Carlo scaling harness.
 
-For each shot count in the grid the harness runs independent seeded trials.
-One trial function runs the protocol that a ``(task, method)`` table names
-and scores its estimate, one matrix or a detector's ``(K, d, d)`` element
-stack, with one scorer (infidelity, classic trace-normalized infidelity,
-mean squared error, the eigenvalue mass beyond the true ranks and the
-constraint deviation); a trial returns its metrics as a name -> value
-mapping.  ``run_scaling`` reduces each metric over the kept trials of a grid
-point by one generic loop and fits a log-log slope through the per-N mean
-infidelities.  Trial randomness is keyed by (seed, grid index, trial index),
-so results are identical for any worker count and any execution order.  A
-trial reads its oracle, the truth it is scored against (rooted once, with
-its fidelity scenario), the true ranks and, for AAPT, whether the channel is
-trace-preserving from the config's target, resolved once per process
-(``_context``); the estimate's spectra come from the validation of its value
-object.  AAPT's output state goes through the same scorer.
+For each shot count in the grid the harness runs independent seeded trials,
+a grid point's repetitions as one stack (rerun one by one if any is
+excluded).  One trial function runs the protocol that a ``(task, method)``
+table names and scores each estimate, one matrix or a detector's
+``(K, d, d)`` element stack, with one scorer (infidelity, classic
+trace-normalized infidelity, mean squared error, the eigenvalue mass beyond
+the true ranks and the constraint deviation); a trial returns its metrics as
+a name -> value mapping.  ``run_scaling`` reduces each metric over the kept
+trials of a grid point by one generic loop and fits a log-log slope through
+the per-N mean infidelities.  Trial randomness is keyed by (seed, grid
+index, trial index), so results are identical for any worker count, order or
+stacking.  A trial reads its oracle, the truth it is scored against (rooted
+once, with its fidelity scenario), the true ranks and, for AAPT, whether the
+channel is trace-preserving from the config's target, resolved once per
+process (``_context``); the estimate's spectra come from the validation of
+its value object.  AAPT's output state goes through the same scorer.
 """
 
 from __future__ import annotations
@@ -161,43 +162,46 @@ def _context(config: ExperimentConfig):
     return target
 
 
-def _score(hat: np.ndarray, eigs: np.ndarray, truth, ranks, dev: float) -> dict:
-    """Metrics of an estimate against the truth, shared by every task.
+def _score(hat: np.ndarray, eigs: np.ndarray, truth, ranks, dev) -> list:
+    """Metrics of estimates against the truth, one mapping per trial.
 
-    ``hat`` is one matrix or a ``(K, d, d)`` stack, ``eigs`` its ascending
+    ``hat`` is one trial's estimate (a matrix, or a ``(K, d, d)`` stack for a
+    stacked truth) or T trials' with a leading axis, ``eigs`` their ascending
     spectra kept from validation, ``truth`` the target's rooted truth with
-    its fidelity scenario and ``ranks`` the true rank of each row.  The rows
-    are reduced in order from 0.0 (Python 3.12's sum() compensates): mean
-    infidelity and infidelity_dp, summed MSE and tail eigenvalue mass, and
-    as ``constraint_dev`` the largest of the task's ``dev`` and each row's
-    negated smallest eigenvalue.  A stack also keeps each row's infidelity.
+    its fidelity scenario, ``ranks`` the true rank of each of its rows and
+    ``dev`` the task's constraint deviation of each trial.  One overlap
+    scores every row; each trial's rows are then reduced in order from 0.0
+    (Python 3.12's sum() compensates): mean infidelity and infidelity_dp,
+    summed MSE and tail eigenvalue mass, and as ``constraint_dev`` the
+    largest of ``dev`` and each row's negated smallest eigenvalue.  A stacked
+    truth also keeps each row's infidelity.
     """
-    f, f_dp = rooted_fidelity_and_dp(hat, eigs, truth)
-    if hat.ndim == 2:  # one matrix: the one-pair overlap's Python floats
-        rows = [(hat, truth.mat, eigs, f, f_dp, ranks[0])]
-    else:
-        rows = zip(hat, truth.mat, eigs, f.tolist(), f_dp.tolist(), ranks)
-    infid = infid_dp = mse = tail = 0.0
-    element_infid = []
-    for h, t, w, f_j, f_dp_j, rank in rows:
-        diff = (h - t).ravel()  # np.linalg.norm's arithmetic: sqrt(re.re + im.im)
-        infid += 1.0 - f_j
-        infid_dp += 1.0 - f_dp_j
-        mse += math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) ** 2
-        tail += float(np.add.reduce(w[::-1][rank:]))
-        dev = max(dev, -float(w[0]))
-        element_infid.append(1.0 - f_j)
-    k = len(element_infid)
-    metrics = {
-        "infidelity": infid / k,
-        "infidelity_dp": infid_dp / k,
-        "mse": mse,
-        "tail_eigensum": tail,
-        "constraint_dev": dev,
-    }
-    if hat.ndim == 3:
-        metrics["element_infidelities"] = tuple(element_infid)
-    return metrics
+    shape = (-1, len(ranks)) + hat.shape[-2:]  # (T, K, d, d), K = 1 for a matrix
+    hats, truth_rows = hat.reshape(shape), truth.mat.reshape(shape[1:])
+    scores = rooted_fidelity_and_dp(hat, eigs, truth)
+    f, f_dp = (np.reshape(v, hats.shape[:2]).tolist() for v in scores)
+    devs = np.broadcast_to(dev, hats.shape[:1]).tolist()
+    out = []
+    for rows, ws, fs, f_dps, dev_t in zip(hats, eigs.reshape(shape[:3]), f, f_dp, devs):
+        infid = infid_dp = mse = tail = 0.0
+        for h, t, w, f_j, f_dp_j, rank in zip(rows, truth_rows, ws, fs, f_dps, ranks):
+            diff = (h - t).ravel()  # np.linalg.norm's arithmetic: sqrt(re.re + im.im)
+            infid += 1.0 - f_j
+            infid_dp += 1.0 - f_dp_j
+            mse += math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) ** 2
+            tail += float(np.add.reduce(w[::-1][rank:]))
+            dev_t = max(dev_t, -float(w[0]))
+        metrics = {
+            "infidelity": infid / len(ranks),
+            "infidelity_dp": infid_dp / len(ranks),
+            "mse": mse,
+            "tail_eigensum": tail,
+            "constraint_dev": dev_t,
+        }
+        if truth.mat.ndim == 3:
+            metrics["element_infidelities"] = tuple(1.0 - f_j for f_j in fs)
+        out.append(metrics)
+    return out
 
 
 # (task, method) -> protocol; each looks its protocol up by module-global name
@@ -216,39 +220,53 @@ _PROTOCOLS = {
 }
 
 
-def _trial(target, config, n, gen) -> dict:
+def _trial(target, config, n, gen) -> list:
     est = _PROTOCOLS[config.task, config.method](target, config, n, gen)
     value = est.value
     # constraints: unit trace, completeness, Tr_1(X) = I (TP) or <= I (non-TP)
     if config.task == "qst":
-        hat, dev = value.mat, abs(value.trace - 1.0)
+        hat, dev = value.mat, np.abs(value.trace - 1.0)
     elif config.task == "qdt":
         hat, dev = value.elements, value.completeness_dev
+    elif target.tp:
+        hat, dev = value.x, value.partial_trace_dev
     else:
-        hat = value.x
-        if target.tp:
-            dev = value.partial_trace_dev
-        else:
-            dev = max(0.0, float(value.partial_trace_eigenvalues[-1]) - 1.0)
+        excess = value.partial_trace_eigenvalues[..., -1] - 1.0
+        hat, dev = value.x, np.maximum(0.0, excess)
     metrics = _score(hat, value.eigenvalues, target.truth, target.ranks, dev)
     if config.task == "aapt":
         sigma = est.extras["sigma_out"]
         # a full-Schmidt probe maps X to sigma_out invertibly: equal ranks
-        metrics["sigma_out_infidelity"] = _score(
+        scores = _score(
             sigma.mat, sigma.eigenvalues, target.sigma_out_truth, target.ranks, 0.0
-        )["infidelity"]
+        )
+        for m, score in zip(metrics, scores):
+            m["sigma_out_infidelity"] = score["infidelity"]
     return metrics
 
 
-def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int):
-    """Run one seeded trial; returns its metrics by name, or None when excluded."""
-    target = _context(config)
-    gen = SeededRng(config.seed, stream_id=_trial_stream(n_index, trial)).generator()
+def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int | range):
+    """Run one seeded trial; returns its metrics by name, or None when excluded.
+
+    A ``range`` of trials runs as one stack and returns one entry per trial.
+    """
+    return _run(_context(config), config, n, n_index, trial)
+
+
+def _run(target, config, n, n_index, trial):
+    stack = isinstance(trial, range)
+    gens = [
+        SeededRng(config.seed, stream_id=_trial_stream(n_index, t)).generator()
+        for t in (trial if stack else [trial])
+    ]
     try:
-        return _trial(target, config, n, gen)
+        metrics = _trial(target, config, n, gens if stack else gens[0])
     except (EstimationError, np.linalg.LinAlgError) as exc:
+        if stack:  # rerun each trial alone, in order, so exclusions stay per trial
+            return [_run(target, config, n, n_index, t) for t in trial]
         log.warning("excluding trial=%d N=%d reason=%s", trial, n, exc)
         return None
+    return metrics if stack else metrics[0]
 
 
 def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
@@ -263,22 +281,19 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
     target = _context(config)  # validate config/target pairing before spawning
     _require_slope_points(len(config.n_grid))
     reps = config.repetitions
-    jobs = [
-        (config, n, ni, t) for ni, n in enumerate(config.n_grid) for t in range(reps)
-    ]
+    jobs = [(config, n, ni, range(reps)) for ni, n in enumerate(config.n_grid)]
     # a forked pool starts all its processes at the first submit
     workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers <= 1:
         outcomes = [run_trial(*job) for job in jobs]
     else:
-        chunk = max(1, len(jobs) // (workers * 8))
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            # map returns results in job order, so grid point ni owns one slice
-            outcomes = list(pool.map(run_trial, *zip(*jobs), chunksize=chunk))
+            # map returns results in job order, one list per grid point
+            outcomes = list(pool.map(run_trial, *zip(*jobs)))
 
     rows, series, constraint_devs = [], {}, []
     for ni, n in enumerate(config.n_grid):
-        kept = [m for m in outcomes[ni * reps : (ni + 1) * reps] if m is not None]
+        kept = [m for m in outcomes[ni] if m is not None]
         excluded = reps - len(kept)
         if excluded > MAX_EXCLUDED_FRACTION * reps:
             raise RuntimeError(

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import DimensionError, _any_true, _sq_norms, hermitian_part, matrix_sqrt
+from .linalg import DimensionError, _sq_norms, hermitian_part, matrix_sqrt
 
 # eigenvalues of sqrt(B) A sqrt(B) may dip this far below zero from roundoff
 _UHLMANN_EIG_SLOP = -1e-10
@@ -131,18 +131,13 @@ def _overlap_root(a: np.ndarray, spectrum: np.ndarray, root_b: np.ndarray):
     ``root_b`` is the square root of the truth.  Inner eigenvalues below
     machine precision relative to the largest are exact zeros up to
     roundoff; taking their square roots would inject O(sqrt(eps)) bias, so
-    they are dropped.  The checks of a single pair read Python floats.
+    they are dropped.
     """
-    if _any_true(spectrum[..., 0] < -linalg.PSD_FAIL_RTOL * _sq_norms(a) ** 0.5):
+    if np.any(spectrum[..., 0] < -linalg.PSD_FAIL_RTOL * _sq_norms(a) ** 0.5):
         raise linalg.NotPSDError("fidelity operand is not PSD")
     w = np.linalg.eigvalsh(root_b @ a @ root_b)
-    if w.ndim == 1:  # one pair: its extremes as Python floats
-        top = max(float(w[-1]), 0.0)
-        bad = w[0] < _UHLMANN_EIG_SLOP * max(1.0, top)
-    else:
-        top = np.maximum(w[..., -1:], 0.0)
-        bad = (w[..., :1] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)).any()
-    if bad:
+    top = np.maximum(w[..., -1:], 0.0)
+    if (w[..., :1] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)).any():
         raise linalg.NotPSDError("fidelity operand is not PSD")
     cutoff = w.shape[-1] * _EPS * top
     return np.add.reduce(np.sqrt(np.where(w > cutoff, w, 0.0)), -1)
@@ -163,11 +158,12 @@ def _dp_terms(hat_s, spectrum, truth: Truth, d: int) -> list:
 
     One (stacked) Uhlmann overlap serves every pair; the scalar tail then
     runs pair by pair in Python floats, so a stack's entries equal the
-    values of its pairs alone bit for bit.  The truth's scenario says
-    whether both traces must be 1.
+    values of its pairs alone bit for bit.  Leading (trial) axes of ``hat_s``
+    beyond the truth's repeat the truth.  The truth's scenario says whether
+    both traces must be 1.
     """
     s = truth.mat
-    if hat_s.shape != s.shape:
+    if hat_s.shape[max(hat_s.ndim - s.ndim, 0) :] != s.shape:
         raise DimensionError("estimate and truth shapes differ")
     tr_hat, tr_s = hat_s.trace(0, -2, -1).real.reshape(-1).tolist(), truth.traces
     # Tr(s - hat_s) sums the differences of the diagonals, as np.trace does
@@ -181,7 +177,7 @@ def _dp_terms(hat_s, spectrum, truth: Truth, d: int) -> list:
     roots = _overlap_root(hat_s, spectrum, truth.root).reshape(-1).tolist()
     return [
         (float(min(root**2 / (t_hat * t_s), 1.0)), t_diff**2 / d**2)
-        for root, t_hat, t_s, t_diff in zip(roots, tr_hat, tr_s, tr_diff)
+        for root, t_hat, t_s, t_diff in zip(roots, tr_hat, tr_s * len(roots), tr_diff)
     ]
 
 
@@ -214,7 +210,7 @@ def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth
     ``spectrum`` is the ascending ``eigvalsh`` of ``hat_s`` (one row per
     matrix of a stack), such as a validated value object keeps; it serves
     the PSD check, so a scored estimate costs one ``eigvalsh`` of
-    ``sqrt(s) hat_s sqrt(s)``.
+    ``sqrt(s) hat_s sqrt(s)``.  ``hat_s`` may carry leading (trial) axes.
     """
     scenario = truth.scenario
     d = scenario.norm_dim(hat_s.shape[-1])
@@ -225,7 +221,7 @@ def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth
         pairs.append((float(min(max(raw, floor), 1.0)), f_dp))
     if hat_s.ndim == 2:
         return pairs[0]
-    return tuple(np.array(values) for values in zip(*pairs))
+    return tuple(np.reshape(values, hat_s.shape[:-2]) for values in zip(*pairs))
 
 
 def fidelity_and_dp(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario):

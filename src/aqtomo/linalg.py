@@ -45,9 +45,11 @@ class HermitianEig(NamedTuple):
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept a ``numpy.random.Generator`` or anything with ``.generator()``."""
+    """Accept a Generator or anything with ``.generator()``; a list maps to a list."""
     if isinstance(rng, np.random.Generator):
         return rng
+    if isinstance(rng, list):
+        return [as_generator(r) for r in rng]
     if hasattr(rng, "generator"):
         return rng.generator()
     raise TypeError(f"expected a Generator or SeededRng, got {type(rng)!r}")
@@ -72,15 +74,8 @@ def _system_dim(size: int) -> int:
     return d
 
 
-def _any_true(cond) -> bool:
-    # a one-matrix check is a numpy bool, read far faster by bool() than .any()
-    return bool(cond.any() if cond.ndim else cond)
-
-
 def _sq_norms(m: np.ndarray):
     """Squared Frobenius norm of a matrix or of each of a stack, for thresholds."""
-    if m.ndim == 2:
-        return np.vdot(m, m).real
     return np.square(np.abs(m)).sum(axis=(-2, -1))
 
 
@@ -99,7 +94,7 @@ def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
         diff, tol2 = m - sym, HERMITICITY_FAIL_RTOL**2
         if np.vdot(diff, diff).real > tol2:
             off = _sq_norms(diff)
-            if _any_true((off > tol2 * _sq_norms(m)) & (off > tol2)):
+            if np.any((off > tol2 * _sq_norms(m)) & (off > tol2)):
                 raise NotHermitianError("matrix is not Hermitian within tolerance")
     return sym
 
@@ -137,7 +132,7 @@ def _psd_eigenvalues(m: np.ndarray, op: str) -> HermitianEig:
     m = np.asarray(m, dtype=complex)
     w, v = _eigh(m)
     # ||m|| bounds every |eigenvalue|, so it is the scale of the matrix
-    if _any_true(w[..., -1] < -PSD_FAIL_RTOL * _sq_norms(m) ** 0.5):
+    if np.any(w[..., -1] < -PSD_FAIL_RTOL * _sq_norms(m) ** 0.5):
         raise NotPSDError(
             f"{op}: eigenvalue {w.min():.3e} below -{PSD_FAIL_RTOL:.0e} * ||m||"
         )
@@ -151,25 +146,25 @@ def matrix_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse square root of a positive-definite Hermitian matrix.
+    """Inverse square root of a positive-definite Hermitian matrix, or stack.
 
     A matrix whose smallest eigenvalue is at or below ``INV_SQRT_FLOOR * d``
     is singular here and raises :class:`numpy.linalg.LinAlgError`.
     """
-    m = _require_square(m)
-    floor = INV_SQRT_FLOOR * m.shape[0]
-    w, v = hermitian_eig(m)
-    if w[-1] <= floor:
-        raise np.linalg.LinAlgError(f"inv_sqrt: eigenvalue {w[-1]:.3e} <= {floor:.3e}")
+    m = _require_square(m, stack=True)
+    floor = INV_SQRT_FLOOR * m.shape[-1]
+    w, v = _eigh(m)
+    if (low := np.min(w[..., -1])) <= floor:
+        raise np.linalg.LinAlgError(f"inv_sqrt: eigenvalue {low:.3e} <= {floor:.3e}")
     return eig_reconstruct(1.0 / np.sqrt(w), v)
 
 
 def partial_trace_1(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Trace out system 1 of ``m`` on H_1 (x) H_2, returning a d2 x d2 matrix."""
-    m = _require_square(m)
-    if m.shape[0] != d1 * d2:
-        raise DimensionError(f"matrix of size {m.shape[0]} is not {d1}*{d2}")
-    return np.einsum("ijik->jk", m.reshape(d1, d2, d1, d2))
+    """Trace out system 1 of ``m`` (or each of a stack) on H_1 (x) H_2: d2 x d2."""
+    m = _require_square(m, stack=True)
+    if m.shape[-1] != d1 * d2:
+        raise DimensionError(f"matrix of size {m.shape[-1]} is not {d1}*{d2}")
+    return np.einsum("...ijik->...jk", m.reshape(m.shape[:-2] + (d1, d2, d1, d2)))
 
 
 def partial_trace_2(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -198,8 +193,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"expected two matrices, got shapes {a.shape}, {b.shape}")
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`kron` of a matrix with each matrix of a stack ``(..., p, q)``."""
+    (m, n), (p, q) = a.shape, b.shape[-2:]
+    prod = a[:, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(b.shape[:-2] + (m * p, n * q))
 
 
 def haar_unitary(d: int, rng) -> np.ndarray:

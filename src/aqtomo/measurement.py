@@ -69,15 +69,15 @@ class Frequencies(NamedTuple):
 
 
 def frequencies(counts) -> Frequencies:
-    """Frequencies of an oracle's ``(S, K+1)`` counts (null column last).
+    """Frequencies of an oracle's ``(..., S, K+1)`` counts (null column last).
 
     Each row is divided by its total, the setting's shot count (inf if zero).
     """
     counts = np.asarray(counts)
-    shots = np.add.reduce(counts, 1, keepdims=True)
+    shots = np.add.reduce(counts, -1, keepdims=True)
     drawn = shots > 0
-    values = counts[:, :-1] / np.where(drawn, shots, np.inf)
-    return Frequencies(values, drawn[:, 0])
+    values = counts[..., :-1] / np.where(drawn, shots, np.inf)
+    return Frequencies(values, drawn[..., 0])
 
 
 def outcome_table(probs) -> np.ndarray:
@@ -110,11 +110,20 @@ def draw_counts(table, shots, rng) -> np.ndarray:
     zero-shot row consumes no randomness, so the result and the generator
     state afterwards equal those of one draw per row.  A single row takes
     numpy's one-vector path, which draws the same counts several times faster.
+    With a list of T generators, trial ``t`` draws the table (or row ``t`` of
+    a ``(T, ...)`` stack of tables) from its own, into a leading trial axis.
     """
     table, shots = np.asarray(table), np.asarray(shots, dtype=np.int64)
+    gen = as_generator(rng)
+    if isinstance(gen, list):
+        tables = np.broadcast_to(table, (len(gen),) + table.shape[-1 - shots.ndim :])
+        return np.stack([_draw(t, shots, g) for t, g in zip(tables, gen)])
+    return _draw(table, shots, gen)
+
+
+def _draw(table: np.ndarray, shots: np.ndarray, gen) -> np.ndarray:
     if shots.shape != table.shape[:-1]:
         raise DimensionError("one shot count per outcome-table row is required")
-    gen = as_generator(rng)
     if shots.size == 1:
         return gen.multinomial(shots.item(), table.ravel()).reshape(table.shape)
     return gen.multinomial(shots, table)
@@ -277,7 +286,7 @@ class _Oracle:
     def basis_counts(self, us, shots: int, rng) -> np.ndarray:
         """Counts of ``shots`` draws of every row of ``basis_table(us)``."""
         table = self.basis_table(us)
-        return draw_counts(table, [shots] * len(table), rng)
+        return draw_counts(table, [shots] * table.shape[-2], rng)
 
 
 class StateOracle(_Oracle):
@@ -298,12 +307,13 @@ class StateOracle(_Oracle):
     def basis_table(self, u) -> np.ndarray:
         """``(1, d+1)`` outcome table of a measurement in the columns of ``u``.
 
-        Outcome ``j`` has probability ``(U^dag rho U)_jj``.
+        Outcome ``j`` has probability ``(U^dag rho U)_jj``.  A stack of bases
+        ``(..., d, d)`` gives one such table each.
         """
         u = np.asarray(u)
-        if u.ndim != 2:
+        if u.ndim < 2:
             raise DimensionError("measurement basis must be a d x d matrix")
-        return outcome_table(_basis_probabilities(u, self.rho.mat)[None])
+        return outcome_table(_basis_probabilities(u, self.rho.mat)[..., None, :])
 
 
 class DetectorOracle(_Oracle):
@@ -331,12 +341,14 @@ class DetectorOracle(_Oracle):
         pure state of column ``j`` of ``U_i``, is row ``i * d + j``, and it
         clicks element ``k`` with probability ``(U_i^dag P_k U_i)_jj``, the
         diagonal a state oracle measures, with state and effect swapped.
+        Leading axes ``(..., n, d, d)`` give one such table each.
         """
         us = np.asarray(us)
-        if us.ndim != 3:
+        if us.ndim < 3:
             raise DimensionError("probe bases must be an (n, d, d) stack")
-        p = _basis_probabilities(us[:, None], self._elements)  # [i, k, j]
-        return outcome_table(p.swapaxes(1, 2).reshape(-1, len(self._elements)))
+        p = _basis_probabilities(us[..., None, :, :], self._elements)  # [..., i, k, j]
+        rows = us.shape[:-3] + (-1, p.shape[-2])  # probe (i, j) is row i * d + j
+        return outcome_table(p.swapaxes(-1, -2).reshape(rows))
 
 
 def state_sampler(rho: DensityMatrix) -> StateOracle:

@@ -13,13 +13,15 @@ Conventions fixed here and relied on everywhere else:
   satisfies ``X >= 0`` and ``Tr_1(X) <= I``, with equality exactly for
   trace-preserving channels.
 
-The value classes hold arrays, so they compare and hash by identity.
+The value classes hold arrays, so they compare and hash by identity.  T
+trials' value (``cls._of`` of arrays with a leading trial axis) keeps that
+axis in every array and field, and runs every check on each trial's row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -47,8 +49,23 @@ class DegenerateInputError(ValueError):
     """A Schmidt coefficient is (numerically) zero where positivity is required."""
 
 
+class _Value:
+    """Base of the validated values: one trial's, or T trials' through :meth:`_of`."""
+
+    _lead, _ndim = 0, 2  # leading trial axes (1 in _trials' subclass), one trial's
+
+    @classmethod
+    def _of(cls, arr, **kwargs):  # T trials' value for an array with a trial axis
+        return (cls if np.ndim(arr) == cls._ndim else _trials(cls))(arr, **kwargs)
+
+
+@cache
+def _trials(cls):
+    return type(cls.__name__, (cls,), {"_lead": 1})
+
+
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Value):
     """A PSD operator with unit trace, or sub-unit trace for pseudo-states.
 
     ``eigenvalues`` is the ascending spectrum of ``mat`` and ``trace`` its
@@ -61,23 +78,23 @@ class DensityMatrix:
     trace: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = hermitian_part(linalg._require_square(self.mat))  # one d x d matrix
+        mat = hermitian_part(linalg._require_square(self.mat, stack=bool(self._lead)))
         w = np.linalg.eigvalsh(mat)
-        if w[0] < -PSD_ATOL:
-            raise linalg.NotPSDError(f"density matrix eigenvalue {w[0]:.3e} < 0")
-        tr = float(mat.trace().real)
+        if (low := np.min(w[..., 0])) < -PSD_ATOL:
+            raise linalg.NotPSDError(f"density matrix eigenvalue {low:.3e} < 0")
+        tr = mat.trace(0, -2, -1).real
         if self.sub_unit:
-            if not (0.0 < tr <= 1.0 + TRACE_ATOL):
+            if not ((0.0 < tr) & (tr <= 1.0 + TRACE_ATOL)).all():
                 raise ValueError(f"pseudo-state trace {tr} outside (0, 1]")
-        elif abs(tr - 1.0) > TRACE_ATOL:
+        elif (np.abs(tr - 1.0) > TRACE_ATOL).any():
             raise ValueError(f"density matrix trace {tr} != 1")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "trace", tr)
+        object.__setattr__(self, "trace", tr if self._lead else float(tr))
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
 
 def pure_state(psi: np.ndarray) -> DensityMatrix:
@@ -88,7 +105,7 @@ def pure_state(psi: np.ndarray) -> DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class Povm:
+class Povm(_Value):
     """Ordered PSD elements summing to the identity.
 
     ``elements`` is one read-only ``(K, d, d)`` stack, element ``i`` at
@@ -101,6 +118,7 @@ class Povm:
     elements: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
     completeness_dev: float = field(init=False, repr=False)
+    _ndim = 3
 
     def __post_init__(self):
         try:
@@ -109,27 +127,27 @@ class Povm:
             raise DimensionError("POVM elements must be equal-shape matrices") from None
         if stack.size == 0:
             raise ValueError("a POVM needs at least one element")
-        if stack.ndim != 3:
+        if stack.ndim != 3 + self._lead:
             raise DimensionError("POVM elements must be equal-shape matrices")
         # one stacked symmetrization and eigensolve, checked element by element
         stack = hermitian_part(stack)
         w = np.linalg.eigvalsh(stack)
-        if np.min(w[:, 0]) < -PSD_ATOL:
+        if np.min(w[..., 0]) < -PSD_ATOL:
             raise linalg.NotPSDError("POVM element is not PSD")
-        dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1]))))
-        if dev > COMPLETENESS_ATOL:
+        dev = np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+        if np.max(dev) > COMPLETENESS_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
         stack.flags.writeable = False
         object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "completeness_dev", dev)
+        object.__setattr__(self, "completeness_dev", dev if self._lead else float(dev))
 
     @property
     def dim(self) -> int:
         return self.elements.shape[-1]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[-3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +182,7 @@ class KrausChannel:
 
 
 @dataclass(frozen=True, eq=False)
-class ProcessMatrix:
+class ProcessMatrix(_Value):
     """d^2 x d^2 PSD process matrix X with Tr_1(X) <= I_d.
 
     ``dim`` is the system dimension d that validation read from the size of
@@ -181,14 +199,14 @@ class ProcessMatrix:
     partial_trace_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = hermitian_part(linalg._require_square(self.x))  # one matrix
-        d = linalg._system_dim(x.shape[0])
+        x = hermitian_part(linalg._require_square(self.x, stack=bool(self._lead)))
+        d = linalg._system_dim(x.shape[-1])
         w = np.linalg.eigvalsh(x)
-        if w[0] < -PROCESS_PSD_ATOL:
+        if np.min(w[..., 0]) < -PROCESS_PSD_ATOL:
             raise linalg.NotPSDError("process matrix is not PSD")
         q = partial_trace_1(x, d, d)
         wq = np.linalg.eigvalsh(hermitian_part(q))
-        if wq[-1] > 1.0 + PARTIAL_TRACE_ATOL:
+        if np.max(wq[..., -1]) > 1.0 + PARTIAL_TRACE_ATOL:
             raise ValueError("Tr_1(X) exceeds the identity")
         q.flags.writeable = False
         object.__setattr__(self, "x", x)
@@ -200,7 +218,8 @@ class ProcessMatrix:
     @cached_property
     def partial_trace_dev(self) -> float:
         """``max |Tr_1(X) - I|``, formed once."""
-        return float(np.max(np.abs(self.partial_trace - np.eye(self.dim))))
+        dev = np.abs(self.partial_trace - np.eye(self.dim)).max(axis=(-2, -1))
+        return dev if self._lead else float(dev)
 
     @property
     def trace_preserving(self) -> bool:

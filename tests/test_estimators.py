@@ -421,6 +421,28 @@ class TestPhysicalProjection:
         out = physical_projection_fast(h).mat
         assert np.max(np.abs(out - sgs_projection(h))) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 16), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_loop_bit_for_bit(self, d, spread, seed):
+        def loop(w):  # the largest feasible k, found from the top down
+            total = float(np.add.reduce(w))
+            cumulative, values = w.cumsum().tolist(), w.tolist()
+            lam = np.zeros(len(values))
+            for k in range(len(values), 0, -1):
+                shift = (total - cumulative[k - 1]) / k
+                if values[k - 1] + shift >= 0.0:
+                    lam[:k] = w[:k] + shift
+                    break
+            return lam
+
+        gen = np.random.default_rng(seed)
+        w = np.sort(spread * gen.standard_normal((4, d)))[:, ::-1]
+        w = np.ascontiguousarray(w + gen.standard_normal((4, 1)))  # any sum
+        stacked = project_eigenvalues_simplex(w)
+        for row, got in zip(w, stacked):
+            assert np.array_equal(got, loop(row))
+            assert np.array_equal(project_eigenvalues_simplex(row), got)
+
     def test_trace_preserved_exactly(self):
         gen = SeededRng(59).generator()
         h = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))

@@ -649,12 +649,15 @@ class TestRunScaling(object):
 class TestBenchmarkSurface:
     """What the benchmark's child process and tracer drive, from the outside.
 
-    ``perfbench/child.py`` sets each config up with one ``run_trial`` call,
-    runs ``run_scaling(cfg, workers=1)`` and reads its slope, exclusions and
-    constraint deviations; ``perfbench/tracing.py`` counts trials at
-    ``run_trial(config, n, n_index, trial)``, reads the smallest eigenvalue
-    of every ``hermitian_eig`` result as ``float(eigenvalues[-1])``, and
-    wraps ``LrePlan.__init__``/``solve`` and the public ``qdt_stage1``.
+    ``perfbench/child.py`` sets each config up with one one-trial
+    ``run_trial`` call, runs ``run_scaling(cfg, workers=1)`` and reads its
+    slope, exclusions and constraint deviations; ``perfbench/tracing.py``
+    counts spans of ``run_trial(config, n, n_index, trial)``, which
+    ``run_scaling`` calls once per grid point with ``trial`` the range of its
+    repetitions, so a span and its ``budget`` count are a grid point's, not
+    a trial's.  The tracer also reads the smallest eigenvalue of every
+    ``hermitian_eig`` result as ``float(eigenvalues[-1])``, and wraps
+    ``LrePlan.__init__``/``solve`` and the public ``qdt_stage1``.
     """
 
     def test_trial_and_scaling_calls(self, tmp_path):
@@ -671,6 +674,8 @@ class TestBenchmarkSurface:
             names = {"infidelity", "infidelity_dp", "mse", "tail_eigensum"}
             assert names <= set(metrics)
             assert all(isinstance(v, (float, tuple)) for v in metrics.values())
+            stacked = harness.run_trial(cfg, cfg.n_grid[0], 0, range(2))
+            assert stacked == [metrics, harness.run_trial(cfg, cfg.n_grid[0], 0, 1)]
             result = harness.run_scaling(cfg, workers=1)
             assert isinstance(result.slope, float)
             assert sum(row.excluded_trials for row in result.rows) == 0
@@ -765,6 +770,26 @@ class TestScoringSolves:
         # partial trace, then one overlap each; constraint_dev solves nothing
         assert counts["eigvalsh"] == 5
 
+    @pytest.mark.parametrize(
+        "task,target,n,want",
+        [
+            ("qst", "qst-rank1-8d", 4000, {"eigh": 1, "eigvalsh": 2}),
+            ("qdt", "qdt-three-valued", 4000, {"eigh": 4, "eigvalsh": 2}),
+            ("aapt", "aapt-damping-third", 1600, {"eigh": 2, "eigvalsh": 5}),
+        ],
+    )
+    def test_grid_point_costs_the_solves_of_one_trial(
+        self, monkeypatch, task, target, n, want
+    ):
+        # a grid point's repetitions run as one stack: each solve is one call
+        cfg = ExperimentConfig(task, "adaptive", target, (400, 1600, 4000), 20)
+        harness.run_trial(cfg, n, 1, 0)
+        counts = {"eigh": 0, "eigvalsh": 0}
+        self._count(monkeypatch, counts)
+        metrics = harness.run_trial(cfg, n, 1, range(20))
+        assert len(metrics) == 20 and None not in metrics
+        assert counts == want
+
     @pytest.mark.parametrize("method,eigh", [("adaptive", 4), ("static", 2)])
     def test_qdt_trial(self, monkeypatch, method, eigh):
         cfg = ExperimentConfig(
@@ -791,11 +816,11 @@ class TestMetricArithmetic:
         hat, true = (m @ m.conj().swapaxes(1, 2) for m in re + 1j * im)  # PSD
         eigs = np.linalg.eigvalsh(hat)
         scenario = FidelityScenario("pseudo_state")
-        stacked = harness._score(hat, eigs, Truth.of(true, scenario), ranks, 0.0)
+        (stacked,) = harness._score(hat, eigs, Truth.of(true, scenario), ranks, 0.0)
         mse = tail = 0.0
         for j, rank in enumerate(ranks):
             truth = Truth.of(true[j], scenario)
-            metrics = harness._score(hat[j], eigs[j], truth, (rank,), 0.0)
+            (metrics,) = harness._score(hat[j], eigs[j], truth, (rank,), 0.0)
             assert metrics["mse"] == float(np.linalg.norm(hat[j] - true[j]) ** 2)
             assert metrics["tail_eigensum"] == float(np.sum(eigs[j][::-1][rank:]))
             mse += metrics["mse"]
@@ -1016,6 +1041,41 @@ class TestTrialProperty:
             values = np.concatenate([np.ravel(v) for v in metrics.values()])
             assert np.isfinite(values).all()
             assert metrics["constraint_dev"] <= 1e-8
+
+    @staticmethod
+    def _logged(call):
+        """``call()`` and the messages the harness logged while it ran."""
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger(harness.__name__)
+        logger.addHandler(handler)
+        try:
+            result = call()
+        finally:
+            logger.removeHandler(handler)
+        return result, [record.getMessage() for record in records]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(CASES),
+        st.integers(10, 1000),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(0, 2**16),
+        st.integers(2, 8),
+    )
+    @example(("aapt", "adaptive", "aapt-damping-0.989"), 10, 0.99, 2, 16)
+    @example(("qdt", "static", "qdt-three-valued"), 36, 0.5, 1, 2)
+    # n0 = 6^2: one step-1 shot per probe of the two-qubit detector
+    @example(("qdt", "adaptive", "qdt-three-valued"), 72, 0.5, 0, 8)
+    def test_stack_equals_singles(self, case, n, alpha, seed, reps):
+        assume(1 <= math.floor(alpha * n) < n)
+        cfg = ExperimentConfig(*case, (n,), reps, alpha=alpha, seed=seed)
+        stacked = self._logged(lambda: harness.run_trial(cfg, n, 0, range(reps)))
+        singles = self._logged(
+            lambda: [harness.run_trial(cfg, n, 0, t) for t in range(reps)]
+        )
+        assert stacked == singles
 
 
 class TestIo:

@@ -134,7 +134,7 @@ class TestTruthRootedCore:
             )
             rho_hat = DensityMatrix(hat)
             target = QstTarget("truth", DensityMatrix(true))
-            metrics = harness._score(
+            (metrics,) = harness._score(
                 rho_hat.mat, rho_hat.eigenvalues, target.truth, (rank,), 0.0
             )
             ref = reference_f(rho_hat.mat, target.rho.mat, scen)
@@ -158,7 +158,7 @@ class TestTruthRootedCore:
         scen = detector_scenario()
         f, f_dp = fidelity_and_dp(hat.elements, true.elements, scen)
         target = QdtTarget("truth", true)
-        scores = harness._score(hat.elements, hat.eigenvalues, target.truth, ranks, 0.0)
+        (scores,) = harness._score(hat.elements, hat.eigenvalues, target.truth, ranks, 0.0)
         total = 0.0
         for j in range(k):
             a, b = hat.elements[j], true.elements[j]

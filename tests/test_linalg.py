@@ -1,5 +1,4 @@
 import itertools
-import logging
 
 import numpy as np
 import pytest
@@ -115,10 +114,13 @@ class TestInvSqrt:
         r = inv_sqrt(p)
         assert np.linalg.norm(r @ p @ r - np.eye(5)) <= 1e-8
 
-    def test_well_conditioned_input_logs_nothing(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="aqtomo"):
-            inv_sqrt(np.diag([4.0, 1.0]))
-        assert caplog.records == []
+    def test_well_conditioned_stack_is_inverted_matrix_by_matrix(self):
+        gen = SeededRng(9).generator()
+        stack = np.stack([rand_psd(gen, 4) + 0.5 * np.eye(4) for _ in range(3)])
+        out = inv_sqrt(stack)
+        for m, r in zip(stack, out):
+            assert np.linalg.norm(r @ m @ r - np.eye(4)) <= 1e-8
+            assert np.array_equal(r, inv_sqrt(m))
 
     def test_singular_stage2_correction_raises(self):
         from aqtomo.estimators import qpt_stage2_tp
