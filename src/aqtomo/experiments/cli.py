@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scaling experiment from a config file")
     run_p.add_argument("--config", required=True, help="path to a key-value config file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    run_p.add_argument("--workers", type=int, default=1, help="parallel grid-point workers")
     run_p.add_argument("--out", default=None, help="output path (default: stdout CSV)")
     run_p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import concurrent.futures as futures
 import logging
-import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -169,39 +168,36 @@ def _score(hat: np.ndarray, eigs: np.ndarray, truth, ranks, dev) -> list:
     stacked truth) or T trials' with a leading axis, ``eigs`` their ascending
     spectra kept from validation, ``truth`` the target's rooted truth with
     its fidelity scenario, ``ranks`` the true rank of each of its rows and
-    ``dev`` the task's constraint deviation of each trial.  One overlap
-    scores every row; each trial's rows are then reduced in order from 0.0
-    (Python 3.12's sum() compensates): mean infidelity and infidelity_dp,
-    summed MSE and tail eigenvalue mass, and as ``constraint_dev`` the
-    largest of ``dev`` and each row's negated smallest eigenvalue.  A stacked
-    truth also keeps each row's infidelity.
+    ``dev`` the task's constraint deviation of each trial.  One array pass
+    scores every row of every trial.  Each trial's rows are then reduced in
+    element order from 0.0, since numpy's ``add.reduce`` sums pairwise from
+    8 entries: mean infidelity and infidelity_dp, summed MSE and tail
+    eigenvalue mass, and as ``constraint_dev`` the largest of ``dev`` and
+    each row's negated smallest eigenvalue.  A stacked truth also keeps each
+    row's infidelity.
     """
-    shape = (-1, len(ranks)) + hat.shape[-2:]  # (T, K, d, d), K = 1 for a matrix
-    hats, truth_rows = hat.reshape(shape), truth.mat.reshape(shape[1:])
+    k, d = len(ranks), hat.shape[-1]
+    # np.linalg.norm's sqrt(re.re + im.im) of each (T, K, 1, d^2) row, K = 1 for
+    # a matrix: (1, n) @ (n, 1) is ndarray.dot's ddot, float_power a float's **
+    diff = hat.reshape(-1, k, 1, d * d) - truth.mat.reshape(k, 1, d * d)
+    re, im = diff.real, diff.imag
+    sq = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    mse = np.float_power(np.sqrt(sq), 2)
     scores = rooted_fidelity_and_dp(hat, eigs, truth)
-    f, f_dp = (np.reshape(v, hats.shape[:2]).tolist() for v in scores)
-    devs = np.broadcast_to(dev, hats.shape[:1]).tolist()
-    out = []
-    for rows, ws, fs, f_dps, dev_t in zip(hats, eigs.reshape(shape[:3]), f, f_dp, devs):
-        infid = infid_dp = mse = tail = 0.0
-        for h, t, w, f_j, f_dp_j, rank in zip(rows, truth_rows, ws, fs, f_dps, ranks):
-            diff = (h - t).ravel()  # np.linalg.norm's arithmetic: sqrt(re.re + im.im)
-            infid += 1.0 - f_j
-            infid_dp += 1.0 - f_dp_j
-            mse += math.sqrt(diff.real.dot(diff.real) + diff.imag.dot(diff.imag)) ** 2
-            tail += float(np.add.reduce(w[::-1][rank:]))
-            dev_t = max(dev_t, -float(w[0]))
-        metrics = {
-            "infidelity": infid / len(ranks),
-            "infidelity_dp": infid_dp / len(ranks),
-            "mse": mse,
-            "tail_eigensum": tail,
-            "constraint_dev": dev_t,
-        }
-        if truth.mat.ndim == 3:
-            metrics["element_infidelities"] = tuple(1.0 - f_j for f_j in fs)
-        out.append(metrics)
-    return out
+    f, f_dp = (np.reshape(v, sq.shape) for v in scores)
+    w = eigs.reshape(sq.shape + (d,))
+    sums = np.zeros((4, len(sq)))
+    for j, rank in enumerate(ranks):
+        tail = np.add.reduce(w[:, j, ::-1][:, rank:], -1)
+        sums += (1.0 - f[:, j], 1.0 - f_dp[:, j], mse[:, j], tail)
+        dev = np.where(-w[:, j, 0] > dev, -w[:, j, 0], dev)  # max(dev, -w[0])
+    sums[:2] /= k
+    names = ["infidelity", "infidelity_dp", "mse", "tail_eigensum", "constraint_dev"]
+    columns = [*sums.tolist(), dev.tolist()]
+    if truth.mat.ndim == 3:
+        names.append("element_infidelities")
+        columns.append(list(map(tuple, (1.0 - f).tolist())))
+    return [dict(zip(names, values)) for values in zip(*columns)]
 
 
 # (task, method) -> protocol; each looks its protocol up by module-global name

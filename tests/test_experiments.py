@@ -806,26 +806,38 @@ class TestScoringSolves:
 
 class TestMetricArithmetic:
     """The scorer's MSE and tail sum equal their numpy formulas bit for bit,
-    and a stack's equal its rows' values summed in order from 0.0."""
+    and each trial of a stack equals its rows' values summed in order from
+    0.0."""
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16, 64])
     def test_mse_is_the_squared_norm(self, d):
+        # T = 3 trials of K = 9 rows: numpy's add.reduce sums 9 rows pairwise
         gen = np.random.default_rng(d)
-        ranks = (1, d // 2, d)
-        re, im = gen.standard_normal((2, 2, 3, d, d))
-        hat, true = (m @ m.conj().swapaxes(1, 2) for m in re + 1j * im)  # PSD
+        ranks = tuple(1 + j * (d - 1) // 8 for j in range(9))
+        re, im = gen.standard_normal((2, 4, 9, d, d))
+        m = re + 1j * im
+        psd = m @ m.conj().swapaxes(-1, -2)
+        hat, true = psd[:3], psd[3]
         eigs = np.linalg.eigvalsh(hat)
         scenario = FidelityScenario("pseudo_state")
-        (stacked,) = harness._score(hat, eigs, Truth.of(true, scenario), ranks, 0.0)
-        mse = tail = 0.0
-        for j, rank in enumerate(ranks):
-            truth = Truth.of(true[j], scenario)
-            (metrics,) = harness._score(hat[j], eigs[j], truth, (rank,), 0.0)
-            assert metrics["mse"] == float(np.linalg.norm(hat[j] - true[j]) ** 2)
-            assert metrics["tail_eigensum"] == float(np.sum(eigs[j][::-1][rank:]))
-            mse += metrics["mse"]
-            tail += metrics["tail_eigensum"]
-        assert stacked["mse"] == mse and stacked["tail_eigensum"] == tail
+        stacked = harness._score(hat, eigs, Truth.of(true, scenario), ranks, 0.0)
+        keys = ("mse", "tail_eigensum", "infidelity", "infidelity_dp")
+        assert len(stacked) == 3
+        for t, trial in enumerate(stacked):
+            sums = dict.fromkeys(keys, 0.0)
+            for j, rank in enumerate(ranks):
+                truth = Truth.of(true[j], scenario)
+                (metrics,) = harness._score(hat[t, j], eigs[t, j], truth, (rank,), 0.0)
+                norm = np.linalg.norm(hat[t, j] - true[j])
+                tail = np.sum(eigs[t, j][::-1][rank:])
+                assert metrics["mse"] == float(norm**2)
+                assert metrics["tail_eigensum"] == float(tail)
+                for key in keys:
+                    sums[key] += metrics[key]
+            assert trial["mse"] == sums["mse"]
+            assert trial["tail_eigensum"] == sums["tail_eigensum"]
+            assert trial["infidelity"] == sums["infidelity"] / len(ranks)
+            assert trial["infidelity_dp"] == sums["infidelity_dp"] / len(ranks)
 
 
 class TestOneTrial:

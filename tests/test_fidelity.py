@@ -194,16 +194,9 @@ class TestTruthRootedCore:
 
 
 class TestTraces:
-    """The truth's traces are formed once, and the trace-mismatch term sums
-    the differences of the diagonals; each equals ``np.trace`` bit for bit."""
-
-    def test_truth_of_fills_the_traces(self):
-        gen = SeededRng(131).generator()
-        rho = random_density(gen, 4)
-        assert Truth.of(rho, state_scenario()).traces == [float(np.trace(rho).real)]
-        stack = np.stack([random_element(gen, 4, 0.3) for _ in range(3)])
-        truth = Truth.of(stack, detector_scenario())
-        assert truth.traces == [float(np.trace(m).real) for m in stack]
+    """The trace-mismatch term sums the differences of the diagonals, which
+    equals ``np.trace`` of the difference bit for bit, and squares as Python
+    floats do."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 64])
     @pytest.mark.parametrize("k", [None, 3])
@@ -215,9 +208,20 @@ class TestTraces:
         if k is None:
             hat, true = hat[0], true[0]
         truth = Truth.of(true, FidelityScenario("pseudo_state"))
-        terms = _dp_terms(hat, np.linalg.eigvalsh(hat), truth, d)
+        _, mismatch = _dp_terms(hat, np.linalg.eigvalsh(hat), truth, d)
         want = np.trace(true - hat, axis1=-2, axis2=-1).real.reshape(-1).tolist()
-        assert [mismatch for _, mismatch in terms] == [t**2 / d**2 for t in want]
+        assert np.shape(mismatch) == hat.shape[:-2]
+        assert np.reshape(mismatch, -1).tolist() == [t**2 / d**2 for t in want]
+
+    def test_squares_round_as_python_floats(self):
+        # glibc's pow(x, 2), which a Python float's ** calls, rounds this
+        # x = a - 1 one ulp away from x * x, which an array's ** 2 computes
+        a = 1.9111509476002997
+        hat, eigs = np.array([[a]]), np.array([a])
+        truth = Truth.of(np.eye(1), FidelityScenario("pseudo_state"))
+        (metrics,) = harness._score(hat, eigs, truth, (1,), 0.0)
+        _, mismatch = _dp_terms(hat, eigs, truth, 1)
+        assert metrics["mse"] == mismatch == (a - 1.0) ** 2
 
 
 class TestStackedOverlap:
