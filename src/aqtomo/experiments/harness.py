@@ -246,23 +246,24 @@ def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int | range
 
     A ``range`` of trials runs as one stack and returns one entry per trial.
     """
-    return _run(_context(config), config, n, n_index, trial)
-
-
-def _run(target, config, n, n_index, trial):
     stack = isinstance(trial, range)
+    metrics = _run(_context(config), config, n, n_index, trial if stack else [trial])
+    return metrics if stack else metrics[0]
+
+
+def _run(target, config, n, n_index, trials) -> list:
+    """Metrics of each of ``trials``, run as one stack; None for an excluded one."""
     gens = [
         SeededRng(config.seed, stream_id=_trial_stream(n_index, t)).generator()
-        for t in (trial if stack else [trial])
+        for t in trials
     ]
     try:
-        metrics = _trial(target, config, n, gens if stack else gens[0])
+        return _trial(target, config, n, gens)
     except (EstimationError, np.linalg.LinAlgError) as exc:
-        if stack:  # rerun each trial alone, in order, so exclusions stay per trial
-            return [_run(target, config, n, n_index, t) for t in trial]
-        log.warning("excluding trial=%d N=%d reason=%s", trial, n, exc)
-        return None
-    return metrics if stack else metrics[0]
+        if len(trials) > 1:  # rerun each trial alone, so exclusions stay per trial
+            return [m for t in trials for m in _run(target, config, n, n_index, [t])]
+        log.warning("excluding trial=%d N=%d reason=%s", trials[0], n, exc)
+        return [None]
 
 
 def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:

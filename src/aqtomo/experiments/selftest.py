@@ -20,11 +20,12 @@ from ..estimators import (
 from ..fidelity import fidelity, fidelity_dp, detector_scenario, fuchs_check
 from ..measurement import (
     SeededRng,
+    draw_counts,
     exact_detector_sampler,
     exact_state_sampler,
     frequencies,
+    outcome_table,
     pauli_cube,
-    sample_counts,
 )
 from ..quantum_objects import (
     DensityMatrix,
@@ -111,8 +112,9 @@ def _checks():
     recovered = np.allclose(est.elements, detector.elements, atol=1e-8)
     yield "adaptive QDT recovers a noiseless POVM", recovered
 
-    c1 = sample_counts([0.25, 0.25, 0.5], 10_000, SeededRng(9, 3))
-    c2 = sample_counts([0.25, 0.25, 0.5], 10_000, SeededRng(9, 3))
+    table = outcome_table([0.25, 0.25, 0.5])
+    c1 = draw_counts(table, 10_000, SeededRng(9, 3))
+    c2 = draw_counts(table, 10_000, SeededRng(9, 3))
     yield "seeded determinism", bool(np.array_equal(c1, c2))
 
 

@@ -249,10 +249,11 @@ def builtin_target(name: str, seed: int = DEFAULT_TARGET_SEED):
     return builder(name, seed, *args)
 
 
-def _complex_matrix(data) -> np.ndarray:
+def _complex_array(data, ndim: int, what: str) -> np.ndarray:
+    """The complex array of ``ndim`` axes held as nested ``[re, im]`` pairs."""
     arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrices must be nested [[...[re, im]...]] lists")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ValueError(f"{what} must be nested lists of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -279,15 +280,14 @@ def load_target(path: str):
         raise ValueError(f"{task} target file {path} lacks the key {key!r}")
     name = data.get("name", os.path.basename(path))
     if task == "qst":
-        return QstTarget(name, DensityMatrix(_complex_matrix(data["density"])))
+        return QstTarget(name, DensityMatrix(_complex_array(data["density"], 2, key)))
     if task == "qdt":
-        elems = tuple(_complex_matrix(m) for m in data["elements"])
+        elems = tuple(_complex_array(m, 2, key) for m in data["elements"])
         return QdtTarget(name, Povm(elems))
-    ops = tuple(_complex_matrix(m) for m in data["kraus"])
+    ops = tuple(_complex_array(m, 2, key) for m in data["kraus"])
     channel = KrausChannel(ops)
     if "input_amplitudes" in data:
-        amp = np.asarray(data["input_amplitudes"], dtype=float)
-        amp = amp[:, 0] + 1j * amp[:, 1]
+        amp = _complex_array(data["input_amplitudes"], 1, "input_amplitudes")
         probe = BipartitePureState(amp, channel.dim, channel.dim)
     else:
         probe = maximally_entangled_input(channel.dim)

@@ -186,16 +186,6 @@ def fidelity_dp(hat_s: np.ndarray, s: np.ndarray) -> float:
     return float(_dp_terms(*_rooted_pair(hat_s, s), 1)[0])
 
 
-def fidelity_f1(hat_s: np.ndarray, s: np.ndarray, d: int) -> float:
-    """Distortion-corrected fidelity F_dp - [Tr(s - hat_s)]^2 / d^2.
-
-    Equals 1 iff the arguments are equal; ``d`` sets the normalization of
-    the trace-mismatch penalty (see :class:`FidelityScenario`).
-    """
-    f_dp, mismatch = _dp_terms(*_rooted_pair(hat_s, s), d)
-    return float(f_dp - mismatch)
-
-
 def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth):
     """:func:`fidelity_and_dp` of an estimate against a truth rooted once,
     in the truth's scenario, normalized by the d that the estimate's size
@@ -231,38 +221,9 @@ def fidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> fl
 
     For the state scenario both arguments must have unit trace, and the value
     coincides with :func:`state_fidelity` exactly.  The clamp absorbs
-    1e-10-level roundoff overshoot; :func:`fidelity_f1` gives the unclamped
-    F_1.
+    1e-10-level roundoff overshoot.
     """
     return fidelity_and_dp(hat_s, s, scenario)[0]
-
-
-def pseudo_state_fidelity(hat_s: np.ndarray, s: np.ndarray) -> float:
-    """F_1 with f = 0 for (possibly sub-unit-trace) reconstructed states.
-
-    Reduces to the Uhlmann fidelity when both traces are 1; used to score
-    pseudo-state reconstructions where neither the detector nor the process
-    lower bound applies.  Capped at 1 but not floored: a negative value is
-    kept.
-    """
-    return rooted_fidelity_and_dp(*_rooted_pair(hat_s, s))[0]
-
-
-def detector_fidelity_h(p, q) -> float:
-    """Whole-detector fidelity via the block-embedding construction.
-
-    Both detectors are embedded as block-diagonal states
-    ``sigma = (1/d) diag(P_1, ..., P_n)`` and compared with the Uhlmann
-    fidelity, which factorizes over blocks:
-    ``F_H = [sum_j Tr sqrt(sqrt(Q_j) P_j sqrt(Q_j)) / d]^2``.
-    """
-    if len(p) != len(q):
-        raise DimensionError("detectors must have equal element counts")
-    if p.dim != q.dim:
-        raise DimensionError("detectors must share one dimension")
-    roots = _overlap_root(p.elements, p.eigenvalues, matrix_sqrt(q.elements))
-    total = float(np.cumsum(roots)[-1])  # in element order: add.reduce is pairwise
-    return float(min((total / p.dim) ** 2, 1.0))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

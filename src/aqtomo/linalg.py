@@ -100,22 +100,16 @@ def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
 
 
 def _eigh(m: np.ndarray) -> HermitianEig:
-    """:func:`hermitian_eig` of each matrix of a stack ``(..., d, d)`` in one solve.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack
+    ``(..., d, d)`` in one solve, eigenvalues non-increasing.
 
     Each matrix is symmetrized and checked by :func:`hermitian_part`; the
-    result equals per-matrix solves bit for bit.
+    result equals per-matrix solves bit for bit.  Degenerate eigenspaces come
+    back with an arbitrary orthonormal basis (callers must not rely on a
+    particular one).
     """
     w, v = np.linalg.eigh(hermitian_part(m))
     return HermitianEig(w[..., ::-1].copy(), v[..., ::-1].copy())
-
-
-def hermitian_eig(m: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing.
-
-    The input is symmetrized first; degenerate eigenspaces come back with an
-    arbitrary orthonormal basis (callers must not rely on a particular one).
-    """
-    return _eigh(_require_square(m))
 
 
 def _eig_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:

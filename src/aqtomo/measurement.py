@@ -11,8 +11,7 @@ Sampling is batched.  A measurement oracle (:func:`state_sampler`,
 mass a sub-unit pseudo-state lacks) and draws every setting with one
 ``Generator.multinomial(shots, table)`` call.  numpy draws the rows in order
 and draws nothing for a zero-shot row, so the counts, and the generator state
-after them, equal those of one draw per setting.  :func:`sample_counts` is
-the one-setting case of the same routine.
+after them, equal those of one draw per setting.
 
 The Pauli cube, the protocols' one static battery, is held in product form
 (:class:`PauliCube`): its Born table and its linear inversion are computed
@@ -127,15 +126,6 @@ def _draw(table: np.ndarray, shots: np.ndarray, gen) -> np.ndarray:
     if shots.size == 1:
         return gen.multinomial(shots.item(), table.ravel()).reshape(table.shape)
     return gen.multinomial(shots, table)
-
-
-def sample_counts(probs, shots: int, rng) -> np.ndarray:
-    """Multinomial counts over the declared outcomes of a probability vector.
-
-    Probabilities may sum to less than 1; the residual mass goes to an
-    implicit null outcome whose count is ``shots - counts.sum()``.
-    """
-    return draw_counts(outcome_table(probs), shots, rng)[:-1].astype(np.int64)
 
 
 def _single_qubit_projectors() -> np.ndarray:

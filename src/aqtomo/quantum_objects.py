@@ -280,15 +280,6 @@ class BipartitePureState:
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def operator_schmidt_number(self) -> int:
-        """Operator Schmidt number of |phi><phi| (counts s_l > RANK_TOL)."""
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        da, db = self.dim_a, self.dim_b
-        # realign rho[(a,b),(a',b')] -> R[(a,a'),(b,b')]; singular values of R
-        # are the operator-Schmidt coefficients.
-        r = rho.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-        return int(np.sum(np.linalg.svd(r, compute_uv=False) > RANK_TOL))
-
 
 def schmidt_decompose(psi: np.ndarray, d_a: int, d_b: int):
     """Schmidt data (h, U, V) of a bipartite unit vector via SVD.

@@ -7,9 +7,13 @@ each, Born probabilities ``Tr(P_i rho)``, pure probe states from unit rows,
 and the counts of an arbitrary sequence of POVMs drawn with one multinomial.
 
 The library's Uhlmann overlap roots the truth once; ``estimate_rooted_overlap``
-keeps the route that roots the estimate on every call.  ``reference_outcome_table``
+keeps the route that roots the estimate on every call, and ``reference_dp``
+the ``(F_dp, F_1)`` pair it gives.  ``reference_outcome_table``
 keeps the outcome-table formula that checks, clips and sums in separate passes,
 and ``reference_frequencies`` the masked division of counts by their row sums.
+``sample_counts`` draws one probability vector, the per-row draw that batched
+draws are checked against, and ``operator_schmidt_number`` counts the
+operator-Schmidt coefficients of a bipartite pure state.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from aqtomo.linalg import DimensionError, hermitian_eig, hermitian_part, matrix_sqrt
+from aqtomo.linalg import DimensionError, _eigh, hermitian_part, matrix_sqrt
 from aqtomo.measurement import (
     SIGMA_X,
     SIGMA_Y,
@@ -28,7 +32,7 @@ from aqtomo.measurement import (
     draw_counts,
     outcome_table,
 )
-from aqtomo.quantum_objects import TRACE_ATOL, DensityMatrix, Povm
+from aqtomo.quantum_objects import RANK_TOL, TRACE_ATOL, DensityMatrix, Povm
 
 
 @lru_cache(maxsize=None)
@@ -114,12 +118,39 @@ def estimate_rooted_overlap(a, b) -> float:
     full eigendecomposition of the product is taken, and inner eigenvalues up
     to ``d eps`` of the largest are dropped, as in the library's core."""
     ra = matrix_sqrt(a)
-    w = hermitian_eig(hermitian_part(ra @ b @ ra, check=False)).eigenvalues
+    w = _eigh(hermitian_part(ra @ b @ ra, check=False)).eigenvalues
     top = max(w[0], 0.0)
     if w[-1] < -1e-10 * max(1.0, top):
         raise ValueError("fidelity operand is not PSD")
     cutoff = len(w) * np.finfo(float).eps * top
     return float(np.sqrt(np.where(w > cutoff, w, 0.0)).sum())
+
+
+def reference_dp(a, b, d):
+    """``(F_dp, F_1)`` of one pair by the estimate-rooted route."""
+    tr_a, tr_b = np.trace(a).real, np.trace(b).real
+    f_dp = min(estimate_rooted_overlap(a, b) ** 2 / (tr_a * tr_b), 1.0)
+    return f_dp, f_dp - (tr_b - tr_a) ** 2 / d**2
+
+
+def sample_counts(probs, shots: int, rng) -> np.ndarray:
+    """Multinomial counts over the declared outcomes of a probability vector.
+
+    Probabilities may sum to less than 1; the residual mass goes to an
+    implicit null outcome whose count is ``shots - counts.sum()``.
+    """
+    return draw_counts(outcome_table(probs), shots, rng)[:-1].astype(np.int64)
+
+
+def operator_schmidt_number(state) -> int:
+    """Operator Schmidt number of ``|phi><phi|`` for a ``BipartitePureState``
+    (counts coefficients above ``RANK_TOL``)."""
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    da, db = state.dim_a, state.dim_b
+    # realign rho[(a,b),(a',b')] -> R[(a,a'),(b,b')]; singular values of R
+    # are the operator-Schmidt coefficients.
+    r = rho.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    return int(np.sum(np.linalg.svd(r, compute_uv=False) > RANK_TOL))
 
 
 def reference_outcome_table(probs) -> np.ndarray:

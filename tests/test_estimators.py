@@ -31,10 +31,10 @@ from aqtomo.estimators import (
 )
 from aqtomo.linalg import (
     DimensionError,
+    _eigh,
     dagger,
     eig_reconstruct,
     haar_unitary,
-    hermitian_eig,
     hermitian_part,
     kron,
     partial_trace_1,
@@ -777,7 +777,7 @@ class TestStage2Corrections:
         # at f_c / N before scaling by sqrt(min(f, 1)) / sqrt(f); that floor
         # scales by exactly 1 whenever f_c <= N, so dropping it moves no bit
         def floored(g, d, n_shots):
-            w, vecs = hermitian_eig(partial_trace_1(g, d, d))
+            w, vecs = _eigh(partial_trace_1(g, d, d))
             positive = int(np.sum(w > 1e-12 * d))
             f_bar = w.copy()
             f_bar[positive:] = w[positive - 1] / n_shots if positive else 1.0 / n_shots

@@ -39,6 +39,7 @@ from aqtomo.fidelity import FidelityScenario, Truth
 from aqtomo.linalg import DimensionError, NotPSDError
 from aqtomo.measurement import PauliCube
 from aqtomo.quantum_objects import DegenerateInputError
+from dense_reference import operator_schmidt_number
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # child interpreters import the package from this checkout, as the tests do
@@ -242,7 +243,7 @@ class TestTargets:
         assert not third.tp
         assert third.known_trace == pytest.approx(third.sigma_out.trace)
         assert third.known_trace < 1.0
-        assert third.input_state.operator_schmidt_number() == 4
+        assert operator_schmidt_number(third.input_state) == 4
 
     def test_load_target_file(self, tmp_path):
         path = tmp_path / "custom.json"
@@ -269,6 +270,20 @@ class TestTargets:
             path.write_text(json.dumps({"task": task}))
             with pytest.raises(ValueError, match=f"{task} target file .* '{key}'"):
                 load_target(str(path))
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[0.5, 0.5, 0.5, 0.5], [[0.5, 0.0, 9.0]] * 4, [[[0.5, 0.0]]] * 4],
+        ids=["flat", "third-column", "nested"],
+    )
+    def test_input_amplitudes_must_be_pairs(self, tmp_path, amplitudes):
+        eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        path = tmp_path / "chan.json"
+        path.write_text(
+            json.dumps({"task": "aapt", "kraus": [eye], "input_amplitudes": amplitudes})
+        )
+        with pytest.raises(ValueError, match=r"input_amplitudes must be .* \[re, im\]"):
+            load_target(str(path))
 
     def test_resolve_rejects_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -655,9 +670,8 @@ class TestBenchmarkSurface:
     counts spans of ``run_trial(config, n, n_index, trial)``, which
     ``run_scaling`` calls once per grid point with ``trial`` the range of its
     repetitions, so a span and its ``budget`` count are a grid point's, not
-    a trial's.  The tracer also reads the smallest eigenvalue of every
-    ``hermitian_eig`` result as ``float(eigenvalues[-1])``, and wraps
-    ``LrePlan.__init__``/``solve`` and the public ``qdt_stage1``.
+    a trial's.  The tracer also wraps ``LrePlan.__init__``/``solve`` and the
+    public ``qdt_stage1``.
     """
 
     def test_trial_and_scaling_calls(self, tmp_path):
@@ -687,9 +701,6 @@ class TestBenchmarkSurface:
         from aqtomo import estimators, linalg
         from aqtomo.measurement import pauli_cube
 
-        eig = linalg.hermitian_eig(np.diag([2.0, -1.0, 0.5]).astype(complex))
-        assert eig.eigenvalues.shape == (3,)
-        assert float(eig.eigenvalues[-1]) == -1.0
         assert list(inspect.signature(linalg.inv_sqrt).parameters) == ["m"]
         plan = estimators.LrePlan(pauli_cube(1), True)
         assert list(inspect.signature(estimators.LrePlan.solve).parameters) == [
@@ -698,6 +709,49 @@ class TestBenchmarkSurface:
         assert plan.solve.__func__ is estimators.LrePlan.solve
         stage1 = vars(estimators)["qdt_stage1"]
         assert callable(stage1) and stage1.__module__ == estimators.__name__
+
+    def test_traced_child_run(self, tmp_path):
+        # 3 configs x 70 grid points: a p95 trial time needs 200 spans
+        grid = ", ".join(str(10_000 + 1_000 * k) for k in range(70))
+        configs = []
+        for task, target in (
+            ("qst", "qst-rank1-8d"),
+            ("qdt", "qdt-three-valued"),
+            ("aapt", "aapt-damping-third"),
+        ):
+            path = tmp_path / f"{target}.cfg"
+            path.write_text(
+                f"task = {task}\nmethod = adaptive\ntarget = {target}\n"
+                f"n_grid = {grid}\nrepetitions = 1\nseed = 1\n"
+            )
+            configs.append(str(path))
+        spec = {
+            "src": os.path.join(ROOT, "src"),
+            "configs": configs,
+            "out_dir": str(tmp_path),
+            "trace": True,
+            "spans_path": str(tmp_path / "spans.json"),
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        perfbench = os.path.join(ROOT, "perfbench")
+        proc = subprocess.run(
+            [sys.executable, os.path.join(perfbench, "child.py"), str(spec_path), "0"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert summary["layers"]["trials"] == 3 * 70
+        sys.path.insert(0, perfbench)
+        try:
+            import tracing
+        finally:
+            sys.path.remove(perfbench)
+        total = tracing.combine([summary["layers"]])
+        metrics = tracing.layer_metrics(total, [summary], 1.0, 1.0)
+        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+            declared = {m["name"] for m in json.load(fh)["per_layer"]}
+        assert set(metrics) == declared
 
 
 class TestScoringSolves:
@@ -905,7 +959,8 @@ class TestStackedDetectorTrial:
 
         monkeypatch.setattr(PauliCube, "invert", counted)
         assert harness.run_trial(cfg, 4000, 1, 1) is not None
-        assert shapes == [(3, 9, 4)]  # K = 3 elements, 3^2 settings, 2^2 outcomes
+        # a stack of one trial: K = 3 elements, 3^2 settings, 2^2 outcomes
+        assert shapes == [(1, 3, 9, 4)]
 
 
 class TestAaptKernels:

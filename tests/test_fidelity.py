@@ -11,15 +11,12 @@ from aqtomo.fidelity import (
     FidelityScenario,
     Truth,
     _dp_terms,
-    detector_fidelity_h,
     detector_scenario,
     fidelity,
     fidelity_and_dp,
     fidelity_dp,
-    fidelity_f1,
     fuchs_check,
     process_scenario,
-    pseudo_state_fidelity,
     rooted_fidelity_and_dp,
     state_fidelity,
     state_scenario,
@@ -28,9 +25,10 @@ from aqtomo.fidelity import (
 from aqtomo.linalg import DimensionError, NotPSDError, eig_reconstruct, haar_unitary
 from aqtomo.measurement import SeededRng
 from aqtomo.quantum_objects import DensityMatrix, Povm, pure_state
-from dense_reference import estimate_rooted_overlap
+from dense_reference import estimate_rooted_overlap, reference_dp
 
 I2 = np.eye(2, dtype=complex)
+PSEUDO_STATE = FidelityScenario("pseudo_state")
 
 
 def random_density(gen, d):
@@ -70,13 +68,6 @@ def random_povm(gen, d, ranks):
     return Povm((*parts, np.eye(d) - sum(parts)))
 
 
-def reference_dp(a, b, d):
-    """``(F_dp, F_1)`` by the estimate-rooted route."""
-    tr_a, tr_b = np.trace(a).real, np.trace(b).real
-    f_dp = min(estimate_rooted_overlap(a, b) ** 2 / (tr_a * tr_b), 1.0)
-    return f_dp, f_dp - (tr_b - tr_a) ** 2 / d**2
-
-
 def reference_f(a, b, scenario):
     """F by the estimate-rooted route; d is the system dimension of a
     process matrix and the operands' own dimension otherwise."""
@@ -113,11 +104,10 @@ class TestTruthRootedCore:
         f_dp, f_1 = reference_dp(hat, true, d)
         assert state_fidelity(hat, true) == pytest.approx(root**2, abs=1e-12)
         assert fidelity_dp(hat, true) == pytest.approx(f_dp, abs=1e-12)
-        assert fidelity_f1(hat, true, d) == pytest.approx(f_1, abs=1e-12)
         pseudo = pytest.approx(min(f_1, 1.0), abs=1e-12)
-        assert pseudo_state_fidelity(hat, true) == pseudo
+        assert fidelity(hat, true, PSEUDO_STATE) == pseudo
         spectrum = np.linalg.eigvalsh(hat)
-        pseudo_truth = Truth.of(true, FidelityScenario("pseudo_state"))
+        pseudo_truth = Truth.of(true, PSEUDO_STATE)
         assert rooted_fidelity_and_dp(hat, spectrum, pseudo_truth)[0] == pseudo
         scenarios = [detector_scenario(), process_scenario()]
         if math.isqrt(d) ** 2 != d:  # a process matrix is d_sys^2 x d_sys^2
@@ -159,17 +149,12 @@ class TestTruthRootedCore:
         f, f_dp = fidelity_and_dp(hat.elements, true.elements, scen)
         target = QdtTarget("truth", true)
         (scores,) = harness._score(hat.elements, hat.eigenvalues, target.truth, ranks, 0.0)
-        total = 0.0
         for j in range(k):
             a, b = hat.elements[j], true.elements[j]
             assert f[j] == pytest.approx(reference_f(a, b, scen), abs=1e-12)
             assert f_dp[j] == pytest.approx(reference_dp(a, b, d)[0], abs=1e-12)
             infidelity = scores["element_infidelities"][j]
             assert 1.0 - infidelity == pytest.approx(f[j], abs=1e-12)
-            total += estimate_rooted_overlap(b, a)
-        assert detector_fidelity_h(true, hat) == pytest.approx(
-            min((total / d) ** 2, 1.0), abs=1e-12
-        )
 
     def test_non_psd_estimate_rejected_against_rank_deficient_truth(self):
         ket0 = pure_state(np.array([1.0, 0.0])).mat
@@ -179,9 +164,9 @@ class TestTruthRootedCore:
         with pytest.raises(NotPSDError):
             fidelity_and_dp(bad, ket0, detector_scenario())
         with pytest.raises(NotPSDError):
-            pseudo_state_fidelity(bad, ket0)
+            fidelity(bad, ket0, PSEUDO_STATE)
         with pytest.raises(NotPSDError):
-            pseudo_truth = Truth.of(ket0, FidelityScenario("pseudo_state"))
+            pseudo_truth = Truth.of(ket0, PSEUDO_STATE)
             rooted_fidelity_and_dp(bad, np.linalg.eigvalsh(bad), pseudo_truth)
 
     def test_non_psd_truth_rejected(self):
@@ -325,13 +310,13 @@ class TestFidelityDp:
 class TestFidelityF1:
     def test_uniform_elements_example(self):
         # F_dp = 1, traces 2/3 and 1/2: penalty (1/6)^2 / 4 = 1/144
-        f1 = fidelity_f1(I2 / 3, I2 / 4, 2)
+        f1 = reference_dp(I2 / 3, I2 / 4, 2)[1]
         assert abs(f1 - (1.0 - 1.0 / 144.0)) < 1e-12
 
     def test_self(self):
         gen = SeededRng(36).generator()
         s = random_psd(gen, 4)
-        assert abs(fidelity_f1(s, s, 4) - 1.0) < 1e-10
+        assert abs(reference_dp(s, s, 4)[1] - 1.0) < 1e-10
 
     def test_detector_range(self):
         gen = SeededRng(37).generator()
@@ -342,7 +327,7 @@ class TestFidelityF1:
             # clip traces into the POVM-element range (0, d]
             a *= min(1.0, d / np.trace(a).real)
             b *= min(1.0, d / np.trace(b).real)
-            f1 = fidelity_f1(a, b, d)
+            f1 = reference_dp(a, b, d)[1]
             assert 1.0 / d - 1.0 < f1 <= 1.0 + 1e-9
 
 
@@ -375,7 +360,7 @@ class TestUnifiedFidelity:
             a = random_psd(gen, d_mat, scale=0.8)
             b = random_psd(gen, d_mat, scale=0.9)
             f = fidelity(a, b, scen)
-            f1 = fidelity_f1(a, b, d)
+            f1 = reference_dp(a, b, d)[1]
             assert abs((1.0 - f) - (1.0 - f1) / (1.0 - f_lower)) < 1e-10
 
     def test_state_scenario_equals_uhlmann(self):
@@ -429,7 +414,7 @@ class TestUnifiedFidelity:
     def test_unclamped_diagnostic_value(self):
         gen = SeededRng(47).generator()
         rho = random_density(gen, 2)
-        raw = fidelity_f1(rho, rho, 2)  # the state scenario's F before its clamp
+        raw = reference_dp(rho, rho, 2)[1]  # the state scenario's F before its clamp
         assert abs(raw - 1.0) < 1e-10  # may legitimately exceed 1 by roundoff
         assert fidelity(rho, rho, state_scenario()) <= 1.0
 
@@ -438,47 +423,15 @@ class TestPseudoStateFidelity:
     def test_reduces_to_uhlmann_for_unit_traces(self):
         gen = SeededRng(43).generator()
         a, b = random_density(gen, 4), random_density(gen, 4)
-        assert abs(pseudo_state_fidelity(a, b) - state_fidelity(a, b)) < 1e-9
+        assert abs(fidelity(a, b, PSEUDO_STATE) - state_fidelity(a, b)) < 1e-9
 
     def test_penalizes_trace_mismatch(self):
-        assert pseudo_state_fidelity(0.5 * I2 / 2, I2 / 2) < 1.0 - 1e-4
+        assert fidelity(0.5 * I2 / 2, I2 / 2, PSEUDO_STATE) < 1.0 - 1e-4
 
     def test_keeps_a_negative_f1(self):
         # disjoint supports: F_dp = 0 and the mismatch term 0.95^2 / 4 stays
         hat = np.diag([0.05, 0.0]).astype(complex)
-        assert pseudo_state_fidelity(hat, np.diag([0.0, 1.0])) == -0.225625
-
-
-class TestDetectorFidelityH:
-    def test_self(self):
-        povm = Povm((I2 * 0.3, I2 * 0.7))
-        assert abs(detector_fidelity_h(povm, povm) - 1.0) < 1e-10
-
-    def test_block_diagonal_oracle(self):
-        gen = SeededRng(44).generator()
-        d, n = 2, 3
-        p1 = random_psd(gen, d, 0.6)
-        p2 = random_psd(gen, d, 0.5)
-        p2 *= np.linalg.eigvalsh(np.eye(d) - p1)[0] / max(np.linalg.eigvalsh(p2)[-1], 1)
-        p = Povm((p1, p2, np.eye(d) - p1 - p2))
-        q1 = random_psd(gen, d, 0.4)
-        q = Povm((q1, (np.eye(d) - q1) / 2, (np.eye(d) - q1) / 2))
-        # oracle: Uhlmann fidelity of the two block-diagonal embeddings
-        def embed(povm):
-            out = np.zeros((d * n, d * n), dtype=complex)
-            for j, e in enumerate(povm.elements):
-                out[j * d : (j + 1) * d, j * d : (j + 1) * d] = e / d
-            return out
-
-        direct = state_fidelity(embed(p), embed(q))
-        assert abs(detector_fidelity_h(p, q) - direct) < 1e-9
-
-    def test_complementary_projective_detectors(self):
-        zb = Povm((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
-        plus = pure_state(np.array([1.0, 1.0])).mat
-        minus = pure_state(np.array([1.0, -1.0])).mat
-        xb = Povm((plus, minus))
-        assert abs(detector_fidelity_h(zb, xb) - 0.5) < 1e-9
+        assert fidelity(hat, np.diag([0.0, 1.0]), PSEUDO_STATE) == -0.225625
 
 
 class TestTraceDistanceAndFuchs:

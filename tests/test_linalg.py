@@ -11,7 +11,6 @@ from aqtomo.linalg import (
     eig_reconstruct,
     haar_unitary,
     hermitian_part,
-    hermitian_eig,
     inv_sqrt,
     kron,
     matrix_sqrt,
@@ -40,13 +39,13 @@ def rand_psd(gen, d):
 
 class TestHermitianEig:
     def test_diagonal(self):
-        w, v = hermitian_eig(np.diag([1.0, 3.0, 2.0]).astype(complex))
+        w, v = linalg._eigh(np.diag([1.0, 3.0, 2.0]).astype(complex))
         assert np.allclose(w, [3.0, 2.0, 1.0])
         # eigenvectors are a permutation of the identity columns
         assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
 
     def test_identity_degenerate(self):
-        w, v = hermitian_eig(np.eye(4, dtype=complex))
+        w, v = linalg._eigh(np.eye(4, dtype=complex))
         assert np.allclose(w, np.ones(4))
         assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-9)
 
@@ -54,7 +53,7 @@ class TestHermitianEig:
         gen = SeededRng(42).generator()
         for _ in range(20):
             h = rand_hermitian(gen, 8)
-            w, v = hermitian_eig(h)
+            w, v = linalg._eigh(h)
             assert np.all(np.diff(w) <= 1e-12)
             assert np.allclose(v.conj().T @ v, np.eye(8), atol=1e-9)
             err = np.linalg.norm((v * w) @ v.conj().T - h)
@@ -62,12 +61,12 @@ class TestHermitianEig:
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            hermitian_eig(np.ones((2, 3)))
+            linalg._eigh(np.ones((2, 3)))
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotHermitianError):
-            hermitian_eig(m)
+            linalg._eigh(m)
 
 
 class TestMatrixSqrt:
@@ -282,7 +281,7 @@ class TestStackedKernel:
         w, v = linalg._eigh(stack)
         assert w.shape == (3, d) and v.shape == (3, d, d)
         for m, wk, vk in zip(stack, w, v):
-            one = hermitian_eig(m)
+            one = linalg._eigh(m)
             assert one.eigenvalues.ndim == 1
             assert np.array_equal(one.eigenvalues, wk)
             assert np.array_equal(one.eigenvectors, vk)
@@ -330,10 +329,6 @@ class TestStackedKernel:
         stack[2] = np.diag([1.0, 0.5, 0.0, -0.1])
         with pytest.raises(NotPSDError):
             matrix_sqrt(stack)
-
-    def test_public_eig_takes_one_matrix(self):
-        with pytest.raises(DimensionError):
-            hermitian_eig(np.stack([np.eye(2)] * 2))
 
 
 class TestSpectralPerturbationBounds:

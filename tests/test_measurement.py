@@ -14,7 +14,6 @@ from aqtomo.measurement import (
     frequencies,
     outcome_table,
     pauli_cube,
-    sample_counts,
     state_sampler,
 )
 from aqtomo.linalg import DimensionError, haar_unitary
@@ -26,6 +25,7 @@ from dense_reference import (
     pure_probe_states,
     reference_frequencies,
     reference_outcome_table,
+    sample_counts,
     unit_rows,
 )
 from test_estimators import random_povm, random_pseudo_state

@@ -29,7 +29,7 @@ from aqtomo.quantum_objects import (
     pure_state,
     schmidt_decompose,
 )
-from dense_reference import born_probabilities, cube_povm
+from dense_reference import born_probabilities, cube_povm, operator_schmidt_number
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -373,7 +373,7 @@ class TestBornProbabilities:
 class TestMaximallyEntangledInput:
     def test_bell_properties(self):
         state = maximally_entangled_input(2)
-        assert state.operator_schmidt_number() == 4
+        assert operator_schmidt_number(state) == 4
         assert state.schmidt_number == 2
         assert abs(state.density().trace - 1.0) < 1e-12
 
