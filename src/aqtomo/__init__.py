@@ -10,25 +10,5 @@ Monte-Carlo harness that measures infidelity-versus-copies scaling.
 __version__ = "0.1.0"  # read by the harness; set before the submodules import it
 
 from . import estimators, fidelity, linalg, measurement, quantum_objects
-from .experiments import (
-    ExperimentConfig,
-    builtin_target,
-    emit_results,
-    fit_loglog_slope,
-    gm_bound,
-    run_scaling,
-)
 
-__all__ = [
-    "ExperimentConfig",
-    "builtin_target",
-    "emit_results",
-    "estimators",
-    "fidelity",
-    "fit_loglog_slope",
-    "gm_bound",
-    "linalg",
-    "measurement",
-    "quantum_objects",
-    "run_scaling",
-]
+__all__ = ["estimators", "fidelity", "linalg", "measurement", "quantum_objects"]

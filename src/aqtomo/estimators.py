@@ -206,14 +206,14 @@ def _two_step(oracle, n_total, alpha, rng, constrain_trace: bool = True):
         if shots < 1:
             raise EstimationError("step-2 budget is below one shot per adaptive probe")
         extras["unused_shots"] = n_total - n0 - shots * k * d
-    bases = _eigh(stage1).eigenvectors
+    _, bases = _eigh(stage1)
     counts = oracle.basis_counts(bases if detector else bases[..., 0, :, :], shots, gen)
     # probe (i, j) is eigenvector j of element i, in row i * d + j; a state has K = 1
     freqs = frequencies(counts).values.reshape(stage1.shape[:-3] + (k, d, k))
     return np.diagonal(freqs, 0, -3, -1).swapaxes(-1, -2), bases, extras
 
 
-def adaptive_qst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
+def adaptive_qst(oracle, n_total: int, alpha: float, rng) -> TomographyEstimate:
     """Two-step adaptive state tomography achieving O(1/N) infidelity.
 
     Step 1 spends ``floor(alpha * N)`` copies on the Pauli cube and a
@@ -223,27 +223,27 @@ def adaptive_qst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate
     outcome frequencies as eigenvalues, which makes the estimate PSD with
     unit trace by construction.
     """
-    lam, u, _ = _two_step(sampler, n_total, alpha, rng)
+    lam, u, _ = _two_step(oracle, n_total, alpha, rng)
     return TomographyEstimate(DensityMatrix._of(_eig_product(lam, u)[..., 0, :, :]))
 
 
-def adaptive_qpst(sampler, n_total: int, alpha: float, rng) -> TomographyEstimate:
+def adaptive_qpst(oracle, n_total: int, alpha: float, rng) -> TomographyEstimate:
     """Adaptive pseudo-state tomography for sub-unit-trace reconstructions.
 
     Same two steps as :func:`adaptive_qst` but with the trace constraint
     dropped in step 1 and a null outcome absorbing the missing mass in
     step 2, so the estimated eigenvalues sum below one.
     """
-    lam, u, _ = _two_step(sampler, n_total, alpha, rng, constrain_trace=False)
+    lam, u, _ = _two_step(oracle, n_total, alpha, rng, constrain_trace=False)
     if (lam.sum(axis=-1) <= 0.0).any():
         raise EstimationError("every adaptive-step outcome fell in the null bin")
     sigma_hat = DensityMatrix._of(_eig_product(lam, u)[..., 0, :, :], sub_unit=True)
     return TomographyEstimate(sigma_hat)
 
 
-def static_qst(sampler, n_total: int, rng) -> TomographyEstimate:
+def static_qst(oracle, n_total: int, rng) -> TomographyEstimate:
     """Static baseline: full-budget least squares plus physical projection."""
-    rho_tilde = _stage1(sampler, n_total, linalg.as_generator(rng))[..., 0, :, :]
+    rho_tilde = _stage1(oracle, n_total, linalg.as_generator(rng))[..., 0, :, :]
     return TomographyEstimate(physical_projection_fast(rho_tilde))
 
 
@@ -288,9 +288,7 @@ def _renormalize(elements: np.ndarray) -> np.ndarray:
     return corr @ elements @ corr
 
 
-def adaptive_qdt(
-    detector_sampler, n_total: int, alpha: float, rng
-) -> TomographyEstimate:
+def adaptive_qdt(oracle, n_total: int, alpha: float, rng) -> TomographyEstimate:
     """Two-step adaptive detector tomography with per-element O(1/N) infidelity.
 
     Step 1 runs :func:`qdt_stage1` on the Pauli cube's probe states; step 2
@@ -304,20 +302,20 @@ def adaptive_qdt(
     An element that never clicks on its own probes would be estimated as
     zero, which cannot be scored, so it raises :class:`EstimationError`.
     """
-    lam, bases, extras = _two_step(detector_sampler, n_total, alpha, rng)
+    lam, bases, extras = _two_step(oracle, n_total, alpha, rng)
     if (lam.sum(axis=-1) <= 0.0).any():
         raise EstimationError("an element never clicked on its own adaptive probes")
     elements = _renormalize(eig_reconstruct(lam, bases))
     return TomographyEstimate(Povm._of(elements), extras)
 
 
-def static_qdt(detector_sampler, n_total: int, rng) -> TomographyEstimate:
+def static_qdt(oracle, n_total: int, rng) -> TomographyEstimate:
     """Static detector baseline: the whole budget goes into stage 1.
 
     An element whose PSD projection is zero cannot be scored, so, as in
     :func:`adaptive_qdt`, it raises :class:`EstimationError`.
     """
-    elements = _stage1(detector_sampler, n_total, linalg.as_generator(rng))
+    elements = _stage1(oracle, n_total, linalg.as_generator(rng))
     if (elements.trace(0, -2, -1).real <= 0.0).any():
         raise EstimationError("an element's static estimate is zero")
     return TomographyEstimate(Povm._of(elements))
@@ -387,7 +385,7 @@ def aapt_reconstruct(
 
 
 def adaptive_aapt(
-    channel_sampler,
+    oracle,
     n_total: int,
     alpha: float,
     tp_flag: bool,
@@ -403,12 +401,12 @@ def adaptive_aapt(
     the O(1/N) decay of the estimated zero eigenvalues.
     """
     state_protocol = adaptive_qst if tp_flag else adaptive_qpst
-    sigma_hat = state_protocol(channel_sampler, n_total, alpha, rng).value
+    sigma_hat = state_protocol(oracle, n_total, alpha, rng).value
     return _process_estimate(sigma_hat, input_state, tp_flag)
 
 
 def nonadaptive_aapt(
-    channel_sampler,
+    oracle,
     n_total: int,
     tp_flag: bool,
     input_state: BipartitePureState,
@@ -424,11 +422,11 @@ def nonadaptive_aapt(
     """
     gen = linalg.as_generator(rng)
     if tp_flag:
-        sigma_hat = static_qst(channel_sampler, n_total, gen).value
+        sigma_hat = static_qst(oracle, n_total, gen).value
     else:
         if known_trace is None:
             raise ValueError("non-trace-preserving baseline needs known_trace")
-        sigma_tilde = _stage1(channel_sampler, n_total, gen, constrain_trace=False)
+        sigma_tilde = _stage1(oracle, n_total, gen, constrain_trace=False)
         w, v = _eigh(sigma_tilde[..., 0, :, :])
         keep = w >= 0.0
         rows = w.reshape(-1, w.shape[-1])  # each trial's own kept sum, as alone

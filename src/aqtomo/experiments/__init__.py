@@ -2,7 +2,7 @@
 
 from .config import ExperimentConfig, load_config, parse_config
 from .harness import ScalingResult, ScalingRow, fit_loglog_slope, gm_bound, run_scaling
-from .io import emit_results, read_result_csv, read_result_json
+from .io import emit_results, read_result_csv
 from .targets import BUILTIN_TARGET_NAMES, builtin_target, resolve_target
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "read_result_csv",
-    "read_result_json",
     "resolve_target",
     "run_scaling",
 ]

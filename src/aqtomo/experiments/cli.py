@@ -80,7 +80,10 @@ def _cmd_fit(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.out is None and args.format != "csv":
+        parser.error(f"--format {args.format} needs --out; stdout takes CSV only")
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "targets":

@@ -104,8 +104,3 @@ def read_result_csv(path: str) -> list:
             }
             for rec in reader
         ]
-
-
-def read_result_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

@@ -17,12 +17,12 @@ from ..estimators import (
     qdt_stage1,
     qpt_stage2_tp,
 )
-from ..fidelity import fidelity, fidelity_dp, detector_scenario, fuchs_check
+from ..fidelity import FidelityScenario, fidelity, fidelity_dp, fuchs_check
 from ..measurement import (
+    ExactDetectorOracle,
+    ExactStateOracle,
     SeededRng,
     draw_counts,
-    exact_detector_sampler,
-    exact_state_sampler,
     frequencies,
     outcome_table,
     pauli_cube,
@@ -75,7 +75,7 @@ def _checks():
 
     eye = np.eye(2, dtype=complex)
     distorted = fidelity_dp(eye / 3, eye / 4)
-    fixed = fidelity(eye / 3, eye / 4, detector_scenario())
+    fixed = fidelity(eye / 3, eye / 4, FidelityScenario("detector_element"))
     yield "distortion fix", abs(distorted - 1.0) < 1e-10 and fixed < 1.0 - 1e-4
 
     cube = pauli_cube(2)
@@ -88,7 +88,7 @@ def _checks():
     pseudo = DensityMatrix(0.6 * rho.mat, sub_unit=True)
     recovered = True
     for state, constrain in ((rho, True), (pseudo, False)):
-        freqs = frequencies(exact_state_sampler(state).counts())
+        freqs = frequencies(ExactStateOracle(state).counts())
         est = LrePlan(cube, constrain).solve(freqs)
         recovered &= bool(np.allclose(est, state.mat, atol=1e-12))
     yield "cube inversion recovers a noiseless state", recovered
@@ -97,7 +97,7 @@ def _checks():
     # each element's Born table, which the same inversion maps back
     half = rho.mat / 2.0
     detector = Povm((half, np.eye(4) - rho.mat, half))
-    freqs = frequencies(exact_detector_sampler(detector).counts())
+    freqs = frequencies(ExactDetectorOracle(detector).counts())
     elements = qdt_stage1(freqs, cube)
     recovered = all(
         np.allclose(e, p, atol=1e-12) for e, p in zip(elements, detector.elements)
@@ -105,10 +105,10 @@ def _checks():
     yield "detector cube inversion recovers a noiseless POVM", recovered
 
     # the protocols end to end, on zero-noise oracles
-    est = adaptive_qst(exact_state_sampler(rho), 1000, 0.5, SeededRng(5)).value
+    est = adaptive_qst(ExactStateOracle(rho), 1000, 0.5, SeededRng(5)).value
     recovered = np.allclose(est.mat, rho.mat, atol=1e-8)
     yield "adaptive QST recovers a noiseless state", recovered
-    est = adaptive_qdt(exact_detector_sampler(detector), 1000, 0.5, SeededRng(6)).value
+    est = adaptive_qdt(ExactDetectorOracle(detector), 1000, 0.5, SeededRng(6)).value
     recovered = np.allclose(est.elements, detector.elements, atol=1e-8)
     yield "adaptive QDT recovers a noiseless POVM", recovered
 

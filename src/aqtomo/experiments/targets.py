@@ -23,15 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..fidelity import (
-    FidelityScenario,
-    Truth,
-    detector_scenario,
-    process_scenario,
-    state_scenario,
-)
+from ..fidelity import FidelityScenario, Truth
 from ..linalg import DimensionError, eig_reconstruct, haar_unitary
-from ..measurement import SeededRng, detector_sampler, state_sampler
+from ..measurement import DetectorOracle, SeededRng, StateOracle
 from ..quantum_objects import (
     RANK_TOL,
     BipartitePureState,
@@ -70,12 +64,12 @@ class QstTarget:
 
     @cached_property
     def truth(self) -> Truth:
-        return Truth.of(self.rho.mat, state_scenario())
+        return Truth.of(self.rho.mat, FidelityScenario("state"))
 
     @cached_property
     def oracle(self):
         """Oracle of ``rho``; it computes its cube table once and keeps it."""
-        return state_sampler(self.rho)
+        return StateOracle(self.rho)
 
 
 @dataclass(frozen=True)
@@ -94,12 +88,12 @@ class QdtTarget:
 
     @cached_property
     def truth(self) -> Truth:
-        return Truth.of(self.povm.elements, detector_scenario())
+        return Truth.of(self.povm.elements, FidelityScenario("detector_element"))
 
     @cached_property
     def oracle(self):
         """Oracle of ``povm``; it computes its cube table once and keeps it."""
-        return detector_sampler(self.povm)
+        return DetectorOracle(self.povm)
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,7 @@ class AaptTarget:
 
     @cached_property
     def truth(self) -> Truth:
-        return Truth.of(self.process.x, process_scenario())
+        return Truth.of(self.process.x, FidelityScenario("process"))
 
     @cached_property
     def sigma_out(self) -> DensityMatrix:
@@ -152,7 +146,7 @@ class AaptTarget:
     @cached_property
     def oracle(self):
         """Oracle of ``sigma_out``; it computes its cube table once and keeps it."""
-        return state_sampler(self.sigma_out)
+        return StateOracle(self.sigma_out)
 
 
 def _target_rng(seed: int, stream: int) -> np.random.Generator:

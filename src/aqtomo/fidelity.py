@@ -69,21 +69,6 @@ class FidelityScenario:
         return -math.inf if self.kind == "pseudo_state" else 0.0
 
 
-def state_scenario() -> FidelityScenario:
-    return FidelityScenario("state")
-
-
-def detector_scenario() -> FidelityScenario:
-    return FidelityScenario("detector_element")
-
-
-def process_scenario() -> FidelityScenario:
-    return FidelityScenario("process")
-
-
-_PSEUDO_STATE = FidelityScenario("pseudo_state")
-
-
 def _check_pair(a: np.ndarray, b: np.ndarray, stack: bool = False):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -175,15 +160,10 @@ def _dp_terms(hat_s, spectrum, truth: Truth, d: int):
     return f_dp, np.float_power(diff.real, 2) / d**2
 
 
-def _rooted_pair(hat_s, s, scenario=_PSEUDO_STATE, stack: bool = False):
-    """An estimate with its spectrum and a rooted truth, checked as a pair."""
-    hat_s, s = _check_pair(hat_s, s, stack)
-    return *_spectrum(hat_s), Truth.of(s, scenario)
-
-
 def fidelity_dp(hat_s: np.ndarray, s: np.ndarray) -> float:
     """Trace-normalized Uhlmann fidelity (the distortion-prone classic form)."""
-    return float(_dp_terms(*_rooted_pair(hat_s, s), 1)[0])
+    hat_s, s = _check_pair(hat_s, s)  # one pair, not a stack
+    return fidelity_and_dp(hat_s, s, FidelityScenario("pseudo_state"))[1]
 
 
 def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth):
@@ -212,7 +192,8 @@ def fidelity_and_dp(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario
     stacks give two length-``K`` arrays from one stacked overlap, each entry
     equal to the value of its pair alone.
     """
-    return rooted_fidelity_and_dp(*_rooted_pair(hat_s, s, scenario, stack=True))
+    hat_s, s = _check_pair(hat_s, s, stack=True)
+    return rooted_fidelity_and_dp(*_spectrum(hat_s), Truth.of(s, scenario))
 
 
 def fidelity(hat_s: np.ndarray, s: np.ndarray, scenario: FidelityScenario) -> float:

@@ -9,7 +9,6 @@ row-major ``reshape``; every tensor operation below assumes it.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,17 +30,6 @@ class NotHermitianError(ValueError):
 
 class NotPSDError(ValueError):
     """Input has an eigenvalue too negative to be treated as numerical noise."""
-
-
-class HermitianEig(NamedTuple):
-    """Spectral decomposition with eigenvalues sorted non-increasing.
-
-    ``eigenvectors[:, j]`` pairs with ``eigenvalues[j]``; the eigenvector
-    matrix is unitary and ``U diag(w) U^dag`` reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -83,10 +71,13 @@ def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
     """Return (m + m^dag)/2, refusing inputs that are badly non-Hermitian.
 
     Asymmetry up to ``HERMITICITY_FAIL_RTOL * ||m||`` is treated as numerical
-    noise and symmetrized away; anything larger raises.  ``m`` may also be a
-    stack ``(..., d, d)``, each of whose matrices is checked on its own.
+    noise and symmetrized away; anything larger, and any entry that is not
+    finite, raises.  ``m`` may also be a stack ``(..., d, d)``, each of whose
+    matrices is checked on its own.
     """
     m = _require_square(m, stack=True)
+    if check and not np.isfinite(m).all():  # NaN fails every comparison below
+        raise ValueError("matrix has a non-finite entry")
     sym = m + dagger(m)
     sym /= 2.0
     if check:
@@ -99,17 +90,18 @@ def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
     return sym
 
 
-def _eigh(m: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, or of each of a stack
-    ``(..., d, d)`` in one solve, eigenvalues non-increasing.
+def _eigh(m: np.ndarray):
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix, or of each of a
+    stack ``(..., d, d)`` in one solve, eigenvalues ``w`` non-increasing.
 
-    Each matrix is symmetrized and checked by :func:`hermitian_part`; the
-    result equals per-matrix solves bit for bit.  Degenerate eigenspaces come
-    back with an arbitrary orthonormal basis (callers must not rely on a
-    particular one).
+    Column ``v[..., :, j]`` pairs with ``w[..., j]``; ``v`` is unitary and
+    ``v diag(w) v^dag`` reconstructs the input.  Each matrix is symmetrized
+    and checked by :func:`hermitian_part`; the result equals per-matrix
+    solves bit for bit.  Degenerate eigenspaces come back with an arbitrary
+    orthonormal basis (callers must not rely on a particular one).
     """
     w, v = np.linalg.eigh(hermitian_part(m))
-    return HermitianEig(w[..., ::-1].copy(), v[..., ::-1].copy())
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def _eig_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -122,21 +114,16 @@ def eig_reconstruct(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitian_part(_eig_product(w, v), check=False)
 
 
-def _psd_eigenvalues(m: np.ndarray, op: str) -> HermitianEig:
+def matrix_sqrt(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD matrix or stack (small negatives clamped to 0)."""
     m = np.asarray(m, dtype=complex)
     w, v = _eigh(m)
     # ||m|| bounds every |eigenvalue|, so it is the scale of the matrix
     if np.any(w[..., -1] < -PSD_FAIL_RTOL * _sq_norms(m) ** 0.5):
         raise NotPSDError(
-            f"{op}: eigenvalue {w.min():.3e} below -{PSD_FAIL_RTOL:.0e} * ||m||"
+            f"matrix_sqrt: eigenvalue {w.min():.3e} below -{PSD_FAIL_RTOL:.0e} * ||m||"
         )
-    return HermitianEig(np.maximum(w, 0.0), v)
-
-
-def matrix_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix or stack (small negatives clamped to 0)."""
-    w, v = _psd_eigenvalues(m, "matrix_sqrt")
-    return eig_reconstruct(np.sqrt(w), v)
+    return eig_reconstruct(np.sqrt(np.maximum(w, 0.0)), v)
 
 
 def inv_sqrt(m: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ onto ``numpy``'s PCG64 through ``SeedSequence(seed, spawn_key=(stream_id,))``.
 Identical pairs reproduce identical count sequences across runs; concurrent
 trials get disjoint stream ids and never share randomness.
 
-Sampling is batched.  A measurement oracle (:func:`state_sampler`,
-:func:`detector_sampler`) turns a battery of ``S`` settings into an
+Sampling is batched.  A measurement oracle (:class:`StateOracle`,
+:class:`DetectorOracle`) turns a battery of ``S`` settings into an
 ``(S, K+1)`` outcome table (Born probabilities plus a null column holding the
 mass a sub-unit pseudo-state lacks) and draws every setting with one
 ``Generator.multinomial(shots, table)`` call.  numpy draws the rows in order
@@ -341,16 +341,6 @@ class DetectorOracle(_Oracle):
         return outcome_table(p.swapaxes(-1, -2).reshape(rows))
 
 
-def state_sampler(rho: DensityMatrix) -> StateOracle:
-    """Measurement oracle hiding ``rho``; see :class:`StateOracle`."""
-    return StateOracle(rho)
-
-
-def detector_sampler(povm: Povm) -> DetectorOracle:
-    """Probe oracle hiding a detector; see :class:`DetectorOracle`."""
-    return DetectorOracle(povm)
-
-
 class _Exact:
     """Zero-noise counts: the outcome table itself, whatever the shot budget,
     so every setting's frequencies are its probabilities, zero-shot ones too."""
@@ -368,13 +358,3 @@ class ExactStateOracle(_Exact, StateOracle):
 
 class ExactDetectorOracle(_Exact, DetectorOracle):
     """Zero-noise probe oracle for detector tomography."""
-
-
-def exact_state_sampler(rho: DensityMatrix) -> ExactStateOracle:
-    """Zero-noise oracle: its counts are the outcome table itself."""
-    return ExactStateOracle(rho)
-
-
-def exact_detector_sampler(povm: Povm) -> ExactDetectorOracle:
-    """Zero-noise probe oracle for detector tomography."""
-    return ExactDetectorOracle(povm)

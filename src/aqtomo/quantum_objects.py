@@ -245,7 +245,7 @@ class BipartitePureState:
         amp = np.asarray(self.amplitudes, dtype=complex).ravel()
         if amp.size != self.dim_a * self.dim_b:
             raise DimensionError("amplitude length must be dim_a * dim_b")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(amp) - 1.0) <= 1e-6:  # a NaN norm fails too
             raise ValueError("amplitudes must have unit norm")
         amp = amp / np.linalg.norm(amp)
         h, u, v = schmidt_decompose(amp, self.dim_a, self.dim_b)
@@ -289,7 +289,7 @@ def schmidt_decompose(psi: np.ndarray, d_a: int, d_b: int):
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.size != d_a * d_b:
         raise DimensionError("state vector length must be d_a * d_b")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-6:
         raise ValueError("state vector must have unit norm")
     amp = psi.reshape(d_a, d_b)  # amp[a, b] with flat index a * d_b + b
     u, h, vh = np.linalg.svd(amp)

@@ -118,7 +118,7 @@ def estimate_rooted_overlap(a, b) -> float:
     full eigendecomposition of the product is taken, and inner eigenvalues up
     to ``d eps`` of the largest are dropped, as in the library's core."""
     ra = matrix_sqrt(a)
-    w = _eigh(hermitian_part(ra @ b @ ra, check=False)).eigenvalues
+    w, _ = _eigh(hermitian_part(ra @ b @ ra, check=False))
     top = max(w[0], 0.0)
     if w[-1] < -1e-10 * max(1.0, top):
         raise ValueError("fidelity operand is not PSD")

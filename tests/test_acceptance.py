@@ -13,7 +13,7 @@ import numpy as np
 from aqtomo.estimators import project_eigenvalues_simplex
 from aqtomo.experiments import ExperimentConfig, gm_bound, run_scaling
 from aqtomo.experiments.io import write_csv
-from aqtomo.fidelity import fidelity, fidelity_dp, detector_scenario, fuchs_check
+from aqtomo.fidelity import FidelityScenario, fidelity, fidelity_dp, fuchs_check
 from aqtomo.linalg import kron, vec, partial_trace_1
 from aqtomo.measurement import SeededRng
 from aqtomo.quantum_objects import (
@@ -217,7 +217,7 @@ def test_criterion_08_theorem_conditions_observed():
 def test_criterion_09_distortion_regression():
     eye = np.eye(2, dtype=complex)
     dp = fidelity_dp(eye / 3, eye / 4)
-    unified = fidelity(eye / 3, eye / 4, detector_scenario())
+    unified = fidelity(eye / 3, eye / 4, FidelityScenario("detector_element"))
     ok = abs(dp - 1.0) < 1e-10 and unified < 1.0 - 1e-4
     report(
         "criterion 9",

@@ -40,13 +40,13 @@ from aqtomo.linalg import (
     partial_trace_1,
 )
 from aqtomo.measurement import (
+    DetectorOracle,
+    ExactDetectorOracle,
+    ExactStateOracle,
     SeededRng,
-    detector_sampler,
-    exact_detector_sampler,
-    exact_state_sampler,
+    StateOracle,
     frequencies,
     pauli_cube,
-    state_sampler,
 )
 from aqtomo.quantum_objects import (
     BipartitePureState,
@@ -62,7 +62,7 @@ from aqtomo.quantum_objects import (
 
 from aqtomo.experiments import ExperimentConfig
 from aqtomo.experiments.harness import _context, gm_bound, run_trial
-from aqtomo.fidelity import fidelity, state_scenario
+from aqtomo.fidelity import FidelityScenario, fidelity
 from dense_reference import cube_povm, dense_counts, dense_table
 from test_quantum_objects import lossy_dephasing, random_channel, random_density
 
@@ -166,7 +166,7 @@ class TestLre:
         gen = SeededRng(51).generator()
         rho = random_density(gen, 4)
         cube = pauli_cube(2)
-        freqs = frequencies(exact_state_sampler(rho).counts())
+        freqs = frequencies(ExactStateOracle(rho).counts())
         est = LrePlan(cube, constrain_trace=True).solve(freqs)
         assert np.linalg.norm(est - rho.mat) < 1e-8
 
@@ -175,7 +175,7 @@ class TestLre:
         rho = random_density(gen, 4)
         sub = DensityMatrix(0.7 * rho.mat, sub_unit=True)
         cube = pauli_cube(2)
-        freqs = frequencies(exact_state_sampler(sub).counts())
+        freqs = frequencies(ExactStateOracle(sub).counts())
         est = LrePlan(cube, constrain_trace=False).solve(freqs)
         assert np.linalg.norm(est - sub.mat) < 1e-8
 
@@ -188,7 +188,7 @@ class TestLre:
         n_total = 10**6
         shots = [n_total // len(cube)] * len(cube)
         gen = SeededRng(54).generator()
-        est = plan.solve(frequencies(state_sampler(target).counts(shots, gen)))
+        est = plan.solve(frequencies(StateOracle(target).counts(shots, gen)))
         bound = lre_mse_bound(cube_povm(3), HermitianBasis(8), n_total)
         assert np.linalg.norm(est - target.mat) ** 2 < bound
 
@@ -198,12 +198,12 @@ class TestLre:
         sub = DensityMatrix(0.75 * random_density(gen, 4).mat, sub_unit=True)
         cube = pauli_cube(2)
         plan = LrePlan(cube, constrain_trace=False)
-        sampler = state_sampler(sub)
+        oracle = StateOracle(sub)
         shots = [10**5] * len(cube)
         traces = []
         for t in range(40):
             g = SeededRng(56, t).generator()
-            freqs = frequencies(sampler.counts(shots, g))
+            freqs = frequencies(oracle.counts(shots, g))
             traces.append(float(np.trace(plan.solve(freqs)).real))
         se = np.std(traces, ddof=1) / np.sqrt(len(traces))
         assert abs(np.mean(traces) - 0.75) < 3 * se + 1e-12
@@ -213,7 +213,7 @@ class TestLre:
         rho = random_density(SeededRng(93).generator(), 4)
         cube = pauli_cube(2)
         shots = [100] * 2 + [0] * 7
-        freqs = frequencies(state_sampler(rho).counts(shots, SeededRng(93)))
+        freqs = frequencies(StateOracle(rho).counts(shots, SeededRng(93)))
         with pytest.raises(InformationIncompleteError):
             LrePlan(cube, constrain_trace=True).solve(freqs)
 
@@ -234,22 +234,22 @@ class TestOracleCube:
     def test_cube_of_each_dimension(self, n):
         d = 2**n
         rho = DensityMatrix(np.eye(d) / d)
-        assert state_sampler(rho).cube is pauli_cube(n)
+        assert StateOracle(rho).cube is pauli_cube(n)
         povm = Povm((np.eye(d) / 2, np.eye(d) / 2))
-        assert detector_sampler(povm).cube is pauli_cube(n)
+        assert DetectorOracle(povm).cube is pauli_cube(n)
 
     @pytest.mark.parametrize("dim", [3, 6, 12])
     def test_non_power_of_two_dimension_rejected(self, dim):
         rho = DensityMatrix(np.eye(dim) / dim)
         povm = Povm((np.eye(dim) / 2, np.eye(dim) / 2))
         with pytest.raises(DimensionError):
-            state_sampler(rho).cube
+            StateOracle(rho).cube
         with pytest.raises(DimensionError):
-            detector_sampler(povm).cube
+            DetectorOracle(povm).cube
         with pytest.raises(DimensionError):
-            adaptive_qst(state_sampler(rho), 1000, 0.5, SeededRng(95))
+            adaptive_qst(StateOracle(rho), 1000, 0.5, SeededRng(95))
         with pytest.raises(DimensionError):
-            static_qdt(detector_sampler(povm), 1000, SeededRng(95))
+            static_qdt(DetectorOracle(povm), 1000, SeededRng(95))
 
 
 class TestNoDenseCubeInProduction:
@@ -265,8 +265,8 @@ class TestNoDenseCubeInProduction:
                 cfg = ExperimentConfig(task, method, target, (400,), 1)
                 assert run_trial(cfg, 400, 0, 0) is not None
         rho = random_density(SeededRng(100).generator(), 4)
-        adaptive_qst(state_sampler(rho), 400, 0.5, SeededRng(101))
-        static_qst(state_sampler(rho), 400, SeededRng(102))
+        adaptive_qst(StateOracle(rho), 400, 0.5, SeededRng(101))
+        static_qst(StateOracle(rho), 400, SeededRng(102))
         assert cube_povm.cache_info().currsize == 0
         # the dense reference lives in the tests only
         import aqtomo
@@ -340,10 +340,10 @@ class TestCubeInversion:
         LrePlan(pauli_cube(5), True)  # the plan adaptive_qst measures below
         assert time.perf_counter() - tick < 1.0
         n = 10**6
-        est = adaptive_qst(state_sampler(rho), n, 0.5, SeededRng(97))
+        est = adaptive_qst(StateOracle(rho), n, 0.5, SeededRng(97))
         assert abs(est.value.trace - 1.0) < 1e-12
         assert np.linalg.eigvalsh(est.value.mat)[0] > -1e-12
-        infid = 1.0 - fidelity(est.value.mat, rho.mat, state_scenario())
+        infid = 1.0 - fidelity(est.value.mat, rho.mat, FidelityScenario("state"))
         assert infid < gm_bound(32, n)
 
 
@@ -460,16 +460,16 @@ class TestAdaptiveQst:
     def test_noiseless_exact(self):
         gen = SeededRng(60).generator()
         rho = random_density(gen, 4)
-        est = adaptive_qst(exact_state_sampler(rho), 1000, 0.5, SeededRng(61))
+        est = adaptive_qst(ExactStateOracle(rho), 1000, 0.5, SeededRng(61))
         assert np.linalg.norm(est.value.mat - rho.mat) < 1e-8
         assert est.extras == {} and not est.value.sub_unit
 
     def test_physicality_and_determinism(self):
         u = haar_unitary(8, SeededRng(62).generator())
         rho = DensityMatrix(eig_reconstruct(np.array([1.0] + [0.0] * 7), u))
-        sampler = state_sampler(rho)
-        a = adaptive_qst(sampler, 5000, 0.5, SeededRng(63, 1))
-        b = adaptive_qst(sampler, 5000, 0.5, SeededRng(63, 1))
+        oracle = StateOracle(rho)
+        a = adaptive_qst(oracle, 5000, 0.5, SeededRng(63, 1))
+        b = adaptive_qst(oracle, 5000, 0.5, SeededRng(63, 1))
         assert np.array_equal(a.value.mat, b.value.mat)
         assert abs(a.value.trace - 1.0) < 1e-12
         assert np.linalg.eigvalsh(a.value.mat)[0] > -1e-12
@@ -477,14 +477,14 @@ class TestAdaptiveQst:
     def test_alpha_bounds(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
-            adaptive_qst(state_sampler(rho), 100, 1.0, SeededRng(64))
+            adaptive_qst(StateOracle(rho), 100, 1.0, SeededRng(64))
         with pytest.raises(ValueError):
-            adaptive_qst(state_sampler(rho), 100, 0.0, SeededRng(64))
+            adaptive_qst(StateOracle(rho), 100, 0.0, SeededRng(64))
 
     def test_static_noiseless_exact(self):
         gen = SeededRng(65).generator()
         rho = random_density(gen, 4)
-        est = static_qst(exact_state_sampler(rho), 1000, SeededRng(66))
+        est = static_qst(ExactStateOracle(rho), 1000, SeededRng(66))
         assert np.linalg.norm(est.value.mat - rho.mat) < 1e-8
 
     def test_static_full_rank_reaches_inverse_scaling(self):
@@ -496,13 +496,13 @@ class TestAdaptiveQst:
         u = haar_unitary(8, SeededRng(91).generator())
         spectrum = np.array([0.3, 0.2, 0.15, 0.1, 0.1, 0.06, 0.05, 0.04])
         rho = DensityMatrix(eig_reconstruct(spectrum, u))
-        sampler = state_sampler(rho)
+        oracle = StateOracle(rho)
         rows = []
         for ni, n in enumerate((2000, 20000, 200000, 2000000)):
             infs = [
                 1.0
                 - state_fidelity(
-                    static_qst(sampler, n, SeededRng(92, (ni << 8) + t)).value.mat,
+                    static_qst(oracle, n, SeededRng(92, (ni << 8) + t)).value.mat,
                     rho.mat,
                 )
                 for t in range(10)
@@ -516,13 +516,13 @@ class TestQpst:
     def test_noiseless_exact_sub_unit(self):
         gen = SeededRng(67).generator()
         sub = DensityMatrix(0.8 * random_density(gen, 4).mat, sub_unit=True)
-        est = adaptive_qpst(exact_state_sampler(sub), 1000, 0.5, SeededRng(68))
+        est = adaptive_qpst(ExactStateOracle(sub), 1000, 0.5, SeededRng(68))
         assert np.linalg.norm(est.value.mat - sub.mat) < 1e-8
         assert est.value.sub_unit
 
     def test_estimated_trace_below_one(self):
         sub = DensityMatrix(np.diag([0.4, 0.3, 0.1, 0.05]).astype(complex), sub_unit=True)
-        est = adaptive_qpst(state_sampler(sub), 20000, 0.5, SeededRng(69))
+        est = adaptive_qpst(StateOracle(sub), 20000, 0.5, SeededRng(69))
         assert est.value.trace < 1.0
         assert abs(est.value.trace - 0.85) < 0.05
 
@@ -530,7 +530,7 @@ class TestQpst:
         tiny = DensityMatrix(np.diag([1e-12, 0.0]).astype(complex), sub_unit=True)
         match = "every adaptive-step outcome fell in the null bin"
         with pytest.raises(EstimationError, match=match):
-            adaptive_qpst(state_sampler(tiny), 20, 0.5, np.random.default_rng(0))
+            adaptive_qpst(StateOracle(tiny), 20, 0.5, np.random.default_rng(0))
 
 
 def three_valued_detector(seed=70):
@@ -571,7 +571,7 @@ class TestSharedCore:
 
     @pytest.mark.parametrize("constrain", [True, False])
     def test_state_stage1_is_the_cube_fit(self, constrain):
-        oracle = state_sampler(random_density(SeededRng(171).generator(), 4))
+        oracle = StateOracle(random_density(SeededRng(171).generator(), 4))
         got = _stage1(oracle, 901, np.random.default_rng(5), constrain)
         # two qubits: 9 cube settings
         counts = oracle.counts(_split_shots(901, 9), np.random.default_rng(5))
@@ -580,7 +580,7 @@ class TestSharedCore:
         assert np.array_equal(got, want[None])
 
     def test_detector_stage1_is_qdt_stage1(self):
-        oracle = detector_sampler(three_valued_detector())
+        oracle = DetectorOracle(three_valued_detector())
         got = _stage1(oracle, 7201, np.random.default_rng(6))
         # two qubits: 36 cube probe states
         counts = oracle.counts(_split_shots(7201, 36), np.random.default_rng(6))
@@ -616,7 +616,7 @@ class TestQdt:
     def test_stage1_noiseless_exact(self):
         povm = three_valued_detector()
         cube = pauli_cube(2)
-        freqs = frequencies(exact_detector_sampler(povm).counts())
+        freqs = frequencies(ExactDetectorOracle(povm).counts())
         elements = qdt_stage1(freqs, cube)
         for est, true in zip(elements, povm.elements):
             assert np.linalg.norm(est - true) < 1e-8
@@ -624,7 +624,7 @@ class TestQdt:
     def test_stage1_frequency_probe_mismatch_rejected(self):
         povm = three_valued_detector()
         cube = pauli_cube(2)
-        counts = exact_detector_sampler(povm).counts()
+        counts = ExactDetectorOracle(povm).counts()
         with pytest.raises(DimensionError):
             qdt_stage1(frequencies(counts[:-1]), cube)
 
@@ -632,7 +632,7 @@ class TestQdt:
         povm = three_valued_detector()
         gen = SeededRng(72).generator()
         cube = pauli_cube(2)
-        counts = detector_sampler(povm).counts([2000] * 36, gen)
+        counts = DetectorOracle(povm).counts([2000] * 36, gen)
         elements = qdt_stage1(frequencies(counts), cube)
         assert np.max(np.abs(sum(elements) - np.eye(4))) < 1e-8
         for e in elements:
@@ -643,7 +643,7 @@ class TestQdt:
     def test_stage1_recovers_random_povms(self, n, n_elements, seed):
         povm = random_povm(np.random.default_rng(seed), 2**n, n_elements)
         cube = pauli_cube(n)
-        freqs = frequencies(exact_detector_sampler(povm).counts())
+        freqs = frequencies(ExactDetectorOracle(povm).counts())
         elements = qdt_stage1(freqs, cube)
         assert len(elements) == n_elements
         for est, true in zip(elements, povm.elements):
@@ -654,31 +654,31 @@ class TestQdt:
         cube = pauli_cube(2)
         shots = [50] * 36
         shots[7] = 0
-        counts = detector_sampler(povm).counts(shots, SeededRng(98))
+        counts = DetectorOracle(povm).counts(shots, SeededRng(98))
         with pytest.raises(InformationIncompleteError):
             qdt_stage1(frequencies(counts), cube)
         # a budget below one shot per probe leaves the first 35 probes empty
         with pytest.raises(InformationIncompleteError):
-            static_qdt(detector_sampler(povm), 35, SeededRng(99))
+            static_qdt(DetectorOracle(povm), 35, SeededRng(99))
         with pytest.raises(InformationIncompleteError):
-            adaptive_qdt(detector_sampler(povm), 70, 0.5, SeededRng(99))
+            adaptive_qdt(DetectorOracle(povm), 70, 0.5, SeededRng(99))
 
     def test_non_power_of_two_detector_rejected(self):
         povm = Povm((np.diag([1.0, 0.0, 0.5]), np.diag([0.0, 1.0, 0.5])))
-        sampler = detector_sampler(povm)
+        oracle = DetectorOracle(povm)
         with pytest.raises(DimensionError):
-            static_qdt(sampler, 1000, SeededRng(100))
+            static_qdt(oracle, 1000, SeededRng(100))
         with pytest.raises(DimensionError):
-            adaptive_qdt(sampler, 1000, 0.5, SeededRng(100))
+            adaptive_qdt(oracle, 1000, 0.5, SeededRng(100))
 
     def test_stage1_mse_scales_inversely(self):
         povm = three_valued_detector()
-        sampler = detector_sampler(povm)
+        oracle = DetectorOracle(povm)
 
         def mse_at(n_total, trials=12):
             out = []
             for t in range(trials):
-                est = static_qdt(sampler, n_total, SeededRng(73, t))
+                est = static_qdt(oracle, n_total, SeededRng(73, t))
                 out.append(
                     sum(
                         np.linalg.norm(e - p) ** 2
@@ -692,13 +692,13 @@ class TestQdt:
 
     def test_adaptive_noiseless_exact(self):
         povm = three_valued_detector()
-        est = adaptive_qdt(exact_detector_sampler(povm), 10**4, 0.5, SeededRng(74))
+        est = adaptive_qdt(ExactDetectorOracle(povm), 10**4, 0.5, SeededRng(74))
         for e, p in zip(est.value.elements, povm.elements):
             assert np.linalg.norm(e - p) < 1e-8
 
     def test_adaptive_uses_nd_probes_and_is_complete(self):
         povm = three_valued_detector()
-        est = adaptive_qdt(detector_sampler(povm), 10**5, 0.5, SeededRng(75))
+        est = adaptive_qdt(DetectorOracle(povm), 10**5, 0.5, SeededRng(75))
         assert est.extras["step2_per_probe"] == (10**5 - 5 * 10**4) // 12
         total = sum(est.value.elements)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
@@ -707,7 +707,7 @@ class TestQdt:
         # step 2 spreads N - n0 = 50005 shots over 3 * 4 probes: 4167 each,
         # and the 1 left over is reported as unused
         povm = three_valued_detector()
-        est = adaptive_qdt(detector_sampler(povm), 100_009, 0.5, SeededRng(75))
+        est = adaptive_qdt(DetectorOracle(povm), 100_009, 0.5, SeededRng(75))
         assert est.extras["step2_per_probe"] == 4167
         assert est.extras["unused_shots"] == 1
         assert 50_004 + 4167 * 12 + est.extras["unused_shots"] == 100_009
@@ -715,19 +715,19 @@ class TestQdt:
     def test_step2_budget_guard(self):
         povm = three_valued_detector()
         with pytest.raises(EstimationError):
-            adaptive_qdt(detector_sampler(povm), 60, 0.9, SeededRng(76))
+            adaptive_qdt(DetectorOracle(povm), 60, 0.9, SeededRng(76))
 
     def test_element_that_never_clicks_raises(self):
         # element 0 clicks with probability at most 1e-12 on any probe, so its
         # step-2 row is all zero and the estimate would hold a zero element
         povm = Povm((np.diag([1e-12, 0.0]), np.diag([1.0 - 1e-12, 1.0])))
         with pytest.raises(EstimationError, match="never clicked"):
-            adaptive_qdt(detector_sampler(povm), 600, 0.5, SeededRng(77))
+            adaptive_qdt(DetectorOracle(povm), 600, 0.5, SeededRng(77))
 
     @pytest.mark.parametrize("n, n_elements", [(1, 2), (2, 4)])
     def test_element_count_and_dimension_come_from_the_oracle(self, n, n_elements):
         povm = random_povm(np.random.default_rng(150 + n), 2**n, n_elements)
-        oracle = exact_detector_sampler(povm)
+        oracle = ExactDetectorOracle(povm)
         for est in (
             adaptive_qdt(oracle, 10**4, 0.5, SeededRng(151)),
             static_qdt(oracle, 10**4, SeededRng(152)),
@@ -860,7 +860,7 @@ class TestAdaptiveAapt:
         probe = maximally_entangled_input(2)
         sigma = apply_extended_channel(ch, probe.density())
         est = adaptive_aapt(
-            exact_state_sampler(sigma), 1000, 0.5, True, probe, SeededRng(80)
+            ExactStateOracle(sigma), 1000, 0.5, True, probe, SeededRng(80)
         )
         assert np.linalg.norm(est.value.x - kraus_to_process(ch).x) < 1e-8
         assert np.allclose(partial_trace_1(est.value.x, 2, 2), np.eye(2), atol=1e-8)
@@ -870,7 +870,7 @@ class TestAdaptiveAapt:
         probe = random_full_schmidt(SeededRng(81).generator(), 2, min_coeff=0.3)
         sigma = apply_extended_channel(ch, probe.density())
         est = adaptive_aapt(
-            exact_state_sampler(sigma), 1000, 0.5, False, probe, SeededRng(82)
+            ExactStateOracle(sigma), 1000, 0.5, False, probe, SeededRng(82)
         )
         assert np.linalg.norm(est.value.x - kraus_to_process(ch).x) < 1e-8
         assert est.extras["sigma_out"].sub_unit
@@ -880,7 +880,7 @@ class TestAdaptiveAapt:
         probe = random_full_schmidt(SeededRng(83).generator(), 2, min_coeff=0.3)
         sigma = apply_extended_channel(ch, probe.density())
         est = nonadaptive_aapt(
-            exact_state_sampler(sigma), 1000, False, probe, SeededRng(84),
+            ExactStateOracle(sigma), 1000, False, probe, SeededRng(84),
             known_trace=sigma.trace,
         )
         assert np.linalg.norm(est.value.x - kraus_to_process(ch).x) < 1e-8
@@ -891,7 +891,7 @@ class TestAdaptiveAapt:
         probe = maximally_entangled_input(2)
         sigma = apply_extended_channel(ch, probe.density())
         est = nonadaptive_aapt(
-            exact_state_sampler(sigma), 1000, True, probe, SeededRng(93)
+            ExactStateOracle(sigma), 1000, True, probe, SeededRng(93)
         )
         assert np.linalg.norm(est.value.x - kraus_to_process(ch).x) < 1e-8
 
@@ -901,7 +901,7 @@ class TestAdaptiveAapt:
         sigma = apply_extended_channel(ch, probe.density())
         with pytest.raises(ValueError):
             nonadaptive_aapt(
-                state_sampler(sigma), 1000, False, probe, SeededRng(85)
+                StateOracle(sigma), 1000, False, probe, SeededRng(85)
             )
 
 
@@ -920,14 +920,14 @@ class TestPhysicalityAcrossMethods:
         probe = maximally_entangled_input(2)
         sigma = apply_extended_channel(ch, probe.density())
         for t in range(25):
-            est = adaptive_qst(state_sampler(rho), 4000, 0.5, SeededRng(87, t))
+            est = adaptive_qst(StateOracle(rho), 4000, 0.5, SeededRng(87, t))
             assert isinstance(est.value, DensityMatrix)
-            est = static_qst(state_sampler(rho), 4000, SeededRng(88, t))
+            est = static_qst(StateOracle(rho), 4000, SeededRng(88, t))
             assert isinstance(est.value, DensityMatrix)
-            est = adaptive_qdt(detector_sampler(povm), 4000, 0.5, SeededRng(89, t))
+            est = adaptive_qdt(DetectorOracle(povm), 4000, 0.5, SeededRng(89, t))
             assert isinstance(est.value, Povm)
             est = adaptive_aapt(
-                state_sampler(sigma), 4000, 0.5, False, probe, SeededRng(90, t)
+                StateOracle(sigma), 4000, 0.5, False, probe, SeededRng(90, t)
             )
             assert np.linalg.eigvalsh(est.value.x)[0] > -1e-8
             q = partial_trace_1(est.value.x, 2, 2)

@@ -22,7 +22,6 @@ from aqtomo.experiments import (
     gm_bound,
     parse_config,
     read_result_csv,
-    read_result_json,
     resolve_target,
     run_scaling,
 )
@@ -37,11 +36,16 @@ from aqtomo.experiments.targets import (
 )
 from aqtomo.fidelity import FidelityScenario, Truth
 from aqtomo.linalg import DimensionError, NotPSDError
-from aqtomo.measurement import PauliCube
+from aqtomo.measurement import PauliCube, SeededRng
 from aqtomo.quantum_objects import DegenerateInputError
 from dense_reference import operator_schmidt_number
+from test_fidelity import random_povm, random_rank
+from test_quantum_objects import random_channel, random_full_schmidt
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+NAN = float("nan")
+NAN_MATRIX = [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # [re, im] pairs
+EYE_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 # child interpreters import the package from this checkout, as the tests do
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 
@@ -283,6 +287,23 @@ class TestTargets:
             json.dumps({"task": "aapt", "kraus": [eye], "input_amplitudes": amplitudes})
         )
         with pytest.raises(ValueError, match=r"input_amplitudes must be .* \[re, im\]"):
+            load_target(str(path))
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"task": "qst", "density": NAN_MATRIX}, "non-finite"),
+            (
+                {"task": "aapt", "kraus": [EYE_2], "input_amplitudes": [[NAN, 0.0]] * 4},
+                "unit norm",
+            ),
+        ],
+        ids=["density", "input_amplitudes"],
+    )
+    def test_nan_entry_rejected(self, tmp_path, data, match):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))  # json writes and reads NaN
+        with pytest.raises(ValueError, match=match):
             load_target(str(path))
 
     def test_resolve_rejects_missing_file(self):
@@ -1090,19 +1111,55 @@ class TestTrialProperty:
         for target in names
     ]
 
+    # target None is the task's seeded random target file (random_target_files)
+    RANDOM_CASES = [(task, method, None) for task in TARGETS for method in METHODS]
+
+    @pytest.fixture(scope="class")
+    def random_target_files(self, tmp_path_factory):
+        """Task -> JSON file of a seeded random target: a rank-2 three-qubit
+        state, a two-qubit POVM of element ranks (1, 2, 4), and a non-TP
+        qubit channel probed through a random full-Schmidt input."""
+        gen = SeededRng(190).generator()
+
+        def pairs(a):
+            return np.stack([a.real, a.imag], -1).tolist()
+
+        fields = {
+            "qst": {"density": pairs(random_rank(gen, 8, 2, 1.0))},
+            "qdt": {"elements": pairs(random_povm(gen, 4, (1, 2)).elements)},
+            "aapt": {
+                "kraus": pairs(np.array(random_channel(gen, 2, 2, tp=False).operators)),
+                "input_amplitudes": pairs(random_full_schmidt(gen, 2).amplitudes),
+            },
+        }
+        root = tmp_path_factory.mktemp("random-targets")
+        for task, data in fields.items():
+            (root / f"{task}.json").write_text(json.dumps({"task": task, **data}))
+        paths = {task: str(root / f"{task}.json") for task in fields}
+        qst, qdt, aapt = (load_target(paths[task]) for task in TASKS)
+        assert qst.ranks == (2,) and qdt.ranks == (1, 2, 4)
+        assert not aapt.tp and aapt.input_state.coefficients[-1] > 0.1
+        return paths
+
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(CASES),
-        st.integers(10, 1000),
+        st.sampled_from(CASES + RANDOM_CASES),
+        st.floats(1.0, 6.0).map(lambda e: round(10**e)),  # log-uniform in [10, 1e6]
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         st.integers(0, 2**16),
         st.integers(0, 63),
     )
     @example(("aapt", "adaptive", "aapt-damping-0.989"), 10, 0.99, 2, 14)
     @example(("qdt", "static", "qdt-three-valued"), 36, 0.5, 1, 1)
-    def test_excluded_or_physical(self, case, n, alpha, seed, trial):
+    def test_excluded_or_physical(
+        self, random_target_files, case, n, alpha, seed, trial
+    ):
+        task, method, target = case
         assume(1 <= math.floor(alpha * n) < n)
-        cfg = ExperimentConfig(*case, (n,), trial + 1, alpha=alpha, seed=seed)
+        target = target or random_target_files[task]
+        cfg = ExperimentConfig(
+            task, method, target, (n,), trial + 1, alpha=alpha, seed=seed
+        )
         metrics = harness.run_trial(cfg, n, 0, trial)
         if metrics is not None:
             values = np.concatenate([np.ravel(v) for v in metrics.values()])
@@ -1189,7 +1246,8 @@ class TestIo:
     def test_json_roundtrip(self, small_result, tmp_path):
         path = str(tmp_path / "out.json")
         write_json(small_result, path)
-        data = read_result_json(path)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
         assert data["slope"] == small_result.slope
         assert data["seed"] == 21
         assert data["config"]["target"] == "qst-rank1-8d"
@@ -1218,7 +1276,8 @@ class TestIo:
         result = run_scaling(cfg)
         path = str(tmp_path / "aapt.json")
         write_json(result, path)
-        data = read_result_json(path)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
         assert len(data["sigma_out_mean_infidelity"]) == 3
         assert result.sigma_out_slope() < 0
 
@@ -1279,6 +1338,15 @@ class TestCli:
             fit = run_cli("fit", str(path))
             assert fit.returncode == 0, fit.stderr
             assert "slope=" in fit.stdout
+
+    @pytest.mark.parametrize("fmt", ["json", "both"])
+    def test_format_without_out_is_an_error(self, tmp_path, fmt):
+        # stdout takes CSV only, so a JSON format with nowhere to go is refused
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        proc = run_cli("run", "--config", str(cfg), "--format", fmt)
+        assert proc.returncode == 2
+        assert "--out" in proc.stderr and proc.stdout == ""
 
     def test_selftest(self):
         proc = run_cli("selftest")

@@ -11,15 +11,12 @@ from aqtomo.fidelity import (
     FidelityScenario,
     Truth,
     _dp_terms,
-    detector_scenario,
     fidelity,
     fidelity_and_dp,
     fidelity_dp,
     fuchs_check,
-    process_scenario,
     rooted_fidelity_and_dp,
     state_fidelity,
-    state_scenario,
     trace_distance,
 )
 from aqtomo.linalg import DimensionError, NotPSDError, eig_reconstruct, haar_unitary
@@ -109,7 +106,7 @@ class TestTruthRootedCore:
         spectrum = np.linalg.eigvalsh(hat)
         pseudo_truth = Truth.of(true, PSEUDO_STATE)
         assert rooted_fidelity_and_dp(hat, spectrum, pseudo_truth)[0] == pseudo
-        scenarios = [detector_scenario(), process_scenario()]
+        scenarios = [FidelityScenario("detector_element"), FidelityScenario("process")]
         if math.isqrt(d) ** 2 != d:  # a process matrix is d_sys^2 x d_sys^2
             with pytest.raises(DimensionError):
                 fidelity_and_dp(hat, true, scenarios.pop())
@@ -118,7 +115,7 @@ class TestTruthRootedCore:
             assert f == pytest.approx(reference_f(hat, true, scen), abs=1e-12)
             assert dp == pytest.approx(f_dp, abs=1e-12)
         if trace == 1.0:
-            scen = state_scenario()
+            scen = FidelityScenario("state")
             assert fidelity(hat, true, scen) == pytest.approx(
                 reference_f(hat, true, scen), abs=1e-12
             )
@@ -145,7 +142,7 @@ class TestTruthRootedCore:
         true = random_povm(gen, d, ranks[:-1])
         noise = random_povm(gen, d, [d] * (k - 1))
         hat = Povm((1.0 - mix) * true.elements + mix * noise.elements)
-        scen = detector_scenario()
+        scen = FidelityScenario("detector_element")
         f, f_dp = fidelity_and_dp(hat.elements, true.elements, scen)
         target = QdtTarget("truth", true)
         (scores,) = harness._score(hat.elements, hat.eigenvalues, target.truth, ranks, 0.0)
@@ -162,7 +159,7 @@ class TestTruthRootedCore:
         with pytest.raises(NotPSDError):
             state_fidelity(bad, ket0)
         with pytest.raises(NotPSDError):
-            fidelity_and_dp(bad, ket0, detector_scenario())
+            fidelity_and_dp(bad, ket0, FidelityScenario("detector_element"))
         with pytest.raises(NotPSDError):
             fidelity(bad, ket0, PSEUDO_STATE)
         with pytest.raises(NotPSDError):
@@ -171,11 +168,11 @@ class TestTruthRootedCore:
 
     def test_non_psd_truth_rejected(self):
         with pytest.raises(NotPSDError):
-            Truth.of(np.diag([1.0, -0.5]), state_scenario())
+            Truth.of(np.diag([1.0, -0.5]), FidelityScenario("state"))
         with pytest.raises(NotPSDError):
             state_fidelity(I2 / 2, np.diag([1.0, -0.5]))
         with pytest.raises(NotPSDError):
-            fidelity_and_dp(I2 / 2, np.diag([1.0, -0.5]), detector_scenario())
+            fidelity_and_dp(I2 / 2, np.diag([1.0, -0.5]), FidelityScenario("detector_element"))
 
 
 class TestTraces:
@@ -221,7 +218,7 @@ class TestStackedOverlap:
         if kind == "state":
             hat = np.stack([random_density(gen, d) for _ in range(4)])
             true = np.stack([random_density(gen, d) for _ in range(4)])
-            scen = state_scenario()
+            scen = FidelityScenario("state")
         else:
             n = d * d if kind == "process" else d
             hat = np.stack([random_element(gen, n, 0.9) for _ in range(4)])
@@ -245,12 +242,12 @@ class TestStackedOverlap:
         true = np.stack([random_element(gen, 4, 0.5) for _ in range(3)])
         hat[2] = np.diag([0.5, 0.5, 0.1, -0.2])
         with pytest.raises(NotPSDError):
-            fidelity_and_dp(hat, true, detector_scenario())
+            fidelity_and_dp(hat, true, FidelityScenario("detector_element"))
 
     def test_stacks_need_matching_shapes(self):
         with pytest.raises(DimensionError):
             fidelity_and_dp(
-                np.stack([I2] * 2), np.stack([I2] * 3), detector_scenario()
+                np.stack([I2] * 2), np.stack([I2] * 3), FidelityScenario("detector_element")
             )
         with pytest.raises(DimensionError):
             state_fidelity(np.stack([I2 / 2] * 2), np.stack([I2 / 2] * 2))
@@ -337,13 +334,13 @@ class TestUnifiedFidelity:
         rho = random_density(gen, 2)
         s = random_psd(gen, 2)
         x = random_psd(gen, 4, scale=1.5)
-        assert fidelity(rho, rho, state_scenario()) == pytest.approx(1.0, abs=1e-10)
-        assert fidelity(s, s, detector_scenario()) == pytest.approx(1.0, abs=1e-10)
-        assert fidelity(x, x, process_scenario()) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(rho, rho, FidelityScenario("state")) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(s, s, FidelityScenario("detector_element")) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(x, x, FidelityScenario("process")) == pytest.approx(1.0, abs=1e-10)
 
     def test_detector_distortion_fixed(self):
         # normalize the F_1 example into [0, 1]: f = 1/2 - 1 = -1/2
-        f = fidelity(I2 / 3, I2 / 4, detector_scenario())
+        f = fidelity(I2 / 3, I2 / 4, FidelityScenario("detector_element"))
         assert abs(f - (1.0 - (1.0 / 144.0) / 1.5)) < 1e-12
         assert f < 1.0 - 1e-4
 
@@ -351,8 +348,8 @@ class TestUnifiedFidelity:
         gen = SeededRng(39).generator()
         # (scenario, operand size, the normalization d it fixes, f = f_lower(d))
         cases = (
-            (detector_scenario(), 3, 3, 1.0 / 3.0 - 1.0),
-            (process_scenario(), 4, 2, -1.0),
+            (FidelityScenario("detector_element"), 3, 3, 1.0 / 3.0 - 1.0),
+            (FidelityScenario("process"), 4, 2, -1.0),
         )
         for scen, d_mat, d, f_lower in cases:
             assert scen.norm_dim(d_mat) == d
@@ -368,21 +365,21 @@ class TestUnifiedFidelity:
         for _ in range(20):
             a, b = random_density(gen, 4), random_density(gen, 4)
             assert abs(
-                fidelity(a, b, state_scenario()) - state_fidelity(a, b)
+                fidelity(a, b, FidelityScenario("state")) - state_fidelity(a, b)
             ) < 1e-9
 
     def test_state_scenario_needs_unit_traces(self):
         with pytest.raises(ValueError):
-            fidelity(I2 / 3, I2 / 2, state_scenario())
+            fidelity(I2 / 3, I2 / 2, FidelityScenario("state"))
 
     def test_bounded_on_random_pairs(self):
         gen = SeededRng(41).generator()
         for _ in range(1000):
             kind = gen.integers(2)
             if kind == 0:
-                scen, d_mat = detector_scenario(), 2
+                scen, d_mat = FidelityScenario("detector_element"), 2
             else:
-                scen, d_mat = process_scenario(), 4
+                scen, d_mat = FidelityScenario("process"), 4
             a = random_psd(gen, d_mat, scale=gen.uniform(0.05, 1.9))
             b = random_psd(gen, d_mat, scale=gen.uniform(0.05, 1.9))
             f = fidelity(a, b, scen)
@@ -390,33 +387,33 @@ class TestUnifiedFidelity:
 
     def test_unequal_operators_not_scored_one(self):
         # the two distortion families must score strictly below one
-        assert fidelity(I2 / 3, I2 / 4, detector_scenario()) < 1.0 - 1e-6
+        assert fidelity(I2 / 3, I2 / 4, FidelityScenario("detector_element")) < 1.0 - 1e-6
         gen = SeededRng(42).generator()
         x = random_psd(gen, 4, scale=1.2)
-        assert fidelity(0.5 * x, x, process_scenario()) < 1.0 - 1e-6
+        assert fidelity(0.5 * x, x, FidelityScenario("process")) < 1.0 - 1e-6
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             FidelityScenario("bogus")
         for kind in ("state", "pseudo_state", "detector_element"):
             assert FidelityScenario(kind).norm_dim(3) == 3
-        assert process_scenario().norm_dim(9) == 3
+        assert FidelityScenario("process").norm_dim(9) == 3
 
     def test_process_kind_needs_a_square_size(self):
         with pytest.raises(DimensionError):
-            process_scenario().norm_dim(3)
+            FidelityScenario("process").norm_dim(3)
         x = random_psd(SeededRng(48).generator(), 3)
         with pytest.raises(DimensionError):
-            fidelity(x, x, process_scenario())
+            fidelity(x, x, FidelityScenario("process"))
         with pytest.raises(DimensionError):
-            fidelity_and_dp(np.stack([x] * 2), np.stack([x] * 2), process_scenario())
+            fidelity_and_dp(np.stack([x] * 2), np.stack([x] * 2), FidelityScenario("process"))
 
     def test_unclamped_diagnostic_value(self):
         gen = SeededRng(47).generator()
         rho = random_density(gen, 2)
         raw = reference_dp(rho, rho, 2)[1]  # the state scenario's F before its clamp
         assert abs(raw - 1.0) < 1e-10  # may legitimately exceed 1 by roundoff
-        assert fidelity(rho, rho, state_scenario()) <= 1.0
+        assert fidelity(rho, rho, FidelityScenario("state")) <= 1.0
 
 
 class TestPseudoStateFidelity:

@@ -281,10 +281,10 @@ class TestStackedKernel:
         w, v = linalg._eigh(stack)
         assert w.shape == (3, d) and v.shape == (3, d, d)
         for m, wk, vk in zip(stack, w, v):
-            one = linalg._eigh(m)
-            assert one.eigenvalues.ndim == 1
-            assert np.array_equal(one.eigenvalues, wk)
-            assert np.array_equal(one.eigenvectors, vk)
+            w_one, v_one = linalg._eigh(m)
+            assert w_one.ndim == 1
+            assert np.array_equal(w_one, wk)
+            assert np.array_equal(v_one, vk)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_eig_reconstruct(self, d):

@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 
 from aqtomo.estimators import InformationIncompleteError, LrePlan
 from aqtomo.measurement import (
+    DetectorOracle,
+    ExactDetectorOracle,
+    ExactStateOracle,
     PauliCube,
     SeededRng,
-    detector_sampler,
+    StateOracle,
     draw_counts,
-    exact_detector_sampler,
-    exact_state_sampler,
     frequencies,
     outcome_table,
     pauli_cube,
-    state_sampler,
 )
 from aqtomo.linalg import DimensionError, haar_unitary
 from aqtomo.quantum_objects import DensityMatrix, pure_state
@@ -34,7 +34,7 @@ from test_estimators import random_povm, random_pseudo_state
 class TestDetectorOracleElements:
     def test_oracle_shares_the_povm_stack(self):
         povm = random_povm(SeededRng(150).generator(), 4, 3)
-        for oracle in (detector_sampler(povm), exact_detector_sampler(povm)):
+        for oracle in (DetectorOracle(povm), ExactDetectorOracle(povm)):
             assert np.shares_memory(oracle._elements, povm.elements)
 
 
@@ -222,11 +222,11 @@ class TestPauliCube:
     def test_oracle_reuses_the_battery_table(self):
         rho = random_pseudo_state(np.random.default_rng(16), 8, 0.6)
         cube = pauli_cube(3)
-        oracle = state_sampler(rho)
+        oracle = StateOracle(rho)
         want = outcome_table(cube.probabilities(rho.mat))
         assert oracle.cube is cube
         assert np.array_equal(oracle.table(), want)
-        assert np.array_equal(exact_state_sampler(rho).counts(), want)
+        assert np.array_equal(ExactStateOracle(rho).counts(), want)
         counts = oracle.counts([5] * 27, SeededRng(17))
         assert np.array_equal(counts, draw_counts(want, [5] * 27, SeededRng(17)))
 
@@ -242,7 +242,7 @@ class TestPauliCube:
             return original(self, m)
 
         monkeypatch.setattr(PauliCube, "probabilities", counted)
-        oracle = state_sampler(rho)
+        oracle = StateOracle(rho)
         assert calls == []  # nothing is computed before the first draw
         shots = [7] * 27
         for stream in range(3):
@@ -250,7 +250,7 @@ class TestPauliCube:
             counts = oracle.counts(shots, rng)
             assert np.array_equal(counts, draw_counts(want, shots, rng))
         assert calls == [cube]
-        exact = exact_state_sampler(rho)
+        exact = ExactStateOracle(rho)
         table = exact.counts()
         assert np.array_equal(table, want) and exact.counts() is table
         assert len(calls) == 2 and not table.flags.writeable
@@ -271,7 +271,7 @@ class TestPauliCube:
             return original(self, m)
 
         monkeypatch.setattr(PauliCube, "probabilities", counted)
-        oracle = detector_sampler(povm)
+        oracle = DetectorOracle(povm)
         assert calls == []  # nothing is computed before the first draw
         table = oracle.table()
         assert table.shape == (216, 4) and not table.flags.writeable
@@ -282,7 +282,7 @@ class TestPauliCube:
             counts = oracle.counts(shots, rng)
             assert np.array_equal(counts, draw_counts(table, shots, rng))
         assert calls == [cube] * 3  # one Born table per element, once
-        exact = exact_detector_sampler(povm)
+        exact = ExactDetectorOracle(povm)
         assert exact.counts() is exact.counts()
         assert len(calls) == 6
         with pytest.raises(DimensionError):
@@ -298,7 +298,7 @@ class TestBasisMeasurement:
         u = haar_unitary(d, gen)
         projectors = np.stack([np.outer(c, c.conj()) for c in u.T])
         want = outcome_table(born_probabilities(rho, projectors))
-        got = state_sampler(rho).basis_table(u)
+        got = StateOracle(rho).basis_table(u)
         assert got.shape == (1, d + 1)
         assert np.max(np.abs(got[0] - want)) <= 1e-15
 
@@ -307,21 +307,21 @@ class TestBasisMeasurement:
         u = haar_unitary(4, SeededRng(18).generator())
         u[:, 0] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="not unitary"):
-            state_sampler(rho).basis_counts(u, 100, SeededRng(19))
+            StateOracle(rho).basis_counts(u, 100, SeededRng(19))
         with pytest.raises(ValueError, match="not unitary"):
-            exact_state_sampler(rho).basis_counts(u)
+            ExactStateOracle(rho).basis_counts(u)
         # orthonormal columns that do not span the space
         isometry = haar_unitary(4, SeededRng(18).generator())[:, :3]
         with pytest.raises(DimensionError):
-            state_sampler(rho).basis_counts(isometry, 100, SeededRng(19))
+            StateOracle(rho).basis_counts(isometry, 100, SeededRng(19))
 
     def test_counts_and_exact_counts(self):
         rho = DensityMatrix(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
         u = np.eye(4, dtype=complex)[:, [1, 0, 3, 2]]
-        counts = state_sampler(rho).basis_counts(u, 1000, SeededRng(20))
+        counts = StateOracle(rho).basis_counts(u, 1000, SeededRng(20))
         assert counts.shape == (1, 5) and counts.sum() == 1000
         assert counts[0, 2:].tolist() == [0, 0, 0]
-        exact = exact_state_sampler(rho).basis_counts(u)
+        exact = ExactStateOracle(rho).basis_counts(u)
         assert np.allclose(exact, [[0.3, 0.7, 0.0, 0.0, 0.0]], atol=1e-15)
 
 
@@ -334,7 +334,7 @@ class TestDetectorBasisMeasurement:
         # probe (i, j) is the pure state of column j of basis i, row i * d + j
         probes = pure_probe_states(unit_rows(np.concatenate([u.T for u in us])))
         want = outcome_table(born_probabilities(probes, povm))
-        got = detector_sampler(povm).basis_table(us)
+        got = DetectorOracle(povm).basis_table(us)
         assert got.shape == (3 * d, 4)
         assert np.max(np.abs(got[:, :-1] - want[:, :-1])) <= 1e-15
         # the null column is 1 minus a row's sum, so its rounding adds up
@@ -343,12 +343,12 @@ class TestDetectorBasisMeasurement:
     def test_counts_draw_every_probe_at_once(self):
         povm = random_povm(np.random.default_rng(135), 4, 3)
         us = np.stack([haar_unitary(4, SeededRng(136, k).generator()) for k in range(2)])
-        oracle = detector_sampler(povm)
+        oracle = DetectorOracle(povm)
         table = oracle.basis_table(us)
         counts = oracle.basis_counts(us, 50, SeededRng(137))
         assert np.array_equal(counts, draw_counts(table, [50] * 8, SeededRng(137)))
         assert np.array_equal(counts.sum(axis=1), [50] * 8)
-        exact = exact_detector_sampler(povm).basis_counts(us)
+        exact = ExactDetectorOracle(povm).basis_counts(us)
         assert np.array_equal(exact, table)
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -357,12 +357,12 @@ class TestDetectorBasisMeasurement:
         us = np.stack([haar_unitary(4, SeededRng(141, k).generator()) for k in range(3)])
         us[slot][:, 1] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="not unitary"):
-            detector_sampler(povm).basis_counts(us, 10, SeededRng(142))
+            DetectorOracle(povm).basis_counts(us, 10, SeededRng(142))
         with pytest.raises(ValueError, match="not unitary"):
-            exact_detector_sampler(povm).basis_counts(us)
+            ExactDetectorOracle(povm).basis_counts(us)
 
     def test_basis_shapes_checked(self):
-        oracle = detector_sampler(random_povm(np.random.default_rng(143), 4, 3))
+        oracle = DetectorOracle(random_povm(np.random.default_rng(143), 4, 3))
         with pytest.raises(DimensionError):
             oracle.basis_table(np.eye(4))  # one basis, not a stack
         with pytest.raises(DimensionError):
@@ -428,7 +428,7 @@ class TestRandomPureProbes:
 class TestExactOracle:
     def test_counts_are_probabilities(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        counts = exact_state_sampler(rho).counts([1000] * 3, None)[2:]
+        counts = ExactStateOracle(rho).counts([1000] * 3, None)[2:]
         assert np.allclose(counts[0], [0.25, 0.75, 0.0])
         assert np.array_equal(counts[0, :-1], born_probabilities(rho, cube_povm(1)[2]))
         assert np.allclose(frequencies(counts).values[0], [0.25, 0.75])
@@ -504,7 +504,7 @@ class TestBatchedDraws:
         rho = DensityMatrix(trace * m / np.trace(m).real, sub_unit=trace < 1.0)
         base = total // 27
         shots = [base] * 26 + [total - 26 * base]
-        oracle = state_sampler(rho)
+        oracle = StateOracle(rho)
         batched_gen = np.random.default_rng(seed + 1)
         serial_gen = np.random.default_rng(seed + 1)
         counts = oracle.counts(shots, batched_gen)

@@ -177,9 +177,9 @@ class TestKrausToProcess:
         w = np.linalg.eigvalsh(pm.x)
         assert np.sum(w > 1e-10) == 1
         assert pm.trace_preserving
-        from aqtomo.fidelity import fidelity, process_scenario
+        from aqtomo.fidelity import FidelityScenario, fidelity
 
-        assert fidelity(pm.x, pm.x, process_scenario()) == 1.0
+        assert fidelity(pm.x, pm.x, FidelityScenario("process")) == 1.0
 
     def test_phase_damping_0989(self):
         pm = kraus_to_process(phase_damping(0.989))
@@ -396,6 +396,25 @@ class TestTracePreservation:
             else:
                 w = np.linalg.eigvalsh(q)
                 assert w[-1] <= 1.0 + 1e-8 and w[0] < 1.0 - 1e-6
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DensityMatrix(np.diag([NAN, 1.0])),
+        lambda: Povm((np.diag([NAN, 0.0]), np.eye(2))),
+        lambda: KrausChannel((np.diag([NAN, 1.0]),)),
+        lambda: ProcessMatrix(np.diag([NAN, 0.0, 0.0, 1.0])),
+    ],
+    ids=["density", "povm", "kraus", "process"],
+)
+def test_nan_entry_rejected(build):
+    # every comparison with NaN is false, so range checks alone let it through
+    with pytest.raises(ValueError, match="non-finite"):
+        build()
 
 
 class TestIdentitySemantics:
