@@ -84,6 +84,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.out is None and args.format != "csv":
         parser.error(f"--format {args.format} needs --out; stdout takes CSV only")
+    if args.command == "run" and args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "targets":

@@ -11,11 +11,13 @@ a name -> value mapping.  ``run_scaling`` reduces each metric over the kept
 trials of a grid point by one generic loop and fits a log-log slope through
 the per-N mean infidelities.  Trial randomness is keyed by (seed, grid
 index, trial index), so results are identical for any worker count, order or
-stacking.  A trial reads its oracle, the truth it is scored against (rooted
-once, with its fidelity scenario), the true ranks and, for AAPT, whether the
-channel is trace-preserving from the config's target, resolved once per
-process (``_context``); the estimate's spectra come from the validation of
-its value object.  AAPT's output state goes through the same scorer.
+stacking; a grid point's generators are built in one pass
+(``seeded_generators``), each equal to ``SeededRng``'s.  A trial reads its
+oracle, the truth it is scored against (rooted once, with its fidelity
+scenario), the true ranks and, for AAPT, whether the channel is
+trace-preserving from the config's target, resolved once per process
+(``_context``); the estimate's spectra come from the validation of its value
+object.  AAPT's output state is scored by its fidelity alone.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from ..estimators import (
     static_qst,
 )
 from ..fidelity import rooted_fidelity_and_dp
-from ..measurement import SeededRng
-from .config import TRIAL_STREAM_BITS, ExperimentConfig
+from ..measurement import seeded_generators
+from .config import TARGET_STREAM_BASE, TRIAL_STREAM_BITS, ExperimentConfig
 from .targets import resolve_target
 
 log = logging.getLogger(__name__)
@@ -232,31 +234,38 @@ def _trial(target, config, n, gen) -> list:
     metrics = _score(hat, value.eigenvalues, target.truth, target.ranks, dev)
     if config.task == "aapt":
         sigma = est.extras["sigma_out"]
-        # a full-Schmidt probe maps X to sigma_out invertibly: equal ranks
-        scores = _score(
-            sigma.mat, sigma.eigenvalues, target.sigma_out_truth, target.ranks, 0.0
+        f, _ = rooted_fidelity_and_dp(
+            sigma.mat, sigma.eigenvalues, target.sigma_out_truth
         )
-        for m, score in zip(metrics, scores):
-            m["sigma_out_infidelity"] = score["infidelity"]
+        for m, value in zip(metrics, (1.0 - f).tolist()):
+            m["sigma_out_infidelity"] = value
     return metrics
 
 
 def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int | range):
     """Run one seeded trial; returns its metrics by name, or None when excluded.
 
-    A ``range`` of trials runs as one stack and returns one entry per trial.
+    A ``range`` of trials runs as one stack and returns one entry per trial
+    (none for an empty range).  A trial index outside
+    ``[0, 2**TRIAL_STREAM_BITS)`` or a grid index whose streams would reach
+    the target streams raises ``ValueError``, as it would share a stream.
     """
     stack = isinstance(trial, range)
-    metrics = _run(_context(config), config, n, n_index, trial if stack else [trial])
+    trials = trial if stack else range(trial, trial + 1)
+    if not 0 <= n_index < (TARGET_STREAM_BASE >> TRIAL_STREAM_BITS) - 1:
+        raise ValueError(f"grid index {n_index} has no trial streams")
+    if not trials:
+        return []
+    ends = (trials[0], trials[-1])
+    if min(ends) < 0 or max(ends) >= 1 << TRIAL_STREAM_BITS:
+        raise ValueError(f"trial indices must lie in [0, 2**{TRIAL_STREAM_BITS})")
+    metrics = _run(_context(config), config, n, n_index, trials)
     return metrics if stack else metrics[0]
 
 
 def _run(target, config, n, n_index, trials) -> list:
     """Metrics of each of ``trials``, run as one stack; None for an excluded one."""
-    gens = [
-        SeededRng(config.seed, stream_id=_trial_stream(n_index, t)).generator()
-        for t in trials
-    ]
+    gens = seeded_generators(config.seed, [_trial_stream(n_index, t) for t in trials])
     try:
         return _trial(target, config, n, gens)
     except (EstimationError, np.linalg.LinAlgError) as exc:
@@ -273,8 +282,10 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
     point and reduced by the rule of ``_REPORT_KEYS``.  Trials failing with
     an estimation error are excluded and counted; more than 10% exclusions
     at any grid point aborts the run.  Output is byte-stable for a fixed
-    config regardless of ``workers``.
+    config regardless of ``workers``, which must be at least 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     target = _context(config)  # validate config/target pairing before spawning
     _require_slope_points(len(config.n_grid))
     reps = config.repetitions

@@ -26,6 +26,7 @@ from ..measurement import (
     frequencies,
     outcome_table,
     pauli_cube,
+    seeded_generators,
 )
 from ..quantum_objects import (
     DensityMatrix,
@@ -116,6 +117,16 @@ def _checks():
     c1 = draw_counts(table, 10_000, SeededRng(9, 3))
     c2 = draw_counts(table, 10_000, SeededRng(9, 3))
     yield "seeded determinism", bool(np.array_equal(c1, c2))
+
+    # the installed numpy's SeedSequence hashes as seeded_generators assumes:
+    # one- and two-word seeds and stream ids
+    streams = [0, 1, (4096 << 20) + 7, 1 << 48]
+    same = all(
+        g.bit_generator.state == SeededRng(seed, s).generator().bit_generator.state
+        for seed in (0, 9, 2**64 - 1)
+        for s, g in zip(streams, seeded_generators(seed, streams))
+    )
+    yield "stacked seeding equals per-trial seeding", same
 
 
 def run_selftest() -> int:

@@ -4,6 +4,8 @@ Randomness is driven by :class:`SeededRng`, a (seed, stream_id) pair mapped
 onto ``numpy``'s PCG64 through ``SeedSequence(seed, spawn_key=(stream_id,))``.
 Identical pairs reproduce identical count sequences across runs; concurrent
 trials get disjoint stream ids and never share randomness.
+:func:`seeded_generators` builds the generators of many streams under one
+seed in one array pass, each in the state ``SeededRng`` gives it.
 
 Sampling is batched.  A measurement oracle (:class:`StateOracle`,
 :class:`DetectorOracle`) turns a battery of ``S`` settings into an
@@ -53,6 +55,82 @@ class SeededRng:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(seq))
+
+
+# SeedSequence's hash: the i-th hashmix XORs a word with A_i, multiplies it by
+# A_{i+1} and xorshifts it; word i of generate_state does the same to pool
+# word i % 4 with B_i and B_{i+1}; mix(x, y) xorshifts L x - R y (all mod 2^32)
+def _hash_constants(init: int, mult: int, count: int) -> list:
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return out
+
+
+_A = _hash_constants(0x43B0D7E5, 0x931E8875, 25)
+_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+# hashmixes 0-15 build a seed's pool; 16 + 4k + j mixes stream word k into
+# pool word j
+_WORD_XOR = np.array([_A[16:20], _A[20:24]], dtype=np.uint32)
+_WORD_MUL = np.array([_A[17:21], _A[21:25]], dtype=np.uint32)
+_STATE_XOR = np.array(_B[:8], dtype=np.uint32)
+_STATE_MUL = np.array(_B[1:9], dtype=np.uint32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> np.ndarray:
+    """The seed's mixed pool, which a stream's words then enter.
+
+    A seed below 2^64 is at most two words, so a spawn key pads it with zero
+    words to the pool size, and those hash as the pool's own padding does.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    pool.flags.writeable = False
+    return pool
+
+
+def _mix_word(pool: np.ndarray, word: np.ndarray, k: int) -> np.ndarray:
+    """Pools ``(T, 4)`` after stream word ``k`` (one per row of ``word``)."""
+    h = (word[:, None] ^ _WORD_XOR[k]) * _WORD_MUL[k]
+    h ^= h >> 16
+    out = pool * _MIX_L - h * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The four words ``SeedSequence.generate_state(4, np.uint64)`` returns,
+    handed to PCG64, which seeds itself from them."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def seeded_generators(seed: int, streams) -> list:
+    """One generator per stream id, each in the state of
+    ``SeededRng(seed, stream).generator()``.
+
+    ``SeedSequence(seed, spawn_key=(stream,))`` hashes the seed into a pool,
+    mixes in the stream's one or two uint32 words and hashes the pool into
+    PCG64's seed words.  The seed's pool is numpy's (cached); the rest runs
+    over all streams at once.  Seeds lie in ``[0, 2**64)``, streams too.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    s = np.array(streams, dtype=np.uint64)
+    pool = _mix_word(_seed_pool(seed), s.astype(np.uint32), 0)
+    high = s >> 32
+    two = high != 0  # a stream id of 2^32 or more has a second word
+    pool[two] = _mix_word(pool[two], high[two].astype(np.uint32), 1)
+    state = (np.concatenate((pool, pool), axis=1) ^ _STATE_XOR) * _STATE_MUL
+    state ^= state >> 16
+    # word pairs read little-endian, as generate_state reads them
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
 class Frequencies(NamedTuple):

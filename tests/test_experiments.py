@@ -26,7 +26,12 @@ from aqtomo.experiments import (
     run_scaling,
 )
 from aqtomo.experiments import harness, targets
-from aqtomo.experiments.config import METHODS, TASKS
+from aqtomo.experiments.config import (
+    METHODS,
+    TARGET_STREAM_BASE,
+    TASKS,
+    TRIAL_STREAM_BITS,
+)
 from aqtomo.experiments.io import CSV_HEADER, result_to_dict, write_csv, write_json
 from aqtomo.experiments.targets import (
     AaptTarget,
@@ -517,6 +522,15 @@ class TestRunScaling(object):
     def test_constraint_devs_tracked(self, small_result):
         devs = small_result.extras["max_constraint_dev"]
         assert len(devs) == 3 and max(devs) < 1e-8
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *job: calls.append(job))
+        cfg = ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (1, 2, 3), 1)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_scaling(cfg, workers=workers)
+        assert calls == []
 
     def test_task_target_mismatch(self):
         cfg = ExperimentConfig("qdt", "adaptive", "qst-rank1-8d", (1000,), 1)
@@ -1202,6 +1216,44 @@ class TestTrialProperty:
         assert stacked == singles
 
 
+class TestTrialStreams:
+    """``run_trial`` runs only trials that own a stream: each (grid index,
+    trial) pair maps to its own stream id below the target streams."""
+
+    CFG = ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (4000,), 2, seed=3)
+
+    def test_empty_range_runs_nothing(self):
+        assert harness.run_trial(self.CFG, 4000, 0, range(0)) == []
+        assert harness.run_trial(self.CFG, 4000, 1, range(5, 5)) == []
+
+    LAST_TRIAL = (1 << TRIAL_STREAM_BITS) - 1
+
+    @pytest.mark.parametrize(
+        "trial",
+        [-1, LAST_TRIAL + 1, range(-1, 2), range(LAST_TRIAL, LAST_TRIAL + 2)],
+        ids=["negative", "past-last", "range-from-negative", "range-past-last"],
+    )
+    def test_trial_without_own_stream_rejected(self, trial):
+        with pytest.raises(ValueError, match="trial indices"):
+            harness.run_trial(self.CFG, 4000, 0, trial)
+
+    # grid index 2**28 - 1 would draw trial 0 from the first target stream
+    PAST_LAST_GRID_INDEX = (TARGET_STREAM_BASE >> TRIAL_STREAM_BITS) - 1
+
+    @pytest.mark.parametrize("n_index", [-1, PAST_LAST_GRID_INDEX])
+    def test_grid_index_without_own_streams_rejected(self, n_index):
+        with pytest.raises(ValueError, match="grid index"):
+            harness.run_trial(self.CFG, 4000, n_index, 0)
+
+    @pytest.mark.parametrize("n_index", [4095, 5000, PAST_LAST_GRID_INDEX - 1])
+    def test_far_grid_index_stack_equals_singles(self, n_index):
+        # from grid index 4095 on a stream id has two uint32 words
+        stacked = harness.run_trial(self.CFG, 4000, n_index, range(3))
+        singles = [harness.run_trial(self.CFG, 4000, n_index, t) for t in range(3)]
+        assert stacked == singles
+        assert stacked != harness.run_trial(self.CFG, 4000, n_index - 1, range(3))
+
+
 class TestIo:
     def test_csv_roundtrip(self, small_result, tmp_path):
         path = str(tmp_path / "out.csv")
@@ -1348,12 +1400,21 @@ class TestCli:
         assert proc.returncode == 2
         assert "--out" in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_an_error(self, tmp_path, workers):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        proc = run_cli("run", "--config", str(cfg), "--workers", workers)
+        assert proc.returncode == 2
+        assert "--workers" in proc.stderr and proc.stdout == ""
+
     def test_selftest(self):
         proc = run_cli("selftest")
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
         for check in ("adaptive QST recovers a noiseless state",
-                      "adaptive QDT recovers a noiseless POVM"):
+                      "adaptive QDT recovers a noiseless POVM",
+                      "stacked seeding equals per-trial seeding"):
             assert f"PASS  {check}" in proc.stdout
 
 

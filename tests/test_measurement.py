@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqtomo.estimators import InformationIncompleteError, LrePlan
+from aqtomo.experiments.config import TARGET_STREAM_BASE, TRIAL_STREAM_BITS
+from aqtomo.experiments.harness import _trial_stream
 from aqtomo.measurement import (
     DetectorOracle,
     ExactDetectorOracle,
@@ -15,6 +17,7 @@ from aqtomo.measurement import (
     frequencies,
     outcome_table,
     pauli_cube,
+    seeded_generators,
 )
 from aqtomo.linalg import DimensionError, haar_unitary
 from aqtomo.quantum_objects import DensityMatrix, pure_state
@@ -525,3 +528,43 @@ class TestBatchedDraws:
         if not freqs.mask.all():
             with pytest.raises(InformationIncompleteError):
                 LrePlan(pauli_cube(3), True).solve(freqs)
+
+
+# seeds ExperimentConfig allows: 0, one-word and two-word
+SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+# the harness's (grid index, trial) pairs; stream ids have two uint32 words
+# from grid index 4095 on, and the last grid index is 2**28 - 2
+LAST_GRID_INDEX = (TARGET_STREAM_BASE >> TRIAL_STREAM_BITS) - 2
+GRID_INDICES = st.one_of(st.integers(0, 4094), st.integers(4095, LAST_GRID_INDEX))
+HARNESS_STREAMS = st.lists(
+    st.builds(
+        _trial_stream, GRID_INDICES, st.integers(0, (1 << TRIAL_STREAM_BITS) - 1)
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestSeededGenerators:
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS, HARNESS_STREAMS)
+    @example(0, [0])
+    @example(2**64 - 1, [_trial_stream(4094, 2**20 - 1), _trial_stream(4095, 0)])
+    @example(7, [_trial_stream(LAST_GRID_INDEX, 2**20 - 1), 2**64 - 1])
+    def test_equals_seeded_rng(self, seed, streams):
+        gens = seeded_generators(seed, streams)
+        assert len(gens) == len(streams)
+        for stream, gen in zip(streams, gens):
+            ref = SeededRng(seed, stream).generator()
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(gen.random(4), ref.random(4))
+            assert np.array_equal(gen.multinomial(50, [0.5, 0.5], 3),
+                                  ref.multinomial(50, [0.5, 0.5], 3))
+
+    def test_no_streams(self):
+        assert seeded_generators(3, []) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64 bits"):
+            seeded_generators(seed, [0])
