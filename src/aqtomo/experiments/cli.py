@@ -35,20 +35,31 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--workers", type=int, default=1, help="parallel grid-point workers")
     run_p.add_argument("--out", default=None, help="output path (default: stdout CSV)")
     run_p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
+    run_p.set_defaults(func=_cmd_run)
 
-    sub.add_parser("targets", help="list built-in target names")
+    targets_p = sub.add_parser("targets", help="list built-in target names")
+    targets_p.set_defaults(func=_cmd_targets)
 
     fit_p = sub.add_parser("fit", help="fit a log-log slope to an existing CSV")
     fit_p.add_argument("csv", help="result CSV written by the run subcommand")
+    fit_p.set_defaults(func=_cmd_fit)
 
-    sub.add_parser("selftest", help="run the quick invariant suite")
+    selftest_p = sub.add_parser("selftest", help="run the quick invariant suite")
+    selftest_p.set_defaults(func=lambda args, parser: run_selftest())
     return parser
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+def _cmd_run(args, parser) -> int:
+    if args.out is None and args.format != "csv":
+        parser.error(f"--format {args.format} needs --out; stdout takes CSV only")
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
+    try:  # input that cannot be read is a usage error; a failing run is not
+        config = load_config(args.config)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     result = run_scaling(config, workers=args.workers)
     print(
         f"# slope={result.slope:.4f} intercept={result.intercept:.4f} "
@@ -63,18 +74,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_targets() -> int:
+def _cmd_targets(args, parser) -> int:
     for name in BUILTIN_TARGET_NAMES:
         target = builtin_target(name)
         print(f"{name}\t{target.task}\td={target.dim}")
     return 0
 
 
-def _cmd_fit(args) -> int:
-    rows = read_result_csv(args.csv)
-    slope, intercept, r2 = fit_loglog_slope(
-        (row["N"], row["mean_infidelity"]) for row in rows
-    )
+def _cmd_fit(args, parser) -> int:
+    try:
+        rows = read_result_csv(args.csv)
+        slope, intercept, r2 = fit_loglog_slope(
+            (row["N"], row["mean_infidelity"]) for row in rows
+        )
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     print(f"slope={slope:.6f} intercept={intercept:.6f} r2={r2:.6f}")
     return 0
 
@@ -82,19 +96,7 @@ def _cmd_fit(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and args.out is None and args.format != "csv":
-        parser.error(f"--format {args.format} needs --out; stdout takes CSV only")
-    if args.command == "run" and args.workers < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "targets":
-        return _cmd_targets()
-    if args.command == "fit":
-        return _cmd_fit(args)
-    if args.command == "selftest":
-        return run_selftest()
-    raise AssertionError("unreachable")
+    return args.func(args, parser)
 
 
 if __name__ == "__main__":

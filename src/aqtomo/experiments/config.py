@@ -1,8 +1,10 @@
 """Experiment configuration and its plain-text key-value file format.
 
 A config file is a flat list of ``key = value`` lines; ``#`` starts a
-comment.  ``n_grid`` takes a comma-separated list (surrounding brackets are
-tolerated).  Unknown keys are rejected rather than ignored.
+comment.  The keys are :class:`ExperimentConfig`'s field names, and each
+value is read by its field's declared type.  ``n_grid`` takes a comma- or
+space-separated list (surrounding brackets are tolerated).  Unknown keys are
+rejected rather than ignored.
 
 Example::
 
@@ -17,21 +19,26 @@ Example::
 
 from __future__ import annotations
 
+import numbers
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 TASKS = ("qst", "qdt", "aapt")
 METHODS = ("adaptive", "static")
 
-_KEYS = ("task", "method", "target", "n_grid", "repetitions", "alpha", "seed")
-
-# Random-stream layout under one seed: trial ``t`` at grid index ``i`` draws
-# from stream ``((i + 1) << TRIAL_STREAM_BITS) + t`` and built-in targets from
-# streams ``TARGET_STREAM_BASE + k``.  Trial streams are distinct only while
-# ``t < 2**TRIAL_STREAM_BITS`` and stay below the target streams only while
-# the grid has fewer than ``TARGET_STREAM_BASE >> TRIAL_STREAM_BITS`` points.
+# under one seed, built-in targets draw from streams TARGET_STREAM_BASE + k
 TRIAL_STREAM_BITS = 20
 TARGET_STREAM_BASE = 1 << 48
+
+
+def _trial_stream(n_index: int, trial: int) -> int:
+    """Stream id of trial ``trial`` at grid index ``n_index``; ``ValueError``
+    for a pair whose stream would be another trial's or a target's."""
+    if not 0 <= n_index < (TARGET_STREAM_BASE >> TRIAL_STREAM_BITS) - 1:
+        raise ValueError(f"grid index {n_index} has no trial streams")
+    if not 0 <= trial < 1 << TRIAL_STREAM_BITS:
+        raise ValueError(f"trial indices must lie in [0, 2**{TRIAL_STREAM_BITS})")
+    return ((n_index + 1) << TRIAL_STREAM_BITS) + trial
 
 
 @dataclass(frozen=True)
@@ -49,14 +56,16 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if len(self.n_grid) >= TARGET_STREAM_BASE >> TRIAL_STREAM_BITS:
-            raise ValueError(
-                "n_grid has too many points: its trial streams would reach the "
-                "target streams"
-            )
+        if not isinstance(self.target, str):
+            raise ValueError(f"target must be a name or a path, got {self.target!r}")
+        if not isinstance(self.alpha, numbers.Real) or not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be a real number strictly between 0 and 1")
         try:  # numpy integers pass; floats and strings raise
-            grid = tuple(map(operator.index, self.n_grid))
             reps, seed = operator.index(self.repetitions), operator.index(self.seed)
+            # every trial owns a stream; the grid's length is read before expansion
+            if len(self.n_grid) and reps > 0:
+                _trial_stream(len(self.n_grid) - 1, reps - 1)
+            grid = tuple(map(operator.index, self.n_grid))
         except TypeError as exc:
             msg = "n_grid, repetitions and seed must be integers"
             raise ValueError(f"{msg}: {exc}") from None
@@ -66,13 +75,6 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly increasing")
         if reps < 1:
             raise ValueError("repetitions must be >= 1")
-        if reps >= 1 << TRIAL_STREAM_BITS:
-            raise ValueError(
-                f"repetitions must be below 2**{TRIAL_STREAM_BITS}, or trial "
-                "streams of neighbouring grid points would coincide"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "n_grid", grid)
@@ -85,8 +87,17 @@ class ExperimentConfig:
         return d
 
 
+def _grid(raw: str) -> tuple:
+    return tuple(map(int, raw.strip("[]").replace(",", " ").split()))
+
+
+# a config-file value is read by its field's declared type
+_READERS = {"str": str, "int": int, "float": float, "tuple": _grid}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the key-value config format into an :class:`ExperimentConfig`."""
+    config_fields = {f.name: f for f in fields(ExperimentConfig)}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -95,29 +106,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEYS:
+        if key not in config_fields:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = raw
-    for required in ("task", "method", "target", "n_grid", "repetitions"):
-        if required not in values:
-            raise ValueError(f"config is missing required key {required!r}")
-
-    grid_raw = values["n_grid"].strip().strip("[]")
-    n_grid = tuple(int(tok) for tok in grid_raw.replace(",", " ").split())
-    kwargs = dict(
-        task=values["task"],
-        method=values["method"],
-        target=values["target"],
-        n_grid=n_grid,
-        repetitions=int(values["repetitions"]),
-    )
-    if "alpha" in values:
-        kwargs["alpha"] = float(values["alpha"])
-    if "seed" in values:
-        kwargs["seed"] = int(values["seed"])
-    return ExperimentConfig(**kwargs)
+        try:
+            values[key] = _READERS[config_fields[key].type](raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    for name, f in config_fields.items():
+        if f.default is MISSING and name not in values:
+            raise ValueError(f"config is missing required key {name!r}")
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:

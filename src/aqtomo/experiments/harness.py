@@ -42,7 +42,7 @@ from ..estimators import (
 )
 from ..fidelity import rooted_fidelity_and_dp
 from ..measurement import seeded_generators
-from .config import TARGET_STREAM_BASE, TRIAL_STREAM_BITS, ExperimentConfig
+from .config import ExperimentConfig, _trial_stream
 from .targets import resolve_target
 
 log = logging.getLogger(__name__)
@@ -141,10 +141,6 @@ class ScalingResult:
         per_element = np.asarray(self._series("element_mean_infidelity")).T
         ns = [r.n for r in self.rows]
         return [fit_loglog_slope(zip(ns, col))[0] for col in per_element]
-
-
-def _trial_stream(n_index: int, trial: int) -> int:
-    return ((n_index + 1) << TRIAL_STREAM_BITS) + trial
 
 
 @lru_cache(maxsize=16)
@@ -246,19 +242,13 @@ def run_trial(config: ExperimentConfig, n: int, n_index: int, trial: int | range
     """Run one seeded trial; returns its metrics by name, or None when excluded.
 
     A ``range`` of trials runs as one stack and returns one entry per trial
-    (none for an empty range).  A trial index outside
-    ``[0, 2**TRIAL_STREAM_BITS)`` or a grid index whose streams would reach
-    the target streams raises ``ValueError``, as it would share a stream.
+    (none for an empty range).  A trial or grid index without a stream of its
+    own (``config._trial_stream``) raises ``ValueError``.
     """
     stack = isinstance(trial, range)
     trials = trial if stack else range(trial, trial + 1)
-    if not 0 <= n_index < (TARGET_STREAM_BASE >> TRIAL_STREAM_BITS) - 1:
-        raise ValueError(f"grid index {n_index} has no trial streams")
     if not trials:
         return []
-    ends = (trials[0], trials[-1])
-    if min(ends) < 0 or max(ends) >= 1 << TRIAL_STREAM_BITS:
-        raise ValueError(f"trial indices must lie in [0, 2**{TRIAL_STREAM_BITS})")
     metrics = _run(_context(config), config, n, n_index, trials)
     return metrics if stack else metrics[0]
 

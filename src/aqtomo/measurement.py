@@ -31,6 +31,7 @@ of ``U_i``.  No dense cube POVM or probe state is built; the tests keep them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -117,11 +118,15 @@ def seeded_generators(seed: int, streams) -> list:
     ``SeedSequence(seed, spawn_key=(stream,))`` hashes the seed into a pool,
     mixes in the stream's one or two uint32 words and hashes the pool into
     PCG64's seed words.  The seed's pool is numpy's (cached); the rest runs
-    over all streams at once.  Seeds lie in ``[0, 2**64)``, streams too.
+    over all streams at once.  A non-integer stream id raises ``TypeError``,
+    and a seed or stream id outside ``[0, 2**64)`` raises ``ValueError``.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    s = np.array(streams, dtype=np.uint64)
+    ids = [operator.index(i) for i in streams]
+    if not all(0 <= i < 2**64 for i in ids):
+        raise ValueError("stream ids must lie in [0, 2**64)")
+    s = np.array(ids, dtype=np.uint64)
     pool = _mix_word(_seed_pool(seed), s.astype(np.uint32), 0)
     high = s >> 32
     two = high != 0  # a stream id of 2^32 or more has a second word

@@ -25,12 +25,13 @@ from aqtomo.experiments import (
     resolve_target,
     run_scaling,
 )
-from aqtomo.experiments import harness, targets
+from aqtomo.experiments import cli, harness, targets
 from aqtomo.experiments.config import (
     METHODS,
     TARGET_STREAM_BASE,
     TASKS,
     TRIAL_STREAM_BITS,
+    _trial_stream,
 )
 from aqtomo.experiments.io import CSV_HEADER, result_to_dict, write_csv, write_json
 from aqtomo.experiments.targets import (
@@ -132,11 +133,13 @@ class TestConfig:
             ExperimentConfig("qst", "bayes", "x", (100,), 1)
 
     def test_repetitions_that_alias_trial_streams_rejected(self):
-        # trial t of grid index i draws from stream ((i + 1) << 20) + t, so
-        # trial 2**20 of index 0 would reuse trial 0 of index 1
-        ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 2**20 - 1)
-        with pytest.raises(ValueError, match="repetitions"):
-            ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 2**20)
+        # trial t of grid index i draws from stream ((i + 1) << 20) + t, so a
+        # run of 2**20 repetitions ends at trial 2**20 - 1, just below trial 0
+        # of the next grid index, and one more would reuse that stream
+        ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100, 200), 2**20)
+        assert _trial_stream(0, 2**20 - 1) < _trial_stream(1, 0)
+        with pytest.raises(ValueError, match="trial indices"):
+            ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 2**20 + 1)
 
     def test_grid_reaching_target_streams_rejected(self):
         # 2**28 grid points would put the last trial streams at 2**48, where
@@ -148,7 +151,7 @@ class TestConfig:
             def __iter__(self):
                 raise AssertionError("grid expanded before its length was checked")
 
-        with pytest.raises(ValueError, match="too many points"):
+        with pytest.raises(ValueError, match="grid index"):
             ExperimentConfig("qst", "adaptive", "qst-rank1-8d", LongGrid(), 1)
 
     @pytest.mark.parametrize(
@@ -178,6 +181,32 @@ class TestConfig:
         )
         assert all(type(v) is int for v in (*cfg.n_grid, cfg.repetitions, cfg.seed))
         json.dumps(cfg.to_dict())
+
+    @pytest.mark.parametrize("key, raw", [
+        ("n_grid", "1e3"), ("repetitions", "2.5"), ("alpha", "half"), ("seed", "0x10"),
+    ])
+    def test_unparsable_value_names_its_line_and_key(self, key, raw):
+        lines = CONFIG_TEXT.splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(key))
+        lines[lineno - 1] = f"{key} = {raw}"
+        with pytest.raises(ValueError, match=f"line {lineno}: bad value for '{key}'"):
+            parse_config("\n".join(lines))
+
+    @pytest.mark.parametrize("target", [5, None, ("qst-rank1-8d",)])
+    def test_non_string_target_rejected(self, target):
+        # caught here, not as an AttributeError inside run_scaling
+        with pytest.raises(ValueError, match="target"):
+            ExperimentConfig("qst", "adaptive", target, (100,), 1)
+
+    @pytest.mark.parametrize("alpha", ["0.5", None, 0.5j])
+    def test_non_real_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 1, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [np.float32(0.3), np.float64(0.3), 0.3])
+    def test_real_alpha_accepted(self, alpha):
+        cfg = ExperimentConfig("qst", "adaptive", "qst-rank1-8d", (100,), 1, alpha=alpha)
+        assert cfg.alpha == alpha
 
 
 class TestTargets:
@@ -1408,6 +1437,41 @@ class TestCli:
         assert proc.returncode == 2
         assert "--workers" in proc.stderr and proc.stdout == ""
 
+    BAD_INPUTS = {
+        "unknown-key": (["run", "--config", "exp.cfg"], "unknown key 'bogus'"),
+        "unparsable-value": (
+            ["run", "--config", "grid.cfg"], "line 6: bad value for 'n_grid'"
+        ),
+        "missing-config": (["run", "--config", "none.cfg"], "No such file"),
+        "seed-override": (
+            ["run", "--config", "good.cfg", "--seed", "-1"], "seed must fit in 64 bits"
+        ),
+        "header-only-csv": (["fit", "empty.csv"], "at least 3 rows"),
+        "missing-csv": (["fit", "none.csv"], "No such file"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, case):
+        # one error line after the usage line and exit status 2, no traceback
+        (tmp_path / "exp.cfg").write_text(CONFIG_TEXT + "bogus = 1\n")
+        (tmp_path / "grid.cfg").write_text(CONFIG_TEXT.replace("1000, 4000, 16000", "1e3"))
+        (tmp_path / "good.cfg").write_text(CONFIG_TEXT)
+        (tmp_path / "empty.csv").write_text(CSV_HEADER + "\n")
+        monkeypatch.chdir(tmp_path)
+        argv, message = self.BAD_INPUTS[case]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        *_, last = capsys.readouterr().err.splitlines()
+        assert last.startswith("aqtomo: error: ") and message in last
+
+    def test_failing_run_is_not_a_usage_error(self, tmp_path):
+        # a target that cannot be loaded fails inside run_scaling, loudly
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("qst-rank1-8d", str(tmp_path / "no.json")))
+        with pytest.raises(FileNotFoundError, match="target file"):
+            cli.main(["run", "--config", str(cfg)])
+
     def test_selftest(self):
         proc = run_cli("selftest")
         assert proc.returncode == 0
@@ -1468,6 +1532,29 @@ def _golden_run(task, target, method):
     return run_scaling(
         ExperimentConfig(task, method, target, (300, 1000, 3000), 3, seed=11)
     )
+
+
+# numpy-typed values, and an alpha that needs all 17 digits
+TYPED_CONFIG = ExperimentConfig(
+    "qdt", "static", "qdt-three-valued", (np.int64(10), np.int32(20)), np.int64(2),
+    alpha=np.float64(0.1) + np.float64(0.2), seed=np.uint64(2**64 - 1),
+)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        *(  # the configs of _golden_run
+            ExperimentConfig(task, method, target, (300, 1000, 3000), 3, seed=11)
+            for task, target, method in sorted(GOLDEN_CSV_SHA256)
+        ),
+        TYPED_CONFIG,
+    ],
+)
+def test_every_config_field_round_trips_through_a_file(cfg):
+    # every field is written, so a field the parser cannot read fails here
+    text = "".join(f"{key} = {value}\n" for key, value in cfg.to_dict().items())
+    assert parse_config(text) == cfg
 
 
 def _sha256(path):

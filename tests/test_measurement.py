@@ -4,8 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqtomo.estimators import InformationIncompleteError, LrePlan
-from aqtomo.experiments.config import TARGET_STREAM_BASE, TRIAL_STREAM_BITS
-from aqtomo.experiments.harness import _trial_stream
+from aqtomo.experiments.config import (
+    TARGET_STREAM_BASE,
+    TRIAL_STREAM_BITS,
+    _trial_stream,
+)
 from aqtomo.measurement import (
     DetectorOracle,
     ExactDetectorOracle,
@@ -568,3 +571,14 @@ class TestSeededGenerators:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="64 bits"):
             seeded_generators(seed, [0])
+
+    @pytest.mark.parametrize("stream", [1.5, np.float64(1.0), "1"])
+    def test_non_integer_stream_rejected(self, stream):
+        # 1.5 would otherwise be truncated to stream 1
+        with pytest.raises(TypeError):
+            seeded_generators(1, [0, stream])
+
+    @pytest.mark.parametrize("stream", [-1, 2**64])
+    def test_stream_outside_64_bits_rejected(self, stream):
+        with pytest.raises(ValueError, match="stream ids"):
+            seeded_generators(1, [0, stream])

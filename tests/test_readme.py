@@ -2,6 +2,7 @@
 config paragraph lists the keys the parser accepts, and its protocol
 signatures are those of the estimators."""
 
+import dataclasses
 import inspect
 import os
 import re
@@ -33,7 +34,8 @@ def test_library_example_runs():
 def test_config_keys_match_parser():
     paragraph = re.search(r"Keys: (.*?)Unknown keys are rejected", _readme(), re.DOTALL)
     assert paragraph is not None
-    assert tuple(re.findall(r"`(\w+)`", paragraph.group(1))) == config._KEYS
+    names = tuple(f.name for f in dataclasses.fields(config.ExperimentConfig))
+    assert tuple(re.findall(r"`(\w+)`", paragraph.group(1))) == names
 
 
 def _signature_line(name: str) -> str:
