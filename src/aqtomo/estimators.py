@@ -4,7 +4,7 @@ and the three-step adaptive ancilla-assisted process tomography pipeline.
 
 Every protocol's first step is one function, :func:`_stage1`: it spends its
 copies on the oracle's Pauli cube (``oracle.cube``) in one draw and solves
-it by the cube's closed-form linear inversion (:meth:`PauliCube.invert`).  A
+it with :meth:`LrePlan.solve`, the cube's closed-form linear inversion.  A
 state or pseudo-state is measured in the cube's ``3^n`` settings; a detector
 is probed with its ``6^n`` product eigenstates, whose click table of element
 ``P_i`` is the cube's Born table of ``P_i``.  Either way the estimate is one
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,9 +87,9 @@ class LrePlan:
     own linear inversion (:meth:`PauliCube.invert`, two matrix products): no
     design matrix, rank check or pseudo-inverse is built.  Its identity coefficient
     already is the unconstrained least-squares one; with ``constrain_trace``
-    the trace is re-pinned to ``trace_value``.  Setting ``s`` is the only one
-    that measures the weight-n Pauli ``sigma_s1 (x) ... (x) sigma_sn``, so a
-    zero-shot setting always raises :class:`InformationIncompleteError`.
+    the trace is re-pinned to 1.  Setting ``s`` is the only one that measures
+    the weight-n Pauli ``sigma_s1 (x) ... (x) sigma_sn``, so a zero-shot
+    setting or probe always raises :class:`InformationIncompleteError`.
     Building a plan only stores the cube and the flag, so each protocol
     solve builds its own from its oracle's cube.
     """
@@ -101,18 +100,18 @@ class LrePlan:
         self.cube, self.d = cube, cube.dim
         self.constrain_trace = constrain_trace
 
-    def solve(self, freqs: Frequencies, trace_value: float = 1.0) -> np.ndarray:
+    def solve(self, freqs: Frequencies) -> np.ndarray:
         """Least-squares Hermitian reconstruction from one row per setting."""
         d = self.d
         if freqs.values.shape[-2:] != (len(self.cube), d):
             raise DimensionError("frequencies do not match the cube's settings")
         if not freqs.mask.all():
             raise InformationIncompleteError(
-                "a zero-shot Pauli-cube setting leaves its weight-n Pauli unmeasured"
+                "a zero-shot setting or probe leaves a weight-n Pauli unmeasured"
             )
         rho = self.cube.invert(freqs.values)
         if self.constrain_trace:
-            shift = (trace_value - rho.trace(0, -2, -1).real) / d
+            shift = (1.0 - rho.trace(0, -2, -1).real) / d
             diag = np.arange(d)
             rho[..., diag, diag] += shift[..., None]
         return rho
@@ -155,11 +154,9 @@ def project_eigenvalues_simplex(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _split_shots(total: int, parts: int) -> np.ndarray:  # read-only int64
+def _split_shots(total: int, parts: int) -> np.ndarray:
     out = np.full(parts, total // parts, dtype=np.int64)
     out[-1] += total % parts
-    out.flags.writeable = False
     return out
 
 
@@ -258,7 +255,7 @@ def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> np.ndarray:
     ``freqs`` holds one row per probe state ``Pi_{s,b}`` of ``cube``, in cube
     order (row ``s * 2^n + b``), and one column per element.  Element ``i``'s
     column, read as a ``(3^n, 2^n)`` table, estimates ``Tr(Pi_{s,b} P_i)``,
-    which one stacked :meth:`PauliCube.invert` maps back to every ``P_i``.
+    which one stacked free-trace :meth:`LrePlan.solve` maps back to each ``P_i``.
     The inverted elements are projected onto the PSD cone as one stack, then
     :func:`_renormalize` restores completeness; the result is the
     ``(K, d, d)`` element stack, Hermitian up to roundoff.  Every probe must
@@ -268,12 +265,9 @@ def qdt_stage1(freqs: Frequencies, cube: PauliCube) -> np.ndarray:
     d = cube.dim
     if freqs.mask.shape[-1] != len(cube) * d:
         raise DimensionError("one frequency row per cube probe state is required")
-    if not freqs.mask.all():
-        raise InformationIncompleteError(
-            "a zero-shot probe state leaves the cube's inversion incomplete"
-        )
     tables = freqs.values.reshape(freqs.mask.shape[:-1] + (len(cube), d, -1))
-    return _renormalize(project_psd(cube.invert(np.moveaxis(tables, -1, -3))))
+    stack = Frequencies(np.moveaxis(tables, -1, -3), freqs.mask)
+    return _renormalize(project_psd(LrePlan(cube, False).solve(stack)))
 
 
 def _renormalize(elements: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Experiment configuration and its plain-text key-value file format.
 
-A config file is a flat list of ``key = value`` lines; ``#`` starts a
-comment.  The keys are :class:`ExperimentConfig`'s field names, and each
-value is read by its field's declared type.  ``n_grid`` takes a comma- or
-space-separated list (surrounding brackets are tolerated).  Unknown keys are
-rejected rather than ignored.
+A config file is a flat list of ``key = value`` lines; a ``#`` that starts
+a line or follows whitespace starts a comment.  The keys are
+:class:`ExperimentConfig`'s field names, and each value is read by its
+field's declared type.  ``n_grid`` takes a comma- or space-separated list
+(surrounding brackets are tolerated).  Unknown keys are rejected.
 
 Example::
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import re
 from dataclasses import MISSING, asdict, dataclass, fields
 
 TASKS = ("qst", "qdt", "aapt")
@@ -100,7 +101,7 @@ def parse_config(text: str) -> ExperimentConfig:
     config_fields = {f.name: f for f in fields(ExperimentConfig)}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

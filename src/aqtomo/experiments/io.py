@@ -92,15 +92,20 @@ def _with_ext(path: str, ext: str) -> str:
 
 
 def read_result_csv(path: str) -> list:
-    """Read rows written by :func:`write_csv` back into typed dicts."""
+    """Read rows written by :func:`write_csv` back into typed dicts.
+
+    A row with more or fewer cells than the header raises ``ValueError``.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(CSV_COLUMNS):
+        reader, rows = csv.reader(fh), []
+        if next(reader, None) != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header in {path}")
-        return [
-            {
-                name: None if name == "gm_bound" and not rec[name] else kind(rec[name])
-                for name, kind in CSV_COLUMNS.items()
-            }
-            for rec in reader
-        ]
+        for cells in filter(None, reader):  # blank lines are skipped
+            if len(cells) != len(CSV_COLUMNS):
+                msg = f"{len(cells)} cells, not {len(CSV_COLUMNS)}"
+                raise ValueError(f"line {reader.line_num} of {path} has {msg}")
+            rows.append({
+                name: None if name == "gm_bound" and not cell else kind(cell)
+                for (name, kind), cell in zip(CSV_COLUMNS.items(), cells)
+            })
+        return rows

@@ -274,7 +274,7 @@ class PauliCube:
         return 3**self.n_qubits
 
     def probabilities(self, rho) -> np.ndarray:
-        """``(3^n, 2^n)`` Born table of a (pseudo-)state matrix, clamped into [0, 1]."""
+        """``(3^n, 2^n)`` Born table of a (pseudo-)state matrix, unclamped."""
         n, d = self.n_qubits, self.dim
         rho = np.asarray(rho)
         if rho.shape != (d, d):
@@ -282,8 +282,7 @@ class PauliCube:
         left, right = self._born
         m = rho.reshape((2,) * (2 * n)).transpose(self._interleave)
         t = (left @ m.reshape(left.shape[1], -1) @ right).real
-        p = t.reshape((3, 2) * n).transpose(self._split).reshape(len(self), d)
-        return np.clip(p, 0.0, 1.0)
+        return t.reshape((3, 2) * n).transpose(self._split).reshape(len(self), d)
 
     def invert(self, values) -> np.ndarray:
         """Linear-inversion ``d x d`` Hermitian matrix of a ``(3^n, 2^n)`` table.
@@ -307,7 +306,7 @@ def pauli_cube(n_qubits: int) -> PauliCube:
 
 
 def _basis_probabilities(us, mats) -> np.ndarray:
-    """Diagonals ``(U^dag M U)_jj``, clamped into [0, 1], of bases ``U`` against ``M``.
+    """Diagonals ``(U^dag M U)_jj`` (unclamped) of bases ``U`` against ``M``.
 
     ``us`` is a ``(..., d, d)`` stack that ``mats`` broadcasts against.  Each
     basis is checked unitary, so that its column projectors sum to the
@@ -322,7 +321,7 @@ def _basis_probabilities(us, mats) -> np.ndarray:
     gram.reshape(gram.shape[:-2] + (d * d,))[..., :: d + 1] -= 1.0  # U^dag U - I
     if np.maximum.reduce(np.abs(gram), None) > COMPLETENESS_ATOL:
         raise ValueError("measurement basis is not unitary")
-    return np.einsum("...ij,...ij->...j", conj, mats @ us).real.clip(0.0, 1.0)
+    return np.einsum("...ij,...ij->...j", conj, mats @ us).real
 
 
 class _Oracle:
@@ -383,9 +382,6 @@ class StateOracle(_Oracle):
         Outcome ``j`` has probability ``(U^dag rho U)_jj``.  A stack of bases
         ``(..., d, d)`` gives one such table each.
         """
-        u = np.asarray(u)
-        if u.ndim < 2:
-            raise DimensionError("measurement basis must be a d x d matrix")
         return outcome_table(_basis_probabilities(u, self.rho.mat)[..., None, :])
 
 

@@ -303,11 +303,11 @@ class TestCubeInversion:
         shots = gen.integers(1, 200, size=len(povms))  # unequal per setting
         counts = dense_counts(random_pseudo_state(gen, d, trace), povms, shots, gen)
         freqs = frequencies(counts)
-        got = LrePlan(pauli_cube(n), constrain).solve(freqs, trace)
+        got = LrePlan(pauli_cube(n), constrain).solve(freqs)
 
         x, y = dense_cube_design(n), freqs.values.ravel()
-        if constrain:  # identity coefficient pinned, the rest fitted
-            phi0 = trace / np.sqrt(d)
+        if constrain:  # identity coefficient pinned to unit trace, the rest fitted
+            phi0 = 1.0 / np.sqrt(d)
             rest = np.linalg.lstsq(x[:, 1:], y - x[:, 0] * phi0, rcond=None)[0]
             phi = np.concatenate(([phi0], rest))
         else:
@@ -558,9 +558,6 @@ class TestSplitShots:
         assert split.dtype == np.int64 and split.shape == (36,)
         assert split.sum() == 1003
         assert np.array_equal(split, [27] * 35 + [1003 - 27 * 35])
-        assert _split_shots(1003, 36) is split
-        with pytest.raises(ValueError):
-            split[0] = 0
         few = _split_shots(5, 9)
         assert few.sum() == 5 and np.array_equal(few[:-1], np.zeros(8))
 

@@ -192,6 +192,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"line {lineno}: bad value for '{key}'"):
             parse_config("\n".join(lines))
 
+    def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(self):
+        text = CONFIG_TEXT.replace("qst-rank1-8d", "/tmp/a#b.json").replace(
+            "1000, 4000, 16000", "10 20 30  # note"
+        )
+        cfg = parse_config("# a comment line\n" + text)
+        assert cfg.target == "/tmp/a#b.json" and cfg.n_grid == (10, 20, 30)
+
     @pytest.mark.parametrize("target", [5, None, ("qst-rank1-8d",)])
     def test_non_string_target_rejected(self, target):
         # caught here, not as an AttributeError inside run_scaling
@@ -768,7 +775,7 @@ class TestBenchmarkSurface:
         assert list(inspect.signature(linalg.inv_sqrt).parameters) == ["m"]
         plan = estimators.LrePlan(pauli_cube(1), True)
         assert list(inspect.signature(estimators.LrePlan.solve).parameters) == [
-            "self", "freqs", "trace_value"
+            "self", "freqs"
         ]
         assert plan.solve.__func__ is estimators.LrePlan.solve
         stage1 = vars(estimators)["qdt_stage1"]
@@ -1464,6 +1471,24 @@ class TestCli:
         assert exit_info.value.code == 2
         *_, last = capsys.readouterr().err.splitlines()
         assert last.startswith("aqtomo: error: ") and message in last
+
+    FULL_ROW = "qst,adaptive,x,0.5,100,4,0.1,0,0.1,0.1,0.1,,0"
+
+    @pytest.mark.parametrize("rows, line", [
+        (["qst,adaptive,x,0.5,100"], 2),  # a missing cell
+        ([FULL_ROW, FULL_ROW + ",1"], 3),  # a good row, then an extra cell
+    ], ids=["short", "long"])
+    def test_csv_row_with_wrong_cell_count(
+        self, tmp_path, monkeypatch, capsys, rows, line
+    ):
+        (tmp_path / "bad.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=f"line {line} of bad.csv"):
+            read_result_csv("bad.csv")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fit", "bad.csv"])
+        assert exit_info.value.code == 2
+        assert f"line {line} of bad.csv" in capsys.readouterr().err
 
     def test_failing_run_is_not_a_usage_error(self, tmp_path):
         # a target that cannot be loaded fails inside run_scaling, loudly

@@ -225,6 +225,13 @@ class TestPauliCube:
         with pytest.raises(DimensionError):
             cube.probabilities(np.eye(4) / 4)
 
+    def test_born_table_is_unclipped_until_outcome_table(self):
+        # a non-state's table keeps its negative entry, which outcome_table rejects
+        table = pauli_cube(1).probabilities(np.diag([1.01, -0.01]))
+        assert table.min() < -1e-9
+        with pytest.raises(ValueError, match="negative probability"):
+            outcome_table(table)
+
     def test_oracle_reuses_the_battery_table(self):
         rho = random_pseudo_state(np.random.default_rng(16), 8, 0.6)
         cube = pauli_cube(3)
@@ -320,6 +327,8 @@ class TestBasisMeasurement:
         isometry = haar_unitary(4, SeededRng(18).generator())[:, :3]
         with pytest.raises(DimensionError):
             StateOracle(rho).basis_counts(isometry, 100, SeededRng(19))
+        with pytest.raises(DimensionError):
+            StateOracle(rho).basis_table(np.ones(4))  # a vector, not a basis
 
     def test_counts_and_exact_counts(self):
         rho = DensityMatrix(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
