@@ -94,18 +94,24 @@ def _with_ext(path: str, ext: str) -> str:
 def read_result_csv(path: str) -> list:
     """Read rows written by :func:`write_csv` back into typed dicts.
 
-    A row with more or fewer cells than the header raises ``ValueError``.
+    A row with more or fewer cells than the header, or a cell that its
+    column's type cannot read, raises ``ValueError`` naming the line (and
+    the column).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader, rows = csv.reader(fh), []
         if next(reader, None) != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header in {path}")
         for cells in filter(None, reader):  # blank lines are skipped
+            where = f"line {reader.line_num} of {path}"
             if len(cells) != len(CSV_COLUMNS):
-                msg = f"{len(cells)} cells, not {len(CSV_COLUMNS)}"
-                raise ValueError(f"line {reader.line_num} of {path} has {msg}")
-            rows.append({
-                name: None if name == "gm_bound" and not cell else kind(cell)
-                for (name, kind), cell in zip(CSV_COLUMNS.items(), cells)
-            })
+                raise ValueError(f"{where} has {len(cells)} cells, not {len(CSV_COLUMNS)}")
+            row = {}
+            for (name, kind), cell in zip(CSV_COLUMNS.items(), cells):
+                try:
+                    row[name] = None if name == "gm_bound" and not cell else kind(cell)
+                except ValueError:
+                    msg = f"column {name} cannot read {cell!r} as {kind.__name__}"
+                    raise ValueError(f"{where}: {msg}") from None
+            rows.append(row)
         return rows

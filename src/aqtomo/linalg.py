@@ -71,22 +71,35 @@ def hermitian_part(m: np.ndarray, check: bool = True) -> np.ndarray:
     """Return (m + m^dag)/2, refusing inputs that are badly non-Hermitian.
 
     Asymmetry up to ``HERMITICITY_FAIL_RTOL * ||m||`` is treated as numerical
-    noise and symmetrized away; anything larger, and any entry that is not
-    finite, raises.  ``m`` may also be a stack ``(..., d, d)``, each of whose
-    matrices is checked on its own.
+    noise and symmetrized away; anything larger raises
+    :class:`NotHermitianError`, and any entry that is not finite
+    ``ValueError``.  The Hermiticity test is one norm over the whole input, and
+    a NaN or inf entry always fails it, so finiteness is read only after it
+    fails.  ``m`` may also be a stack ``(..., d, d)``, each of whose matrices
+    is checked on its own.
     """
     m = _require_square(m, stack=True)
-    if check and not np.isfinite(m).all():  # NaN fails every comparison below
-        raise ValueError("matrix has a non-finite entry")
+    if not check:
+        return _symmetrize(m)
+    with np.errstate(invalid="ignore"):  # an inf entry's inf - inf; caught below
+        sym = _symmetrize(m)
+        diff = m - sym
+    # fails if ||m - sym||^2 > tol^2 max(||m||^2, 1); the stack's total bounds
+    # each.  Any NaN or inf entry leaves a NaN in diff, so the total fails too,
+    # and only then is m read for finiteness
+    tol2 = HERMITICITY_FAIL_RTOL**2
+    if not np.vdot(diff, diff).real <= tol2:
+        if not np.isfinite(m).all():  # NaN fails every comparison below
+            raise ValueError("matrix has a non-finite entry")
+        off = _sq_norms(diff)
+        if np.any((off > tol2 * _sq_norms(m)) & (off > tol2)):
+            raise NotHermitianError("matrix is not Hermitian within tolerance")
+    return sym
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
     sym = m + dagger(m)
     sym /= 2.0
-    if check:
-        # fails if ||m - sym||^2 > tol^2 max(||m||^2, 1); the stack's total bounds each
-        diff, tol2 = m - sym, HERMITICITY_FAIL_RTOL**2
-        if np.vdot(diff, diff).real > tol2:
-            off = _sq_norms(diff)
-            if np.any((off > tol2 * _sq_norms(m)) & (off > tol2)):
-                raise NotHermitianError("matrix is not Hermitian within tolerance")
     return sym
 
 

@@ -31,6 +31,7 @@ of ``U_i``.  No dense cube POVM or probe state is built; the tests keep them.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -118,7 +119,8 @@ def seeded_generators(seed: int, streams) -> list:
     ``SeedSequence(seed, spawn_key=(stream,))`` hashes the seed into a pool,
     mixes in the stream's one or two uint32 words and hashes the pool into
     PCG64's seed words.  The seed's pool is numpy's (cached); the rest runs
-    over all streams at once.  A non-integer stream id raises ``TypeError``,
+    over all streams at once, and the second-word pass only when some stream
+    id is 2^32 or more.  A non-integer stream id raises ``TypeError``,
     and a seed or stream id outside ``[0, 2**64)`` raises ``ValueError``.
     """
     if not 0 <= seed < 2**64:
@@ -130,7 +132,8 @@ def seeded_generators(seed: int, streams) -> list:
     pool = _mix_word(_seed_pool(seed), s.astype(np.uint32), 0)
     high = s >> 32
     two = high != 0  # a stream id of 2^32 or more has a second word
-    pool[two] = _mix_word(pool[two], high[two].astype(np.uint32), 1)
+    if two.any():
+        pool[two] = _mix_word(pool[two], high[two].astype(np.uint32), 1)
     state = (np.concatenate((pool, pool), axis=1) ^ _STATE_XOR) * _STATE_MUL
     state ^= state >> 16
     # word pairs read little-endian, as generate_state reads them
@@ -192,23 +195,26 @@ def draw_counts(table, shots, rng) -> np.ndarray:
     zero-shot row consumes no randomness, so the result and the generator
     state afterwards equal those of one draw per row.  A single row takes
     numpy's one-vector path, which draws the same counts several times faster.
-    With a list of T generators, trial ``t`` draws the table (or row ``t`` of
-    a ``(T, ...)`` stack of tables) from its own, into a leading trial axis.
+    With a list of T generators, trial ``t`` draws the table (or table ``t`` of
+    a ``(T, ...)`` stack) from its own, into a leading trial axis.  The shot
+    vector is checked against the rows once for all of them, and a stack
+    without one table per generator, like a shot vector that does not match
+    the rows, raises :class:`DimensionError`.
     """
     table, shots = np.asarray(table), np.asarray(shots, dtype=np.int64)
     gen = as_generator(rng)
-    if isinstance(gen, list):
-        tables = np.broadcast_to(table, (len(gen),) + table.shape[-1 - shots.ndim :])
-        return np.stack([_draw(t, shots, g) for t, g in zip(tables, gen)])
-    return _draw(table, shots, gen)
-
-
-def _draw(table: np.ndarray, shots: np.ndarray, gen) -> np.ndarray:
-    if shots.shape != table.shape[:-1]:
+    many, rows = isinstance(gen, list), table.shape[:-1]
+    stack = many and len(rows) > shots.ndim  # trial t draws table t
+    if stack and rows[0] != len(gen):
+        raise DimensionError("a stack of outcome tables needs one per generator")
+    if shots.shape != rows[stack:]:  # checked once for every generator
         raise DimensionError("one shot count per outcome-table row is required")
-    if shots.size == 1:
-        return gen.multinomial(shots.item(), table.ravel()).reshape(table.shape)
-    return gen.multinomial(shots, table)
+    shape = ((len(gen),) if many else ()) + table.shape[stack:]
+    if shots.size == 1:  # numpy's one-vector path: multinomial(int, row)
+        shots, table = shots.item(), table.reshape(table.shape[:stack] + (-1,))
+    tables = table if stack else itertools.repeat(table)
+    counts = [g.multinomial(shots, t) for t, g in zip(tables, gen if many else [gen])]
+    return np.stack(counts).reshape(shape)
 
 
 def _single_qubit_projectors() -> np.ndarray:

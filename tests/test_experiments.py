@@ -1490,6 +1490,21 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"line {line} of bad.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, where", [
+        (FULL_ROW.replace(",100,", ",1e3,"), "column N cannot read '1e3' as int"),
+        (FULL_ROW.replace(",0.5,", ",half,"), "column alpha cannot read 'half' as float"),
+    ], ids=["int", "float"])
+    def test_csv_cell_its_column_cannot_read(self, tmp_path, monkeypatch, capsys, row, where):
+        (tmp_path / "bad.csv").write_text("\n".join([CSV_HEADER, self.FULL_ROW, row]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        message = f"line 3 of bad.csv: {where}"
+        with pytest.raises(ValueError, match=message):
+            read_result_csv("bad.csv")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fit", "bad.csv"])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_failing_run_is_not_a_usage_error(self, tmp_path):
         # a target that cannot be loaded fails inside run_scaling, loudly
         cfg = tmp_path / "exp.cfg"

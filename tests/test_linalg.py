@@ -323,6 +323,19 @@ class TestStackedKernel:
         with pytest.raises(NotHermitianError):
             hermitian_part(stack)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2)], ids=["diagonal", "off-diagonal"])
+    def test_one_non_finite_matrix_fails_the_stack(self, entry, where):
+        # the finiteness test runs only once the Hermiticity test fails, which
+        # any NaN or inf entry forces
+        stack = hermitian_stack(SeededRng(116).generator(), 4)
+        stack[1][where] = entry
+        for m in (stack[1], stack):
+            with pytest.raises(ValueError, match="non-finite"):
+                hermitian_part(m)
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg._eigh(m)
+
     def test_one_non_psd_matrix_fails_the_stack(self):
         gen = SeededRng(115).generator()
         stack = np.stack([rand_psd(gen, 4) for _ in range(3)])

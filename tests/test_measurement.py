@@ -498,11 +498,40 @@ class TestBatchedDraws:
         assert _generator_state(gen) == _generator_state(batched_gen)
 
     def test_shot_vector_must_match_the_rows(self):
+        # one generator; a list of four on a shared table and on a stack of
+        # per-trial tables: each checks the shot vector once for every draw
         table = outcome_table(np.full((3, 2), 0.25))
-        assert draw_counts(table, [5] * 3, SeededRng(27)).shape == (3, 3)
-        for shots in ([5] * 2, [5] * 4, 5, [[5] * 3]):
-            with pytest.raises(DimensionError):
-                draw_counts(table, shots, SeededRng(27))
+        cases = [
+            (table, lambda: SeededRng(27), (3, 3)),
+            (table, lambda: seeded_generators(27, range(4)), (4, 3, 3)),
+            (np.stack([table] * 4), lambda: seeded_generators(27, range(4)), (4, 3, 3)),
+        ]
+        for tables, rng, shape in cases:
+            assert draw_counts(tables, [5] * 3, rng()).shape == shape
+            for shots in ([5] * 2, [5] * 4, 5, [[5] * 3]):
+                with pytest.raises(DimensionError):
+                    draw_counts(tables, shots, rng())
+        # a stack needs one table per generator
+        for streams in (range(1), range(3)):
+            with pytest.raises(DimensionError, match="one per generator"):
+                draw_counts(np.stack([table] * 2), [5] * 3, seeded_generators(27, streams))
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_generator_list_equals_one_draw_per_generator(self, rows):
+        # a shared table and a stack of per-trial tables, on numpy's
+        # one-vector path (one row) and its 2-D path
+        probs = 0.9 * np.random.default_rng(5).dirichlet(np.ones(3), size=(3, rows))
+        shots = [7 * (r + 1) for r in range(rows)]
+        for tables in (outcome_table(probs[0]), outcome_table(probs)):
+            gens, singles = seeded_generators(31, range(3)), seeded_generators(31, range(3))
+            got = draw_counts(tables, shots, gens)
+            stacked = np.broadcast_to(tables, (3,) + tables.shape[-2:])
+            want = np.stack([draw_counts(t, shots, g) for t, g in zip(stacked, singles)])
+            assert got.shape == (3, rows, 4) and got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert [_generator_state(g) for g in gens] == [
+                _generator_state(g) for g in singles
+            ]
 
     @settings(max_examples=30, deadline=None)
     @given(
