@@ -207,7 +207,7 @@ def _two_step(oracle, n_total, alpha, rng, constrain_trace: bool = True):
     counts = oracle.basis_counts(bases if detector else bases[..., 0, :, :], shots, gen)
     # probe (i, j) is eigenvector j of element i, in row i * d + j; a state has K = 1
     freqs = frequencies(counts).values.reshape(stage1.shape[:-3] + (k, d, k))
-    return np.diagonal(freqs, 0, -3, -1).swapaxes(-1, -2), bases, extras
+    return freqs.diagonal(0, -3, -1).swapaxes(-1, -2), bases, extras
 
 
 def adaptive_qst(oracle, n_total: int, alpha: float, rng) -> TomographyEstimate:

@@ -298,16 +298,21 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
                 f"{excluded}/{reps} trials failed at N={n}; "
                 "the configuration is not informationally complete at this budget"
             )
-        stats = {}
+        stats, count = {}, len(kept)
+        # the ufuncs under ndarray.max, mean(axis=0) and std(ddof=1), in their
+        # order: the same bits without the wrappers
         for name in kept[0]:
             values = np.array([m[name] for m in kept])
             if name == "constraint_dev":
-                constraint_devs.append(float(values.max()))
+                constraint_devs.append(float(np.maximum.reduce(values, None)))
                 continue
             mean_key, std_key = _REPORT_KEYS[name]
-            stats[mean_key] = values.mean(axis=0).tolist()
-            if std_key is not None:
-                stats[std_key] = float(values.std(ddof=1)) if len(kept) > 1 else 0.0
+            mean = np.add.reduce(values, 0) / count
+            stats[mean_key] = mean.tolist()
+            if std_key is not None:  # a scalar metric: values is (count,)
+                sq_dev = np.add.reduce(np.square(values - mean), 0)
+                std = np.sqrt(sq_dev / (count - 1)) if count > 1 else 0.0
+                stats[std_key] = float(std)
         rows.append(
             ScalingRow(
                 n=n,

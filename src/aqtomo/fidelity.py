@@ -85,17 +85,24 @@ class Truth(NamedTuple):
     a caller that scores many estimates against one truth builds this once
     (``Truth.of``) and pays one small ``eigvalsh`` per scored estimate.
     ``scenario`` is the :class:`FidelityScenario` every estimate is scored in.
+    ``trace`` holds the real trace of each matrix, and ``trace_dev`` and
+    ``trace_min`` the largest ``|trace - 1|`` and the smallest trace, which
+    every scoring call checks together with its estimate's.
     """
 
     mat: np.ndarray
     root: np.ndarray
     scenario: FidelityScenario
+    trace: np.ndarray
+    trace_dev: float
+    trace_min: float
 
     @classmethod
     def of(cls, s: np.ndarray, scenario: FidelityScenario) -> "Truth":
         """Root ``s``; raises ``NotPSDError`` for a non-PSD truth."""
         s = np.asarray(s, dtype=complex)
-        return cls(s, matrix_sqrt(s), scenario)
+        tr = s.trace(0, -2, -1).real
+        return cls(s, matrix_sqrt(s), scenario, tr, np.abs(tr - 1.0).max(), tr.min())
 
 
 def _spectrum(a: np.ndarray):
@@ -115,7 +122,7 @@ def _overlap_root(a: np.ndarray, spectrum: np.ndarray, root_b: np.ndarray):
     roundoff; taking their square roots would inject O(sqrt(eps)) bias, so
     they are dropped.
     """
-    if np.any(spectrum[..., 0] < -linalg.PSD_FAIL_RTOL * _sq_norms(a) ** 0.5):
+    if (spectrum[..., 0] < -linalg.PSD_FAIL_RTOL * np.sqrt(_sq_norms(a))).any():
         raise linalg.NotPSDError("fidelity operand is not PSD")
     w = np.linalg.eigvalsh(root_b @ a @ root_b)
     top = np.maximum(w[..., -1:], 0.0)
@@ -147,16 +154,17 @@ def _dp_terms(hat_s, spectrum, truth: Truth, d: int):
     s = truth.mat
     if hat_s.shape[max(hat_s.ndim - s.ndim, 0) :] != s.shape:
         raise DimensionError("estimate and truth shapes differ")
-    tr_hat, tr_s = hat_s.trace(0, -2, -1).real, s.trace(0, -2, -1).real
-    traces = np.concatenate((tr_hat, tr_s), axis=None)
-    if truth.scenario.unit_trace and np.abs(traces - 1.0).max() > 1e-6:
+    tr_hat = hat_s.trace(0, -2, -1).real
+    # each check reads the estimate's extreme, then the one the truth keeps
+    unit = truth.scenario.unit_trace
+    if unit and max(np.abs(tr_hat - 1.0).max(), truth.trace_dev) > 1e-6:
         raise ValueError("state-scenario fidelity needs unit traces")
-    if traces.min() <= 0.0:
+    if min(tr_hat.min(), truth.trace_min) <= 0.0:
         raise ValueError("fidelity_dp needs positive traces")
     # Tr(s - hat_s) sums the differences of the diagonals, as np.trace does
     diff = np.add.reduce(s.diagonal(0, -2, -1) - hat_s.diagonal(0, -2, -1), -1)
     root = _overlap_root(hat_s, spectrum, truth.root)
-    f_dp = np.minimum(np.float_power(root, 2) / (tr_hat * tr_s), 1.0)
+    f_dp = np.minimum(np.float_power(root, 2) / (tr_hat * truth.trace), 1.0)
     return f_dp, np.float_power(diff.real, 2) / d**2
 
 
@@ -180,7 +188,7 @@ def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth
     d = scenario.norm_dim(hat_s.shape[-1])
     f = scenario.f_lower(d)
     f_dp, mismatch = _dp_terms(hat_s, spectrum, truth, d)
-    fid = np.clip((f_dp - mismatch - f) / (1.0 - f), scenario.floor, 1.0)
+    fid = np.minimum(np.maximum((f_dp - mismatch - f) / (1.0 - f), scenario.floor), 1.0)
     return (float(fid), float(f_dp)) if hat_s.ndim == 2 else (fid, f_dp)
 
 

@@ -214,7 +214,7 @@ def draw_counts(table, shots, rng) -> np.ndarray:
         shots, table = shots.item(), table.reshape(table.shape[:stack] + (-1,))
     tables = table if stack else itertools.repeat(table)
     counts = [g.multinomial(shots, t) for t, g in zip(tables, gen if many else [gen])]
-    return np.stack(counts).reshape(shape)
+    return np.array(counts).reshape(shape)
 
 
 def _single_qubit_projectors() -> np.ndarray:

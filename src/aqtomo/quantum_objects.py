@@ -80,7 +80,7 @@ class DensityMatrix(_Value):
     def __post_init__(self):
         mat = hermitian_part(linalg._require_square(self.mat, stack=bool(self._lead)))
         w = np.linalg.eigvalsh(mat)
-        if (low := np.min(w[..., 0])) < -PSD_ATOL:
+        if (low := w[..., 0].min()) < -PSD_ATOL:
             raise linalg.NotPSDError(f"density matrix eigenvalue {low:.3e} < 0")
         tr = mat.trace(0, -2, -1).real
         if self.sub_unit:
@@ -132,10 +132,10 @@ class Povm(_Value):
         # one stacked symmetrization and eigensolve, checked element by element
         stack = hermitian_part(stack)
         w = np.linalg.eigvalsh(stack)
-        if np.min(w[..., 0]) < -PSD_ATOL:
+        if w[..., 0].min() < -PSD_ATOL:
             raise linalg.NotPSDError("POVM element is not PSD")
         dev = np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])).max(axis=(-2, -1))
-        if np.max(dev) > COMPLETENESS_ATOL:
+        if dev.max() > COMPLETENESS_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
         stack.flags.writeable = False
         object.__setattr__(self, "elements", stack)
@@ -202,11 +202,13 @@ class ProcessMatrix(_Value):
         x = hermitian_part(linalg._require_square(self.x, stack=bool(self._lead)))
         d = linalg._system_dim(x.shape[-1])
         w = np.linalg.eigvalsh(x)
-        if np.min(w[..., 0]) < -PROCESS_PSD_ATOL:
+        if w[..., 0].min() < -PROCESS_PSD_ATOL:
             raise linalg.NotPSDError("process matrix is not PSD")
+        # Tr_1 of the symmetrized x is Hermitian bit for bit; an overflowed
+        # Tr_1 leaves NaN eigenvalues, which fail the bound
         q = partial_trace_1(x, d, d)
-        wq = np.linalg.eigvalsh(hermitian_part(q))
-        if np.max(wq[..., -1]) > 1.0 + PARTIAL_TRACE_ATOL:
+        wq = np.linalg.eigvalsh(q)
+        if not wq[..., -1].max() <= 1.0 + PARTIAL_TRACE_ATOL:
             raise ValueError("Tr_1(X) exceeds the identity")
         q.flags.writeable = False
         object.__setattr__(self, "x", x)

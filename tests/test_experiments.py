@@ -696,6 +696,49 @@ class TestRunScaling(object):
             harness._context.cache_clear()
         assert len(built) == 2  # one target object per config
 
+    @staticmethod
+    def _metrics(gen) -> dict:
+        # values spread over decades, so each rounding of a sum shows
+        return {
+            "infidelity": gen.lognormal(-6.0, 3.0),
+            "infidelity_dp": gen.lognormal(-6.0, 3.0),
+            "mse": gen.lognormal(-8.0, 3.0),
+            "tail_eigensum": gen.lognormal(-4.0, 3.0),
+            "constraint_dev": gen.lognormal(-30.0, 3.0),
+            "element_infidelities": tuple(gen.lognormal(-6.0, 3.0, 3)),
+        }
+
+    @pytest.mark.parametrize("reps", [1, 2, 7, 8, 9, 20, 33])
+    def test_reductions_equal_the_ndarray_methods(self, monkeypatch, reps):
+        # numpy sums pairwise in blocks of 8, so these counts straddle a block;
+        # the last grid point excludes as many trials as the 10% rule allows
+        gen = SeededRng(143, reps).generator()
+        excluded = (0, 0, reps // 10)
+        outcomes = [
+            [None] * drop + [self._metrics(gen) for _ in range(reps - drop)]
+            for drop in excluded
+        ]
+        monkeypatch.setattr(harness, "run_trial", lambda c, n, ni, t: outcomes[ni])
+        grid = (1000, 4000, 16000)
+        cfg = ExperimentConfig("qdt", "adaptive", "qdt-three-valued", grid, reps, seed=4)
+        result = run_scaling(cfg)
+        for i, (row, drop) in enumerate(zip(result.rows, excluded)):
+            kept = outcomes[i][drop:]
+            value = {name: np.array([m[name] for m in kept]) for name in kept[0]}
+            infidelity = value["infidelity"]
+            assert row.excluded_trials == drop
+            assert row.mean_infidelity == infidelity.mean(axis=0)
+            std = float(infidelity.std(ddof=1)) if len(kept) > 1 else 0.0
+            assert row.std_infidelity == std
+            assert row.mean_infidelity_dp == value["infidelity_dp"].mean(axis=0)
+            assert row.mean_mse == value["mse"].mean(axis=0)
+            assert row.mean_tail_eigensum == value["tail_eigensum"].mean(axis=0)
+            assert result.extras["max_constraint_dev"][i] == value["constraint_dev"].max()
+            elements = value["element_infidelities"]
+            assert elements.shape == (reps - drop, 3)
+            want = elements.mean(axis=0).tolist()
+            assert result.series["element_mean_infidelity"][i] == want
+
     def test_single_repetition_has_zero_std(self):
         cfg = ExperimentConfig(
             "qst", "adaptive", "qst-rank1-8d", (1000, 4000, 16000), 1, seed=8
@@ -1131,6 +1174,21 @@ class TestTrialExclusion:
         with pytest.raises(type(exc)):
             harness.run_trial(self.CFG, 1000, 0, 7)
         assert not caplog.records
+
+    @pytest.mark.parametrize("method", ["adaptive", "static"])
+    def test_zero_trace_truth_element_is_excluded(self, tmp_path, caplog, method):
+        # the truth of a detector with a zero element builds, and its trials
+        # are excluded by the protocol before scoring, whose positive-trace
+        # check would raise on every call
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "zero-element.json"
+        path.write_text(json.dumps({"task": "qdt", "elements": [EYE_2, zero]}))
+        grid = (1000, 4000, 16000)
+        cfg = ExperimentConfig("qdt", method, str(path), grid, 3, seed=1)
+        with caplog.at_level(logging.WARNING, logger=harness.__name__):
+            assert harness.run_trial(cfg, 1000, 0, range(3)) == [None] * 3
+        assert len(caplog.records) == 3
+        assert harness._context(cfg).truth.trace_min == 0.0
 
     def test_singular_tp_correction_is_excluded(self, caplog):
         # Tr_1 of the pulled-back estimate has an eigenvalue at roundoff in

@@ -206,6 +206,45 @@ class TestTraces:
         assert metrics["mse"] == mismatch == (a - 1.0) ** 2
 
 
+class TestTruthTraces:
+    """A truth keeps its traces and their extremes, and every scoring call
+    still checks both its estimate's traces and the truth's."""
+
+    UNIT = "state-scenario fidelity needs unit traces"
+
+    def test_truth_keeps_its_traces(self):
+        gen = SeededRng(133).generator()
+        true = np.stack([random_element(gen, 3, 0.6) for _ in range(4)])
+        truth = Truth.of(true, FidelityScenario("detector_element"))
+        traces = np.trace(true, axis1=-2, axis2=-1).real
+        assert np.array_equal(truth.trace, traces)
+        assert truth.trace_dev == np.abs(traces - 1.0).max()
+        assert truth.trace_min == traces.min()
+
+    def test_one_row_off_unit_trace_fails_the_stack(self):
+        gen = SeededRng(134).generator()
+        true = random_density(gen, 4)
+        truth = Truth.of(true, FidelityScenario("state"))
+        hat = np.stack([random_density(gen, 4) for _ in range(3)])
+        rooted_fidelity_and_dp(hat, np.linalg.eigvalsh(hat), truth)
+        hat[1] *= 1.1
+        for _ in range(2):  # the rooted truth checks again on its next call
+            with pytest.raises(ValueError, match=self.UNIT):
+                rooted_fidelity_and_dp(hat, np.linalg.eigvalsh(hat), truth)
+        off = Truth.of(1.1 * true, FidelityScenario("state"))
+        with pytest.raises(ValueError, match=self.UNIT):
+            rooted_fidelity_and_dp(hat[0], np.linalg.eigvalsh(hat[0]), off)
+
+    def test_zero_trace_truth_element_builds_and_fails_each_score(self):
+        elements = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        truth = Truth.of(elements, FidelityScenario("detector_element"))
+        assert truth.trace_min == 0.0
+        hat = np.stack([elements + 0.1 * np.eye(2)] * 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="fidelity_dp needs positive traces"):
+                rooted_fidelity_and_dp(hat, np.linalg.eigvalsh(hat), truth)
+
+
 class TestStackedOverlap:
     """Stacks of pairs share the one-pair core and equal it bit for bit."""
 

@@ -8,6 +8,7 @@ from aqtomo.linalg import (
     DimensionError,
     dagger,
     haar_unitary,
+    hermitian_part,
     kron,
     partial_trace_1,
     partial_trace_2,
@@ -477,3 +478,28 @@ class TestValidatedSpectrum:
         assert process.partial_trace_dev == float(np.max(np.abs(q - np.eye(2))))
         assert not process.trace_preserving
         assert kraus_to_process(KrausChannel((HADAMARD,))).trace_preserving
+
+
+class TestPartialTraceOfSymmetrized:
+    """``ProcessMatrix`` takes the spectrum of ``Tr_1(X)`` without symmetrizing
+    it again, since ``X`` is validation's own symmetrized array."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_is_hermitian_bit_for_bit(self, d):
+        gen = SeededRng(141, d).generator()
+        shape = (5, d * d, d * d)
+        a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        noise = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        # Hermitian up to roundoff-sized noise, which hermitian_part removes
+        m = a @ dagger(a) + 1e-9 * noise
+        q = partial_trace_1(hermitian_part(m), d, d)
+        assert np.array_equal(q, dagger(q))
+        assert hermitian_part(q).tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_partial_trace_rejected(self, d):
+        # each Tr_1 diagonal entry sums d entries of 8e307: d = 2 stays finite
+        # at 1.6e308, d = 3 overflows to inf and leaves NaN eigenvalues
+        x = np.kron(np.eye(d), np.diag([8e307] + [0.0] * (d - 1)))
+        with pytest.raises(ValueError, match="exceeds the identity"):
+            ProcessMatrix(x)
