@@ -13,7 +13,7 @@ the per-N mean infidelities.  Trial randomness is keyed by (seed, grid
 index, trial index), so results are identical for any worker count, order or
 stacking; a grid point's generators are built in one pass
 (``seeded_generators``), each equal to ``SeededRng``'s.  A trial reads its
-oracle, the truth it is scored against (rooted once, with its fidelity
+oracle, the truth it is scored against (factored once, with its fidelity
 scenario), the true ranks and, for AAPT, whether the channel is
 trace-preserving from the config's target, resolved once per process
 (``_context``); the estimate's spectra come from the validation of its value
@@ -164,7 +164,7 @@ def _score(hat: np.ndarray, eigs: np.ndarray, truth, ranks, dev) -> list:
 
     ``hat`` is one trial's estimate (a matrix, or a ``(K, d, d)`` stack for a
     stacked truth) or T trials' with a leading axis, ``eigs`` their ascending
-    spectra kept from validation, ``truth`` the target's rooted truth with
+    spectra kept from validation, ``truth`` the target's factored truth with
     its fidelity scenario, ``ranks`` the true rank of each of its rows and
     ``dev`` the task's constraint deviation of each trial.  One array pass
     scores every row of every trial.  Each trial's rows are then reduced in

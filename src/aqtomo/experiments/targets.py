@@ -10,7 +10,7 @@ randomness inside a trial.
 
 A target holds its ``task``, the ``oracle`` that hides it and the constants
 a trial scores against (``ranks``, one true rank per scored matrix, and the
-truth rooted with its fidelity scenario); each is computed on first access
+truth factored with its fidelity scenario); each is computed on first access
 and kept, so every trial of a run shares them.
 """
 

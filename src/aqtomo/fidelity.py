@@ -25,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import DimensionError, _sq_norms, hermitian_part, matrix_sqrt
+from .linalg import DimensionError, _eigh, _sq_norms, dagger, hermitian_part
 
-# eigenvalues of sqrt(B) A sqrt(B) may dip this far below zero from roundoff
+# eigenvalues of L^dag A L may dip this far below zero from roundoff
 _UHLMANN_EIG_SLOP = -1e-10
 _EPS = np.finfo(float).eps
 _FUCHS_SLACK = 1e-9  # fuchs_check's tolerance on each side of the sandwich
@@ -79,11 +79,15 @@ def _check_pair(a: np.ndarray, b: np.ndarray, stack: bool = False):
 
 
 class Truth(NamedTuple):
-    """A truth operator, or ``(K, d, d)`` stack, with its principal square root.
+    """A truth operator, or ``(K, d, d)`` stack, factored on its support.
 
-    Uhlmann fidelity is symmetric, so every overlap here roots the truth;
-    a caller that scores many estimates against one truth builds this once
-    (``Truth.of``) and pays one small ``eigvalsh`` per scored estimate.
+    Uhlmann fidelity is symmetric, so every overlap here factors the truth:
+    a rank-r matrix ``s = V_r diag(lam_r) V_r^dag`` is ``L L^dag`` with the
+    d x r factor ``L = V_r diag(sqrt(lam_r))``, and then
+    ``Tr sqrt(sqrt(s) a sqrt(s)) = Tr sqrt(L^dag a L)``, an r x r problem.
+    ``support`` holds these factors (:func:`_support`).  A caller that scores
+    many estimates against one truth builds this once (``Truth.of``) and pays
+    one r x r ``eigvalsh`` per distinct rank of the truth per scoring call.
     ``scenario`` is the :class:`FidelityScenario` every estimate is scored in.
     ``trace`` holds the real trace of each matrix, and ``trace_dev`` and
     ``trace_min`` the largest ``|trace - 1|`` and the smallest trace, which
@@ -91,7 +95,7 @@ class Truth(NamedTuple):
     """
 
     mat: np.ndarray
-    root: np.ndarray
+    support: tuple
     scenario: FidelityScenario
     trace: np.ndarray
     trace_dev: float
@@ -99,10 +103,47 @@ class Truth(NamedTuple):
 
     @classmethod
     def of(cls, s: np.ndarray, scenario: FidelityScenario) -> "Truth":
-        """Root ``s``; raises ``NotPSDError`` for a non-PSD truth."""
+        """Factor ``s``; raises ``NotPSDError`` for a non-PSD truth."""
         s = np.asarray(s, dtype=complex)
         tr = s.trace(0, -2, -1).real
-        return cls(s, matrix_sqrt(s), scenario, tr, np.abs(tr - 1.0).max(), tr.min())
+        return cls(s, _support(s), scenario, tr, np.abs(tr - 1.0).max(), tr.min())
+
+
+def _above_roundoff(w: np.ndarray, top: np.ndarray, d: int) -> np.ndarray:
+    """Which eigenvalues ``w`` of a d x d problem, whose largest is
+    ``top >= 0``, exceed roundoff; the rest are zeros up to roundoff."""
+    return w > d * _EPS * top
+
+
+def _support(s: np.ndarray) -> tuple:
+    """The support factors of a PSD matrix, or of each of a stack.
+
+    One ``eigh`` of ``s`` keeps the eigenvalues that :func:`_above_roundoff`
+    keeps of it, and raises ``NotPSDError`` when one lies below
+    ``-1e-6 ||s||``.  Returns ``((rows, L), ...)``, one pair per distinct rank
+    r in ascending order: for a single matrix ``((None, L),)`` with ``L`` of
+    shape ``(d, r)``; for a stack the indices ``rows`` of its rank-r
+    matrices and their factors ``L`` of shape ``(len(rows), d, r)``.  Each
+    matrix of a stack thus gets the factor it gets alone, bit for bit.
+    """
+    w, v = _eigh(s)
+    # ||s|| bounds every |eigenvalue|, so it is the scale of the matrix
+    if np.any(w[..., -1] < -linalg.PSD_FAIL_RTOL * _sq_norms(s) ** 0.5):
+        raise linalg.NotPSDError(
+            f"truth eigenvalue {w.min():.3e} below -{linalg.PSD_FAIL_RTOL:.0e} * ||s||"
+        )
+    # w is non-increasing, so the kept eigenvalues lead each row
+    keep = _above_roundoff(w, np.maximum(w[..., :1], 0.0), s.shape[-1])
+    factors = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
+    ranks = keep.sum(-1)
+    if s.ndim == 2:
+        return ((None, np.ascontiguousarray(factors[:, :ranks])),)
+    groups = []
+    # a set, not np.unique, which imports numpy.ma on first use
+    for r in sorted(set(ranks.tolist())):
+        rows = np.flatnonzero(ranks == r)
+        groups.append((rows, np.ascontiguousarray(factors[rows, :, :r])))
+    return tuple(groups)
 
 
 def _spectrum(a: np.ndarray):
@@ -111,25 +152,32 @@ def _spectrum(a: np.ndarray):
     return a, np.linalg.eigvalsh(a)
 
 
-def _overlap_root(a: np.ndarray, spectrum: np.ndarray, root_b: np.ndarray):
-    """Tr sqrt(root_b a root_b) of a pair, or of each pair of two stacks.
+def _overlap_root(a: np.ndarray, spectrum: np.ndarray, support: tuple):
+    """Tr sqrt(sqrt(s) a sqrt(s)) of a pair, or of each pair of two stacks.
 
     The one Uhlmann core: every fidelity below squares this value.  ``a``
     is the estimate with its ascending ``spectrum``, rejected when an
-    eigenvalue lies below ``-1e-6 ||a||`` (the rule of ``matrix_sqrt``);
-    ``root_b`` is the square root of the truth.  Inner eigenvalues below
-    machine precision relative to the largest are exact zeros up to
-    roundoff; taking their square roots would inject O(sqrt(eps)) bias, so
-    they are dropped.
+    eigenvalue lies below ``-1e-6 ||a||`` (the rule the truth is held to);
+    ``support`` is the truth's :func:`_support`, and each rank group costs
+    one ``eigvalsh`` of ``L^dag a L``.  Inner eigenvalues that
+    :func:`_above_roundoff` drops are exact zeros up to roundoff; taking
+    their square roots would inject O(sqrt(eps)) bias, so they count as 0.
     """
     if (spectrum[..., 0] < -linalg.PSD_FAIL_RTOL * np.sqrt(_sq_norms(a))).any():
         raise linalg.NotPSDError("fidelity operand is not PSD")
-    w = np.linalg.eigvalsh(root_b @ a @ root_b)
-    top = np.maximum(w[..., -1:], 0.0)
-    if (w[..., :1] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)).any():
-        raise linalg.NotPSDError("fidelity operand is not PSD")
-    cutoff = w.shape[-1] * _EPS * top
-    return np.add.reduce(np.sqrt(np.where(w > cutoff, w, 0.0)), -1)
+    roots = np.empty(a.shape[:-2])
+    for rows, factor in support:
+        part = a if rows is None else a[..., rows, :, :]
+        w = np.linalg.eigvalsh(dagger(factor) @ part @ factor)
+        top = np.maximum(w[..., -1:], 0.0)
+        if (w[..., :1] < _UHLMANN_EIG_SLOP * np.maximum(1.0, top)).any():
+            raise linalg.NotPSDError("fidelity operand is not PSD")
+        kept = np.where(_above_roundoff(w, top, a.shape[-1]), w, 0.0)
+        root = np.add.reduce(np.sqrt(kept), -1)
+        if rows is None:
+            return root
+        roots[..., rows] = root
+    return roots
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -139,7 +187,7 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     state fidelity, symmetric in its arguments.
     """
     a, b = _check_pair(a, b)
-    return float(_overlap_root(*_spectrum(a), matrix_sqrt(b))) ** 2
+    return float(_overlap_root(*_spectrum(a), _support(b))) ** 2
 
 
 def _dp_terms(hat_s, spectrum, truth: Truth, d: int):
@@ -163,7 +211,7 @@ def _dp_terms(hat_s, spectrum, truth: Truth, d: int):
         raise ValueError("fidelity_dp needs positive traces")
     # Tr(s - hat_s) sums the differences of the diagonals, as np.trace does
     diff = np.add.reduce(s.diagonal(0, -2, -1) - hat_s.diagonal(0, -2, -1), -1)
-    root = _overlap_root(hat_s, spectrum, truth.root)
+    root = _overlap_root(hat_s, spectrum, truth.support)
     f_dp = np.minimum(np.float_power(root, 2) / (tr_hat * truth.trace), 1.0)
     return f_dp, np.float_power(diff.real, 2) / d**2
 
@@ -175,14 +223,15 @@ def fidelity_dp(hat_s: np.ndarray, s: np.ndarray) -> float:
 
 
 def rooted_fidelity_and_dp(hat_s: np.ndarray, spectrum: np.ndarray, truth: Truth):
-    """:func:`fidelity_and_dp` of an estimate against a truth rooted once,
+    """:func:`fidelity_and_dp` of an estimate against a truth factored once,
     in the truth's scenario, normalized by the d that the estimate's size
     fixes (:meth:`FidelityScenario.norm_dim`).
 
     ``spectrum`` is the ascending ``eigvalsh`` of ``hat_s`` (one row per
     matrix of a stack), such as a validated value object keeps; it serves
-    the PSD check, so a scored estimate costs one ``eigvalsh`` of
-    ``sqrt(s) hat_s sqrt(s)``.  ``hat_s`` may carry leading (trial) axes.
+    the PSD check, so a scored estimate costs one r x r ``eigvalsh`` of
+    ``L^dag hat_s L`` per distinct rank r of the truth (:class:`Truth`).
+    ``hat_s`` may carry leading (trial) axes.
     """
     scenario = truth.scenario
     d = scenario.norm_dim(hat_s.shape[-1])

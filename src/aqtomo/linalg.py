@@ -127,18 +127,6 @@ def eig_reconstruct(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitian_part(_eig_product(w, v), check=False)
 
 
-def matrix_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix or stack (small negatives clamped to 0)."""
-    m = np.asarray(m, dtype=complex)
-    w, v = _eigh(m)
-    # ||m|| bounds every |eigenvalue|, so it is the scale of the matrix
-    if np.any(w[..., -1] < -PSD_FAIL_RTOL * _sq_norms(m) ** 0.5):
-        raise NotPSDError(
-            f"matrix_sqrt: eigenvalue {w.min():.3e} below -{PSD_FAIL_RTOL:.0e} * ||m||"
-        )
-    return eig_reconstruct(np.sqrt(np.maximum(w, 0.0)), v)
-
-
 def inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a positive-definite Hermitian matrix, or stack.
 

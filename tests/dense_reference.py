@@ -6,9 +6,10 @@ arithmetic kept here: the ``3^n`` cube POVMs with their ``2^n`` elements
 each, Born probabilities ``Tr(P_i rho)``, pure probe states from unit rows,
 and the counts of an arbitrary sequence of POVMs drawn with one multinomial.
 
-The library's Uhlmann overlap roots the truth once; ``estimate_rooted_overlap``
-keeps the route that roots the estimate on every call, and ``reference_dp``
-the ``(F_dp, F_1)`` pair it gives.  ``reference_outcome_table``
+The library's Uhlmann overlap factors the truth once on its support;
+``estimate_rooted_overlap`` keeps the route that roots the estimate with
+``matrix_sqrt`` on every call, and ``reference_dp`` the ``(F_dp, F_1)`` pair
+it gives.  ``reference_outcome_table``
 keeps the outcome-table formula that checks, clips and sums in separate passes,
 and ``reference_frequencies`` the masked division of counts by their row sums.
 ``sample_counts`` draws one probability vector, the per-row draw that batched
@@ -23,7 +24,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from aqtomo.linalg import DimensionError, _eigh, hermitian_part, matrix_sqrt
+from aqtomo.linalg import (
+    PSD_FAIL_RTOL,
+    DimensionError,
+    NotPSDError,
+    _eigh,
+    _sq_norms,
+    eig_reconstruct,
+    hermitian_part,
+)
 from aqtomo.measurement import (
     SIGMA_X,
     SIGMA_Y,
@@ -111,6 +120,18 @@ def dense_table(rho, povms) -> np.ndarray:
 def dense_counts(rho, povms, shots, rng) -> np.ndarray:
     """``(S, K+1)`` counts of a sequence of POVMs from one multinomial draw."""
     return draw_counts(dense_table(rho, povms), shots, rng)
+
+
+def matrix_sqrt(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD matrix or stack (small negatives clamped to 0)."""
+    m = np.asarray(m, dtype=complex)
+    w, v = _eigh(m)
+    # ||m|| bounds every |eigenvalue|, so it is the scale of the matrix
+    if np.any(w[..., -1] < -PSD_FAIL_RTOL * _sq_norms(m) ** 0.5):
+        raise NotPSDError(
+            f"matrix_sqrt: eigenvalue {w.min():.3e} below -{PSD_FAIL_RTOL:.0e} * ||m||"
+        )
+    return eig_reconstruct(np.sqrt(np.maximum(w, 0.0)), v)
 
 
 def estimate_rooted_overlap(a, b) -> float:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -461,6 +462,25 @@ def test_every_builtin_target_is_pinned():
     assert {name for name, _ in BUILTIN_TARGET_SHA256} == set(BUILTIN_TARGET_NAMES)
 
 
+def _kept_ranks(truth):
+    """The rank of each matrix of a truth in its support factors."""
+    ranks = [None] * (1 if truth.mat.ndim == 2 else len(truth.mat))
+    for rows, factor in truth.support:
+        for j in [0] if rows is None else rows.tolist():
+            ranks[j] = factor.shape[-1]
+    return tuple(ranks)
+
+
+@pytest.mark.parametrize("name", BUILTIN_TARGET_NAMES)
+def test_truth_support_keeps_the_target_ranks(name):
+    # the support's roundoff cutoff d eps lam_max keeps what RANK_TOL counts
+    target = builtin_target(name)
+    assert _kept_ranks(target.truth) == target.ranks
+    if target.task == "aapt":
+        want = targets._ranks(target.sigma_out.eigenvalues)
+        assert _kept_ranks(target.sigma_out_truth) == want
+
+
 class TestGmBound:
     def test_values(self):
         assert gm_bound(2, 1) == pytest.approx(9 / 4)
@@ -869,8 +889,9 @@ class TestBenchmarkSurface:
 
 
 class TestScoringSolves:
-    """A scored estimate costs one ``eigvalsh``: the truth is rooted once per
-    target and the estimate's spectrum comes from its validation."""
+    """A scored estimate costs one r x r ``eigvalsh`` per distinct rank r of
+    its truth: the truth is factored on its support once per target and the
+    estimate's spectrum comes from its validation."""
 
     @staticmethod
     def _count(monkeypatch, counts, inside=None):
@@ -942,7 +963,7 @@ class TestScoringSolves:
         "task,target,n,want",
         [
             ("qst", "qst-rank1-8d", 4000, {"eigh": 1, "eigvalsh": 2}),
-            ("qdt", "qdt-three-valued", 4000, {"eigh": 4, "eigvalsh": 2}),
+            ("qdt", "qdt-three-valued", 4000, {"eigh": 4, "eigvalsh": 3}),
             ("aapt", "aapt-damping-third", 1600, {"eigh": 2, "eigvalsh": 5}),
         ],
     )
@@ -969,7 +990,8 @@ class TestScoringSolves:
         assert harness.run_trial(cfg, 4000, 1, 1) is not None
         # each step: one stacked PSD projection or eigenbasis solve, and one
         # inv_sqrt; then the estimate's validation and one stacked overlap
-        assert counts == {"eigh": eigh, "eigvalsh": 2}
+        # per truth rank (elements 0 and 1 at rank 1, element 2 at rank 4)
+        assert counts == {"eigh": eigh, "eigvalsh": 3}
 
 
 class TestMetricArithmetic:
@@ -1585,21 +1607,21 @@ class TestCli:
 # that reorders random draws or arithmetic shows up here as a changed digest.
 GOLDEN_CSV_SHA256 = {
     ("qst", "qst-rank1-8d", "adaptive"):
-        "8e46a3a0dc87ab74900237b6b0c6a13c0d345fac4f6eca1131532e5fbc68bc05",
+        "504cebb88498e2b668560876b14a7730276bb7b64d9849c367c2179a1bf895be",
     ("qst", "qst-rank1-8d", "static"):
-        "7990d0c0f7b6067a7691c257c486497d27f21b06ec889a724cdb7a68d3872816",
+        "b2c402efab7a1727e6ef53bb3a0edc6cd0c7e2c1a2cfa4b7c5b7d3ed9e75723c",
     ("qdt", "qdt-three-valued", "adaptive"):
-        "d964a05c54e1fee34a58e09bb27e4017bb3ef89762fee81ac79e30c0e896922c",
+        "6725cffb60a8b0f4d8de9ac528dd85b4ad60a4f3883f371eec1e608865017195",
     ("qdt", "qdt-three-valued", "static"):
-        "d897f34aee8967caaf6d9b7d595d7f943f891d6aa6c3fa8fe30143d8c5c379c9",
+        "c422ba7da356f4ce300ca0a7182d6d2314b631f2917062eb32694e4f228dd529",
     ("aapt", "aapt-hadamard", "adaptive"):
-        "6e0ae8d1a5af33368ce2c5ea7f092eaaf9e3e7425ad05c59d7266b3d8628d06b",
+        "d13210ed066f6cb3e81304144074a3724d57c2fe8a9202b39c989ef5dc4297d7",
     ("aapt", "aapt-hadamard", "static"):
-        "573aa3741e3071f8cf21f26396b908b3f815cbb3c46774637aa579628a0af5a1",
+        "e246379bcab2853a685124e298f274b84df3ecddc59272bb6b9b4b27d9e7f8f5",
     ("aapt", "aapt-damping-third", "adaptive"):
-        "24f887961a162e6a971432142be11e1f3f502868cf6d0d7ebabd088d376d87b3",
+        "dda43359461fc4ac201d454338ec14b2aef9b0bedcc3a0cd0799025c5f6fe6ed",
     ("aapt", "aapt-damping-third", "static"):
-        "1e7a0a98a262eb6a393d6f0ad025825064752762e509c035679e16a9f8aa2853",
+        "edac8e4cac3c2026ece62926efc4bdaaaebd4080e060b7d986e68d1f0e852ab7",
 }
 
 
@@ -1608,21 +1630,21 @@ GOLDEN_CSV_SHA256 = {
 # per-element means.
 GOLDEN_JSON_SHA256 = {
     ("qst", "qst-rank1-8d", "adaptive"):
-        "b2a1f3ccc77ebf306d2d5b3645000e1620c69fe1b5cd8180792652826f3d84fa",
+        "187961c4c60949913ba77c7b08a740c265da54f5ab84ecd9393a40365b75c9dc",
     ("qst", "qst-rank1-8d", "static"):
-        "9cded303bbe79a84d6d3dbe595eb10518e312365d3d122934eb256c6ed57d412",
+        "6d3bd994672fcc58e065cc8eddb852ef1fe7200ca755f8902ebffabb09c2e0f8",
     ("qdt", "qdt-three-valued", "adaptive"):
-        "5d66bc71b35a1ae75b89538d62aa18afb26518928910dbea11de8de7b5fd3c47",
+        "dbbec610b59c5a55fc6749bf3839ee68a97b59c613be49c3138e078e7ceec08f",
     ("qdt", "qdt-three-valued", "static"):
-        "fe1407a2777ec7352fe5c1ce8448c97a6aea7aa95b9532e3930729ad45fae3c1",
+        "cb4312e732c4aea0254815021f452b258684bfae1af4c297d0bff06b4b47b106",
     ("aapt", "aapt-hadamard", "adaptive"):
-        "3172b15c405cd05512c761ddbd5a9d8c46a2f009d46536cfae8044c29b50f635",
+        "f3240b2eddf923114a84d487033cfed230315a81e020414ad95d02c317ee7ad3",
     ("aapt", "aapt-hadamard", "static"):
-        "b2842428adaa4e6340e9c35a1b0a873095efdc5f5bc9615ac1ed76fe09001e24",
+        "169efd606f736afb107f9fc7d81a6a532051fb1b7ad8f33fb2835871aee155fa",
     ("aapt", "aapt-damping-third", "adaptive"):
-        "11823b354697f832b796c6c6d6ec78d9d4dea1865ece9572d2034661ade60236",
+        "4c8a53737a5c7636aa700754d37af382a32e2c67efeac417a5d5e095a9f641d0",
     ("aapt", "aapt-damping-third", "static"):
-        "efa75f7b847d7cc45aa81cd9ef2746b11b44d3621726f4d294ec25cbe5dc8113",
+        "adb5a733858ff93f519f03352f4259b8bc036971f45ef8bda55ee0c611fa11fe",
 }
 
 
@@ -1694,6 +1716,23 @@ def _write_golden_trials():
         fh.write("\n")
 
 
+def _print_golden_digests():
+    """Print both digest tables of this tree, in the form they are pinned in."""
+    digests = {"GOLDEN_CSV_SHA256": {}, "GOLDEN_JSON_SHA256": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for key in GOLDEN_CSV_SHA256:
+            result = _golden_run(*key)
+            csv_path = write_csv(result, os.path.join(tmp, "out.csv"))
+            json_path = write_json(result, os.path.join(tmp, "out.json"))
+            digests["GOLDEN_CSV_SHA256"][key] = _sha256(csv_path)
+            digests["GOLDEN_JSON_SHA256"][key] = _sha256(json_path)
+    for name, table in digests.items():
+        print(f"{name} = {{")
+        for key, digest in table.items():
+            print(f"    ({', '.join(map(json.dumps, key))}):\n        {json.dumps(digest)},")
+        print("}")
+
+
 @pytest.mark.parametrize("task,target,method", sorted(GOLDEN_CSV_SHA256))
 def test_golden_trial_values(task, target, method):
     """Each trial's metrics match the committed fixture, value by value.
@@ -1703,6 +1742,9 @@ def test_golden_trial_values(task, target, method):
     (only with a change that is meant to move the numbers) with::
 
         PYTHONPATH=src python3 tests/test_experiments.py
+
+    which also prints ``GOLDEN_CSV_SHA256`` and ``GOLDEN_JSON_SHA256`` as
+    they are to be pinned above.
     """
     with open(GOLDEN_TRIALS_PATH) as fh:
         expected = json.load(fh)[f"{task} {target} {method}"]
@@ -1720,3 +1762,4 @@ def test_golden_trial_values(task, target, method):
 
 if __name__ == "__main__":
     _write_golden_trials()
+    _print_golden_digests()

@@ -80,8 +80,9 @@ class TestTruthRootedCore:
     Estimates are mixtures ``(1 - mix) truth + mix random`` with ``mix`` up
     to 1/2, as a tomography run produces them.  Far from a rank-deficient
     truth, inner eigenvalues at the roundoff scale ``eps ||a|| ||b||`` can
-    pass the ``d eps top`` cutoff in either route, and the two routes then
-    differ by the square root of roundoff (up to ~2e-8 at d = 2 and mix = 1).
+    pass the ``d eps top`` cutoff of the estimate-rooted route, which is then
+    off by the square root of roundoff (:class:`TestSupportAccuracy` checks
+    the library's route there).
     """
 
     @settings(max_examples=100, deadline=None)
@@ -173,6 +174,41 @@ class TestTruthRootedCore:
             state_fidelity(I2 / 2, np.diag([1.0, -0.5]))
         with pytest.raises(NotPSDError):
             fidelity_and_dp(I2 / 2, np.diag([1.0, -0.5]), FidelityScenario("detector_element"))
+
+
+class TestSupportAccuracy:
+    """Scored on the truth's support, an overlap is exact to roundoff even far
+    from a rank-deficient truth, where rooting the truth's roundoff
+    eigenvalues erred by up to ~1e-8.  Estimates are mixtures
+    ``(1 - mix) truth + mix random`` with ``mix`` in [0.7, 1]."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_pure_truth_gives_the_expectation_value(self, d):
+        gen = SeededRng(140, d).generator()
+        for _ in range(500):
+            psi = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+            true = pure_state(psi).mat
+            mix = gen.uniform(0.7, 1.0)
+            hat = (1.0 - mix) * true + mix * random_density(gen, d)
+            psi /= np.linalg.norm(psi)
+            assert abs(state_fidelity(hat, true) - np.vdot(psi, hat @ psi).real) <= 1e-14
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_truth_gives_its_known_eigenpairs_overlap(self, d, rank):
+        # Tr sqrt(D V^dag hat V D) on the eigenpairs (V, D^2) the truth is built of
+        gen = SeededRng(141 + rank, d).generator()
+        for _ in range(200):
+            v = haar_unitary(d, gen)[:, :rank]
+            lam = gen.uniform(0.1, 1.0, rank)
+            lam /= lam.sum()
+            true = (v * lam) @ v.conj().T
+            mix = gen.uniform(0.7, 1.0)
+            hat = (1.0 - mix) * true + mix * random_density(gen, d)
+            root = np.sqrt(lam)
+            inner = root[:, None] * (v.conj().T @ hat @ v) * root
+            want = np.sqrt(np.linalg.eigvalsh(inner)).sum() ** 2
+            assert abs(state_fidelity(hat, true) - want) <= 1e-14
 
 
 class TestTraces:

@@ -13,7 +13,6 @@ from aqtomo.linalg import (
     hermitian_part,
     inv_sqrt,
     kron,
-    matrix_sqrt,
     partial_trace_1,
     partial_trace_2,
     project_psd,
@@ -21,6 +20,7 @@ from aqtomo.linalg import (
     vec,
 )
 from aqtomo.measurement import SeededRng
+from dense_reference import matrix_sqrt
 
 
 def rand_complex(gen, d, m=None):
