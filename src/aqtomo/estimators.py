@@ -122,6 +122,13 @@ class LrePlan:
 # ---------------------------------------------------------------------------
 
 
+def _eig_state(lam: np.ndarray, v: np.ndarray, sub_unit: bool = False) -> DensityMatrix:
+    """The state ``v diag(lam) v^dag``, or each of a stack, validated with
+    ``lam`` sorted ascending as its spectrum instead of a second eigensolve."""
+    spectrum = np.sort(lam, axis=-1)
+    return DensityMatrix._of(_eig_product(lam, v), sub_unit=sub_unit, _spectrum=spectrum)
+
+
 def physical_projection_fast(h: np.ndarray) -> DensityMatrix:
     """Eigenvalue simplex projection onto {PSD, same trace, same eigenbasis}.
 
@@ -135,8 +142,7 @@ def physical_projection_fast(h: np.ndarray) -> DensityMatrix:
     if (np.abs(tr - 1.0) > 1e-8).any():
         raise ValueError(f"projection expects unit trace, got {tr}")
     w, v = _eigh(h)
-    lam = project_eigenvalues_simplex(w)
-    return DensityMatrix._of(_eig_product(lam, v))  # validation symmetrizes it
+    return _eig_state(project_eigenvalues_simplex(w), v)
 
 
 def project_eigenvalues_simplex(w: np.ndarray) -> np.ndarray:
@@ -221,7 +227,7 @@ def adaptive_qst(oracle, n_total: int, alpha: float, rng) -> TomographyEstimate:
     unit trace by construction.
     """
     lam, u, _ = _two_step(oracle, n_total, alpha, rng)
-    return TomographyEstimate(DensityMatrix._of(_eig_product(lam, u)[..., 0, :, :]))
+    return TomographyEstimate(_eig_state(lam[..., 0, :], u[..., 0, :, :]))
 
 
 def adaptive_qpst(oracle, n_total: int, alpha: float, rng) -> TomographyEstimate:
@@ -234,8 +240,7 @@ def adaptive_qpst(oracle, n_total: int, alpha: float, rng) -> TomographyEstimate
     lam, u, _ = _two_step(oracle, n_total, alpha, rng, constrain_trace=False)
     if (lam.sum(axis=-1) <= 0.0).any():
         raise EstimationError("every adaptive-step outcome fell in the null bin")
-    sigma_hat = DensityMatrix._of(_eig_product(lam, u)[..., 0, :, :], sub_unit=True)
-    return TomographyEstimate(sigma_hat)
+    return TomographyEstimate(_eig_state(lam[..., 0, :], u[..., 0, :, :], sub_unit=True))
 
 
 def static_qst(oracle, n_total: int, rng) -> TomographyEstimate:
@@ -428,7 +433,7 @@ def nonadaptive_aapt(
         if (kept_sum <= 0.0).any():
             raise EstimationError("no positive eigenvalue mass to rescale")
         lam = np.where(keep, w, 0.0) * (known_trace / kept_sum)
-        sigma_hat = DensityMatrix._of(_eig_product(lam, v), sub_unit=True)
+        sigma_hat = _eig_state(lam, v, sub_unit=True)
     return _process_estimate(sigma_hat, input_state, tp_flag)
 
 

@@ -16,14 +16,12 @@ stacking; a grid point's generators are built in one pass
 oracle, the truth it is scored against (factored once, with its fidelity
 scenario), the true ranks and, for AAPT, whether the channel is
 trace-preserving from the config's target, resolved once per process
-(``_context``); the estimate's spectra come from the validation of its value
-object.  AAPT's output state is scored by its fidelity alone.
+(``_context``); the estimate's spectra are the ones its value object keeps
+from validation.  AAPT's output state is scored by its fidelity alone.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as futures
-import logging
 import os
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -44,8 +42,6 @@ from ..fidelity import rooted_fidelity_and_dp
 from ..measurement import seeded_generators
 from .config import ExperimentConfig, _trial_stream
 from .targets import resolve_target
-
-log = logging.getLogger(__name__)
 
 MAX_EXCLUDED_FRACTION = 0.10
 SLOPE_FLOOR = 1e-12
@@ -261,7 +257,11 @@ def _run(target, config, n, n_index, trials) -> list:
     except (EstimationError, np.linalg.LinAlgError) as exc:
         if len(trials) > 1:  # rerun each trial alone, so exclusions stay per trial
             return [m for t in trials for m in _run(target, config, n, n_index, [t])]
-        log.warning("excluding trial=%d N=%d reason=%s", trials[0], n, exc)
+        import logging  # imported here: only an excluded trial logs
+
+        logging.getLogger(__name__).warning(
+            "excluding trial=%d N=%d reason=%s", trials[0], n, exc
+        )
         return [None]
 
 
@@ -285,7 +285,9 @@ def run_scaling(config: ExperimentConfig, workers: int = 1) -> ScalingResult:
     if workers <= 1:
         outcomes = [run_trial(*job) for job in jobs]
     else:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # map returns results in job order, one list per grid point
             outcomes = list(pool.map(run_trial, *zip(*jobs)))
 

@@ -20,7 +20,7 @@ axis in every array and field, and runs every check on each trial's row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -69,17 +69,21 @@ class DensityMatrix(_Value):
     """A PSD operator with unit trace, or sub-unit trace for pseudo-states.
 
     ``eigenvalues`` is the ascending spectrum of ``mat`` and ``trace`` its
-    real trace, both as validation computed them.
+    real trace, both as validation computed them.  An estimate built from
+    its eigenpairs (``v diag(lam) v^dag``) keeps that ``lam``, sorted
+    ascending, as its spectrum; every other value solves for it once.
     """
 
     mat: np.ndarray
     sub_unit: bool = False
     eigenvalues: np.ndarray = field(init=False, repr=False)
     trace: float = field(init=False, repr=False)
+    # the ascending spectrum the builder of mat already knows, if any
+    _spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _spectrum):
         mat = hermitian_part(linalg._require_square(self.mat, stack=bool(self._lead)))
-        w = np.linalg.eigvalsh(mat)
+        w = np.linalg.eigvalsh(mat) if _spectrum is None else _spectrum
         if (low := w[..., 0].min()) < -PSD_ATOL:
             raise linalg.NotPSDError(f"density matrix eigenvalue {low:.3e} < 0")
         tr = mat.trace(0, -2, -1).real

@@ -13,6 +13,7 @@ from aqtomo.estimators import (
     InformationIncompleteError,
     LrePlan,
     TomographyEstimate,
+    _eig_state,
     _split_shots,
     _stage1,
     aapt_reconstruct,
@@ -31,6 +32,8 @@ from aqtomo.estimators import (
 )
 from aqtomo.linalg import (
     DimensionError,
+    NotPSDError,
+    _eig_product,
     _eigh,
     dagger,
     eig_reconstruct,
@@ -47,8 +50,11 @@ from aqtomo.measurement import (
     StateOracle,
     frequencies,
     pauli_cube,
+    seeded_generators,
 )
 from aqtomo.quantum_objects import (
+    PSD_ATOL,
+    TRACE_ATOL,
     BipartitePureState,
     DegenerateInputError,
     DensityMatrix,
@@ -900,6 +906,90 @@ class TestAdaptiveAapt:
             nonadaptive_aapt(
                 StateOracle(sigma), 1000, False, probe, SeededRng(85)
             )
+
+
+def _unit_trace_hermitian(gen, d=4):
+    a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    h = (a + a.conj().T) / 2 + 0.5 * np.eye(d)
+    return h / np.trace(h).real
+
+
+def _eigenpair_builders():
+    """Each estimator site that builds a state from its eigenpairs, as a
+    function of one generator (one matrix) or a list of them (a stack)."""
+    rho = DensityMatrix(
+        eig_reconstruct(np.array([0.6, 0.4, 0, 0]), haar_unitary(4, SeededRng(94).generator()))
+    )
+    probe = maximally_entangled_input(2)
+    sigma = apply_extended_channel(lossy_dephasing(), probe.density())
+
+    def projection(gens):
+        if isinstance(gens, list):
+            return physical_projection_fast(np.array([_unit_trace_hermitian(g) for g in gens]))
+        return physical_projection_fast(_unit_trace_hermitian(gens))
+
+    return {
+        "physical_projection_fast": projection,
+        "adaptive_qst": lambda g: adaptive_qst(StateOracle(rho), 3000, 0.5, g).value,
+        "adaptive_qpst": lambda g: adaptive_qpst(StateOracle(sigma), 3000, 0.5, g).value,
+        "nonadaptive_aapt": lambda g: nonadaptive_aapt(
+            StateOracle(sigma), 3000, False, probe, g, known_trace=sigma.trace
+        ).extras["sigma_out"],
+    }
+
+
+class TestEigenpairSpectrum:
+    """A state built from its eigenpairs keeps that spectrum, sorted
+    ascending, in place of a second eigensolve, and keeps every check."""
+
+    @pytest.mark.parametrize("site", sorted(_eigenpair_builders()))
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_kept_spectrum_is_the_matrix_spectrum(self, site, seed):
+        build = _eigenpair_builders()[site]
+        stack = build(seeded_generators(seed, range(6)))
+        assert stack.mat.shape == (6, 4, 4)
+        for t in range(6):
+            alone = build(seeded_generators(seed, [t])[0])
+            assert alone.mat.shape == (4, 4)
+            assert np.array_equal(stack.mat[t], alone.mat)
+            assert np.array_equal(stack.eigenvalues[t], alone.eigenvalues)
+            assert np.array_equal(stack.trace[t], alone.trace)
+        for value in (stack, alone):
+            w = value.eigenvalues
+            assert (np.diff(w, axis=-1) >= 0.0).all()
+            tol = 1e-13 * np.abs(w).max(axis=-1, keepdims=True)
+            assert (np.abs(w - np.linalg.eigvalsh(value.mat)) <= tol).all()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_negative_kept_eigenvalue_raises(self, stacked):
+        u = haar_unitary(3, SeededRng(95).generator())
+        lam = np.array([0.5, 0.5 + 2 * PSD_ATOL, -2 * PSD_ATOL])
+        good = np.array([0.5, 0.25, 0.25])
+        if stacked:
+            lam, u = np.array([good, lam]), np.array([u, u])
+        with pytest.raises(NotPSDError):
+            _eig_state(lam, u)
+
+    @pytest.mark.parametrize("sub_unit", [False, True])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_trace_off_by_more_than_the_tolerance_raises(self, sub_unit, stacked):
+        u = haar_unitary(3, SeededRng(96).generator())
+        lam = np.array([0.5, 0.3, 0.2 + 10 * TRACE_ATOL])
+        if stacked:
+            lam, u = np.array([[0.5, 0.3, 0.2], lam]), np.array([u, u])
+        with pytest.raises(ValueError, match="trace"):
+            _eig_state(lam, u, sub_unit=sub_unit)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_public_constructor_solves_its_own_spectrum(self, stacked):
+        gen = SeededRng(97).generator()
+        lam = np.array([0.7, 0.2, 0.1, 0.0])
+        mat = _eig_product(lam, haar_unitary(4, gen))
+        if stacked:
+            mat = np.array([mat, _eig_product(lam[::-1], haar_unitary(4, gen))])
+        value = DensityMatrix._of(mat) if stacked else DensityMatrix(mat)
+        want = np.linalg.eigvalsh(hermitian_part(mat))
+        assert np.array_equal(value.eigenvalues, want)
 
 
 class TestPhysicalityAcrossMethods:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import inspect
 import json
@@ -689,7 +690,7 @@ class TestRunScaling(object):
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = ExperimentConfig(
             "qst", "adaptive", "qst-rank1-8d", (1000, 4000, 16000), 1, seed=8
         )
@@ -891,7 +892,8 @@ class TestBenchmarkSurface:
 class TestScoringSolves:
     """A scored estimate costs one r x r ``eigvalsh`` per distinct rank r of
     its truth: the truth is factored on its support once per target and the
-    estimate's spectrum comes from its validation."""
+    estimate's spectrum comes from its validation.  A state estimate built
+    from eigenpairs keeps that spectrum, so its validation solves nothing."""
 
     @staticmethod
     def _count(monkeypatch, counts, inside=None):
@@ -913,8 +915,8 @@ class TestScoringSolves:
         counts = {"eigh": 0, "eigvalsh": 0}
         self._count(monkeypatch, counts)
         assert harness.run_trial(cfg, 4000, 1, 1) is not None
-        # the protocol's eigenbasis, the estimate's validation, the overlap
-        assert counts == {"eigh": 1, "eigvalsh": 2}
+        # the protocol's eigenbasis and the overlap
+        assert counts == {"eigh": 1, "eigvalsh": 1}
 
     def test_static_qst_trial(self, monkeypatch):
         cfg = ExperimentConfig("qst", "static", "qst-rank1-8d", (1000, 4000, 16000), 2)
@@ -922,8 +924,8 @@ class TestScoringSolves:
         counts = {"eigh": 0, "eigvalsh": 0}
         self._count(monkeypatch, counts)
         assert harness.run_trial(cfg, 4000, 1, 1) is not None
-        # the projection's eigenbasis, the estimate's validation, the overlap
-        assert counts == {"eigh": 1, "eigvalsh": 2}
+        # the projection's eigenbasis and the overlap
+        assert counts == {"eigh": 1, "eigvalsh": 1}
 
     def test_adaptive_aapt_scoring_takes_no_eigh(self, monkeypatch):
         cfg = ExperimentConfig(
@@ -955,16 +957,16 @@ class TestScoringSolves:
         counts = {"eigh": 0, "eigvalsh": 0}
         self._count(monkeypatch, counts)
         assert harness.run_trial(cfg, 1600, 1, 1) is not None
-        # validation of the output state and of the process matrix with its
-        # partial trace, then one overlap each; constraint_dev solves nothing
-        assert counts["eigvalsh"] == 5
+        # validation of the process matrix with its partial trace, then one
+        # overlap each; the output state and constraint_dev solve nothing
+        assert counts["eigvalsh"] == 4
 
     @pytest.mark.parametrize(
         "task,target,n,want",
         [
-            ("qst", "qst-rank1-8d", 4000, {"eigh": 1, "eigvalsh": 2}),
+            ("qst", "qst-rank1-8d", 4000, {"eigh": 1, "eigvalsh": 1}),
             ("qdt", "qdt-three-valued", 4000, {"eigh": 4, "eigvalsh": 3}),
-            ("aapt", "aapt-damping-third", 1600, {"eigh": 2, "eigvalsh": 5}),
+            ("aapt", "aapt-damping-third", 1600, {"eigh": 2, "eigvalsh": 4}),
         ],
     )
     def test_grid_point_costs_the_solves_of_one_trial(
@@ -1127,8 +1129,8 @@ class TestImports:
     def test_harness_imports_neither_pool_nor_metadata(self):
         code = (
             "import sys, aqtomo.experiments.harness; "
-            "print(sorted({'concurrent.futures.process', 'importlib.metadata'} "
-            "& set(sys.modules)))"
+            "print(sorted({'concurrent.futures', 'concurrent.futures.process', "
+            "'importlib.metadata', 'logging'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -1607,9 +1609,9 @@ class TestCli:
 # that reorders random draws or arithmetic shows up here as a changed digest.
 GOLDEN_CSV_SHA256 = {
     ("qst", "qst-rank1-8d", "adaptive"):
-        "504cebb88498e2b668560876b14a7730276bb7b64d9849c367c2179a1bf895be",
+        "fd615bd775e60421406221a11b37f5549ff2b5bab09f563bf9f3c66e0e954964",
     ("qst", "qst-rank1-8d", "static"):
-        "b2c402efab7a1727e6ef53bb3a0edc6cd0c7e2c1a2cfa4b7c5b7d3ed9e75723c",
+        "31de8b606a42369bcbd9c7c8f7b74b9fb356e1fc27699b912cb8adeae46b95a6",
     ("qdt", "qdt-three-valued", "adaptive"):
         "6725cffb60a8b0f4d8de9ac528dd85b4ad60a4f3883f371eec1e608865017195",
     ("qdt", "qdt-three-valued", "static"):
@@ -1630,9 +1632,9 @@ GOLDEN_CSV_SHA256 = {
 # per-element means.
 GOLDEN_JSON_SHA256 = {
     ("qst", "qst-rank1-8d", "adaptive"):
-        "187961c4c60949913ba77c7b08a740c265da54f5ab84ecd9393a40365b75c9dc",
+        "1535dbc8828571ab4441e18ceeb4b5054e1c8616403ce9b92f0ec0b21665f40c",
     ("qst", "qst-rank1-8d", "static"):
-        "6d3bd994672fcc58e065cc8eddb852ef1fe7200ca755f8902ebffabb09c2e0f8",
+        "c4662dc37c42caa5e2cb5a513f9b56c6038cd92402ebe994d318b0a859777928",
     ("qdt", "qdt-three-valued", "adaptive"):
         "dbbec610b59c5a55fc6749bf3839ee68a97b59c613be49c3138e078e7ceec08f",
     ("qdt", "qdt-three-valued", "static"):
@@ -1708,12 +1710,47 @@ def _golden_trials(task, target, method):
     ]
 
 
-def _write_golden_trials():
+def _write_golden_trials(data):
     # json writes each float by repr, so the file keeps every bit
-    data = {" ".join(key): _golden_trials(*key) for key in sorted(GOLDEN_CSV_SHA256)}
     with open(GOLDEN_TRIALS_PATH, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
+
+
+def _print_golden_moves(old, new):
+    """Print, per golden config, each metric that differs between two
+    fixtures as json reads them: in how many trials, and its largest absolute
+    and relative change over trials and elements; then any change in which
+    trials are excluded."""
+    for config, trials in new.items():
+        before = old.get(config)
+        if before is None:
+            print(f"{config}: not in the committed fixture")
+            continue
+        was = [i for i, m in enumerate(before) if m is None]
+        now = [i for i, m in enumerate(trials) if m is None]
+        if was != now:
+            print(f"{config}: excluded trials {was} -> {now}")
+        pairs = [(a, b) for a, b in zip(before, trials) if a is not None and b is not None]
+        lines = []
+        for name in pairs[0][1] if pairs else ():
+            if name not in pairs[0][0]:
+                lines.append(f"{config}: {name} is not in the committed fixture")
+                continue
+            moved, largest, largest_rel = 0, 0.0, 0.0
+            for a, b in pairs:
+                prior, value = np.asarray(a[name], float), np.asarray(b[name], float)
+                change = np.abs(value - prior)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rel = np.where(change == 0.0, 0.0, change / np.abs(prior))
+                moved += bool((value != prior).any())
+                largest, largest_rel = max(largest, change.max()), max(largest_rel, rel.max())
+            if moved:
+                lines.append(
+                    f"{config}: {name} moved in {moved} of {len(pairs)} trials, "
+                    f"largest change {largest:.2g} absolute, {largest_rel:.2g} relative"
+                )
+        print("\n".join(lines) if lines else f"{config}: no metric moved")
 
 
 def _print_golden_digests():
@@ -1743,8 +1780,10 @@ def test_golden_trial_values(task, target, method):
 
         PYTHONPATH=src python3 tests/test_experiments.py
 
-    which also prints ``GOLDEN_CSV_SHA256`` and ``GOLDEN_JSON_SHA256`` as
-    they are to be pinned above.
+    which first prints, per config, each metric that moved against the
+    committed fixture and any change in exclusions, then
+    ``GOLDEN_CSV_SHA256`` and ``GOLDEN_JSON_SHA256`` as they are to be
+    pinned above.
     """
     with open(GOLDEN_TRIALS_PATH) as fh:
         expected = json.load(fh)[f"{task} {target} {method}"]
@@ -1761,5 +1800,8 @@ def test_golden_trial_values(task, target, method):
 
 
 if __name__ == "__main__":
-    _write_golden_trials()
+    fixture = {" ".join(key): _golden_trials(*key) for key in sorted(GOLDEN_CSV_SHA256)}
+    with open(GOLDEN_TRIALS_PATH) as fh:
+        _print_golden_moves(json.load(fh), json.loads(json.dumps(fixture)))
+    _write_golden_trials(fixture)
     _print_golden_digests()
